@@ -419,9 +419,10 @@ def parse_lp(text: str) -> MilpModel:
         else:
             name, val = re.match(r"(\S+)\s*=\s*([0-9.eE+-]+)", ln).groups()
             bounds[name] = (float(val), float(val))
+    binary = set(binary_names)
     for name in sorted(seen):
         lb, ub = bounds.get(name, (0.0, math.inf))
-        kind = BINARY if name in set(binary_names) else CONTINUOUS
+        kind = BINARY if name in binary else CONTINUOUS
         variables[name] = MilpVariable(name, kind, lb, ub)
 
     # Recover the aircraft index sets from the variable names.  Accept

@@ -8,6 +8,8 @@ no search code with the optimized oracle it cross-checks.
 from __future__ import annotations
 
 import itertools
+import signal
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import pytest
@@ -69,6 +71,23 @@ def accept(aid: str, x: float, y: float, roll_in: float, roll_out: float,
                       roll_in=roll_in, roll_out=roll_out,
                       d_arr=max(0.0, roll_in - eta),
                       d_dep=max(0.0, roll_out - etd))
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the enclosed block after ``seconds`` of wall time,
+    so that a hang fails its test instead of stalling the suite.  Uses
+    SIGALRM, so it works in the main thread on POSIX only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not finished within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 #: Small hangar keeping brute-force cross-products tractable.

@@ -1,14 +1,18 @@
-"""Constructive heuristic: prioritization, placement scan, time stepping,
+"""Constructive heuristic: prioritization, placement scan, time search,
 and feasibility of its output."""
 
+import json
 import math
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hangarplan import ach, instgen, validator
-from hangarplan.core import Assignment, HangarConfig, Kind, Provenance, evaluate_cost
+from hangarplan import ach, instgen, io, validator
+from hangarplan.core import TOL, Assignment, Provenance, Solution
 
-from conftest import accept, make_current, make_future, make_instance
+from conftest import accept, make_current, make_future, make_instance, time_limit
 
 
 class TestPrioritize:
@@ -227,3 +231,89 @@ class TestSolve:
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
         assert validator.validate(inst, sol).feasible
+
+
+class TestTermination:
+    """``p_arr = 0`` makes the break-even time infinite; an aircraft that can
+    never fit must still be rejected, not searched for ever."""
+
+    @pytest.mark.parametrize("placed_first", [False, True])
+    def test_never_fitting_aircraft_rejected(self, placed_first):
+        wide = make_future("wide", width=500.0, p_arr=0.0)
+        placed = make_future("a", p_rej=900.0)
+        inst = make_instance(future=[wide, placed] if placed_first else [wide])
+        with time_limit(10.0):
+            sol = ach.solve(inst)
+        assert not sol.assignment("wide").accept
+        if placed_first:
+            assert sol.assignment("a").accept
+
+
+def stepping_solve(instance):
+    """Reference search: step roll-in by eps_t from eta up to the break-even
+    time and scan the grid at every step.  It terminates only for finite
+    break-even times."""
+    h = instance.hangar
+    fixed = ach._commit_current(instance)
+    by_id = {f.id: f for f in instance.future}
+    assignments = {s.id: a for s, a in fixed}
+    for fid in ach.prioritize(instance):
+        f = by_id[fid]
+        t_max = ach.max_admissible_time(f)
+        assignments[fid] = Assignment(aircraft_id=fid, accept=False)
+        k = 0
+        while f.eta + k * h.eps_t <= t_max + TOL:
+            cand = ach.find_best_placement(f, f.eta + k * h.eps_t, fixed, instance)
+            if cand is not None:
+                asg = Assignment(
+                    aircraft_id=fid, accept=True, x=cand.x, y=cand.y,
+                    roll_in=cand.t_in, roll_out=cand.t_out,
+                    d_arr=max(0.0, cand.t_in - f.eta),
+                    d_dep=max(0.0, cand.t_out - f.etd))
+                fixed.append((f, asg))
+                assignments[fid] = asg
+                break
+            k += 1
+    return Solution(instance_label=instance.label,
+                    assignments=tuple(assignments[a.id] for a in instance.all_aircraft()),
+                    provenance=Provenance.HEURISTIC)
+
+
+def _assert_matches_stepping(n, n_current, congestion, multiplier, seed):
+    inst = instgen.generate(instgen.GeneratorConfig(
+        n_future=n, n_current=n_current, seed=seed, congestion=congestion,
+        rejection_multiplier=multiplier))
+    got = json.dumps(io.solution_to_dict(ach.solve(inst)))
+    want = json.dumps(io.solution_to_dict(stepping_solve(inst)))
+    assert got == want
+
+
+#: (n_future, n_current, congestion, rejection multiplier, seed): every n from
+#: 2 to 8, each current count, and each congestion/penalty pair several times.
+EQUIVALENCE_CASES = [
+    (2, 0, 0.2, 10.0, 1), (2, 2, 1.0, 1.0, 2),
+    (3, 1, 1.0, 10.0, 3), (3, 0, 0.2, 1.0, 4),
+    (4, 2, 0.2, 10.0, 5), (4, 1, 1.0, 1.0, 6),
+    (5, 0, 1.0, 10.0, 7), (5, 2, 0.2, 1.0, 8),
+    (6, 1, 0.2, 10.0, 9), (6, 0, 1.0, 1.0, 10),
+    (7, 2, 1.0, 10.0, 11), (7, 1, 0.2, 1.0, 12),
+    (8, 0, 0.2, 10.0, 13), (8, 2, 1.0, 1.0, 14),
+]
+
+
+class TestEventDrivenSearch:
+    """The event-driven search must reproduce the plain stepping search byte
+    for byte."""
+
+    @pytest.mark.parametrize("n,n_current,congestion,multiplier,seed", EQUIVALENCE_CASES)
+    def test_matches_stepping_reference(self, n, n_current, congestion, multiplier, seed):
+        _assert_matches_stepping(n, n_current, congestion, multiplier, seed)
+
+    @settings(max_examples=5, deadline=timedelta(seconds=20))
+    @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           multiplier=st.sampled_from([1.0, 10.0]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_matches_stepping_reference_generated(self, n, n_current, congestion,
+                                                  multiplier, seed):
+        _assert_matches_stepping(n, n_current, congestion, multiplier, seed)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from hangarplan import cli, io, milp
 
-from conftest import accept, make_future, make_instance, manual_solution
+from conftest import accept, make_future, make_instance, manual_solution, time_limit
 
 
 @pytest.fixture
@@ -59,6 +59,21 @@ class TestSolveAndValidate:
         res = run(runner, ["validate", "-i", str(inst), "-s", str(sol)])
         assert res.exit_code == 0
         assert "feasible" in res.output
+
+    @pytest.mark.parametrize("placed_first", [False, True])
+    def test_solve_ach_rejects_never_fitting_zero_delay_penalty(
+            self, runner, tmp_path, placed_first):
+        wide = make_future("wide", width=500.0, p_arr=0.0)
+        placed = make_future("a", p_rej=900.0)
+        ip, sp = tmp_path / "i.json", tmp_path / "s.json"
+        io.save_instance(make_instance(future=[wide, placed] if placed_first else [wide]), ip)
+        with time_limit(10.0):
+            res = run(runner, ["solve-ach", "-i", str(ip), "-o", str(sp)])
+        assert res.exit_code == 0
+        sol = io.load_solution(sp)
+        assert not sol.assignment("wide").accept
+        if placed_first:
+            assert sol.assignment("a").accept
 
     def test_validate_json_output(self, runner, tmp_path):
         inst = self._gen(runner, tmp_path)
