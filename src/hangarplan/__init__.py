@@ -6,7 +6,7 @@ heuristic), milp (model builder / LP export / satisfaction checks), exact
 (desk-scale optimal oracle), report (SVG/HTML emission), cli (entry point).
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .core import (  # noqa: F401
     AircraftSpec,

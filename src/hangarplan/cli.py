@@ -113,7 +113,10 @@ def solve_ach(instance_path: str, out: str, grid_step: Optional[float]) -> None:
 @main.command(name="solve-exact")
 @click.option("-i", "instance_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
-@click.option("--node-budget", type=int, default=2_000_000, show_default=True)
+@click.option("--node-budget", type=int, default=2_000_000, show_default=True,
+              help="Stop after this many nodes: branch-and-bound nodes over "
+                   "acceptance and roll-in times plus closed branches of the "
+                   "layout search.")
 @click.option("--time-budget", type=float, default=300.0, show_default=True)
 @click.option("--allow-large", is_flag=True, help="Lift the instance-size guard.")
 def solve_exact(instance_path: str, out: str, node_budget: int,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
@@ -50,6 +51,11 @@ class AircraftSpec:
     vip: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("width", "length", "eta", "etd", "service", "p_dep",
+                     "p_rej", "p_arr", "x_init", "y_init"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.id}: {name} must be finite, got {value}")
         if self.width <= 0 or self.length <= 0:
             raise ValueError(f"{self.id}: footprint must be positive")
         if self.service <= 0:
@@ -78,6 +84,9 @@ class HangarConfig:
     grid_step: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("hw", "hl", "buffer", "eps_t", "eps_p", "grid_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"hangar {name} must be finite, got {getattr(self, name)}")
         if self.hw <= 0 or self.hl <= 0:
             raise ValueError("hangar dimensions must be positive")
         if self.buffer < 0:

@@ -2,15 +2,17 @@
 
 Depth-first branch and bound over acceptance subsets, event-driven roll-in
 candidates, and grid placements, certifying the optimum relative to that
-discretization.  Placements are optimized per complete schedule: the pairwise
-separation disjunctions are enumerated and each choice reduces to monotone
-difference constraints per axis, whose least fixpoint (snapped up to the
-spatial grid) is the componentwise-minimal layout.
+discretization.  Placements are optimized per complete schedule by a second
+depth-first search over the pairwise separation disjunctions.  Each choice is
+a monotone constraint on one axis (a lower bound, a cap, or a difference edge);
+adding it raises the parent's least fixpoint (snapped up to the spatial grid)
+by worklist propagation.  A branch is cut once a position passes its wall or
+cap, or once its coordinate sum exceeds the best layout found so far.  Both
+searches share one node budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -108,7 +110,15 @@ def _min_positioning(instance: Instance,
     of a complete schedule, or None if spatially infeasible.
 
     ``free``: (spec, roll_in, roll_out) triples.  ``fixed``: committed current
-    aircraft.  Returns (positioning_sum, {id: (x, y)}).
+    aircraft.  Returns (positioning_sum, {id: (x, y)}); ties in the sum go to
+    the smaller layout tuple.
+
+    Depth-first over the co-present pairs, one separation option per level.
+    Positions are the least fixpoint of the chosen constraints and only grow
+    down a branch, so a branch is cut when a position passes its wall or cap
+    or when its sum exceeds the best total found so far.  Each closed branch,
+    a complete layout or a cut, is one node of ``budget``, so the count never
+    exceeds the number of option combinations.
     """
     h = instance.hangar
     step = h.grid_step
@@ -138,120 +148,98 @@ def _min_positioning(instance: Instance,
         return not any(_present(u[1], u[2], e)
                        for e in _events_of(lo[0], lo[1], lo[2]))
 
-    options_per_pair = []
+    n_free = len(free)
+
+    def compile_option(kind: str, hi: int, lo: int):
+        # One constraint (v, u, value, cap) on the flat position list: x of
+        # free aircraft i at index i, y at n_free + i.  With u None it is
+        # pos[v] >= value and pos[v] <= cap; otherwise the difference edge
+        # pos[v] >= snap(pos[u] + value).
+        axis = 0 if kind == _RIGHT else 1
+        off = axis * n_free
+        size = entities[lo][0].width if axis == 0 else entities[lo][0].length
+        gap = size + h.buffer
+        hi_fixed, lo_fixed = entities[hi][3], entities[lo][3]
+        if lo_fixed is not None:
+            return off + hi, None, _snap_up(lo_fixed[axis] + gap, h.buffer, step), math.inf
+        if hi_fixed is not None:
+            # the free aircraft must stay below/left of the fixed one
+            return off + lo, None, h.buffer, hi_fixed[axis] - size - h.buffer
+        return off + hi, off + lo, gap, math.inf
+
+    options = []
     for i, j in pairs:
         opts = [(_RIGHT, i, j), (_RIGHT, j, i)]
         if above_ok(i, j):
             opts.append((_ABOVE, i, j))
         if above_ok(j, i):
             opts.append((_ABOVE, j, i))
-        if not opts:
-            return None
-        options_per_pair.append(opts)
+        options.append([compile_option(*o) for o in opts])
 
-    n_free = len(free)
-    best = None  # (total, positions tuple)
+    walls = ([h.hw - h.buffer - spec.width for spec, _, _ in free]
+             + [h.hl - h.buffer - spec.length for spec, _, _ in free])
+    succ: list[list[tuple[int, float]]] = [[] for _ in walls]
+    best = None  # (total, layout)
 
-    for combo in itertools.product(*options_per_pair):
-        if budget.tick():
-            break
-        # Split the chosen relations into per-axis difference constraints.
-        lower: dict[tuple[str, int], list] = {}
-        upper: dict[tuple[str, int], float] = {}
-        feasible = True
-        for kind, hi, lo_idx in combo:
-            axis = "x" if kind == _RIGHT else "y"
-            size = (entities[lo_idx][0].width if axis == "x"
-                    else entities[lo_idx][0].length)
-            gap = size + h.buffer
-            hi_fixed = entities[hi][3]
-            lo_fixed = entities[lo_idx][3]
-            if hi_fixed is not None and lo_fixed is not None:
-                continue
-            if lo_fixed is not None:
-                base = lo_fixed[0] if axis == "x" else lo_fixed[1]
-                lower.setdefault((axis, hi), []).append(("const", base + gap))
-            elif hi_fixed is not None:
-                # free aircraft must stay below/left of the fixed one
-                cap = (hi_fixed[0] if axis == "x" else hi_fixed[1])
-                own = (entities[lo_idx][0].width if axis == "x"
-                       else entities[lo_idx][0].length)
-                key = (axis, lo_idx)
-                bound = cap - own - h.buffer
-                upper[key] = min(upper.get(key, math.inf), bound)
+    def total(pos: list[float]) -> float:
+        return sum(pos[i] + pos[n_free + i] for i in range(n_free))
+
+    def settle(pos: list[float], limit: list[float], v: int, value: float) -> bool:
+        # Raise pos[v] to value and propagate along the edges; positions only
+        # grow, so passing a wall or cap (a positive cycle ends up passing a
+        # wall) fails every extension of this branch.
+        work = [(v, value)]
+        while work:
+            v, value = work.pop()
+            if value > pos[v]:
+                pos[v] = value
+                work.extend((w, _snap_up(value + gap, h.buffer, step)) for w, gap in succ[v])
+            if pos[v] > limit[v] + TOL:
+                return False
+        return True
+
+    def search(k: int, pos: list[float], limit: list[float]) -> None:
+        nonlocal best
+        if k == len(options):
+            if budget.tick():
+                return
+            cand = (total(pos), tuple(zip(pos[:n_free], pos[n_free:])))
+            if best is None or cand < best:
+                best = cand
+            return
+        for v, u, value, cap in options[k]:
+            if budget.exhausted:
+                return
+            child, child_limit = pos[:], limit[:]
+            if u is not None:
+                succ[u].append((v, value))
+                value = _snap_up(child[u] + value, h.buffer, step)
+            child_limit[v] = min(child_limit[v], cap)
+            # the partial sum only grows; ties stay for the layout tie-break
+            if (settle(child, child_limit, v, value)
+                    and (best is None or total(child) <= best[0])):
+                search(k + 1, child, child_limit)
             else:
-                lower.setdefault((axis, hi), []).append(("var", lo_idx, gap))
+                budget.tick()
+            if u is not None:
+                succ[u].pop()
 
-        pos = {("x", i): h.buffer for i in range(n_free)}
-        pos.update({("y", i): h.buffer for i in range(n_free)})
-
-        def wall(axis: str, i: int) -> float:
-            spec = entities[i][0]
-            if axis == "x":
-                return h.hw - h.buffer - spec.width
-            return h.hl - h.buffer - spec.length
-
-        changed = True
-        passes = 0
-        while changed and feasible:
-            changed = False
-            passes += 1
-            if passes > n_free + 2:
-                feasible = False  # positive cycle in the chosen relations
-                break
-            for (axis, i), cons in lower.items():
-                req = h.buffer
-                for c in cons:
-                    if c[0] == "const":
-                        req = max(req, c[1])
-                    else:
-                        req = max(req, pos[(axis, c[1])] + c[2])
-                req = _snap_up(req, h.buffer, step)
-                if req > pos[(axis, i)] + 1e-9:
-                    pos[(axis, i)] = req
-                    changed = True
-                if req > wall(axis, i) + TOL:
-                    feasible = False
-                    break
-        if not feasible:
-            continue
-        ok = True
-        for (axis, i), cap in upper.items():
-            if pos[(axis, i)] > cap + TOL:
-                ok = False
-                break
-        if not ok:
-            continue
-        for i in range(n_free):
-            if pos[("x", i)] > wall("x", i) + TOL or pos[("y", i)] > wall("y", i) + TOL:
-                ok = False
-                break
-        if not ok:
-            continue
-
-        total = sum(pos[("x", i)] + pos[("y", i)] for i in range(n_free))
-        layout = tuple((pos[("x", i)], pos[("y", i)]) for i in range(n_free))
-        cand = (total, layout)
-        if best is None or cand < best:
-            best = cand
-
+    search(0, [h.buffer] * len(walls), walls)
     if best is None:
         return None
-    total, layout = best
-    return total, {free[i][0].id: layout[i] for i in range(n_free)}
+    total_sum, layout = best
+    return total_sum, {free[i][0].id: layout[i] for i in range(n_free)}
 
 
 def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
                      t_max: float, grid_step: Optional[float]) -> list[float]:
     if grid_step is not None:
-        cands = []
-        k = 0
-        while True:
-            t = spec.eta + k * grid_step
-            if t > t_max + TOL:
-                break
-            cands.append(t)
-            k += 1
+        # Stop at the first grid time at or after the last event + eps_t, the
+        # horizon of the event-driven candidates: t_max is inf when p_arr = 0.
+        horizon = max(events) + eps_t if events else spec.eta
+        cands = [spec.eta]
+        while cands[-1] < horizon - TOL and cands[-1] <= t_max + TOL:
+            cands.append(spec.eta + len(cands) * grid_step)
     else:
         cands = [spec.eta] + [e + eps_t for e in events if e + eps_t > spec.eta - TOL]
     out = []

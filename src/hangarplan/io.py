@@ -49,14 +49,12 @@ def hangar_to_dict(h: HangarConfig) -> dict:
 
 
 def hangar_from_dict(d: dict) -> HangarConfig:
-    return HangarConfig(
-        hw=_require(d, "hw", "hangar"),
-        hl=_require(d, "hl", "hangar"),
-        buffer=_require(d, "buffer", "hangar"),
-        eps_t=_require(d, "eps_t", "hangar"),
-        eps_p=_require(d, "eps_p", "hangar"),
-        grid_step=_require(d, "grid_step", "hangar"),
-    )
+    fields = {k: _require(d, k, "hangar")
+              for k in ("hw", "hl", "buffer", "eps_t", "eps_p", "grid_step")}
+    try:
+        return HangarConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad hangar record: {exc}") from exc
 
 
 def aircraft_to_dict(a: AircraftSpec) -> dict:
@@ -97,7 +95,7 @@ def aircraft_from_dict(d: dict) -> AircraftSpec:
         return AircraftSpec(**common,
                             x_init=_require(d, "x_init", f"aircraft {aid}"),
                             y_init=_require(d, "y_init", f"aircraft {aid}"))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad aircraft record {aid}: {exc}") from exc
 
 

@@ -359,12 +359,37 @@ def export_lp(model: MilpModel) -> str:
 _TERM_RE = re.compile(r"([+-])\s+([0-9.eE+-]+)\s+(\S+)")
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ParseError(f"bad number {text!r} in {what}") from exc
+
+
 def _parse_terms(text: str) -> tuple[tuple[float, str], ...]:
     terms = []
-    for sign, num, var in _TERM_RE.findall(text):
-        coef = float(num) * (-1.0 if sign == "-" else 1.0)
-        terms.append((coef, var))
+    try:
+        for sign, num, var in _TERM_RE.findall(text):
+            coef = float(num) * (-1.0 if sign == "-" else 1.0)
+            terms.append((coef, var))
+    except ValueError as exc:
+        raise ParseError(f"bad coefficient: {exc}") from exc
     return tuple(terms)
+
+
+def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
+    """``lo <= name <= hi`` (hi may be ``+inf``) or ``name = value``."""
+    if "<=" in line:
+        m = re.match(r"([0-9.eE+-]+)\s*<=\s*(\S+)\s*<=\s*(\S+)", line)
+        if m:
+            lo, name, hi = m.groups()
+            return name, (_number(lo, line), math.inf if hi == "+inf" else _number(hi, line))
+    else:
+        m = re.match(r"(\S+)\s*=\s*([0-9.eE+-]+)", line)
+        if m:
+            name, val = m.groups()
+            return name, (_number(val, line), _number(val, line))
+    raise ParseError(f"cannot parse bound {line!r}")
 
 
 def parse_lp(text: str) -> MilpModel:
@@ -382,18 +407,24 @@ def parse_lp(text: str) -> MilpModel:
         if stripped in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
             section = stripped
             continue
+        if section is None:
+            raise ParseError(f"line outside any section: {stripped!r}")
         if section == "Minimize":
             obj_text += " " + stripped
         elif section == "Subject To":
             if ":" in stripped:
                 row_chunks.append(stripped)
-            else:
+            elif row_chunks:
                 row_chunks[-1] += " " + stripped
+            else:
+                raise ParseError(f"continuation before the first row: {stripped!r}")
         elif section == "Bounds":
             bound_lines.append(stripped)
         elif section == "Binaries":
             binary_names.extend(stripped.split())
 
+    if ":" not in obj_text:
+        raise ParseError("objective has no name")
     obj_text = obj_text.split(":", 1)[1]
     objective = _parse_terms(obj_text)
 
@@ -404,21 +435,14 @@ def parse_lp(text: str) -> MilpModel:
         if mt is None:
             raise ParseError(f"cannot parse row {name}")
         rows.append(MilpRow(name.strip(), _parse_terms(body[:mt.start()]),
-                            mt.group(1), float(mt.group(2))))
+                            mt.group(1), _number(mt.group(2), name)))
 
     variables: dict[str, MilpVariable] = {}
     seen = set()
     for terms in [objective] + [r.terms for r in rows]:
         for _, var in terms:
             seen.add(var)
-    bounds: dict[str, tuple[float, float]] = {}
-    for ln in bound_lines:
-        if "<=" in ln:
-            lo, name, hi = re.match(r"([0-9.eE+-]+)\s*<=\s*(\S+)\s*<=\s*(\S+)", ln).groups()
-            bounds[name] = (float(lo), math.inf if hi == "+inf" else float(hi))
-        else:
-            name, val = re.match(r"(\S+)\s*=\s*([0-9.eE+-]+)", ln).groups()
-            bounds[name] = (float(val), float(val))
+    bounds = dict(_parse_bound(ln) for ln in bound_lines)
     binary = set(binary_names)
     for name in sorted(seen):
         lb, ub = bounds.get(name, (0.0, math.inf))

@@ -24,7 +24,7 @@ from hangarplan.core import (
     Solution,
     evaluate_cost,
 )
-from hangarplan import validator
+from hangarplan import io, validator
 
 
 def make_future(aid: str, *, width=24.0, length=22.0, eta=0.0, service=100.0,
@@ -88,6 +88,18 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: The non-finite numbers every numeric input field must refuse.
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def instance_doc_with(instance: Instance, field: str, value) -> dict:
+    """``io.instance_to_dict(instance)`` with ``field`` of the hangar, or else
+    of the first future aircraft, set to ``value``."""
+    doc = io.instance_to_dict(instance)
+    (doc["hangar"] if field in doc["hangar"] else doc["future"][0])[field] = value
+    return doc
 
 
 #: Small hangar keeping brute-force cross-products tractable.

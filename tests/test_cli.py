@@ -8,7 +8,15 @@ from click.testing import CliRunner
 
 from hangarplan import cli, io, milp
 
-from conftest import accept, make_future, make_instance, manual_solution, time_limit
+from conftest import (
+    NON_FINITE,
+    accept,
+    instance_doc_with,
+    make_future,
+    make_instance,
+    manual_solution,
+    time_limit,
+)
 
 
 @pytest.fixture
@@ -103,6 +111,17 @@ class TestSolveAndValidate:
         res = run(runner, ["validate", "-i", str(bad), "-s", str(sol)])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("field", ["service", "eta", "width", "hw"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_solve_ach_non_finite_exit_3(self, runner, tmp_path, field, value):
+        ip = tmp_path / "i.json"
+        doc = instance_doc_with(make_instance(future=[make_future("a")]), field, value)
+        ip.write_text(json.dumps(doc))
+        with time_limit(10.0):
+            res = run(runner, ["solve-ach", "-i", str(ip), "-o", str(tmp_path / "s.json")])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+
     def test_solve_exact_small(self, runner, tmp_path):
         inst = self._gen(runner, tmp_path, n=2)
         sol = tmp_path / "opt.json"
@@ -154,6 +173,28 @@ class TestModelRoundTrip:
         res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
                            "-p", str(point_p), "-o", str(tmp_path / "x.json")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda lp: lp.replace("Bounds\n", "Bounds\n garbage line\n"),
+                     id="bounds"),
+        pytest.param(lambda lp: lp.replace(" obj:", " obj", 1), id="objective"),
+        pytest.param(lambda lp: lp.replace("Subject To\n", "Subject To\n + 1 X(a01)\n"),
+                     id="continuation"),
+    ])
+    def test_import_malformed_lp_exit_3(self, runner, tmp_path, edit):
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "1", "--seed", "3", "-o", str(inst_p)])
+        lp = tmp_path / "model.lp"
+        run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        text = lp.read_text()
+        lp.write_text(edit(text))
+        assert lp.read_text() != text
+        point_p = tmp_path / "point.txt"
+        point_p.write_text("Accept(a01) 0\n")
+        res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
+                           "-p", str(point_p), "-o", str(tmp_path / "x.json")])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
 
 
 class TestRender:

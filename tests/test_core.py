@@ -1,6 +1,7 @@
 """Domain types, geometry predicates, Big-M derivation, and cost evaluation."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +188,11 @@ class TestEvaluateCost:
         c = evaluate_cost(inst, sol)
         assert c.total == pytest.approx(
             c.rejection + c.arrival_delay + c.departure_delay + c.positioning)
+
+
+def test_version_matches_pyproject():
+    import hangarplan
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert hangarplan.__version__ == project["version"]

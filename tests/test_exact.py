@@ -1,12 +1,19 @@
 """Exact oracle: trivial optima, equality with an unpruned brute force,
 dominance over the heuristic, budgets, and model consistency."""
 
+import itertools
+import json
+import math
 from dataclasses import replace
+from datetime import timedelta
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hangarplan import ach, exact, instgen, milp, validator
-from hangarplan.core import AircraftSpec, evaluate_cost
+from hangarplan import ach, exact, instgen, io, milp, validator
+from hangarplan.core import TOL, AircraftSpec, evaluate_cost, intervals_overlap
 
 from conftest import (
     TINY_HANGAR,
@@ -14,6 +21,7 @@ from conftest import (
     make_current,
     make_future,
     make_instance,
+    time_limit,
 )
 
 
@@ -138,6 +146,19 @@ class TestDominanceAndConsistency:
 
 
 class TestTimeGridCrossCheck:
+    def test_grid_mode_terminates_with_zero_delay_penalty(self):
+        # p_arr = 0 makes the break-even time infinite; grid candidates must
+        # still stop at the last event
+        wide = tiny_future("wide", width=500.0, p_arr=0.0)
+        a = tiny_future("a", p_rej=900.0)
+        inst = make_instance(future=[a, wide], hangar=TINY_HANGAR)
+        with time_limit(1.0):
+            res = exact.solve_exact(inst, exact.OracleConfig(time_grid_step=0.5))
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert res.solution.assignment("a").accept
+        assert not res.solution.assignment("wide").accept
+
+
     def test_grid_mode_matches_event_driven(self):
         # the event-driven candidate restriction must not miss the optimum
         c = make_current("c", width=10.0, length=10.0, x=2.0, y=2.0,
@@ -175,3 +196,199 @@ class TestGuardsAndBudgets:
             exact.OracleConfig(node_budget=0)
         with pytest.raises(ValueError):
             exact.OracleConfig(time_budget=-1.0)
+
+
+def product_min_positioning(instance, free, fixed, budget):
+    """Reference layout search: every combination of the pairwise separation
+    options (``itertools.product``), each solved by a from-scratch fixpoint.
+    One budget node per combination."""
+    h = instance.hangar
+    step = h.grid_step
+    if not free:
+        return 0.0, {}
+    for spec, _, _ in free:
+        if (spec.width > h.hw - 2 * h.buffer + TOL
+                or spec.length > h.hl - 2 * h.buffer + TOL):
+            return None
+
+    entities = [(spec, t_in, t_out, None) for spec, t_in, t_out in free] + \
+               [(spec, asg.roll_in, asg.roll_out, (asg.x, asg.y)) for spec, asg in fixed]
+
+    pairs = []
+    for i in range(len(entities)):
+        for j in range(i + 1, len(entities)):
+            if entities[i][3] is not None and entities[j][3] is not None:
+                continue
+            if intervals_overlap(entities[i][1:3], entities[j][1:3]):
+                pairs.append((i, j))
+
+    def above_ok(upper, lower):
+        u = entities[upper]
+        lo = entities[lower]
+        return not any(exact._present(u[1], u[2], e)
+                       for e in exact._events_of(lo[0], lo[1], lo[2]))
+
+    options_per_pair = []
+    for i, j in pairs:
+        opts = [(exact._RIGHT, i, j), (exact._RIGHT, j, i)]
+        if above_ok(i, j):
+            opts.append((exact._ABOVE, i, j))
+        if above_ok(j, i):
+            opts.append((exact._ABOVE, j, i))
+        options_per_pair.append(opts)
+
+    n_free = len(free)
+    best = None
+
+    def wall(axis, i):
+        spec = entities[i][0]
+        if axis == "x":
+            return h.hw - h.buffer - spec.width
+        return h.hl - h.buffer - spec.length
+
+    for combo in itertools.product(*options_per_pair):
+        if budget.tick():
+            break
+        lower = {}
+        upper = {}
+        for kind, hi, lo_idx in combo:
+            axis = "x" if kind == exact._RIGHT else "y"
+            size = (entities[lo_idx][0].width if axis == "x"
+                    else entities[lo_idx][0].length)
+            gap = size + h.buffer
+            hi_fixed = entities[hi][3]
+            lo_fixed = entities[lo_idx][3]
+            if lo_fixed is not None:
+                base = lo_fixed[0] if axis == "x" else lo_fixed[1]
+                lower.setdefault((axis, hi), []).append(("const", base + gap))
+            elif hi_fixed is not None:
+                cap = hi_fixed[0] if axis == "x" else hi_fixed[1]
+                key = (axis, lo_idx)
+                upper[key] = min(upper.get(key, math.inf), cap - size - h.buffer)
+            else:
+                lower.setdefault((axis, hi), []).append(("var", lo_idx, gap))
+
+        pos = {("x", i): h.buffer for i in range(n_free)}
+        pos.update({("y", i): h.buffer for i in range(n_free)})
+        feasible = True
+        changed = True
+        passes = 0
+        while changed and feasible:
+            changed = False
+            passes += 1
+            if passes > n_free + 2:
+                feasible = False  # positive cycle
+                break
+            for (axis, i), cons in lower.items():
+                req = h.buffer
+                for c in cons:
+                    if c[0] == "const":
+                        req = max(req, c[1])
+                    else:
+                        req = max(req, pos[(axis, c[1])] + c[2])
+                req = exact._snap_up(req, h.buffer, step)
+                if req > pos[(axis, i)] + 1e-9:
+                    pos[(axis, i)] = req
+                    changed = True
+                if req > wall(axis, i) + TOL:
+                    feasible = False
+                    break
+        if (not feasible
+                or any(pos[key] > cap + TOL for key, cap in upper.items())
+                or any(pos[("x", i)] > wall("x", i) + TOL
+                       or pos[("y", i)] > wall("y", i) + TOL for i in range(n_free))):
+            continue
+        total = sum(pos[("x", i)] + pos[("y", i)] for i in range(n_free))
+        layout = tuple((pos[("x", i)], pos[("y", i)]) for i in range(n_free))
+        if best is None or (total, layout) < best:
+            best = (total, layout)
+
+    if best is None:
+        return None
+    total, layout = best
+    return total, {free[i][0].id: layout[i] for i in range(n_free)}
+
+
+def _generate(n, n_current, congestion, multiplier, seed):
+    return instgen.generate(instgen.GeneratorConfig(
+        n_future=n, n_current=n_current, seed=seed, congestion=congestion,
+        rejection_multiplier=multiplier))
+
+
+def _solve_both(inst, node_budget=2_000_000):
+    config = exact.OracleConfig(node_budget=node_budget)
+    got = exact.solve_exact(inst, config)
+    with mock.patch.object(exact, "_min_positioning", product_min_positioning):
+        want = exact.solve_exact(inst, config)
+    return got, want
+
+
+def _assert_matches_product(got, want):
+    assert got.status is want.status
+    assert (json.dumps(io.solution_to_dict(got.solution))
+            == json.dumps(io.solution_to_dict(want.solution)))
+    assert got.cost == want.cost
+    assert got.nodes_explored <= want.nodes_explored
+
+
+#: (n_future, n_current, congestion, rejection multiplier, seed): n from 1 to 4,
+#: each current count, each congestion/penalty pair; the product reference
+#: needs at most about 60,000 combinations on each.
+PRODUCT_CASES = [
+    (1, 0, 0.2, 10.0, 1), (1, 2, 1.0, 1.0, 2),
+    (2, 0, 1.0, 10.0, 3), (2, 1, 1.0, 1.0, 1007),
+    (2, 2, 0.2, 10.0, 1015), (2, 2, 1.0, 10.0, 1021),
+    (3, 0, 0.2, 1.0, 4), (3, 1, 0.2, 10.0, 1027),
+    (3, 2, 1.0, 1.0, 1042), (3, 2, 0.2, 1.0, 1038),
+    (4, 0, 0.2, 10.0, 5), (4, 1, 1.0, 1.0, 1055),
+    (4, 1, 0.2, 1.0, 1049), (4, 2, 1.0, 1.0, 1068),
+    (4, 2, 1.0, 10.0, 1071),
+]
+
+
+class TestPrunedLayoutSearch:
+    """The pruned depth-first layout search must give the product
+    enumeration's plans byte for byte, with no more budget nodes."""
+
+    @pytest.mark.parametrize("n,n_current,congestion,multiplier,seed", PRODUCT_CASES)
+    def test_matches_product_reference(self, n, n_current, congestion, multiplier, seed):
+        got, want = _solve_both(_generate(n, n_current, congestion, multiplier, seed))
+        assert want.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        _assert_matches_product(got, want)
+
+    def test_equal_sums_go_to_smaller_layout(self):
+        # identical co-present aircraft: both side-by-side orders sum alike
+        inst = make_instance(future=[make_future("a"), make_future("b", eta=0.5)])
+        got, want = _solve_both(inst)
+        _assert_matches_product(got, want)
+        assert (got.solution.assignment("a").x, got.solution.assignment("b").x) == (5.0, 34.0)
+
+    @pytest.mark.parametrize("parked,future,placed", [
+        ((45.5, 5.5), [("a", 17.3, 19.1), ("b", 13.6, 15.2), ("d", 11.9, 25.4)], "cad"),
+        ((5.5, 5.5), [("a", 17.3, 45.2), ("b", 13.6, 44.6)], "cab"),
+    ], ids=["beside-parked", "row-after-parked"])
+    def test_sizes_off_the_grid(self, parked, future, placed):
+        # widths, lengths and a parked position that are not grid multiples,
+        # so every bound, cap and edge needs its snap to the grid
+        c = make_current("c", width=10.3, length=9.7, x=parked[0], y=parked[1],
+                         service=60.0)
+        inst = make_instance(current=[c], future=[
+            make_future(aid, width=w, length=ln, eta=1.0 + k)
+            for k, (aid, w, ln) in enumerate(future)])
+        got, want = _solve_both(inst)
+        assert want.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert "".join(a.aircraft_id for a in want.solution.assignments if a.accept) == placed
+        _assert_matches_product(got, want)
+
+    @settings(max_examples=6, deadline=timedelta(seconds=20))
+    @given(n=st.integers(1, 4), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           multiplier=st.sampled_from([1.0, 10.0]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_matches_product_reference_generated(self, n, n_current, congestion,
+                                                 multiplier, seed):
+        # a reference stopped by its budget has no optimum to compare with
+        got, want = _solve_both(_generate(n, n_current, congestion, multiplier, seed),
+                                100_000)
+        assume(want.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID)
+        _assert_matches_product(got, want)

@@ -7,7 +7,16 @@ import pytest
 from hangarplan import io
 from hangarplan.core import Provenance
 
-from conftest import accept, make_current, make_future, make_instance, manual_solution
+from conftest import (
+    NON_FINITE,
+    accept,
+    instance_doc_with,
+    make_current,
+    make_future,
+    make_instance,
+    manual_solution,
+    time_limit,
+)
 
 
 @pytest.fixture
@@ -61,6 +70,16 @@ class TestInstanceIO:
         d["current"][0]["x_init"] = -10.0
         with pytest.raises(ValueError):
             io.instance_from_dict(d)
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("field", ["service", "eta", "width", "hw"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_load_instance_rejects(self, instance, tmp_path, field, value):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance_doc_with(instance, field, value)))
+        with time_limit(10.0), pytest.raises(io.ParseError):
+            io.load_instance(path)
 
 
 class TestSolutionIO:
