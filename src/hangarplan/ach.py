@@ -21,7 +21,7 @@ the break-even time infinite.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,12 +32,15 @@ from .core import (
     AircraftSpec,
     Assignment,
     Instance,
-    Kind,
     Provenance,
     Solution,
     intervals_overlap,
     is_above,
     lanes_overlap,
+    movement_times,
+    next_separated,
+    separated,
+    window_blocks,
 )
 
 #: One committed placement: the aircraft and its (final) assignment.
@@ -50,10 +53,6 @@ class PlacementCandidate:
     y: float
     t_in: float
     t_out: float
-
-    @property
-    def score(self) -> float:
-        return self.x + self.y
 
 
 def prioritize(instance: Instance) -> list[str]:
@@ -71,30 +70,8 @@ def max_admissible_time(aircraft: AircraftSpec) -> float:
 
 def _events(fixed: Sequence[Committed]) -> list[float]:
     """Separation-relevant movement times of the committed schedule, sorted."""
-    ts = []
-    for spec, asg in fixed:
-        if not asg.accept:
-            continue
-        if spec.kind is Kind.FUTURE:
-            ts.append(asg.roll_in)
-        ts.append(asg.roll_out)
-    return sorted(ts)
-
-
-def _separated(t: float, events: Sequence[float], eps_t: float) -> bool:
-    """True iff t keeps eps_t from every event.  Float subtraction is
-    monotone, so the nearest event is one of t's two neighbours in the sorted
-    list."""
-    i = bisect_left(events, t)
-    return all(abs(e - t) >= eps_t - TOL for e in events[max(0, i - 1):i + 1])
-
-
-def _next_separated(t0: float, events: Sequence[float], eps_t: float) -> float:
-    """Smallest t0 + k * eps_t (k >= 0) that keeps eps_t from every event."""
-    k = 0
-    while not _separated(t0 + k * eps_t, events, eps_t):
-        k += 1
-    return t0 + k * eps_t
+    return sorted(t for spec, asg in fixed if asg.accept
+                  for t in movement_times(spec, asg.roll_in, asg.roll_out))
 
 
 def resolve_roll_out(aircraft: AircraftSpec, t_in: float,
@@ -102,63 +79,7 @@ def resolve_roll_out(aircraft: AircraftSpec, t_in: float,
                      eps_t: float = 0.1) -> float:
     """Smallest time >= t_in + service keeping eps_t separation from every
     committed movement, stepping in eps_t increments."""
-    return _next_separated(t_in + aircraft.service, _events(fixed_schedule), eps_t)
-
-
-def _pair_ok(aircraft: AircraftSpec, x: float, y: float, t_in: float, t_out: float,
-             spec_b: AircraftSpec, asg_b: Assignment, buffer: float) -> bool:
-    """All pairwise conditions against one committed aircraft: buffered
-    non-overlap while co-present and no blocking at any of the four movement
-    events of the pair."""
-    if not asg_b.accept:
-        return True
-    in_b, out_b = asg_b.roll_in, asg_b.roll_out
-    co_present = intervals_overlap((t_in, t_out), (in_b, out_b))
-    lane = lanes_overlap(x, aircraft.width, asg_b.x, spec_b.width, buffer)
-    if co_present:
-        y_sep = (y >= asg_b.y + spec_b.length + buffer - TOL
-                 or asg_b.y >= y + aircraft.length + buffer - TOL)
-        if not y_sep and lane:
-            return False
-    if lane:
-        b_above = is_above(asg_b.y, spec_b.length, y, aircraft.length, buffer)
-        c_above = is_above(y, aircraft.length, asg_b.y, spec_b.length, buffer)
-        # candidate's own entry and exit must not be blocked by b
-        if b_above and in_b < t_in - TOL and t_in < out_b - TOL:
-            return False
-        if b_above and in_b < t_out - TOL and t_out < out_b - TOL:
-            return False
-        # candidate must not block b's committed entry or exit
-        if c_above and t_in < in_b - TOL and in_b < t_out - TOL:
-            return False
-        if c_above and t_in < out_b - TOL and out_b < t_out - TOL:
-            return False
-    return True
-
-
-def is_valid_spot(aircraft: AircraftSpec, x: float, y: float, t_in: float,
-                  fixed_schedule: Sequence[Committed], instance: Instance,
-                  t_out: Optional[float] = None) -> bool:
-    """Scalar reference check for one candidate placement.
-
-    True iff the placement keeps the partial plan feasible: in bounds, buffered
-    non-overlap against co-present aircraft, eps_t movement separation, and no
-    entry/exit blocking in either direction.
-    """
-    h = instance.hangar
-    if x < h.buffer - TOL or x + aircraft.width > h.hw - h.buffer + TOL:
-        return False
-    if y < h.buffer - TOL or y + aircraft.length > h.hl - h.buffer + TOL:
-        return False
-    if t_out is None:
-        t_out = resolve_roll_out(aircraft, t_in, fixed_schedule, h.eps_t)
-    events = _events(fixed_schedule)
-    if not _separated(t_in, events, h.eps_t):
-        return False
-    if not _separated(t_out, events, h.eps_t):
-        return False
-    return all(_pair_ok(aircraft, x, y, t_in, t_out, sb, ab, h.buffer)
-               for sb, ab in fixed_schedule)
+    return next_separated(t_in + aircraft.service, _events(fixed_schedule), eps_t)
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -179,38 +100,35 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
     if xs.size == 0 or ys.size == 0:
         return None
 
-    events = _events(fixed_schedule)
-    if not _separated(t_in, events, h.eps_t):
+    if not separated(t_in, _events(fixed_schedule), h.eps_t):
         return None
     t_out = resolve_roll_out(aircraft, t_in, fixed_schedule, h.eps_t)
+    window = (t_in, t_out)
+    moves = movement_times(aircraft, t_in, t_out)
 
     valid = np.ones((xs.size, ys.size), dtype=bool)
     X = xs[:, None]
     Y = ys[None, :]
     for spec_b, asg_b in fixed_schedule:
-        if not asg_b.accept:
-            continue
         in_b, out_b = asg_b.roll_in, asg_b.roll_out
+        # a window that contains a movement overlaps the other stay, so only
+        # co-present aircraft can collide with or block the candidate
+        if not asg_b.accept or not intervals_overlap(window, (in_b, out_b)):
+            continue
         lane = ((X > asg_b.x - aircraft.width - h.buffer + TOL)
                 & (X < asg_b.x + spec_b.width + h.buffer - TOL))
-        co_present = intervals_overlap((t_in, t_out), (in_b, out_b))
-        if co_present:
-            y_overlap = ((Y > asg_b.y - aircraft.length - h.buffer + TOL)
-                         & (Y < asg_b.y + spec_b.length + h.buffer - TOL))
-            valid &= ~(lane & y_overlap)
-        b_above = Y <= asg_b.y - aircraft.length - h.buffer + TOL
-        c_above = Y >= asg_b.y + spec_b.length + h.buffer - TOL
-        if (in_b < t_in - TOL and t_in < out_b - TOL) or \
-           (in_b < t_out - TOL and t_out < out_b - TOL):
-            valid &= ~(lane & b_above)
-        if (t_in < in_b - TOL and in_b < t_out - TOL) or \
-           (t_in < out_b - TOL and out_b < t_out - TOL):
-            valid &= ~(lane & c_above)
+        y_overlap = ((Y > asg_b.y - aircraft.length - h.buffer + TOL)
+                     & (Y < asg_b.y + spec_b.length + h.buffer - TOL))
+        valid &= ~(lane & y_overlap)
+        # b parked above the candidate must not cover the candidate's
+        # movements, and the candidate parked above b must not cover b's
+        if window_blocks((in_b, out_b), moves):
+            valid &= ~(lane & (Y <= asg_b.y - aircraft.length - h.buffer + TOL))
+        if window_blocks(window, movement_times(spec_b, in_b, out_b)):
+            valid &= ~(lane & (Y >= asg_b.y + spec_b.length + h.buffer - TOL))
         if not valid.any():
             return None
 
-    if not valid.any():
-        return None
     score = X + Y
     best = np.min(score[valid])
     tie = valid & (np.abs(score - best) < 1e-9)
@@ -232,7 +150,7 @@ def _commit_current(instance: Instance) -> list[Committed]:
             if (is_above(asg_b.y, spec_b.length, c.y_init, c.length, h.buffer)
                     and lanes_overlap(c.x_init, c.width, asg_b.x, spec_b.width, h.buffer)):
                 t0 = max(t0, asg_b.roll_out + h.eps_t)
-        t_out = _next_separated(t0, _events(fixed), h.eps_t)
+        t_out = next_separated(t0, _events(fixed), h.eps_t)
         fixed.append((c, Assignment(
             aircraft_id=c.id, accept=True, x=c.x_init, y=c.y_init,
             roll_in=0.0, roll_out=t_out,
@@ -286,7 +204,7 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
             return cand
         # The scan reads t and every point of the roll-out walk.
         base = t + aircraft.service
-        walk = round((_next_separated(base, events, h.eps_t) - base) / h.eps_t)
+        walk = round((next_separated(base, events, h.eps_t) - base) / h.eps_t)
         points = [t] + [base + i * h.eps_t for i in range(walk + 1)]
         step = _steps_to_next_threshold(points, thresholds, h.eps_t)
         if step is None:

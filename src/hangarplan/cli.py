@@ -51,11 +51,18 @@ def _load_instance(path: str):
         _fail(EXIT_PARSE, f"cannot read instance {path}: {exc}")
 
 
-def _load_solution(path: str):
+def _load_plan(instance_path: str, solution_path: str):
+    """The instance and a solution that assigns every one of its aircraft."""
+    instance = _load_instance(instance_path)
     try:
-        return load_solution(path)
+        solution = load_solution(solution_path)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_PARSE, f"cannot read solution {path}: {exc}")
+        _fail(EXIT_PARSE, f"cannot read solution {solution_path}: {exc}")
+    assigned = solution.by_id()
+    missing = [a.id for a in instance.all_aircraft() if a.id not in assigned]
+    if missing:
+        _fail(EXIT_PARSE, f"solution {solution_path} has no assignment for {', '.join(missing)}")
+    return instance, solution
 
 
 @click.group()
@@ -180,8 +187,7 @@ def import_point(instance_path: str, model_path: str, point_path: str, out: str)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def validate(instance_path: str, solution_path: str, as_json: bool) -> None:
     """Check a plan; exit 0 iff feasible."""
-    instance = _load_instance(instance_path)
-    solution = _load_solution(solution_path)
+    instance, solution = _load_plan(instance_path, solution_path)
     rep = validator.validate(instance, solution)
     if as_json:
         click.echo(json.dumps({
@@ -208,8 +214,7 @@ def validate(instance_path: str, solution_path: str, as_json: bool) -> None:
 @click.option("--html", "with_html", is_flag=True, help="Also write report.html.")
 def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool) -> None:
     """Render per-event layout frames (and optionally the HTML report)."""
-    instance = _load_instance(instance_path)
-    solution = _load_solution(solution_path)
+    instance, solution = _load_plan(instance_path, solution_path)
     try:
         paths = report.render_frames(instance, solution, out_dir)
     except report.InfeasibleSolution as exc:

@@ -1,11 +1,17 @@
-"""Shared domain types, geometry helpers, Big-M derivation, and the cost evaluator."""
+"""Shared domain types, geometry helpers, Big-M derivation, and the cost evaluator.
+
+It also holds the solver-side movement rules that ``ach`` and ``exact`` share.
+``validator`` and ``milp`` keep their own encodings of these rules on purpose:
+their agreement is a check only while the two stay independent.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Optional, Sequence
 
 #: Absolute comparison tolerance for times (hours) and coordinates (meters).
 TOL = 1e-6
@@ -130,10 +136,8 @@ class Instance:
                 raise ValueError(f"{a.id}: initial position violates buffered hangar bounds")
         for i, a in enumerate(self.current):
             for b in self.current[i + 1:]:
-                if not (x_separated(a.x_init, a.width, b.x_init, b.width, h.buffer)
-                        or x_separated(b.x_init, b.width, a.x_init, a.width, h.buffer)
-                        or x_separated(a.y_init, a.length, b.y_init, b.length, h.buffer)
-                        or x_separated(b.y_init, b.length, a.y_init, a.length, h.buffer)):
+                if not rects_separated(a.x_init, a.y_init, a.width, a.length,
+                                       b.x_init, b.y_init, b.width, b.length, h.buffer):
                     raise ValueError(f"{a.id}/{b.id}: initial positions violate buffered separation")
 
     def all_aircraft(self) -> tuple[AircraftSpec, ...]:
@@ -234,11 +238,37 @@ def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return a[0] < b[1] - TOL and b[0] < a[1] - TOL
 
 
-def presence_interval(assignment: Assignment) -> Optional[tuple[float, float]]:
-    """The (roll_in, roll_out) occupancy interval, or None for rejected aircraft."""
-    if not assignment.accept:
-        return None
-    return (assignment.roll_in, assignment.roll_out)
+# ---------------------------------------------------------------------------
+# Solver-side movement rules (shared by ach and exact)
+# ---------------------------------------------------------------------------
+
+def movement_times(spec: AircraftSpec, roll_in: float, roll_out: float) -> list[float]:
+    """The movements of one stay that need eps_t separation and a clear lane:
+    roll-in and roll-out, except a current aircraft's fixed roll-in."""
+    return [roll_out] if spec.kind is Kind.CURRENT else [roll_in, roll_out]
+
+
+def separated(t: float, events: Sequence[float], eps_t: float) -> bool:
+    """True iff t keeps eps_t from every event of the sorted list; by float
+    monotonicity the nearest event is one of t's two neighbours."""
+    i = bisect_left(events, t)
+    return all(abs(e - t) >= eps_t - TOL for e in events[max(0, i - 1):i + 1])
+
+
+def next_separated(t0: float, events: Sequence[float], eps_t: float) -> float:
+    """Smallest t0 + k * eps_t (k >= 0) that keeps eps_t from every event of
+    the sorted list."""
+    k = 0
+    while not separated(t0 + k * eps_t, events, eps_t):
+        k += 1
+    return t0 + k * eps_t
+
+
+def window_blocks(window: tuple[float, float], moves: Iterable[float]) -> bool:
+    """True iff the presence window of an aircraft strictly contains one of the
+    movements of another.  Parked above it in a shared lane, the first blocks
+    the second's path to the open front at that movement."""
+    return any(window[0] < e - TOL and e < window[1] - TOL for e in moves)
 
 
 # ---------------------------------------------------------------------------

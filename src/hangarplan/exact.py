@@ -30,6 +30,10 @@ from .core import (
     Solution,
     evaluate_cost,
     intervals_overlap,
+    movement_times,
+    next_separated,
+    separated,
+    window_blocks,
 )
 
 
@@ -92,16 +96,6 @@ def _snap_up(value: float, lo: float, step: float) -> float:
     return lo + max(0, k) * step
 
 
-def _events_of(spec: AircraftSpec, t_in: float, t_out: float) -> list[float]:
-    if spec.kind.value == "current":
-        return [t_out]
-    return [t_in, t_out]
-
-
-def _present(t_in: float, t_out: float, e: float) -> bool:
-    return e - t_in > TOL and t_out - e > TOL
-
-
 def _min_positioning(instance: Instance,
                      free: Sequence[tuple[AircraftSpec, float, float]],
                      fixed: Sequence[tuple[AircraftSpec, Assignment]],
@@ -143,10 +137,7 @@ def _min_positioning(instance: Instance,
 
     def above_ok(upper: int, lower: int) -> bool:
         # upper blocks lower's path: no movement of lower while upper present
-        u = entities[upper]
-        lo = entities[lower]
-        return not any(_present(u[1], u[2], e)
-                       for e in _events_of(lo[0], lo[1], lo[2]))
+        return not window_blocks(entities[upper][1:3], movement_times(*entities[lower][:3]))
 
     n_free = len(free)
 
@@ -233,22 +224,18 @@ def _min_positioning(instance: Instance,
 
 def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
                      t_max: float, grid_step: Optional[float]) -> list[float]:
+    """Separated roll-in candidates up to t_max; ``events`` is sorted."""
     if grid_step is not None:
         # Stop at the first grid time at or after the last event + eps_t, the
         # horizon of the event-driven candidates: t_max is inf when p_arr = 0.
-        horizon = max(events) + eps_t if events else spec.eta
+        horizon = events[-1] + eps_t if events else spec.eta
         cands = [spec.eta]
         while cands[-1] < horizon - TOL and cands[-1] <= t_max + TOL:
             cands.append(spec.eta + len(cands) * grid_step)
     else:
         cands = [spec.eta] + [e + eps_t for e in events if e + eps_t > spec.eta - TOL]
-    out = []
-    for t in sorted(set(round(t, 9) for t in cands)):
-        if t > t_max + TOL:
-            continue
-        if all(abs(t - e) >= eps_t - TOL for e in events):
-            out.append(t)
-    return out
+    return [t for t in sorted(set(round(t, 9) for t in cands))
+            if t <= t_max + TOL and separated(t, events, eps_t)]
 
 
 def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> OracleResult:
@@ -311,26 +298,19 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
             return
         spec = order[idx]
         t_max = ach.max_admissible_time(spec)
-        sched = fixed_current + [
-            (s, Assignment(aircraft_id=s.id, accept=True, roll_in=tin, roll_out=tout))
-            for s, (tin, tout) in ((o, committed_times[o.id]) for o in order[:idx]
-                                   if o.id in committed_times)]
         for t in _time_candidates(spec, events, h.eps_t, t_max, config.time_grid_step):
-            t_out = ach.resolve_roll_out(spec, t, sched, h.eps_t)
+            t_out = next_separated(t + spec.service, events, h.eps_t)
             delay_cost = (spec.p_arr * max(0.0, t - spec.eta)
                           + spec.p_dep * max(0.0, t_out - spec.etd))
             committed_times[spec.id] = (t, t_out)
-            new_events = events + ([t, t_out] if spec.kind.value == "future" else [t_out])
-            dfs(idx + 1, committed_times, new_events, committed_cost + delay_cost)
+            dfs(idx + 1, committed_times, sorted(events + [t, t_out]),
+                committed_cost + delay_cost)
             del committed_times[spec.id]
             if budget.exhausted:
                 return
         dfs(idx + 1, committed_times, events, committed_cost + spec.p_rej)
 
-    initial_events = []
-    for s, asg in fixed_current:
-        initial_events.append(asg.roll_out)
-    dfs(0, {}, initial_events, current_cost)
+    dfs(0, {}, ach._events(fixed_current), current_cost)
 
     status = (OracleStatus.BUDGET_EXHAUSTED if budget.exhausted
               else OracleStatus.PROVEN_OPTIMAL_ON_GRID)

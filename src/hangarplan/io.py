@@ -7,6 +7,7 @@ meters, costs are dimensionless.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Union
 
@@ -33,10 +34,33 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-def _require(obj: dict, key: str, context: str) -> Any:
-    if key not in obj:
+_MISSING = object()
+
+
+def _field(obj: dict, key: str, context: str, kind: type = object,
+           default: Any = _MISSING) -> Any:
+    """``obj[key]``, or ``default`` when it is absent and a default is given;
+    ParseError unless ``obj`` is a JSON object and the value a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{context} must be a JSON object")
+    value = obj.get(key, default)
+    if value is _MISSING:
         raise ParseError(f"missing field in {context}", field=key)
-    return obj[key]
+    if not isinstance(value, kind):
+        raise ParseError(f"{context}: expected a JSON {kind.__name__}, got {value!r}",
+                         field=key)
+    return value
+
+
+def _number(obj: dict, key: str, context: str) -> float:
+    """A required field holding a finite JSON number; booleans are refused."""
+    value = _field(obj, key, context)
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ParseError(f"{context}: expected a finite number, got {value!r}", field=key)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +73,7 @@ def hangar_to_dict(h: HangarConfig) -> dict:
 
 
 def hangar_from_dict(d: dict) -> HangarConfig:
-    fields = {k: _require(d, k, "hangar")
+    fields = {k: _number(d, k, "hangar")
               for k in ("hw", "hl", "buffer", "eps_t", "eps_p", "grid_step")}
     try:
         return HangarConfig(**fields)
@@ -74,27 +98,14 @@ def aircraft_to_dict(a: AircraftSpec) -> dict:
 
 
 def aircraft_from_dict(d: dict) -> AircraftSpec:
-    aid = _require(d, "id", "aircraft")
-    kind = Kind(_require(d, "kind", f"aircraft {aid}"))
-    common = dict(
-        id=aid,
-        kind=kind,
-        width=_require(d, "width", f"aircraft {aid}"),
-        length=_require(d, "length", f"aircraft {aid}"),
-        eta=_require(d, "eta", f"aircraft {aid}"),
-        etd=_require(d, "etd", f"aircraft {aid}"),
-        service=_require(d, "service", f"aircraft {aid}"),
-        p_dep=_require(d, "p_dep", f"aircraft {aid}"),
-        vip=d.get("vip", False),
-    )
+    aid = _field(d, "id", "aircraft", str)
+    ctx = f"aircraft {aid}"
     try:
-        if kind is Kind.FUTURE:
-            return AircraftSpec(**common,
-                                p_rej=_require(d, "p_rej", f"aircraft {aid}"),
-                                p_arr=_require(d, "p_arr", f"aircraft {aid}"))
-        return AircraftSpec(**common,
-                            x_init=_require(d, "x_init", f"aircraft {aid}"),
-                            y_init=_require(d, "y_init", f"aircraft {aid}"))
+        kind = Kind(_field(d, "kind", ctx))
+        numbers = ("width", "length", "eta", "etd", "service", "p_dep") + (
+            ("p_rej", "p_arr") if kind is Kind.FUTURE else ("x_init", "y_init"))
+        return AircraftSpec(id=aid, kind=kind, vip=_field(d, "vip", ctx, bool, False),
+                            **{k: _number(d, k, ctx) for k in numbers})
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad aircraft record {aid}: {exc}") from exc
 
@@ -109,13 +120,11 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    if not isinstance(d, dict):
-        raise ParseError("instance document must be a JSON object")
     return Instance(
-        hangar=hangar_from_dict(_require(d, "hangar", "instance")),
-        current=tuple(aircraft_from_dict(a) for a in d.get("current", [])),
-        future=tuple(aircraft_from_dict(a) for a in d.get("future", [])),
-        label=d.get("label", ""),
+        hangar=hangar_from_dict(_field(d, "hangar", "instance")),
+        current=tuple(map(aircraft_from_dict, _field(d, "current", "instance", list, []))),
+        future=tuple(map(aircraft_from_dict, _field(d, "future", "instance", list, []))),
+        label=_field(d, "label", "instance", str, ""),
     )
 
 
@@ -142,14 +151,12 @@ def assignment_to_dict(a: Assignment) -> dict:
 
 
 def assignment_from_dict(d: dict) -> Assignment:
-    aid = _require(d, "aircraft_id", "assignment")
+    aid = _field(d, "aircraft_id", "assignment", str)
     ctx = f"assignment {aid}"
     return Assignment(
-        aircraft_id=aid,
-        accept=bool(_require(d, "accept", ctx)),
-        x=_require(d, "x", ctx), y=_require(d, "y", ctx),
-        roll_in=_require(d, "roll_in", ctx), roll_out=_require(d, "roll_out", ctx),
-        d_arr=d.get("d_arr", 0.0), d_dep=d.get("d_dep", 0.0),
+        aircraft_id=aid, accept=_field(d, "accept", ctx, bool),
+        **{k: _number(d, k, ctx) for k in ("x", "y", "roll_in", "roll_out")},
+        **{k: _number(d, k, ctx) for k in ("d_arr", "d_dep") if k in d},
     )
 
 
@@ -162,12 +169,9 @@ def solution_to_dict(sol: Solution) -> dict:
 
 
 def solution_from_dict(d: dict) -> Solution:
-    if not isinstance(d, dict):
-        raise ParseError("solution document must be a JSON object")
     return Solution(
-        instance_label=d.get("instance_label", ""),
-        assignments=tuple(assignment_from_dict(a)
-                          for a in _require(d, "assignments", "solution")),
+        instance_label=_field(d, "instance_label", "solution", str, ""),
+        assignments=tuple(map(assignment_from_dict, _field(d, "assignments", "solution", list))),
         provenance=Provenance(d.get("provenance", "manual")),
     )
 

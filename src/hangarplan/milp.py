@@ -98,9 +98,6 @@ class MilpModel:
                 return r
         raise KeyError(name)
 
-    def rows_in_family(self, family: str) -> list[MilpRow]:
-        return [r for r in self.rows if r.family == family]
-
 
 # ---------------------------------------------------------------------------
 # Variable / row naming
@@ -610,9 +607,12 @@ def parse_point(text: str) -> dict[str, float]:
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'name value', got {raw!r}")
         try:
-            point[tokens[0]] = float(tokens[1])
+            value = float(tokens[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad numeric value {tokens[1]!r}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite value {tokens[1]!r}")
+        point[tokens[0]] = value
     return point
 
 

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, instgen, io, validator
-from hangarplan.core import TOL, Assignment, Provenance, Solution
+from hangarplan.core import (
+    TOL,
+    Assignment,
+    HangarConfig,
+    Instance,
+    Kind,
+    Provenance,
+    Solution,
+)
 
 from conftest import accept, make_current, make_future, make_instance, time_limit
 
@@ -65,6 +73,42 @@ class TestResolveRollOut:
         assert ach.resolve_roll_out(f, 10.0, fixed) == pytest.approx(110.2)
 
 
+def is_valid_spot(aircraft, x, y, t_in, fixed, instance):
+    """Reference spot check through the validator: place the candidate at
+    (x, y) from t_in to the heuristic's roll-out next to the committed
+    aircraft, and look only at violations that name it.  The committed plan
+    itself need not be feasible."""
+    t_out = ach.resolve_roll_out(aircraft, t_in, fixed, instance.hangar.eps_t)
+    specs = [spec for spec, _ in fixed] + [aircraft]
+    sub = Instance(hangar=instance.hangar,
+                   current=[s for s in specs if s.kind is Kind.CURRENT],
+                   future=[s for s in specs if s.kind is Kind.FUTURE])
+    candidate = Assignment(aircraft.id, True, x=x, y=y, roll_in=t_in, roll_out=t_out)
+    plan = Solution("spot", tuple(asg for _, asg in fixed) + (candidate,))
+    report = validator.validate(sub, plan)
+    return not any(aircraft.id in v.aircraft for v in report.violations)
+
+
+def brute_force_placement(aircraft, t_in, fixed, instance):
+    """(x, y) of the grid cell with minimal x + y (then y, then x) that passes
+    ``is_valid_spot``, or None."""
+    h = instance.hangar
+    best = None
+    i = 0
+    while h.buffer + i * h.grid_step + aircraft.width <= h.hw - h.buffer + 1e-9:
+        x = h.buffer + i * h.grid_step
+        j = 0
+        while h.buffer + j * h.grid_step + aircraft.length <= h.hl - h.buffer + 1e-9:
+            y = h.buffer + j * h.grid_step
+            key = (x + y, y, x)
+            if (best is None or key < best) and is_valid_spot(aircraft, x, y, t_in,
+                                                              fixed, instance):
+                best = key
+            j += 1
+        i += 1
+    return None if best is None else (best[2], best[1])
+
+
 class TestValidSpot:
     def setup_method(self):
         self.inst = make_instance(
@@ -72,32 +116,32 @@ class TestValidSpot:
         self.f = self.inst.aircraft("a")
 
     def test_in_bounds_empty_hangar(self):
-        assert ach.is_valid_spot(self.f, 5.0, 5.0, 0.0, [], self.inst)
+        assert is_valid_spot(self.f, 5.0, 5.0, 0.0, [], self.inst)
 
     def test_wall_buffer_enforced(self):
-        assert not ach.is_valid_spot(self.f, 4.0, 5.0, 0.0, [], self.inst)
-        assert not ach.is_valid_spot(self.f, 5.0, 40.0, 0.0, [], self.inst)
+        assert not is_valid_spot(self.f, 4.0, 5.0, 0.0, [], self.inst)
+        assert not is_valid_spot(self.f, 5.0, 40.0, 0.0, [], self.inst)
 
     def test_copresent_overlap_rejected(self):
         fixed = [(self.inst.aircraft("b"),
                   accept("b", 5.0, 5.0, 0.0, 100.0))]
-        assert not ach.is_valid_spot(self.f, 10.0, 5.0, 0.2, fixed, self.inst)
-        assert ach.is_valid_spot(self.f, 34.0, 5.0, 0.2, fixed, self.inst)
+        assert not is_valid_spot(self.f, 10.0, 5.0, 0.2, fixed, self.inst)
+        assert is_valid_spot(self.f, 34.0, 5.0, 0.2, fixed, self.inst)
 
     def test_exit_blocking_checked_for_candidate(self):
         # b below leaves at 100 while the candidate (above) would stay past it
         fixed = [(self.inst.aircraft("b"), accept("b", 5.0, 5.0, 0.2, 100.0))]
-        assert not ach.is_valid_spot(self.f, 5.0, 32.0, 0.0, fixed, self.inst)
+        assert not is_valid_spot(self.f, 5.0, 32.0, 0.0, fixed, self.inst)
 
     def test_blocking_checked_against_candidate(self):
         # candidate below a longer-staying aircraft would trap itself
         fixed = [(self.inst.aircraft("b"), accept("b", 5.0, 32.0, 0.0, 200.0))]
-        assert not ach.is_valid_spot(self.f, 5.0, 5.0, 0.2, fixed, self.inst)
+        assert not is_valid_spot(self.f, 5.0, 5.0, 0.2, fixed, self.inst)
 
     def test_separation_of_roll_in_times(self):
         fixed = [(self.inst.aircraft("b"), accept("b", 36.0, 5.0, 0.0, 100.0))]
-        assert not ach.is_valid_spot(self.f, 5.0, 5.0, 0.05, fixed, self.inst)
-        assert ach.is_valid_spot(self.f, 5.0, 5.0, 0.1, fixed, self.inst)
+        assert not is_valid_spot(self.f, 5.0, 5.0, 0.05, fixed, self.inst)
+        assert is_valid_spot(self.f, 5.0, 5.0, 0.1, fixed, self.inst)
 
 
 class TestFindBestPlacement:
@@ -118,20 +162,20 @@ class TestFindBestPlacement:
         f = inst.aircraft("a")
         t_in = 0.6
         cand = ach.find_best_placement(f, t_in, fixed, inst)
-        h = inst.hangar
-        best = None
-        y = h.buffer
-        while y + f.length <= h.hl - h.buffer + 1e-9:
-            x = h.buffer
-            while x + f.width <= h.hw - h.buffer + 1e-9:
-                if ach.is_valid_spot(f, x, y, t_in, fixed, inst):
-                    key = (x + y, y, x)
-                    if best is None or key < best[0]:
-                        best = (key, x, y)
-                x += h.grid_step
-            y += h.grid_step
+        best = brute_force_placement(f, t_in, fixed, inst)
         assert best is not None and cand is not None
-        assert (cand.x, cand.y) == (best[1], best[2])
+        assert (cand.x, cand.y) == best
+
+    @pytest.mark.parametrize("b_y,b_in,b_out,t_in", [
+        (32.0, 0.0, 200.0, 0.2),   # b parked above would block a's exit
+        (5.0, 0.2, 100.0, 0.0),    # a parked above would block b's exit
+    ], ids=["under-parked", "over-leaving"])
+    def test_blocking_masks_match_brute_force(self, b_y, b_in, b_out, t_in):
+        inst = make_instance(future=[make_future("a"), make_future("b")])
+        fixed = [(inst.aircraft("b"), accept("b", 5.0, b_y, b_in, b_out))]
+        f = inst.aircraft("a")
+        cand = ach.find_best_placement(f, t_in, fixed, inst)
+        assert (cand.x, cand.y) == brute_force_placement(f, t_in, fixed, inst) == (34.0, 5.0)
 
     def test_tie_breaks_prefer_smaller_y(self):
         inst = make_instance(future=[make_future("a")])
@@ -317,3 +361,36 @@ class TestEventDrivenSearch:
     def test_matches_stepping_reference_generated(self, n, n_current, congestion,
                                                   multiplier, seed):
         _assert_matches_stepping(n, n_current, congestion, multiplier, seed)
+
+
+class TestScanAgainstValidator:
+    """The vectorized grid scan must pick the cell that a brute force over the
+    grid, judged by the validator alone, picks next to a committed plan."""
+
+    @settings(max_examples=5, deadline=timedelta(seconds=30))
+    @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 7),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=2),
+           hl=st.sampled_from([60.0, 100.0]))
+    def test_best_cell_matches_brute_force(self, n, n_current, congestion, seed,
+                                           pick, picks, hl):
+        # the 100 m hangar stacks aircraft in a lane, so blocking decides
+        inst = instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed, congestion=congestion,
+            hangar=HangarConfig(hl=hl)))
+        plan = ach.solve(inst)
+        held = inst.future[pick % n]
+        fixed = [(a, plan.assignment(a.id)) for a in inst.all_aircraft() if a.id != held.id]
+        # roll-ins on the lattice from eta and next to every committed
+        # movement, where the separation and blocking windows switch
+        eps_t = inst.hangar.eps_t
+        times = [held.eta + k * eps_t for k in range(4)] + sorted(
+            e + d for e in ach._events(fixed)
+            for d in (-eps_t, 0.0, eps_t, 2 * eps_t)
+            if e + d >= held.eta)
+        for i in picks:
+            t_in = times[i % len(times)]
+            cand = ach.find_best_placement(held, t_in, fixed, inst)
+            got = None if cand is None else (cand.x, cand.y)
+            assert got == brute_force_placement(held, t_in, fixed, inst), t_in

@@ -1,12 +1,18 @@
 """End-to-end command-line workflows, exit codes, and output formats."""
 
+import copy
 import csv
 import json
+import tempfile
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hangarplan import cli, io, milp
+from hangarplan import ach, cli, instgen, io, milp
 
 from conftest import (
     NON_FINITE,
@@ -111,6 +117,20 @@ class TestSolveAndValidate:
         res = run(runner, ["validate", "-i", str(bad), "-s", str(sol)])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("command", ["validate", "render"])
+    def test_missing_assignment_exit_3(self, runner, tmp_path, command):
+        instance = make_instance(future=[make_future("a"), make_future("b")])
+        sol = manual_solution(instance, {"a": accept("a", 5.0, 5.0, 0.0, 100.0)})
+        doc = io.solution_to_dict(sol)
+        del doc["assignments"][1]
+        ip, sp = tmp_path / "i.json", tmp_path / "s.json"
+        io.save_instance(instance, ip)
+        sp.write_text(json.dumps(doc))
+        extra = ["-o", str(tmp_path / "frames")] if command == "render" else []
+        res = run(runner, [command, "-i", str(ip), "-s", str(sp), *extra])
+        assert res.exit_code == 3
+        assert "no assignment for b" in res.output
+
     @pytest.mark.parametrize("field", ["service", "eta", "width", "hw"])
     @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
     def test_solve_ach_non_finite_exit_3(self, runner, tmp_path, field, value):
@@ -173,6 +193,20 @@ class TestModelRoundTrip:
         res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
                            "-p", str(point_p), "-o", str(tmp_path / "x.json")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_import_non_finite_point_exit_3(self, runner, tmp_path, value):
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "1", "--seed", "3", "-o", str(inst_p)])
+        lp = tmp_path / "model.lp"
+        run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        point_p = tmp_path / "point.txt"
+        point_p.write_text(f"Accept(a01) 1\nX(a01) {value}\nY(a01) 5\n"
+                           "Rollin(a01) 0\nRollout(a01) 200\n")
+        res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
+                           "-p", str(point_p), "-o", str(tmp_path / "x.json")])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda lp: lp.replace("Bounds\n", "Bounds\n garbage line\n"),
@@ -268,3 +302,107 @@ class TestConfigPrecedence:
         out = tmp_path / "inst.json"
         run(runner, ["--config", str(cfg), "gen", "--seed", "8", "-o", str(out)])
         assert io.load_instance(out).label == "Inst-02-0008"
+
+
+def _set(path, value):
+    """An edit of a JSON document that sets the value at ``path``."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+#: (document, edit): each edit breaks the type of one field or record.
+TYPE_CASES = {
+    "width-true": ("instance", _set(("future", 0, "width"), True)),
+    "width-huge-int": ("instance", _set(("future", 0, "width"), 10**400)),
+    "vip-string": ("instance", _set(("future", 0, "vip"), "yes")),
+    "future-entry-not-object": ("instance", _set(("future",), [5])),
+    "future-not-list": ("instance", _set(("future",), 5)),
+    "accept-string": ("solution", _set(("assignments", 0, "accept"), "false")),
+    "x-string": ("solution", _set(("assignments", 0, "x"), "x")),
+    "x-nan": ("solution", _set(("assignments", 0, "x"), float("nan"))),
+    "d-arr-bool": ("solution", _set(("assignments", 0, "d_arr"), False)),
+    "assignment-not-object": ("solution", _set(("assignments",), [5])),
+    "aircraft-id-number": ("solution", _set(("assignments", 0, "aircraft_id"), 7)),
+}
+
+
+class TestTypeGate:
+    """Fields of the wrong JSON type are parse errors at the file boundary."""
+
+    @pytest.mark.parametrize("case", list(TYPE_CASES))
+    def test_parse_error_and_exit_3(self, runner, tmp_path, case):
+        which, edit = TYPE_CASES[case]
+        instance = make_instance(future=[make_future("a")])
+        docs = {"instance": io.instance_to_dict(instance),
+                "solution": io.solution_to_dict(manual_solution(
+                    instance, {"a": accept("a", 5.0, 5.0, 0.0, 100.0)}))}
+        edit(docs[which])
+        ip, sp = tmp_path / "i.json", tmp_path / "s.json"
+        ip.write_text(json.dumps(docs["instance"]))
+        sp.write_text(json.dumps(docs["solution"]))
+        load = io.load_instance if which == "instance" else io.load_solution
+        with pytest.raises(io.ParseError):
+            load(ip if which == "instance" else sp)
+        res = run(runner, ["validate", "--json", "-i", str(ip), "-s", str(sp)])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _slots(doc, path=()):
+    """Paths of every value inside a JSON document, and of every object key."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, path + (key,))
+
+
+#: Replacement values: wrong types, non-finite numbers and booleans.
+PERTURBATIONS = ["x", None, [], {}, True, False,
+                 float("nan"), float("inf"), float("-inf")]
+
+
+class TestPerturbedInput:
+    """A perturbed instance or solution file ends in exit 0, 2 or 3, never in
+    a traceback."""
+
+    @settings(max_examples=5, deadline=timedelta(seconds=30))
+    @given(seed=st.integers(0, 2**31 - 1), which=st.sampled_from(["instance", "solution"]),
+           slot=st.integers(0, 10**6),
+           action=st.sampled_from(["drop"] + list(range(len(PERTURBATIONS)))))
+    def test_no_traceback(self, seed, which, slot, action):
+        instance = instgen.generate(instgen.GeneratorConfig(
+            n_future=3, n_current=1, seed=seed))
+        docs = {"instance": io.instance_to_dict(instance),
+                "solution": io.solution_to_dict(ach.solve(instance))}
+        doc = docs[which]
+        slots = list(_slots(doc))
+        path = slots[slot % len(slots)]
+        if action == "drop":
+            # drop the nearest enclosing object field
+            while not isinstance(_get(doc, path[:-1]), dict):
+                path = path[:-1]
+            del _get(doc, path[:-1])[path[-1]]
+        else:
+            _set(path, copy.deepcopy(PERTURBATIONS[action]))(doc)
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            ip, sp = Path(tmp) / "i.json", Path(tmp) / "s.json"
+            ip.write_text(json.dumps(docs["instance"]))
+            sp.write_text(json.dumps(docs["solution"]))
+            for args in (["validate", "--json", "-i", str(ip), "-s", str(sp)],
+                         ["solve-ach", "-i", str(ip), "-o", str(Path(tmp) / "out.json")]):
+                with time_limit(20.0):
+                    res = runner.invoke(cli.main, args)
+                assert res.exit_code in (0, 2, 3), (path, action, res.output, res.exception)
+                assert "Traceback" not in res.output

@@ -20,8 +20,11 @@ from hangarplan.core import (
     intervals_overlap,
     is_above,
     lanes_overlap,
-    presence_interval,
+    movement_times,
+    next_separated,
     rects_separated,
+    separated,
+    window_blocks,
     x_separated,
 )
 
@@ -126,9 +129,58 @@ class TestGeometry:
         assert not intervals_overlap((0.0, 10.0), (10.0, 20.0))
         assert not intervals_overlap((0.0, 10.0), (20.0, 30.0))
 
-    def test_presence_interval(self):
-        assert presence_interval(Assignment("a", True, roll_in=1.0, roll_out=2.0)) == (1.0, 2.0)
-        assert presence_interval(Assignment("a", False)) is None
+
+
+class TestMovementRules:
+    """The solver-side movement rules shared by the heuristic and the oracle."""
+
+    def test_movement_times_exempt_current_roll_in(self):
+        assert movement_times(make_future("a"), 2.0, 102.0) == [2.0, 102.0]
+        assert movement_times(make_current("c"), 0.0, 100.0) == [100.0]
+
+    def test_separated_exactly_eps_t_apart(self):
+        assert separated(1.1, [1.0], 0.1)
+        assert separated(0.9, [1.0], 0.1)
+        assert separated(1.1, [1.0, 1.2], 0.1)
+
+    def test_separated_just_inside_tolerance(self):
+        # eps_t - TOL/2 still counts as separated; eps_t - 2 TOL does not
+        assert separated(1.0 + 0.1 - TOL / 2, [1.0], 0.1)
+        assert separated(1.0 - 0.1 + TOL / 2, [1.0], 0.1)
+        assert not separated(1.0 + 0.1 - 2 * TOL, [1.0], 0.1)
+        assert not separated(1.05, [0.0, 1.0, 2.0], 0.1)
+
+    def test_separated_checks_both_neighbours(self):
+        events = [0.0, 1.0, 1.15, 5.0]
+        assert not separated(1.07, events, 0.1)  # close to the right neighbour only
+        assert not separated(1.22, events, 0.1)  # close to the left neighbour only
+        assert separated(1.25, events, 0.1)
+        assert separated(3.0, [], 0.1)
+
+    def test_next_separated_steps_in_eps_t(self):
+        assert next_separated(2.0, [], 0.1) == 2.0
+        assert next_separated(1.0, [1.0], 0.1) == pytest.approx(1.1)
+        assert next_separated(1.0, [1.0, 1.1], 0.1) == pytest.approx(1.2)
+        # a start eps_t - TOL/2 past an event is already separated
+        assert next_separated(1.1 - TOL / 2, [1.0], 0.1) == 1.1 - TOL / 2
+
+    def test_window_blocks_strict_interior(self):
+        assert window_blocks((0.0, 10.0), [5.0])
+        assert window_blocks((0.0, 10.0), [20.0, 5.0])
+        # a movement at either edge of the window is not blocked
+        assert not window_blocks((0.0, 10.0), [0.0, 10.0])
+        assert not window_blocks((0.0, 10.0), [TOL / 2, 10.0 - TOL / 2])
+        assert window_blocks((0.0, 10.0), [2 * TOL])
+        assert not window_blocks((0.0, 10.0), [])
+
+    def test_window_blocks_current_roll_in_exempt(self):
+        # a window around t = 0 blocks a future roll-in there, but a current
+        # aircraft is already parked at t = 0 and only moves to leave
+        window = (-1.0, 50.0)
+        current = make_current("c", service=100.0)
+        assert not window_blocks(window, movement_times(current, 0.0, 100.0))
+        assert window_blocks(window, movement_times(current, 0.0, 40.0))
+        assert window_blocks(window, movement_times(make_future("f"), 0.0, 100.0))
 
 
 class TestBigM:

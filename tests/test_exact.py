@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
-from hangarplan.core import TOL, AircraftSpec, evaluate_cost, intervals_overlap
+from hangarplan.core import TOL, AircraftSpec, Kind, evaluate_cost, intervals_overlap
 
 from conftest import (
     TINY_HANGAR,
@@ -223,10 +223,12 @@ def product_min_positioning(instance, free, fixed, budget):
                 pairs.append((i, j))
 
     def above_ok(upper, lower):
-        u = entities[upper]
-        lo = entities[lower]
-        return not any(exact._present(u[1], u[2], e)
-                       for e in exact._events_of(lo[0], lo[1], lo[2]))
+        # no movement of lower (a current aircraft only rolls out) strictly
+        # inside upper's stay
+        _, u_in, u_out, _ = entities[upper]
+        spec, lo_in, lo_out, _ = entities[lower]
+        events = [lo_out] if spec.kind is Kind.CURRENT else [lo_in, lo_out]
+        return not any(e - u_in > TOL and u_out - e > TOL for e in events)
 
     options_per_pair = []
     for i, j in pairs:
