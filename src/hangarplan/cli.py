@@ -19,7 +19,7 @@ from typing import Optional
 import click
 
 from . import ach, exact, instgen, milp, report, validator
-from .core import HangarConfig, evaluate_cost
+from .core import evaluate_cost
 from .io import ParseError, load_instance, load_solution, save_instance, save_solution
 
 EXIT_OK = 0
@@ -74,9 +74,13 @@ def main(ctx: click.Context, config_path: Optional[str]) -> None:
     """Hangar scheduling and layout toolkit."""
     if config_path:
         try:
-            ctx.default_map = json.loads(Path(config_path).read_text())
+            defaults = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             _fail(EXIT_PARSE, f"cannot read config {config_path}: {exc}")
+        if not (isinstance(defaults, dict)
+                and all(isinstance(v, dict) for v in defaults.values())):
+            _fail(EXIT_PARSE, f"config {config_path} must map each command to an object")
+        ctx.default_map = defaults
 
 
 @main.command()
@@ -91,10 +95,13 @@ def main(ctx: click.Context, config_path: Optional[str]) -> None:
 def gen(n_future: int, seed: int, congestion: float, high_rejection: bool,
         n_current: int, out: str) -> None:
     """Generate a reproducible instance file."""
-    config = instgen.GeneratorConfig(
-        n_future=n_future, n_current=n_current, seed=seed,
-        congestion=congestion,
-        rejection_multiplier=10.0 if high_rejection else 1.0)
+    try:
+        config = instgen.GeneratorConfig(
+            n_future=n_future, n_current=n_current, seed=seed,
+            congestion=congestion,
+            rejection_multiplier=10.0 if high_rejection else 1.0)
+    except ValueError as exc:
+        _fail(EXIT_PARSE, str(exc))
     instance = instgen.generate(config)
     save_instance(instance, out)
     click.echo(f"wrote {out} ({instance.label}: {len(instance.future)} future, "
@@ -104,13 +111,9 @@ def gen(n_future: int, seed: int, congestion: float, high_rejection: bool,
 @main.command(name="solve-ach")
 @click.option("-i", "instance_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
-@click.option("--grid-step", type=float, default=None, help="Override spatial grid step (m).")
-def solve_ach(instance_path: str, out: str, grid_step: Optional[float]) -> None:
+def solve_ach(instance_path: str, out: str) -> None:
     """Solve with the constructive heuristic."""
     instance = _load_instance(instance_path)
-    if grid_step is not None:
-        from dataclasses import replace
-        instance = replace(instance, hangar=replace(instance.hangar, grid_step=grid_step))
     solution = ach.solve(instance)
     save_solution(solution, out)
     cost = evaluate_cost(instance, solution)
@@ -130,8 +133,11 @@ def solve_exact(instance_path: str, out: str, node_budget: int,
                 time_budget: float, allow_large: bool) -> None:
     """Solve to grid-certified optimality (tiny instances only)."""
     instance = _load_instance(instance_path)
-    config = exact.OracleConfig(node_budget=node_budget, time_budget=time_budget,
-                                allow_large=allow_large)
+    try:
+        config = exact.OracleConfig(node_budget=node_budget, time_budget=time_budget,
+                                    allow_large=allow_large)
+    except ValueError as exc:
+        _fail(EXIT_PARSE, str(exc))
     try:
         result = exact.solve_exact(instance, config)
     except exact.InstanceTooLarge as exc:
@@ -173,7 +179,7 @@ def import_point(instance_path: str, model_path: str, point_path: str, out: str)
     try:
         solution = milp.import_solution(model, instance, point_text)
     except ParseError as exc:
-        _fail(EXIT_PARSE, f"cannot parse point {point_path}: {exc}")
+        _fail(EXIT_PARSE, f"cannot import {point_path}: {exc}")
     except milp.InfeasibleImport as exc:
         click.echo(validator.explain(exc.report), err=True)
         _fail(EXIT_INFEASIBLE, "imported point is infeasible")

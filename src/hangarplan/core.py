@@ -16,6 +16,9 @@ from typing import Iterable, Optional, Sequence
 #: Absolute comparison tolerance for times (hours) and coordinates (meters).
 TOL = 1e-6
 
+#: Largest placement grid a hangar may ask for, in cells.
+MAX_GRID_CELLS = 10**6
+
 
 class MissingAssignment(Exception):
     """A solution lacks an assignment for some aircraft of the instance."""
@@ -103,6 +106,10 @@ class HangarConfig:
             raise ValueError("eps_p must be non-negative")
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
+        cells = (self.hw // self.grid_step + 1) * (self.hl // self.grid_step + 1)
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(f"grid_step {self.grid_step} gives {cells:.3g} grid cells "
+                             f"(at most {MAX_GRID_CELLS})")
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,15 @@ class OracleStatus(str, Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    grid_step: Optional[float] = None      # falls back to hangar grid_step
     time_grid_step: Optional[float] = None  # None = event-driven candidates
     node_budget: int = 2_000_000
     time_budget: float = 300.0
     allow_large: bool = False
 
     def __post_init__(self) -> None:
-        if self.node_budget <= 0 or self.time_budget <= 0:
-            raise ValueError("budgets must be positive")
+        if self.node_budget <= 0 or not self.time_budget > 0:
+            raise ValueError("budgets must be positive, got node_budget "
+                             f"{self.node_budget}, time_budget {self.time_budget}")
 
 
 @dataclass
@@ -246,13 +246,6 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
             "pass allow_large=True to override")
 
     h = instance.hangar
-    if config.grid_step is not None and config.grid_step != h.grid_step:
-        from dataclasses import replace
-        instance = Instance(hangar=replace(h, grid_step=config.grid_step),
-                            current=instance.current, future=instance.future,
-                            label=instance.label)
-        h = instance.hangar
-
     budget = _Budget(config)
     fixed_current = ach._commit_current(instance)
     current_cost = sum(a.p_dep * asg.d_dep for (a, asg) in fixed_current)

@@ -7,8 +7,8 @@ always yields byte-identical instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,11 +21,24 @@ from .core import (
     rects_separated,
 )
 
-#: (width, length) catalog of aircraft footprints, small to large.
+#: (width, length) catalog of aircraft footprints, in increasing area.
 DEFAULT_MODELS: tuple[tuple[float, float], ...] = (
     (24.0, 22.0), (26.0, 24.0), (28.0, 26.0), (30.0, 30.0),
     (34.0, 34.0), (36.0, 38.0), (40.0, 42.0), (45.0, 48.0),
 )
+
+# The instance distribution (times in hours, penalties per hour of delay);
+# current aircraft carry the non-VIP P_DEP.
+VIP_SHARE = 0.2
+ETA_SPAN_PER_AIRCRAFT = 80.0
+SERVICE_RANGE = (100.0, 400.0)
+BUFFER_TIME_RANGE = (24.0, 72.0)
+P_REJ_RANGE = (700, 1200)
+P_REJ_RANGE_VIP = (1500, 2000)
+P_ARR = 10.0
+P_DEP = 20.0
+P_ARR_VIP = 30.0
+P_DEP_VIP = 60.0
 
 _STREAMS = ("model", "eta", "service", "buffer_time", "vip", "p_rej", "current")
 
@@ -36,19 +49,16 @@ class GeneratorConfig:
     n_current: int = 0
     seed: int = 0
     hangar: HangarConfig = field(default_factory=HangarConfig)
-    models: tuple[tuple[float, float], ...] = DEFAULT_MODELS
-    vip_share: float = 0.2
-    eta_span_per_aircraft: float = 80.0
-    service_range: tuple[float, float] = (100.0, 400.0)
-    buffer_time_range: tuple[float, float] = (24.0, 72.0)
-    p_rej_range: tuple[int, int] = (700, 1200)
-    p_rej_range_vip: tuple[int, int] = (1500, 2000)
-    p_arr: float = 10.0
-    p_dep: float = 20.0
-    p_arr_vip: float = 30.0
-    p_dep_vip: float = 60.0
     congestion: float = 1.0          # <1 compresses the arrival horizon
     rejection_multiplier: float = 1.0
+
+    def __post_init__(self) -> None:
+        if min(self.n_future, self.n_current, self.seed) < 0:
+            raise ValueError("n_future, n_current and seed must be non-negative, got "
+                             f"{self.n_future}, {self.n_current}, {self.seed}")
+        if not all(0 < v < math.inf for v in (self.congestion, self.rejection_multiplier)):
+            raise ValueError("congestion and rejection_multiplier must be positive and "
+                             f"finite, got {self.congestion}, {self.rejection_multiplier}")
 
 
 def _rngs(seed: int) -> dict[str, np.random.Generator]:
@@ -74,11 +84,11 @@ def _bottom_left_spot(w: float, l: float, placed: list[AircraftSpec],
     return None
 
 
-def _try_pack(idx: list[int], models, h: HangarConfig):
+def _try_pack(idx: list[int], h: HangarConfig):
     placed: list[AircraftSpec] = []
     spots = []
     for k in idx:
-        w, l = models[k]
+        w, l = DEFAULT_MODELS[k]
         spot = _bottom_left_spot(w, l, placed, h)
         if spot is None:
             return None
@@ -89,7 +99,7 @@ def _try_pack(idx: list[int], models, h: HangarConfig):
     return spots
 
 
-def _place_current(model_idx: list[int], models, hangar: HangarConfig,
+def _place_current(model_idx: list[int], hangar: HangarConfig,
                    services: list[float], buffers: list[float]) -> list[AircraftSpec]:
     """Greedy bottom-left packing of the aircraft already in the hangar.
 
@@ -100,23 +110,20 @@ def _place_current(model_idx: list[int], models, hangar: HangarConfig,
     smaller catalog model until the whole set packs, so the requested count is
     met whenever geometrically possible.
     """
-    h = hangar
-    by_area = sorted(range(len(models)), key=lambda k: models[k][0] * models[k][1])
-    rank = {k: r for r, k in enumerate(by_area)}
-    idx = list(model_idx)
+    idx = list(model_idx)  # catalog indices, so a smaller index is a smaller model
     while idx:
-        spots = _try_pack(idx, models, h)
+        spots = _try_pack(idx, hangar)
         if spots is not None:
             return [AircraftSpec(
                 id=f"c{i + 1:02d}", kind=Kind.CURRENT, width=w, length=l,
                 eta=0.0, etd=services[i] + buffers[i], service=services[i],
-                p_dep=20.0, x_init=spot[0], y_init=spot[1])
+                p_dep=P_DEP, x_init=spot[0], y_init=spot[1])
                 for i, (w, l, spot) in enumerate(spots)]
-        big = max(range(len(idx)), key=lambda i: rank[idx[i]])
-        if rank[idx[big]] == 0:
+        big = max(range(len(idx)), key=lambda i: idx[i])
+        if idx[big] == 0:
             idx.pop()  # all at the smallest model; drop the last aircraft
         else:
-            idx[big] = by_area[rank[idx[big]] - 1]
+            idx[big] -= 1
     return []
 
 
@@ -126,11 +133,11 @@ def generate(config: GeneratorConfig) -> Instance:
     n = config.n_future
     h = config.hangar
 
-    model_idx = rng["model"].integers(0, len(config.models), size=n)
-    etas = rng["eta"].uniform(0.0, n * config.eta_span_per_aircraft, size=n)
-    services = rng["service"].uniform(*config.service_range, size=n)
-    t_buffers = rng["buffer_time"].uniform(*config.buffer_time_range, size=n)
-    vips = rng["vip"].random(size=n) < config.vip_share
+    model_idx = rng["model"].integers(0, len(DEFAULT_MODELS), size=n)
+    etas = rng["eta"].uniform(0.0, n * ETA_SPAN_PER_AIRCRAFT, size=n)
+    services = rng["service"].uniform(*SERVICE_RANGE, size=n)
+    t_buffers = rng["buffer_time"].uniform(*BUFFER_TIME_RANGE, size=n)
+    vips = rng["vip"].random(size=n) < VIP_SHARE
     p_rej_u = rng["p_rej"].random(size=n)
 
     if config.congestion != 1.0 and n > 0:
@@ -139,9 +146,9 @@ def generate(config: GeneratorConfig) -> Instance:
 
     future = []
     for i in range(n):
-        w, l = config.models[model_idx[i]]
+        w, l = DEFAULT_MODELS[model_idx[i]]
         vip = bool(vips[i])
-        lo, hi = config.p_rej_range_vip if vip else config.p_rej_range
+        lo, hi = P_REJ_RANGE_VIP if vip else P_REJ_RANGE
         p_rej = _discrete(p_rej_u[i], lo, hi) * config.rejection_multiplier
         eta = float(etas[i])
         service = float(services[i])
@@ -149,17 +156,17 @@ def generate(config: GeneratorConfig) -> Instance:
             id=f"a{i + 1:02d}", kind=Kind.FUTURE, width=w, length=l,
             eta=eta, etd=eta + service + float(t_buffers[i]), service=service,
             p_rej=p_rej,
-            p_arr=config.p_arr_vip if vip else config.p_arr,
-            p_dep=config.p_dep_vip if vip else config.p_dep,
+            p_arr=P_ARR_VIP if vip else P_ARR,
+            p_dep=P_DEP_VIP if vip else P_DEP,
             vip=vip))
 
     current: list[AircraftSpec] = []
     if config.n_current > 0:
         cr = rng["current"]
-        idx = cr.integers(0, len(config.models), size=config.n_current)
-        c_serv = cr.uniform(*config.service_range, size=config.n_current)
-        c_buf = cr.uniform(*config.buffer_time_range, size=config.n_current)
-        current = _place_current([int(j) for j in idx], config.models, h,
+        idx = cr.integers(0, len(DEFAULT_MODELS), size=config.n_current)
+        c_serv = cr.uniform(*SERVICE_RANGE, size=config.n_current)
+        c_buf = cr.uniform(*BUFFER_TIME_RANGE, size=config.n_current)
+        current = _place_current([int(j) for j in idx], h,
                                  [float(s) for s in c_serv],
                                  [float(b) for b in c_buf])
 
@@ -167,8 +174,3 @@ def generate(config: GeneratorConfig) -> Instance:
     return Instance(hangar=h, current=tuple(current), future=tuple(future),
                     label=label)
 
-
-def generate_batch(n_future: int, seeds: Sequence[int],
-                   n_current: int = 0, **kwargs) -> list[Instance]:
-    return [generate(GeneratorConfig(n_future=n_future, n_current=n_current,
-                                     seed=s, **kwargs)) for s in seeds]

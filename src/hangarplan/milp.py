@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .core import (
     TOL,
@@ -87,16 +87,7 @@ class MilpModel:
     variables: dict[str, MilpVariable]
     rows: list[MilpRow]
     objective: tuple[tuple[float, str], ...]
-    big_m: tuple[float, float, float]
-    aircraft_ids: list[str] = field(default_factory=list)
-    current_ids: list[str] = field(default_factory=list)
-    future_ids: list[str] = field(default_factory=list)
-
-    def row(self, name: str) -> MilpRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+    aircraft_ids: list[str]
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +282,8 @@ def build_model(instance: Instance) -> MilpModel:
                  (m_t, vRight(a, b)), (m_t, vRight(b, a)), (m_t, vInIn(a, b))],
                 ">=", eps - m_t)
 
-    return MilpModel(
-        variables=variables, rows=rows, objective=tuple(obj),
-        big_m=(m_t, m_x, m_y),
-        aircraft_ids=ids,
-        current_ids=[a.id for a in current],
-        future_ids=[a.id for a in future],
-    )
+    return MilpModel(variables=variables, rows=rows, objective=tuple(obj),
+                     aircraft_ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +339,25 @@ def export_lp(model: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-_TERM_RE = re.compile(r"([+-])\s+([0-9.eE+-]+)\s+(\S+)")
-
-
 def _number(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ParseError(f"bad number {text!r} in {what}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {text!r} in {what}")
+    return value
 
 
-def _parse_terms(text: str) -> tuple[tuple[float, str], ...]:
+def _parse_terms(tokens: Sequence[str], what: str) -> tuple[tuple[float, str], ...]:
+    """``sign coef name`` triples; every token must belong to one."""
+    if len(tokens) % 3:
+        raise ParseError(f"{what}: {len(tokens)} tokens do not form '± coef name' terms")
     terms = []
-    try:
-        for sign, num, var in _TERM_RE.findall(text):
-            coef = float(num) * (-1.0 if sign == "-" else 1.0)
-            terms.append((coef, var))
-    except ValueError as exc:
-        raise ParseError(f"bad coefficient: {exc}") from exc
+    for sign, num, var in zip(tokens[0::3], tokens[1::3], tokens[2::3]):
+        if sign != "+" and sign != "-":
+            raise ParseError(f"{what}: expected a sign, got {sign!r}")
+        terms.append((_number(num, what) * (-1.0 if sign == "-" else 1.0), var))
     return tuple(terms)
 
 
@@ -422,17 +409,17 @@ def parse_lp(text: str) -> MilpModel:
 
     if ":" not in obj_text:
         raise ParseError("objective has no name")
-    obj_text = obj_text.split(":", 1)[1]
-    objective = _parse_terms(obj_text)
+    objective = _parse_terms(obj_text.split(":", 1)[1].split(), "objective")
 
     rows: list[MilpRow] = []
     for chunk in row_chunks:
         name, body = chunk.split(":", 1)
-        mt = re.search(r"(<=|>=|=)\s*([0-9.eE+-]+)\s*$", body)
-        if mt is None:
+        tokens = body.split()
+        # one or more terms, then exactly one "sense rhs"
+        if len(tokens) < 5 or tokens[-2] not in ("<=", ">=", "="):
             raise ParseError(f"cannot parse row {name}")
-        rows.append(MilpRow(name.strip(), _parse_terms(body[:mt.start()]),
-                            mt.group(1), _number(mt.group(2), name)))
+        rows.append(MilpRow(name.strip(), _parse_terms(tokens[:-2], name),
+                            tokens[-2], _number(tokens[-1], name)))
 
     variables: dict[str, MilpVariable] = {}
     seen = set()
@@ -446,19 +433,12 @@ def parse_lp(text: str) -> MilpModel:
         kind = BINARY if name in binary else CONTINUOUS
         variables[name] = MilpVariable(name, kind, lb, ub)
 
-    # Recover the aircraft index sets from the variable names.  Accept
-    # variables are listed in the Binaries section in build order, and future
-    # aircraft are the ones that carry an arrival-delay variable.
+    # Accept variables are listed in the Binaries section in build order.
     aircraft_ids = [m.group(1) for m in
                     (re.fullmatch(r"Accept\((.+)\)", n) for n in binary_names)
                     if m]
-    future = {m.group(1) for m in
-              (re.fullmatch(r"DArr\((.+)\)", n) for n in seen) if m}
     return MilpModel(variables=variables, rows=rows, objective=objective,
-                     big_m=(0.0, 0.0, 0.0),
-                     aircraft_ids=aircraft_ids,
-                     current_ids=[a for a in aircraft_ids if a not in future],
-                     future_ids=[a for a in aircraft_ids if a in future])
+                     aircraft_ids=aircraft_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +468,7 @@ def derive_binaries(instance: Instance, solution: Solution,
         if aid not in by_id:
             raise MissingAssignment(aid)
     spec = {a.id: a for a in instance.all_aircraft()}
-    fut = set(model.future_ids)
+    fut = {a.id for a in instance.future}
 
     point: dict[str, float] = {CONST_VAR: 1.0}
     for aid in model.aircraft_ids:
@@ -618,7 +598,12 @@ def parse_point(text: str) -> dict[str, float]:
 
 def import_solution(model: MilpModel, instance: Instance, text: str) -> Solution:
     """Reconstruct a Solution from a solver point dump; unlisted variables are
-    treated as zero.  Delays are recomputed; the result must validate."""
+    treated as zero.  Delays are recomputed; the result must validate.  The
+    model must be the instance's: the same aircraft in the same order."""
+    ids = [a.id for a in instance.all_aircraft()]
+    if model.aircraft_ids != ids:
+        raise ParseError(f"model aircraft {model.aircraft_ids} are not the "
+                         f"instance's {ids}")
     point = parse_point(text)
     spec = {a.id: a for a in instance.all_aircraft()}
 

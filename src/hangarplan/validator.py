@@ -23,7 +23,6 @@ from .core import (
     intervals_overlap,
     is_above,
     lanes_overlap,
-    x_separated,
 )
 
 

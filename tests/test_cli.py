@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import re
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -142,6 +143,16 @@ class TestSolveAndValidate:
         assert res.exit_code == 3
         assert "Traceback" not in res.output
 
+    def test_solve_ach_too_many_grid_cells_exit_3(self, runner, tmp_path):
+        doc = instance_doc_with(make_instance(future=[make_future("a")]),
+                                "grid_step", 1e-9)
+        ip = tmp_path / "i.json"
+        ip.write_text(json.dumps(doc))
+        with time_limit(10.0):
+            res = run(runner, ["solve-ach", "-i", str(ip), "-o", str(tmp_path / "s.json")])
+        assert res.exit_code == 3
+        assert "grid cells" in res.output
+
     def test_solve_exact_small(self, runner, tmp_path):
         inst = self._gen(runner, tmp_path, n=2)
         sol = tmp_path / "opt.json"
@@ -214,6 +225,21 @@ class TestModelRoundTrip:
         pytest.param(lambda lp: lp.replace(" obj:", " obj", 1), id="objective"),
         pytest.param(lambda lp: lp.replace("Subject To\n", "Subject To\n + 1 X(a01)\n"),
                      id="continuation"),
+        pytest.param(lambda lp: lp.replace("eq5_darr(a01): + 1", "eq5_darr(a01): 1"),
+                     id="term-without-sign"),
+        pytest.param(lambda lp: lp.replace("eq5_darr(a01): + 1", "eq5_darr(a01): +"),
+                     id="term-without-coefficient"),
+        pytest.param(lambda lp: lp.replace("eq5_darr(a01): + 1 DArr(a01)",
+                                           "eq5_darr(a01): + 1 DArr(a01) stray"),
+                     id="stray-token-in-row"),
+        pytest.param(lambda lp: lp.replace(" obj: + ", " obj: stray + "),
+                     id="stray-token-in-objective"),
+        pytest.param(lambda lp: re.sub(r"(eq8_xmax\(a01\):.*)\n", r"\1 <= 90\n", lp),
+                     id="second-rhs"),
+        pytest.param(lambda lp: re.sub(r"(eq5_darr\(a01\):).*(>=)", r"\1 \2", lp),
+                     id="no-valid-term"),
+        pytest.param(lambda lp: lp.replace("eq5_darr(a01): + 1", "eq5_darr(a01): + nan"),
+                     id="non-finite-coefficient"),
     ])
     def test_import_malformed_lp_exit_3(self, runner, tmp_path, edit):
         inst_p = tmp_path / "inst.json"
@@ -223,6 +249,20 @@ class TestModelRoundTrip:
         text = lp.read_text()
         lp.write_text(edit(text))
         assert lp.read_text() != text
+        point_p = tmp_path / "point.txt"
+        point_p.write_text("Accept(a01) 0\n")
+        res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
+                           "-p", str(point_p), "-o", str(tmp_path / "x.json")])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+
+
+    def test_import_model_of_other_instance_exit_3(self, runner, tmp_path):
+        inst_p, other_p = tmp_path / "inst.json", tmp_path / "other.json"
+        run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst_p)])
+        run(runner, ["gen", "--n", "3", "--seed", "2", "-o", str(other_p)])
+        lp = tmp_path / "model.lp"
+        run(runner, ["export-milp", "-i", str(other_p), "-o", str(lp)])
         point_p = tmp_path / "point.txt"
         point_p.write_text("Accept(a01) 0\n")
         res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
@@ -302,6 +342,40 @@ class TestConfigPrecedence:
         out = tmp_path / "inst.json"
         run(runner, ["--config", str(cfg), "gen", "--seed", "8", "-o", str(out)])
         assert io.load_instance(out).label == "Inst-02-0008"
+
+
+#: Option values that pass click's type check but name no valid run.
+BAD_OPTIONS = {
+    "n-negative": ["gen", "--n", "-1", "--seed", "1"],
+    "n-current-negative": ["gen", "--n", "2", "--n-current", "-1", "--seed", "1"],
+    "seed-negative": ["gen", "--n", "2", "--seed", "-1"],
+    "congestion-nan": ["gen", "--n", "2", "--seed", "1", "--congestion", "nan"],
+    "congestion-zero": ["gen", "--n", "2", "--seed", "1", "--congestion", "0"],
+    "congestion-negative": ["gen", "--n", "2", "--seed", "1", "--congestion", "-1"],
+    "node-budget-zero": ["solve-exact", "--node-budget", "0"],
+    "time-budget-nan": ["solve-exact", "--time-budget", "nan"],
+    "time-budget-zero": ["solve-exact", "--time-budget", "0"],
+    "config-list": ["--config", [1]],
+    "config-number": ["--config", 5],
+    "config-command-not-object": ["--config", {"gen": 5}],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OPTIONS))
+def test_bad_option_value_exit_3(runner, tmp_path, case):
+    args = list(BAD_OPTIONS[case])
+    if args[0] == "solve-exact":
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "1", "--seed", "3", "-o", str(inst_p)])
+        args += ["-i", str(inst_p)]
+    if args[0] == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(args[1]))
+        args = ["--config", str(cfg), "gen", "--n", "1", "--seed", "1"]
+    res = run(runner, args + ["-o", str(tmp_path / "out.json")])
+    assert res.exit_code == 3
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def _set(path, value):

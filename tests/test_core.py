@@ -66,11 +66,17 @@ class TestHangarConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(hw=0), dict(hl=-1), dict(buffer=-1), dict(eps_t=0),
-        dict(eps_p=-0.1), dict(grid_step=0),
+        dict(eps_p=-0.1), dict(grid_step=0), dict(grid_step=1e-9),
+        dict(grid_step=5e-324),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             HangarConfig(**bad)
+
+    def test_grid_cell_bound(self):
+        HangarConfig(hw=999.0, hl=999.0, grid_step=1.0)  # 1000 x 1000 cells
+        with pytest.raises(ValueError, match="grid cells"):
+            HangarConfig(hw=1000.0, hl=999.0, grid_step=1.0)
 
 
 class TestInstance:

@@ -196,6 +196,8 @@ class TestGuardsAndBudgets:
             exact.OracleConfig(node_budget=0)
         with pytest.raises(ValueError):
             exact.OracleConfig(time_budget=-1.0)
+        with pytest.raises(ValueError):
+            exact.OracleConfig(time_budget=float("nan"))
 
 
 def product_min_positioning(instance, free, fixed, budget):

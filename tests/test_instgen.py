@@ -85,6 +85,11 @@ class TestCongestion:
 
 
 class TestCurrentPlacement:
+    def test_catalog_in_increasing_area(self):
+        # downsizing a current aircraft steps to the previous catalog index
+        areas = [w * l for w, l in instgen.DEFAULT_MODELS]
+        assert areas == sorted(set(areas))
+
     def test_current_positions_valid(self):
         # the Instance constructor enforces bounds and buffered separation
         inst = gen(n_future=2, n_current=2, seed=9)
@@ -108,13 +113,16 @@ class TestCurrentPlacement:
         assert 0 < len(inst.current) < 10
 
 
+class TestConfig:
+    # counts, seed and congestion are checked through `gen` in test_cli.py
+    @pytest.mark.parametrize("multiplier", [float("inf"), 0.0, -1.0])
+    def test_invalid_rejection_multiplier(self, multiplier):
+        with pytest.raises(ValueError):
+            gen(rejection_multiplier=multiplier)
+
+
 class TestSubstreamIndependence:
     def test_n_current_does_not_change_future(self):
         a = gen(seed=7, n_current=0)
         b = gen(seed=7, n_current=2)
         assert a.future == b.future
-
-    def test_batch_matches_individual(self):
-        batch = instgen.generate_batch(4, seeds=[1, 2, 3])
-        singles = [gen(n_future=4, seed=s) for s in [1, 2, 3]]
-        assert batch == singles

@@ -108,12 +108,12 @@ class TestBuildModelDomains:
         assert r[3] - 2 * r[2] + r[1] == r[2] - 2 * r[1] + r[0]
 
     def test_epsilons_come_from_config(self):
-        from hangarplan.core import HangarConfig
+        from hangarplan.core import HangarConfig, derive_big_m
         inst = make_instance(future=[make_future("a"), make_future("b", eta=300.0)],
                              hangar=HangarConfig(eps_t=0.5, eps_p=0.01))
         model = milp.build_model(inst)
-        m_t = model.big_m[0]
-        row = model.row("eq15_inin(a,b)")
+        m_t = derive_big_m(inst)[0]
+        row = {r.name: r for r in model.rows}["eq15_inin(a,b)"]
         assert row.rhs == pytest.approx(0.5 - 3.0 * m_t)
         assert dict((v, c) for c, v in model.objective)["X(a)"] == pytest.approx(0.01)
 
@@ -305,6 +305,16 @@ class TestImport:
         model = milp.build_model(inst)
         imported = milp.import_solution(model, inst, "Const 1\n")
         assert not imported.assignment("a01").accept
+
+    def test_model_of_other_instance_rejected(self):
+        inst = three_aircraft_instance()
+        model = milp.build_model(inst)
+        with pytest.raises(ParseError):
+            milp.import_solution(milp.build_model(single_aircraft_instance()), inst, "")
+        reordered = milp.MilpModel(model.variables, model.rows, model.objective,
+                                   model.aircraft_ids[::-1])
+        with pytest.raises(ParseError):
+            milp.import_solution(reordered, inst, "")
 
     def test_malformed_point(self):
         with pytest.raises(ParseError):
