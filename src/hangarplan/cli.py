@@ -80,7 +80,42 @@ def main(ctx: click.Context, config_path: Optional[str]) -> None:
         if not (isinstance(defaults, dict)
                 and all(isinstance(v, dict) for v in defaults.values())):
             _fail(EXIT_PARSE, f"config {config_path} must map each command to an object")
-        ctx.default_map = defaults
+        ctx.default_map = _checked_defaults(ctx, defaults, config_path)
+
+
+def _option_text(value) -> str:
+    """A config value as it would be typed on the command line."""
+    if not isinstance(value, (str, int, float)):
+        raise TypeError(f"expected a string or a number, got {type(value).__name__}")
+    return str(value)
+
+
+def _checked_defaults(ctx: click.Context, defaults: dict, config_path: str) -> dict:
+    """The config file's defaults, each command name and option key checked
+    against the commands and each value converted by its option's type, as
+    if it were given on the command line."""
+    checked = {}
+    for name, values in defaults.items():
+        command = main.commands.get(name)
+        if command is None:
+            _fail(EXIT_PARSE, f"config {config_path}: unknown command {name!r}")
+        params = {p.name: p for p in command.params}
+        checked[name] = {}
+        for key, value in values.items():
+            param = params.get(key)
+            if param is None:
+                _fail(EXIT_PARSE, f"config {config_path}: {name} has no option {key!r}")
+            try:
+                if param.nargs == -1:
+                    if not isinstance(value, list):
+                        raise TypeError(f"expected a list, got {type(value).__name__}")
+                    text = [_option_text(v) for v in value]
+                else:
+                    text = _option_text(value)
+                checked[name][key] = param.type_cast_value(ctx, text)
+            except (TypeError, ValueError, click.BadParameter) as exc:
+                _fail(EXIT_PARSE, f"config {config_path}: {name} {key}: {exc}")
+    return checked
 
 
 @main.command()
@@ -244,6 +279,10 @@ def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool
 def compare(instances: tuple[str, ...], out_csv: str, node_budget: int,
             time_budget: float, as_json: bool) -> None:
     """Solve each instance with heuristic and oracle; write a gap table."""
+    try:
+        oracle_config = exact.OracleConfig(node_budget=node_budget, time_budget=time_budget)
+    except ValueError as exc:
+        _fail(EXIT_PARSE, str(exc))
     rows: list[CompareRow] = []
     for path in instances:
         try:
@@ -265,8 +304,7 @@ def compare(instances: tuple[str, ...], out_csv: str, node_budget: int,
         error = ""
         try:
             t0 = time.perf_counter()
-            result = exact.solve_exact(instance, exact.OracleConfig(
-                node_budget=node_budget, time_budget=time_budget))
+            result = exact.solve_exact(instance, oracle_config)
             oracle_time = time.perf_counter() - t0
             if result.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID:
                 oracle_cost = result.cost.total

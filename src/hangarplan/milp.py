@@ -4,7 +4,9 @@ satisfaction checking, and solver-point import.
 
 Row names follow ``eq<k>_<family>(<ids>)`` and are part of the external
 contract.  Fixed initial conditions are variable bounds, not rows; bound
-violations are reported under ``fix*``/``dom_nonneg`` names.
+violations are reported under ``fix*``/``dom_nonneg`` names.  Rows and
+variables are immutable ``NamedTuple`` records (``MilpRow``,
+``MilpVariable``); the LP text of a model is byte-stable.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     TOL,
@@ -49,8 +51,10 @@ class InfeasibleImport(Exception):
         super().__init__(_validator.explain(report))
 
 
-@dataclass(frozen=True)
-class MilpVariable:
+class MilpVariable(NamedTuple):
+    """One model variable.  An immutable record: a ``NamedTuple``, so it
+    compares, hashes and unpacks like the tuple of its fields."""
+
     name: str
     kind: str  # continuous | binary
     lb: float = 0.0
@@ -58,8 +62,10 @@ class MilpVariable:
     fix_name: Optional[str] = None  # reporting name for a fixing-bound violation
 
 
-@dataclass(frozen=True)
-class MilpRow:
+class MilpRow(NamedTuple):
+    """One row ``sum(coef * var) <sense> rhs``; ``terms`` holds
+    ``(coef, var)`` pairs.  An immutable record, like ``MilpVariable``."""
+
     name: str
     terms: tuple[tuple[float, str], ...]
     sense: str  # "<=", ">=", "="
@@ -84,6 +90,10 @@ class MilpRow:
 
 @dataclass
 class MilpModel:
+    """The row system.  ``variables`` maps names to records (build order from
+    ``build_model``, name order from ``parse_lp``); ``rows`` and
+    ``aircraft_ids`` keep build order; ``objective`` holds ``(coef, var)``."""
+
     variables: dict[str, MilpVariable]
     rows: list[MilpRow]
     objective: tuple[tuple[float, str], ...]
@@ -116,6 +126,8 @@ CONST_VAR = "Const"  # fixed to 1; carries the constant objective term
 # ---------------------------------------------------------------------------
 
 def build_model(instance: Instance) -> MilpModel:
+    """The row system of ``instance``: variables in build order, rows grouped
+    by family, and the objective with the rejection constant on ``Const``."""
     h = instance.hangar
     m_t, m_x, m_y = derive_big_m(instance)
     eps = h.eps_t
@@ -127,6 +139,26 @@ def build_model(instance: Instance) -> MilpModel:
     spec = {a.id: a for a in aircraft}
     fut = {a.id for a in future}
 
+    ordered = [(a, b) for a in ids for b in ids if a != b]
+    unordered = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    mixed = [(a, b) for a, b in ordered if a in fut or b in fut]
+    f_ordered = [(a, b) for a, b in ordered if a in fut and b in fut]
+
+    # Every variable name is built once, per aircraft or per pair.
+    X = {a: vX(a) for a in ids}
+    Y = {a: vY(a) for a in ids}
+    IN = {a: vIn(a) for a in ids}
+    OUT = {a: vOut(a) for a in ids}
+    DARR = {f: vDArr(f) for f in fut}
+    DDEP = {a: vDDep(a) for a in ids}
+    ACC = {a: vAcc(a) for a in ids}
+    RIGHT = {(a, b): vRight(a, b) for a, b in ordered}
+    ABOVE = {(a, b): vAbove(a, b) for a, b in ordered}
+    OUTIN = {(a, b): vOutIn(a, b) for a, b in ordered}
+    ININ = {(a, b): vInIn(a, b) for a, b in ordered}
+    OUTOUT = {(a, b): vOutOut(a, b) for a, b in unordered}
+    INOUT = {(a, b): vInOut(a, b) for a, b in mixed}
+
     variables: dict[str, MilpVariable] = {}
     rows: list[MilpRow] = []
 
@@ -134,46 +166,43 @@ def build_model(instance: Instance) -> MilpModel:
         variables[name] = MilpVariable(name, kind, lb, ub, fix_name)
 
     def add_row(name, terms, sense, rhs):
-        rows.append(MilpRow(name, tuple(terms), sense, float(rhs)))
+        rows.append(MilpRow(name, terms, sense, float(rhs)))
 
     # Continuous variables; current aircraft get fixed bounds in place of rows.
     for a in aircraft:
+        i = a.id
         if a.kind is Kind.CURRENT:
-            add_var(vX(a.id), CONTINUOUS, a.x_init, a.x_init, f"fix20_xinit({a.id})")
-            add_var(vY(a.id), CONTINUOUS, a.y_init, a.y_init, f"fix21_yinit({a.id})")
-            add_var(vIn(a.id), CONTINUOUS, 0.0, 0.0, f"fix22_rollin({a.id})")
-            add_var(vAcc(a.id), BINARY, 1.0, 1.0, f"fix19_accept({a.id})")
+            add_var(X[i], CONTINUOUS, a.x_init, a.x_init, f"fix20_xinit({i})")
+            add_var(Y[i], CONTINUOUS, a.y_init, a.y_init, f"fix21_yinit({i})")
+            add_var(IN[i], CONTINUOUS, 0.0, 0.0, f"fix22_rollin({i})")
+            add_var(ACC[i], BINARY, 1.0, 1.0, f"fix19_accept({i})")
         else:
-            add_var(vX(a.id), CONTINUOUS)
-            add_var(vY(a.id), CONTINUOUS)
-            add_var(vIn(a.id), CONTINUOUS)
-            add_var(vAcc(a.id), BINARY, 0.0, 1.0)
-        add_var(vOut(a.id), CONTINUOUS)
-        add_var(vDDep(a.id), CONTINUOUS)
+            add_var(X[i], CONTINUOUS)
+            add_var(Y[i], CONTINUOUS)
+            add_var(IN[i], CONTINUOUS)
+            add_var(ACC[i], BINARY, 0.0, 1.0)
+        add_var(OUT[i], CONTINUOUS)
+        add_var(DDEP[i], CONTINUOUS)
     for f in future:
-        add_var(vDArr(f.id), CONTINUOUS)
+        add_var(DARR[f.id], CONTINUOUS)
 
-    ordered = [(a, b) for a in ids for b in ids if a != b]
-    unordered = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-    mixed = [(a, b) for a, b in ordered if a in fut or b in fut]
-    f_ordered = [(a, b) for a, b in ordered if a in fut and b in fut]
-
-    for a, b in ordered:
-        add_var(vRight(a, b), BINARY, 0.0, 1.0)
-        add_var(vAbove(a, b), BINARY, 0.0, 1.0)
-        add_var(vOutIn(a, b), BINARY, 0.0, 1.0)
+    for p in ordered:
+        a, b = p
+        add_var(RIGHT[p], BINARY, 0.0, 1.0)
+        add_var(ABOVE[p], BINARY, 0.0, 1.0)
+        add_var(OUTIN[p], BINARY, 0.0, 1.0)
         if a not in fut and b in fut:
-            add_var(vInIn(a, b), BINARY, 1.0, 1.0, f"fix23_inin_cf({a},{b})")
+            add_var(ININ[p], BINARY, 1.0, 1.0, f"fix23_inin_cf({a},{b})")
         elif a in fut and b not in fut:
-            add_var(vInIn(a, b), BINARY, 0.0, 0.0, f"fix24_inin_fc({a},{b})")
+            add_var(ININ[p], BINARY, 0.0, 0.0, f"fix24_inin_fc({a},{b})")
         elif a not in fut and b not in fut:
-            add_var(vInIn(a, b), BINARY, 1.0, 1.0, f"fix25_inin_cd({a},{b})")
+            add_var(ININ[p], BINARY, 1.0, 1.0, f"fix25_inin_cd({a},{b})")
         else:
-            add_var(vInIn(a, b), BINARY, 0.0, 1.0)
-    for a, b in unordered:
-        add_var(vOutOut(a, b), BINARY, 0.0, 1.0)
-    for a, b in mixed:
-        add_var(vInOut(a, b), BINARY, 0.0, 1.0)
+            add_var(ININ[p], BINARY, 0.0, 1.0)
+    for p in unordered:
+        add_var(OUTOUT[p], BINARY, 0.0, 1.0)
+    for p in mixed:
+        add_var(INOUT[p], BINARY, 0.0, 1.0)
     add_var(CONST_VAR, CONTINUOUS, 1.0, 1.0)
 
     # Objective: rejection constant folded into the fixed Const variable.
@@ -182,104 +211,107 @@ def build_model(instance: Instance) -> MilpModel:
     if future:
         obj.append((rej_sum, CONST_VAR))
     for f in future:
-        obj.append((-f.p_rej, vAcc(f.id)))
+        obj.append((-f.p_rej, ACC[f.id]))
     for f in future:
-        obj.append((f.p_arr, vDArr(f.id)))
+        obj.append((f.p_arr, DARR[f.id]))
     for a in aircraft:
-        obj.append((a.p_dep, vDDep(a.id)))
+        obj.append((a.p_dep, DDEP[a.id]))
     for f in future:
-        obj.append((h.eps_p, vX(f.id)))
-        obj.append((h.eps_p, vY(f.id)))
+        obj.append((h.eps_p, X[f.id]))
+        obj.append((h.eps_p, Y[f.id]))
     if not future:
         obj.append((0.0, CONST_VAR))
 
     # Acceptance / scheduling.
     link = m_x + m_y + 4.0 * m_t
     for f in future:
-        add_row(f"eq2_accept({f.id})",
-                [(1.0, vX(f.id)), (1.0, vY(f.id)), (1.0, vIn(f.id)),
-                 (1.0, vOut(f.id)), (1.0, vDArr(f.id)), (1.0, vDDep(f.id)),
-                 (-link, vAcc(f.id))], "<=", 0.0)
-        add_row(f"eq3_rollin_eta({f.id})",
-                [(1.0, vIn(f.id)), (-f.eta, vAcc(f.id))], ">=", 0.0)
+        i = f.id
+        add_row(f"eq2_accept({i})",
+                ((1.0, X[i]), (1.0, Y[i]), (1.0, IN[i]), (1.0, OUT[i]),
+                 (1.0, DARR[i]), (1.0, DDEP[i]), (-link, ACC[i])), "<=", 0.0)
+        add_row(f"eq3_rollin_eta({i})", ((1.0, IN[i]), (-f.eta, ACC[i])), ">=", 0.0)
     for a in aircraft:
-        add_row(f"eq4_servt({a.id})",
-                [(1.0, vOut(a.id)), (-1.0, vIn(a.id)), (-a.service, vAcc(a.id))],
-                ">=", 0.0)
+        i = a.id
+        add_row(f"eq4_servt({i})",
+                ((1.0, OUT[i]), (-1.0, IN[i]), (-a.service, ACC[i])), ">=", 0.0)
     for f in future:
-        add_row(f"eq5_darr({f.id})",
-                [(1.0, vDArr(f.id)), (-1.0, vIn(f.id))], ">=", -f.eta)
+        i = f.id
+        add_row(f"eq5_darr({i})", ((1.0, DARR[i]), (-1.0, IN[i])), ">=", -f.eta)
     for a in aircraft:
-        add_row(f"eq6_ddep({a.id})",
-                [(1.0, vDDep(a.id)), (-1.0, vOut(a.id))], ">=", -a.etd)
+        i = a.id
+        add_row(f"eq6_ddep({i})", ((1.0, DDEP[i]), (-1.0, OUT[i])), ">=", -a.etd)
 
     # Boundaries (future aircraft; current positions are fixed by bounds).
     for f in future:
-        add_row(f"eq7_xmin({f.id})",
-                [(1.0, vX(f.id)), (-h.buffer, vAcc(f.id))], ">=", 0.0)
-        add_row(f"eq8_xmax({f.id})",
-                [(1.0, vX(f.id)), (m_x, vAcc(f.id))],
+        i = f.id
+        add_row(f"eq7_xmin({i})", ((1.0, X[i]), (-h.buffer, ACC[i])), ">=", 0.0)
+        add_row(f"eq8_xmax({i})", ((1.0, X[i]), (m_x, ACC[i])),
                 "<=", h.hw - h.buffer - f.width + m_x)
-        add_row(f"eq9_ymin({f.id})",
-                [(1.0, vY(f.id)), (-h.buffer, vAcc(f.id))], ">=", 0.0)
-        add_row(f"eq10_ymax({f.id})",
-                [(1.0, vY(f.id)), (m_y, vAcc(f.id))],
+        add_row(f"eq9_ymin({i})", ((1.0, Y[i]), (-h.buffer, ACC[i])), ">=", 0.0)
+        add_row(f"eq10_ymax({i})", ((1.0, Y[i]), (m_y, ACC[i])),
                 "<=", h.hl - h.buffer - f.length + m_y)
 
     # Relative placement semantics.
-    for a, b in ordered:
-        add_row(f"eq11_right({a},{b})",
-                [(1.0, vX(b)), (-1.0, vX(a)), (m_x, vRight(a, b))],
+    for p in ordered:
+        a, b = p
+        add_row(f"eq11_right({a},{b})", ((1.0, X[b]), (-1.0, X[a]), (m_x, RIGHT[p])),
                 "<=", m_x - spec[b].width - h.buffer)
-        add_row(f"eq12_above({a},{b})",
-                [(1.0, vY(b)), (-1.0, vY(a)), (m_y, vAbove(a, b))],
+        add_row(f"eq12_above({a},{b})", ((1.0, Y[b]), (-1.0, Y[a]), (m_y, ABOVE[p])),
                 "<=", m_y - spec[b].length - h.buffer)
 
     # Pairwise disjunction.
-    for a, b in unordered:
+    for p in unordered:
+        a, b = p
+        q = (b, a)
         add_row(f"eq13_rel({a},{b})",
-                [(1.0, vRight(b, a)), (1.0, vRight(a, b)),
-                 (1.0, vAbove(b, a)), (1.0, vAbove(a, b)),
-                 (1.0, vOutIn(a, b)), (1.0, vOutIn(b, a)),
-                 (-1.0, vAcc(a)), (-1.0, vAcc(b))], ">=", -1.0)
+                ((1.0, RIGHT[q]), (1.0, RIGHT[p]), (1.0, ABOVE[q]), (1.0, ABOVE[p]),
+                 (1.0, OUTIN[p]), (1.0, OUTIN[q]), (-1.0, ACC[a]), (-1.0, ACC[b])),
+                ">=", -1.0)
 
     # Temporal ordering semantics.
-    for a, b in ordered:
-        add_row(f"eq14_outin({a},{b})",
-                [(1.0, vOut(a)), (-1.0, vIn(b)), (m_t, vOutIn(a, b))],
+    for p in ordered:
+        a, b = p
+        add_row(f"eq14_outin({a},{b})", ((1.0, OUT[a]), (-1.0, IN[b]), (m_t, OUTIN[p])),
                 "<=", m_t - eps)
-    for a, b in f_ordered:
+    for p in f_ordered:
+        a, b = p
         add_row(f"eq15_inin({a},{b})",
-                [(1.0, vIn(b)), (-1.0, vIn(a)), (-m_t, vInIn(a, b)),
-                 (-m_t, vAcc(a)), (-m_t, vAcc(b))], ">=", eps - 3.0 * m_t)
+                ((1.0, IN[b]), (-1.0, IN[a]), (-m_t, ININ[p]),
+                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
         add_row(f"eq16_inin({a},{b})",
-                [(1.0, vIn(a)), (-1.0, vIn(b)), (m_t, vInIn(a, b)),
-                 (-m_t, vAcc(a)), (-m_t, vAcc(b))], ">=", eps - 2.0 * m_t)
-    for a, b in unordered:
+                ((1.0, IN[a]), (-1.0, IN[b]), (m_t, ININ[p]),
+                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
+    for p in unordered:
+        a, b = p
         add_row(f"eq15b_outout({a},{b})",
-                [(1.0, vOut(b)), (-1.0, vOut(a)), (-m_t, vOutOut(a, b)),
-                 (-m_t, vAcc(a)), (-m_t, vAcc(b))], ">=", eps - 3.0 * m_t)
+                ((1.0, OUT[b]), (-1.0, OUT[a]), (-m_t, OUTOUT[p]),
+                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
         add_row(f"eq16b_outout({a},{b})",
-                [(1.0, vOut(a)), (-1.0, vOut(b)), (m_t, vOutOut(a, b)),
-                 (-m_t, vAcc(a)), (-m_t, vAcc(b))], ">=", eps - 2.0 * m_t)
-    for a, b in mixed:
+                ((1.0, OUT[a]), (-1.0, OUT[b]), (m_t, OUTOUT[p]),
+                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
+    for p in mixed:
+        a, b = p
         add_row(f"eq16c_inout({a},{b})",
-                [(1.0, vOut(b)), (-1.0, vIn(a)), (-m_t, vInOut(a, b)),
-                 (-m_t, vAcc(a)), (-m_t, vAcc(b))], ">=", eps - 3.0 * m_t)
+                ((1.0, OUT[b]), (-1.0, IN[a]), (-m_t, INOUT[p]),
+                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
         add_row(f"eq16d_inout({a},{b})",
-                [(1.0, vIn(a)), (-1.0, vOut(b)), (m_t, vInOut(a, b)),
-                 (-m_t, vAcc(a)), (-m_t, vAcc(b))], ">=", eps - 2.0 * m_t)
+                ((1.0, IN[a]), (-1.0, OUT[b]), (m_t, INOUT[p]),
+                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
 
     # Blocking.
-    for a, b in ordered:
+    for p in ordered:
+        a, b = p
+        q = (b, a)
         add_row(f"eq17_exit_block({a},{b})",
-                [(1.0, vOut(a)), (-1.0, vOut(b)), (-m_t, vAbove(b, a)),
-                 (m_t, vRight(a, b)), (m_t, vRight(b, a)), (-m_t, vInIn(a, b))],
+                ((1.0, OUT[a]), (-1.0, OUT[b]), (-m_t, ABOVE[q]),
+                 (m_t, RIGHT[p]), (m_t, RIGHT[q]), (-m_t, ININ[p])),
                 ">=", eps - 2.0 * m_t)
-    for a, b in mixed:
+    for p in mixed:
+        a, b = p
+        q = (b, a)
         add_row(f"eq18_entry_block({a},{b})",
-                [(1.0, vIn(a)), (-1.0, vOut(b)), (-m_t, vAbove(b, a)),
-                 (m_t, vRight(a, b)), (m_t, vRight(b, a)), (m_t, vInIn(a, b))],
+                ((1.0, IN[a]), (-1.0, OUT[b]), (-m_t, ABOVE[q]),
+                 (m_t, RIGHT[p]), (m_t, RIGHT[q]), (m_t, ININ[p])),
                 ">=", eps - m_t)
 
     return MilpModel(variables=variables, rows=rows, objective=tuple(obj),
@@ -290,19 +322,15 @@ def build_model(instance: Instance) -> MilpModel:
 # LP text export / re-parse
 # ---------------------------------------------------------------------------
 
+LINE_WIDTH = 200
+_SENSES = ("<=", ">=", "=")
+
+
 def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _terms_text(terms: Sequence[tuple[float, str]]) -> str:
-    parts = []
-    for coef, var in terms:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_num(abs(coef))} {var}")
-    return " ".join(parts)
-
-
-def _wrap(prefix: str, body: str, width: int = 200) -> list[str]:
+def _wrap(prefix: str, body: str, width: int = LINE_WIDTH) -> list[str]:
     lines = []
     cur = prefix
     for tok in body.split(" "):
@@ -315,14 +343,37 @@ def _wrap(prefix: str, body: str, width: int = 200) -> list[str]:
 
 
 def export_lp(model: MilpModel) -> str:
-    """Deterministic LP-format text (CPLEX dialect) of the model."""
+    """Deterministic LP-format text (CPLEX dialect) of the model.
+
+    The text is byte-stable: the same model always gives the same bytes.
+    Lines are wrapped at ``LINE_WIDTH`` characters between tokens; a row
+    that fits is one line, which is what ``_wrap`` gives it too.
+    """
+    signed: dict[float, str] = {}  # coefficient -> "± |coef|", for this call
+
+    def terms_text(terms) -> str:
+        parts = []
+        for coef, var in terms:
+            text = signed.get(coef)
+            if text is None:
+                text = signed[coef] = f"{'-' if coef < 0 else '+'} {_num(abs(coef))}"
+            parts.append(text)
+            parts.append(var)
+        return " ".join(parts)
+
+    def emit(prefix: str, body: str) -> None:
+        if len(prefix) + 1 + len(body) <= LINE_WIDTH:
+            out.append(f"{prefix} {body}")
+        else:
+            out.extend(_wrap(prefix, body))
+
     out: list[str] = ["\\ hangarplan model export", "Minimize"]
-    out.extend(_wrap(" obj:", _terms_text(model.objective)))
+    emit(" obj:", terms_text(model.objective))
     out.append("Subject To")
     for row in model.rows:
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[row.sense]
-        body = f"{_terms_text(row.terms)} {sense} {_num(row.rhs)}"
-        out.extend(_wrap(f" {row.name}:", body))
+        if row.sense not in _SENSES:
+            raise ValueError(f"row {row.name}: unknown sense {row.sense!r}")
+        emit(f" {row.name}:", f"{terms_text(row.terms)} {row.sense} {_num(row.rhs)}")
     out.append("Bounds")
     for v in model.variables.values():
         if v.lb == v.ub:
@@ -349,18 +400,6 @@ def _number(text: str, what: str) -> float:
     return value
 
 
-def _parse_terms(tokens: Sequence[str], what: str) -> tuple[tuple[float, str], ...]:
-    """``sign coef name`` triples; every token must belong to one."""
-    if len(tokens) % 3:
-        raise ParseError(f"{what}: {len(tokens)} tokens do not form '± coef name' terms")
-    terms = []
-    for sign, num, var in zip(tokens[0::3], tokens[1::3], tokens[2::3]):
-        if sign != "+" and sign != "-":
-            raise ParseError(f"{what}: expected a sign, got {sign!r}")
-        terms.append((_number(num, what) * (-1.0 if sign == "-" else 1.0), var))
-    return tuple(terms)
-
-
 def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
     """``lo <= name <= hi`` (hi may be ``+inf``) or ``name = value``."""
     if "<=" in line:
@@ -376,67 +415,96 @@ def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
     raise ParseError(f"cannot parse bound {line!r}")
 
 
+_SECTIONS = frozenset(("Minimize", "Subject To", "Bounds", "Binaries", "End"))
+
+
 def parse_lp(text: str) -> MilpModel:
     """Re-parse our own LP export into a row system (internal round-trip
-    reader; not a general LP parser)."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("\\")]
-    # Re-join continuation lines (they start with a space but no "name:").
+    reader; not a general LP parser).  Rows and variables come back as
+    ``MilpRow`` / ``MilpVariable`` records; variables are sorted by name
+    and carry no ``fix_name``.  A line, row, bound or number that breaks
+    the format raises ``ParseError``."""
     section = None
     obj_text = ""
     row_chunks: list[str] = []
     bound_lines: list[str] = []
     binary_names: list[str] = []
-    for ln in lines:
-        stripped = ln.strip()
-        if stripped in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
-            section = stripped
+    for ln in text.splitlines():
+        if not ln or ln.startswith("\\"):
             continue
-        if section is None:
-            raise ParseError(f"line outside any section: {stripped!r}")
-        if section == "Minimize":
-            obj_text += " " + stripped
+        stripped = ln.strip()
+        if stripped in _SECTIONS:
+            section = stripped
         elif section == "Subject To":
+            # A row starts with "name:"; a continuation line has no colon.
             if ":" in stripped:
                 row_chunks.append(stripped)
             elif row_chunks:
                 row_chunks[-1] += " " + stripped
             else:
                 raise ParseError(f"continuation before the first row: {stripped!r}")
+        elif section == "Minimize":
+            obj_text += " " + stripped
         elif section == "Bounds":
             bound_lines.append(stripped)
         elif section == "Binaries":
             binary_names.extend(stripped.split())
+        elif section is None:
+            raise ParseError(f"line outside any section: {stripped!r}")
+
+    numbers: dict[str, float] = {}  # number text -> value, for this call
+    seen: set[str] = set()  # every variable named by a term, bound or binary
+
+    def parse_terms(tokens: Sequence[str], what: str) -> tuple[tuple[float, str], ...]:
+        """``sign coef name`` triples; every token must belong to one."""
+        if len(tokens) % 3:
+            raise ParseError(f"{what}: {len(tokens)} tokens do not form '± coef name' terms")
+        terms = []
+        it = iter(tokens)
+        for sign, num, var in zip(it, it, it):
+            value = numbers.get(num)
+            if value is None:
+                value = numbers[num] = _number(num, what)
+            if sign == "+":
+                terms.append((value, var))
+            elif sign == "-":
+                terms.append((-value, var))
+            else:
+                raise ParseError(f"{what}: expected a sign, got {sign!r}")
+        seen.update(tokens[2::3])
+        return tuple(terms)
 
     if ":" not in obj_text:
         raise ParseError("objective has no name")
-    objective = _parse_terms(obj_text.split(":", 1)[1].split(), "objective")
+    objective = parse_terms(obj_text.split(":", 1)[1].split(), "objective")
 
     rows: list[MilpRow] = []
     for chunk in row_chunks:
         name, body = chunk.split(":", 1)
         tokens = body.split()
         # one or more terms, then exactly one "sense rhs"
-        if len(tokens) < 5 or tokens[-2] not in ("<=", ">=", "="):
+        if len(tokens) < 5 or tokens[-2] not in _SENSES:
             raise ParseError(f"cannot parse row {name}")
-        rows.append(MilpRow(name.strip(), _parse_terms(tokens[:-2], name),
-                            tokens[-2], _number(tokens[-1], name)))
+        terms = parse_terms(tokens[:-2], name)
+        rhs = numbers.get(tokens[-1])
+        if rhs is None:
+            rhs = numbers[tokens[-1]] = _number(tokens[-1], name)
+        rows.append(MilpRow(name.strip(), terms, tokens[-2], rhs))
 
-    variables: dict[str, MilpVariable] = {}
-    seen = set()
-    for terms in [objective] + [r.terms for r in rows]:
-        for _, var in terms:
-            seen.add(var)
     bounds = dict(_parse_bound(ln) for ln in bound_lines)
     binary = set(binary_names)
+    # A variable fixed by its bound alone (a lone parked aircraft's X and Y)
+    # is in no term.
+    seen.update(bounds, binary)
+    variables: dict[str, MilpVariable] = {}
     for name in sorted(seen):
         lb, ub = bounds.get(name, (0.0, math.inf))
-        kind = BINARY if name in binary else CONTINUOUS
-        variables[name] = MilpVariable(name, kind, lb, ub)
+        variables[name] = MilpVariable(name, BINARY if name in binary else CONTINUOUS, lb, ub)
 
-    # Accept variables are listed in the Binaries section in build order.
-    aircraft_ids = [m.group(1) for m in
-                    (re.fullmatch(r"Accept\((.+)\)", n) for n in binary_names)
-                    if m]
+    # Every aircraft has one eq4_servt row, and rows keep their build order;
+    # the Binaries section does not, once a parsed model is exported again.
+    aircraft_ids = [r.name[10:-1] for r in rows
+                    if r.name.startswith("eq4_servt(") and r.name.endswith(")")]
     return MilpModel(variables=variables, rows=rows, objective=objective,
                      aircraft_ids=aircraft_ids)
 

@@ -343,8 +343,30 @@ class TestConfigPrecedence:
         run(runner, ["--config", str(cfg), "gen", "--seed", "8", "-o", str(out)])
         assert io.load_instance(out).label == "Inst-02-0008"
 
+    def test_values_convert_as_on_the_command_line(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": {"n_future": "2", "seed": 7,
+                                           "congestion": 1, "high_rejection": True}}))
+        out = tmp_path / "inst.json"
+        res = run(runner, ["--config", str(cfg), "gen", "-o", str(out)])
+        assert res.exit_code == 0
+        flagged = tmp_path / "flagged.json"
+        run(runner, ["gen", "--n", "2", "--seed", "7", "--high-rejection", "-o", str(flagged)])
+        assert out.read_text() == flagged.read_text()
 
-#: Option values that pass click's type check but name no valid run.
+    def test_compare_instances_from_config(self, runner, tmp_path):
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "1", "--seed", "1", "-o", str(inst_p)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"compare": {"instances": [str(inst_p)],
+                                               "node_budget": 1000}}))
+        out = tmp_path / "cmp.csv"
+        res = run(runner, ["--config", str(cfg), "compare", "-o", str(out)])
+        assert res.exit_code == 0
+        assert [r["error"] for r in csv.DictReader(out.read_text().splitlines())] == [""]
+
+
+#: Option values and config files that name no valid run.
 BAD_OPTIONS = {
     "n-negative": ["gen", "--n", "-1", "--seed", "1"],
     "n-current-negative": ["gen", "--n", "2", "--n-current", "-1", "--seed", "1"],
@@ -355,19 +377,33 @@ BAD_OPTIONS = {
     "node-budget-zero": ["solve-exact", "--node-budget", "0"],
     "time-budget-nan": ["solve-exact", "--time-budget", "nan"],
     "time-budget-zero": ["solve-exact", "--time-budget", "0"],
+    "compare-node-budget-zero": ["compare", "--node-budget", "0"],
+    "compare-time-budget-nan": ["compare", "--time-budget", "nan"],
     "config-list": ["--config", [1]],
     "config-number": ["--config", 5],
     "config-command-not-object": ["--config", {"gen": 5}],
+    "config-unknown-command": ["--config", {"generate": {}}],
+    "config-unknown-option": ["--config", {"gen": {"bogus": 1}}],
+    "config-int-as-text": ["--config", {"gen": {"n_future": "x"}}],
+    "config-int-as-fraction": ["--config", {"gen": {"n_future": 3.5}}],
+    "config-int-as-bool": ["--config", {"gen": {"n_future": True}}],
+    "config-int-as-list": ["--config", {"gen": {"n_future": [1]}}],
+    "config-int-as-null": ["--config", {"gen": {"seed": None}}],
+    "config-flag-as-text": ["--config", {"gen": {"high_rejection": "x"}}],
+    "config-float-as-object": ["--config", {"gen": {"congestion": {"a": 1}}}],
+    "config-other-command": ["--config", {"solve-exact": {"node_budget": "many"}}],
+    "config-instances-not-list": ["--config", {"compare": {"instances": "i.json"}}],
+    "config-instance-missing": ["--config", {"compare": {"instances": ["missing.json"]}}],
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_OPTIONS))
 def test_bad_option_value_exit_3(runner, tmp_path, case):
     args = list(BAD_OPTIONS[case])
-    if args[0] == "solve-exact":
+    if args[0] in ("solve-exact", "compare"):
         inst_p = tmp_path / "inst.json"
         run(runner, ["gen", "--n", "1", "--seed", "3", "-o", str(inst_p)])
-        args += ["-i", str(inst_p)]
+        args += ["-i", str(inst_p)] if args[0] == "solve-exact" else [str(inst_p)]
     if args[0] == "--config":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(args[1]))
@@ -480,3 +516,55 @@ class TestPerturbedInput:
                     res = runner.invoke(cli.main, args)
                 assert res.exit_code in (0, 2, 3), (path, action, res.output, res.exception)
                 assert "Traceback" not in res.output
+
+
+def _perturb_lp(text: str, action: str, line_no: int, token_no: int) -> str:
+    """One edit of an LP file: drop, duplicate or swap a token of a line,
+    turn a number into ``nan`` or text, or delete the line."""
+    lines = text.splitlines()
+    i = line_no % len(lines)
+    if action == "delete-line":
+        del lines[i]
+        return "\n".join(lines) + "\n"
+    tokens = lines[i].split(" ")
+    j = token_no % len(tokens)
+    if action == "drop":
+        del tokens[j]
+    elif action == "duplicate":
+        tokens.insert(j, tokens[j])
+    elif action == "swap":
+        k = (j + 1) % len(tokens)
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    else:
+        numbers = [k for k, tok in enumerate(tokens) if re.fullmatch(r"[-+]?[0-9.]+(e[-+]?[0-9]+)?", tok)]
+        if numbers:
+            tokens[numbers[token_no % len(numbers)]] = "nan" if action == "nan" else "x1"
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestPerturbedLp:
+    """A perturbed LP file given to ``import`` ends in exit 0, 2 or 3, never
+    in a traceback."""
+
+    @settings(max_examples=10, deadline=timedelta(seconds=30))
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 6), n_current=st.integers(0, 3),
+           action=st.sampled_from(["drop", "duplicate", "swap", "nan", "text", "delete-line"]),
+           line_no=st.integers(0, 10**6), token_no=st.integers(0, 10**6))
+    def test_import_no_traceback(self, seed, n, n_current, action, line_no, token_no):
+        instance = instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed))
+        model = milp.build_model(instance)
+        point = milp.derive_binaries(instance, ach.solve(instance), model)
+        text = _perturb_lp(milp.export_lp(model), action, line_no, token_no)
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            ip, lp, pp = Path(tmp) / "i.json", Path(tmp) / "m.lp", Path(tmp) / "p.txt"
+            io.save_instance(instance, ip)
+            lp.write_text(text)
+            pp.write_text("".join(f"{k} {v!r}\n" for k, v in point.items()))
+            with time_limit(20.0):
+                res = runner.invoke(cli.main, ["import", "-i", str(ip), "-m", str(lp),
+                                               "-p", str(pp), "-o", str(Path(tmp) / "o.json")])
+        assert res.exit_code in (0, 2, 3), (action, res.output, res.exception)
+        assert "Traceback" not in res.output

@@ -2,9 +2,12 @@
 binary derivation, satisfaction checking, and solver-point import."""
 
 import math
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hangarplan import ach, instgen, milp, validator
 from hangarplan.core import evaluate_cost
@@ -27,6 +30,17 @@ DATA = Path(__file__).parent / "data"
 def single_aircraft_instance():
     return make_instance(future=[make_future("a01", eta=12.0, service=100.0)],
                          label="golden-single")
+
+
+def mixed_instance():
+    """Current and future aircraft with long ids: the objective and the
+    longest pairwise rows (eq13, eq17, eq18) wrap, the others do not."""
+    return make_instance(
+        future=[make_future("req-a01", eta=12.5, service=96.25),
+                make_future("req-a02", eta=40.0, width=30.5, length=27.75,
+                            p_arr=12.5, vip=True)],
+        current=[make_current("cur-c01", x=5.0, y=5.0, service=60.0)],
+        label="golden-mixed")
 
 
 def three_aircraft_instance():
@@ -124,6 +138,34 @@ class TestExport:
         golden = (DATA / "golden_single.lp").read_text()
         assert text == golden
 
+    def test_golden_mixed_instance(self):
+        text = milp.export_lp(milp.build_model(mixed_instance()))
+        golden = (DATA / "golden_mixed.lp").read_text()
+        assert text == golden
+        # the golden file holds both one-line and wrapped rows
+        lines = golden.splitlines()
+        wrapped = {lines[i - 1].split(":")[0] for i, ln in enumerate(lines)
+                   if ln.startswith("  ")}
+        assert " obj" in wrapped
+        assert any(name.startswith(" eq17_exit_block") for name in wrapped)
+        assert any(ln.startswith(" eq2_accept") for ln in lines)
+        assert not any(name.startswith(" eq2_accept") for name in wrapped)
+
+    @pytest.mark.parametrize("width", [milp.LINE_WIDTH - 1, milp.LINE_WIDTH,
+                                       milp.LINE_WIDTH + 1])
+    def test_row_at_line_width(self, width):
+        """A row is one line exactly when it fits, as ``_wrap`` has it."""
+        name = "r" * (width - len(" : + 1 x <= 0"))
+        model = milp.MilpModel({"x": milp.MilpVariable("x", milp.CONTINUOUS)},
+                               [milp.MilpRow(name, ((1.0, "x"),), "<=", 0.0)],
+                               ((1.0, "x"),), [])
+        lines = milp.export_lp(model).splitlines()
+        start = lines.index("Subject To") + 1
+        got = lines[start:lines.index("Bounds")]
+        assert got == milp._wrap(f" {name}:", "+ 1 x <= 0")
+        assert len(got) == (1 if width <= milp.LINE_WIDTH else 2)
+        assert max(map(len, got)) <= width
+
     def test_byte_stable(self):
         inst = three_aircraft_instance()
         assert milp.export_lp(milp.build_model(inst)) == \
@@ -142,6 +184,15 @@ class TestExport:
             assert set(d1) == set(d2)
             for k in d1:
                 assert math.isclose(d1[k], d2[k], rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_variables_fixed_by_bounds_alone_survive(self):
+        """A lone parked aircraft's X and Y are in no row and no objective
+        term, only in the Bounds section."""
+        model = milp.build_model(make_instance(current=[make_current("c01", x=7.5)]))
+        assert not any(v == "X(c01)" for r in model.rows for _, v in r.terms)
+        parsed = milp.parse_lp(milp.export_lp(model))
+        assert set(parsed.variables) == set(model.variables)
+        assert parsed.variables["X(c01)"].lb == parsed.variables["X(c01)"].ub == 7.5
 
     def test_binaries_and_fixed_bounds_survive(self):
         model = milp.build_model(three_aircraft_instance())
@@ -335,3 +386,50 @@ class TestImport:
             milp.import_solution(model, inst, text)
         kinds = {v.kind for v in exc.value.report.violations}
         assert ViolationKind.OUT_OF_BOUNDS in kinds
+
+
+def rounded(x: float) -> float:
+    """What a number is after a trip through the LP text."""
+    return float(f"{x:.12g}")
+
+
+@st.composite
+def instgen_instances(draw):
+    return instgen.generate(instgen.GeneratorConfig(
+        n_future=draw(st.integers(0, 15)), n_current=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        congestion=draw(st.sampled_from([0.2, 1.0])),
+        rejection_multiplier=draw(st.sampled_from([1.0, 10.0]))))
+
+
+class TestRowLayerProperties:
+    """``export_lp`` and ``parse_lp`` on generated instances."""
+
+    @settings(max_examples=10, deadline=timedelta(seconds=10))
+    @given(instance=instgen_instances())
+    def test_round_trip_keeps_the_model(self, instance):
+        model = milp.build_model(instance)
+        parsed = milp.parse_lp(milp.export_lp(model))
+        assert parsed.aircraft_ids == model.aircraft_ids
+        assert [r.name for r in parsed.rows] == [r.name for r in model.rows]
+        for r1, r2 in zip(model.rows, parsed.rows):
+            assert r2.sense == r1.sense
+            assert r2.rhs == rounded(r1.rhs)
+            assert [v for _, v in r2.terms] == [v for _, v in r1.terms]
+            assert [c for c, _ in r2.terms] == [rounded(c) for c, _ in r1.terms]
+        assert parsed.objective == tuple((rounded(c), v) for c, v in model.objective)
+        assert set(parsed.variables) == set(model.variables)
+        for name, v in model.variables.items():
+            p = parsed.variables[name]
+            assert p.kind == v.kind
+            if v.kind == milp.BINARY and v.lb != v.ub:
+                # [0, 1] is implied by the Binaries section; no bound line
+                assert (v.lb, v.ub, p.lb, p.ub) == (0.0, 1.0, 0.0, math.inf)
+            else:
+                assert (p.lb, p.ub) == (rounded(v.lb), rounded(v.ub))
+
+    @settings(max_examples=10, deadline=timedelta(seconds=10))
+    @given(instance=instgen_instances())
+    def test_parse_is_a_fixed_point(self, instance):
+        parsed = milp.parse_lp(milp.export_lp(milp.build_model(instance)))
+        assert milp.parse_lp(milp.export_lp(parsed)) == parsed
