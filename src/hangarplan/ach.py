@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,18 +46,9 @@ from .core import (
 Committed = tuple[AircraftSpec, Assignment]
 
 
-@dataclass(frozen=True)
-class PlacementCandidate:
-    x: float
-    y: float
-    t_in: float
-    t_out: float
-
-
-def prioritize(instance: Instance) -> list[str]:
-    """Future aircraft ids sorted by (-p_rej, eta, service, id)."""
-    return [f.id for f in sorted(instance.future,
-                                 key=lambda f: (-f.p_rej, f.eta, f.service, f.id))]
+def prioritize(instance: Instance) -> list[AircraftSpec]:
+    """Future aircraft sorted by (-p_rej, eta, service, id)."""
+    return sorted(instance.future, key=lambda f: (-f.p_rej, f.eta, f.service, f.id))
 
 
 def max_admissible_time(aircraft: AircraftSpec) -> float:
@@ -91,9 +81,10 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def find_best_placement(aircraft: AircraftSpec, t_in: float,
                         fixed_schedule: Sequence[Committed],
-                        instance: Instance) -> Optional[PlacementCandidate]:
-    """Exhaustive grid scan at roll-in time t_in; returns the valid spot with
-    minimal x + y (ties: smaller y, then smaller x), or None."""
+                        instance: Instance) -> Optional[Assignment]:
+    """Exhaustive grid scan at roll-in time t_in: the aircraft accepted at the
+    valid spot with minimal x + y (ties: smaller y, then smaller x) from t_in
+    to its roll-out, or None when no spot is valid."""
     h = instance.hangar
     xs = _grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step)
     ys = _grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step)
@@ -134,7 +125,7 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
     tie = valid & (np.abs(score - best) < 1e-9)
     yi = np.min(np.where(tie.any(axis=0))[0])
     xi = np.min(np.where(tie[:, yi])[0])
-    return PlacementCandidate(float(xs[xi]), float(ys[yi]), t_in, t_out)
+    return Assignment.placed(aircraft, float(xs[xi]), float(ys[yi]), t_in, t_out)
 
 
 def _commit_current(instance: Instance) -> list[Committed]:
@@ -151,10 +142,7 @@ def _commit_current(instance: Instance) -> list[Committed]:
                     and lanes_overlap(c.x_init, c.width, asg_b.x, spec_b.width, h.buffer)):
                 t0 = max(t0, asg_b.roll_out + h.eps_t)
         t_out = next_separated(t0, _events(fixed), h.eps_t)
-        fixed.append((c, Assignment(
-            aircraft_id=c.id, accept=True, x=c.x_init, y=c.y_init,
-            roll_in=0.0, roll_out=t_out,
-            d_arr=0.0, d_dep=max(0.0, t_out - c.etd))))
+        fixed.append((c, Assignment.placed(c, c.x_init, c.y_init, 0.0, t_out)))
     return fixed
 
 
@@ -187,9 +175,9 @@ def _steps_to_next_threshold(points: Sequence[float], thresholds: Sequence[float
 
 
 def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
-                  instance: Instance) -> Optional[PlacementCandidate]:
-    """Best spot at the first lattice roll-in eta + k * eps_t where the grid
-    scan finds one, or None when the aircraft must be rejected."""
+                  instance: Instance) -> Optional[Assignment]:
+    """The grid scan's assignment at the first lattice roll-in eta + k * eps_t
+    where it finds a spot, or None when the aircraft must be rejected."""
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
     events = _events(fixed)
@@ -199,9 +187,9 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
         t = aircraft.eta + k * h.eps_t
         if t > t_max + TOL:
             return None
-        cand = find_best_placement(aircraft, t, fixed, instance)
-        if cand is not None:
-            return cand
+        asg = find_best_placement(aircraft, t, fixed, instance)
+        if asg is not None:
+            return asg
         # The scan reads t and every point of the roll-out walk.
         base = t + aircraft.service
         walk = round((next_separated(base, events, h.eps_t) - base) / h.eps_t)
@@ -223,22 +211,15 @@ def solve(instance: Instance) -> Solution:
     the search terminates for every valid instance.
     """
     fixed = _commit_current(instance)
-    by_id = {f.id: f for f in instance.future}
     assignments: dict[str, Assignment] = {s.id: a for s, a in fixed}
 
-    for fid in prioritize(instance):
-        f = by_id[fid]
-        cand = _earliest_fit(f, fixed, instance)
-        if cand is None:
-            assignments[fid] = Assignment(aircraft_id=fid, accept=False)
-            continue
-        asg = Assignment(
-            aircraft_id=fid, accept=True, x=cand.x, y=cand.y,
-            roll_in=cand.t_in, roll_out=cand.t_out,
-            d_arr=max(0.0, cand.t_in - f.eta),
-            d_dep=max(0.0, cand.t_out - f.etd))
-        fixed.append((f, asg))
-        assignments[fid] = asg
+    for f in prioritize(instance):
+        asg = _earliest_fit(f, fixed, instance)
+        if asg is None:
+            asg = Assignment(aircraft_id=f.id, accept=False)
+        else:
+            fixed.append((f, asg))
+        assignments[f.id] = asg
 
     ordered = tuple(assignments[a.id] for a in instance.all_aircraft())
     return Solution(instance_label=instance.label, assignments=ordered,

@@ -2,7 +2,7 @@
 (heuristic and exact), export/import the optimization model, validate,
 render, and compare.
 
-Exit codes: 0 ok, 2 infeasible, 3 parse error, 4 budget exhausted.
+Exit codes: 0 ok, 2 infeasible, 3 parse or usage error, 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -65,7 +65,28 @@ def _load_plan(instance_path: str, solution_path: str):
     return instance, solution
 
 
-@click.group()
+def _usage_exits_parse(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, where a click usage error exits 3, not
+    click's own 2, the infeasible-plan code; click still prints its message."""
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_PARSE
+        raise
+
+
+class _Group(click.Group):
+    """The command group: it parses its own options and resolves, parses and
+    runs the command, so every usage error passes through here."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_parse(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exits_parse(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON file with per-subcommand option defaults "
                                  "(flags take precedence).")
@@ -263,9 +284,7 @@ def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool
         _fail(EXIT_INFEASIBLE, "solution is infeasible; nothing rendered")
     click.echo(f"wrote {len(paths)} frame(s) to {out_dir}")
     if with_html:
-        cost = evaluate_cost(instance, solution)
-        out = report.render_report(instance, solution, cost,
-                                   Path(out_dir) / "report.html")
+        out = report.render_report(instance, solution, Path(out_dir) / "report.html")
         click.echo(f"wrote {out}")
 
 
@@ -312,8 +331,6 @@ def compare(instances: tuple[str, ...], out_csv: str, node_budget: int,
                     gap = (ach_cost - oracle_cost) / oracle_cost * 100.0
                 elif ach_cost <= 1e-9:
                     gap = 0.0
-        except exact.InstanceTooLarge as exc:
-            error = f"oracle: {exc}"
         except Exception as exc:  # noqa: BLE001 - per-row error capture
             error = f"oracle: {exc}"
         rows.append(CompareRow(instance.label, ach_cost, oracle_cost, gap,

@@ -150,12 +150,6 @@ class Instance:
     def all_aircraft(self) -> tuple[AircraftSpec, ...]:
         return self.current + self.future
 
-    def aircraft(self, aircraft_id: str) -> AircraftSpec:
-        for a in self.all_aircraft():
-            if a.id == aircraft_id:
-                return a
-        raise KeyError(aircraft_id)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -169,6 +163,13 @@ class Assignment:
     roll_out: float = 0.0
     d_arr: float = 0.0
     d_dep: float = 0.0
+
+    @classmethod
+    def placed(cls, spec: AircraftSpec, x: float, y: float,
+               roll_in: float, roll_out: float) -> Assignment:
+        """``spec`` accepted at (x, y) from roll_in to roll_out, with its
+        delays measured against its eta and etd."""
+        return cls(spec.id, True, x, y, roll_in, roll_out, *delays(spec, roll_in, roll_out))
 
 
 @dataclass(frozen=True)
@@ -184,12 +185,6 @@ class Solution:
         ids = [a.aircraft_id for a in self.assignments]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate assignments")
-
-    def assignment(self, aircraft_id: str) -> Assignment:
-        for a in self.assignments:
-            if a.aircraft_id == aircraft_id:
-                return a
-        raise MissingAssignment(aircraft_id)
 
     def by_id(self) -> dict[str, Assignment]:
         return {a.aircraft_id: a for a in self.assignments}
@@ -269,6 +264,11 @@ def next_separated(t0: float, events: Sequence[float], eps_t: float) -> float:
     while not separated(t0 + k * eps_t, events, eps_t):
         k += 1
     return t0 + k * eps_t
+
+
+def delays(spec: AircraftSpec, roll_in: float, roll_out: float) -> tuple[float, float]:
+    """(arrival delay, departure delay) of a stay from roll_in to roll_out."""
+    return max(0.0, roll_in - spec.eta), max(0.0, roll_out - spec.etd)
 
 
 def window_blocks(window: tuple[float, float], moves: Iterable[float]) -> bool:

@@ -28,6 +28,7 @@ from .core import (
     Instance,
     Provenance,
     Solution,
+    delays,
     evaluate_cost,
     intervals_overlap,
     movement_times,
@@ -249,7 +250,7 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
     budget = _Budget(config)
     fixed_current = ach._commit_current(instance)
     current_cost = sum(a.p_dep * asg.d_dep for (a, asg) in fixed_current)
-    order = [instance.aircraft(fid) for fid in ach.prioritize(instance)]
+    order = ach.prioritize(instance)
 
     # Fallback incumbent: keep the current aircraft, reject everything else.
     all_reject = _compose(instance, fixed_current, {}, {})
@@ -293,8 +294,8 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
         t_max = ach.max_admissible_time(spec)
         for t in _time_candidates(spec, events, h.eps_t, t_max, config.time_grid_step):
             t_out = next_separated(t + spec.service, events, h.eps_t)
-            delay_cost = (spec.p_arr * max(0.0, t - spec.eta)
-                          + spec.p_dep * max(0.0, t_out - spec.etd))
+            d_arr, d_dep = delays(spec, t, t_out)
+            delay_cost = spec.p_arr * d_arr + spec.p_dep * d_dep
             committed_times[spec.id] = (t, t_out)
             dfs(idx + 1, committed_times, sorted(events + [t, t_out]),
                 committed_cost + delay_cost)
@@ -321,12 +322,7 @@ def _compose(instance: Instance,
     assignments = {asg.aircraft_id: asg for _, asg in fixed_current}
     for f in instance.future:
         if f.id in committed_times and f.id in layout:
-            t_in, t_out = committed_times[f.id]
-            x, y = layout[f.id]
-            assignments[f.id] = Assignment(
-                aircraft_id=f.id, accept=True, x=x, y=y,
-                roll_in=t_in, roll_out=t_out,
-                d_arr=max(0.0, t_in - f.eta), d_dep=max(0.0, t_out - f.etd))
+            assignments[f.id] = Assignment.placed(f, *layout[f.id], *committed_times[f.id])
         else:
             assignments[f.id] = Assignment(aircraft_id=f.id, accept=False)
     ordered = tuple(assignments[a.id] for a in instance.all_aircraft())

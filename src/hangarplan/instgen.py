@@ -71,32 +71,29 @@ def _discrete(u: float, lo: int, hi: int) -> float:
     return float(lo + min(int(u * (hi - lo + 1)), hi - lo))
 
 
-def _bottom_left_spot(w: float, l: float, placed: list[AircraftSpec],
-                      h: HangarConfig):
+#: A packed footprint: (x, y, width, length).
+Rect = tuple[float, float, float, float]
+
+
+def _bottom_left_spot(w: float, l: float, placed: list[Rect], h: HangarConfig):
     xs = np.arange(h.buffer, h.hw - h.buffer - w + TOL, h.grid_step)
     ys = np.arange(h.buffer, h.hl - h.buffer - l + TOL, h.grid_step)
     for y in ys:
         for x in xs:
-            if all(rects_separated(x, y, w, l, p.x_init, p.y_init,
-                                   p.width, p.length, h.buffer)
-                   for p in placed):
+            if all(rects_separated(x, y, w, l, *p, h.buffer) for p in placed):
                 return float(x), float(y)
     return None
 
 
-def _try_pack(idx: list[int], h: HangarConfig):
-    placed: list[AircraftSpec] = []
-    spots = []
+def _try_pack(idx: list[int], h: HangarConfig) -> list[Rect] | None:
+    placed: list[Rect] = []
     for k in idx:
         w, l = DEFAULT_MODELS[k]
         spot = _bottom_left_spot(w, l, placed, h)
         if spot is None:
             return None
-        spots.append((w, l, spot))
-        placed.append(AircraftSpec(
-            id=f"tmp{len(placed)}", kind=Kind.CURRENT, width=w, length=l,
-            eta=0.0, etd=1.0, service=0.5, x_init=spot[0], y_init=spot[1]))
-    return spots
+        placed.append((*spot, w, l))
+    return placed
 
 
 def _place_current(model_idx: list[int], hangar: HangarConfig,
@@ -112,13 +109,13 @@ def _place_current(model_idx: list[int], hangar: HangarConfig,
     """
     idx = list(model_idx)  # catalog indices, so a smaller index is a smaller model
     while idx:
-        spots = _try_pack(idx, hangar)
-        if spots is not None:
+        placed = _try_pack(idx, hangar)
+        if placed is not None:
             return [AircraftSpec(
                 id=f"c{i + 1:02d}", kind=Kind.CURRENT, width=w, length=l,
                 eta=0.0, etd=services[i] + buffers[i], service=services[i],
-                p_dep=P_DEP, x_init=spot[0], y_init=spot[1])
-                for i, (w, l, spot) in enumerate(spots)]
+                p_dep=P_DEP, x_init=x, y_init=y)
+                for i, (x, y, w, l) in enumerate(placed)]
         big = max(range(len(idx)), key=lambda i: idx[i])
         if idx[big] == 0:
             idx.pop()  # all at the smallest model; drop the last aircraft

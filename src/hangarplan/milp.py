@@ -673,24 +673,17 @@ def import_solution(model: MilpModel, instance: Instance, text: str) -> Solution
         raise ParseError(f"model aircraft {model.aircraft_ids} are not the "
                          f"instance's {ids}")
     point = parse_point(text)
-    spec = {a.id: a for a in instance.all_aircraft()}
 
     def val(name):
         v = point.get(name, 0.0)
         return 0.0 if abs(v) < TOL else v
 
     assignments = []
-    for aid in model.aircraft_ids:
-        sp = spec[aid]
+    for spec in instance.all_aircraft():
+        aid = spec.id
         if val(vAcc(aid)) > 0.5:
-            roll_in = val(vIn(aid))
-            roll_out = val(vOut(aid))
-            assignments.append(Assignment(
-                aircraft_id=aid, accept=True,
-                x=val(vX(aid)), y=val(vY(aid)),
-                roll_in=roll_in, roll_out=roll_out,
-                d_arr=max(0.0, roll_in - sp.eta),
-                d_dep=max(0.0, roll_out - sp.etd)))
+            assignments.append(Assignment.placed(spec, val(vX(aid)), val(vY(aid)),
+                                                 val(vIn(aid)), val(vOut(aid))))
         else:
             assignments.append(Assignment(aircraft_id=aid, accept=False))
     solution = Solution(instance_label=instance.label,

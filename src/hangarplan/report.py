@@ -12,7 +12,7 @@ import html
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CostBreakdown, Instance, Kind, Solution
+from .core import Instance, Kind, Solution
 from . import validator
 
 COLOR_STATIC = "#3b6fb5"      # parked
@@ -36,7 +36,7 @@ class FrameSpec:
     departing: tuple[str, ...]
 
 
-def frame_times(instance: Instance, solution: Solution) -> list[float]:
+def frame_times(solution: Solution) -> list[float]:
     """{0} plus every distinct movement-event time of accepted aircraft."""
     times = {0.0}
     for a in solution.assignments:
@@ -49,7 +49,7 @@ def frame_times(instance: Instance, solution: Solution) -> list[float]:
 def build_frames(instance: Instance, solution: Solution) -> list[FrameSpec]:
     by_id = solution.by_id()
     frames = []
-    for t in frame_times(instance, solution):
+    for t in frame_times(solution):
         parked = []
         arriving = []
         departing = []
@@ -164,9 +164,12 @@ def timeline_svg(instance: Instance, solution: Solution) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_report(instance: Instance, solution: Solution, cost: CostBreakdown,
-                  out_file) -> Path:
-    """Single self-contained HTML report (inline SVG, no external resources)."""
+def render_report(instance: Instance, solution: Solution, out_file) -> Path:
+    """Single self-contained HTML report (inline SVG, no external resources).
+    The cost table and the frame gallery come from one validation; an
+    infeasible plan gets the table but no gallery."""
+    checked = validator.validate(instance, solution)
+    cost = checked.cost
     by_id = solution.by_id()
     accepted = [(a, by_id[a.id]) for a in instance.all_aircraft() if by_id[a.id].accept]
     rejected = [a for a in instance.future if not by_id[a.id].accept]
@@ -183,13 +186,8 @@ def render_report(instance: Instance, solution: Solution, cost: CostBreakdown,
         for s in rejected)
 
     gallery = []
-    try:
-        frames = build_frames(instance, solution)
-        feasible = validator.validate(instance, solution).feasible
-    except Exception:  # pragma: no cover - defensive, report renders any solution
-        frames, feasible = [], False
-    if feasible:
-        for frame in frames:
+    if checked.feasible:
+        for frame in build_frames(instance, solution):
             gallery.append(f"<figure><figcaption>t = {frame.time:.2f} h</figcaption>"
                            f"{frame_svg(instance, frame)}</figure>")
     gallery_html = "\n".join(gallery) if gallery else "<p>(no layout frames: plan infeasible or empty)</p>"

@@ -55,6 +55,11 @@ def make_instance(future: Sequence[AircraftSpec] = (),
                     current=tuple(current), future=tuple(future), label=label)
 
 
+def specs(instance: Instance) -> dict[str, AircraftSpec]:
+    """The instance's aircraft by id."""
+    return {a.id: a for a in instance.all_aircraft()}
+
+
 def manual_solution(instance: Instance, by_id: dict[str, Assignment]) -> Solution:
     """Solution in instance order; unlisted aircraft become rejections."""
     assignments = []

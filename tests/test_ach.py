@@ -20,7 +20,7 @@ from hangarplan.core import (
     Solution,
 )
 
-from conftest import accept, make_current, make_future, make_instance, time_limit
+from conftest import accept, make_current, make_future, make_instance, specs, time_limit
 
 
 class TestPrioritize:
@@ -28,20 +28,20 @@ class TestPrioritize:
         inst = make_instance(future=[
             make_future("a", p_rej=700.0, eta=0.0),
             make_future("b", p_rej=900.0, eta=50.0)])
-        assert ach.prioritize(inst) == ["b", "a"]
+        assert [f.id for f in ach.prioritize(inst)] == ["b", "a"]
 
     def test_eta_breaks_penalty_ties(self):
         inst = make_instance(future=[
             make_future("a", p_rej=800.0, eta=50.0),
             make_future("b", p_rej=800.0, eta=10.0)])
-        assert ach.prioritize(inst) == ["b", "a"]
+        assert [f.id for f in ach.prioritize(inst)] == ["b", "a"]
 
     def test_service_then_id_break_remaining_ties(self):
         inst = make_instance(future=[
             make_future("b", p_rej=800.0, eta=0.0, service=100.0),
             make_future("a", p_rej=800.0, eta=0.0, service=100.0),
             make_future("c", p_rej=800.0, eta=0.0, service=90.0)])
-        assert ach.prioritize(inst) == ["c", "a", "b"]
+        assert [f.id for f in ach.prioritize(inst)] == ["c", "a", "b"]
 
 
 class TestMaxAdmissibleTime:
@@ -113,7 +113,7 @@ class TestValidSpot:
     def setup_method(self):
         self.inst = make_instance(
             future=[make_future("a"), make_future("b")])
-        self.f = self.inst.aircraft("a")
+        self.f = specs(self.inst)["a"]
 
     def test_in_bounds_empty_hangar(self):
         assert is_valid_spot(self.f, 5.0, 5.0, 0.0, [], self.inst)
@@ -123,23 +123,23 @@ class TestValidSpot:
         assert not is_valid_spot(self.f, 5.0, 40.0, 0.0, [], self.inst)
 
     def test_copresent_overlap_rejected(self):
-        fixed = [(self.inst.aircraft("b"),
+        fixed = [(specs(self.inst)["b"],
                   accept("b", 5.0, 5.0, 0.0, 100.0))]
         assert not is_valid_spot(self.f, 10.0, 5.0, 0.2, fixed, self.inst)
         assert is_valid_spot(self.f, 34.0, 5.0, 0.2, fixed, self.inst)
 
     def test_exit_blocking_checked_for_candidate(self):
         # b below leaves at 100 while the candidate (above) would stay past it
-        fixed = [(self.inst.aircraft("b"), accept("b", 5.0, 5.0, 0.2, 100.0))]
+        fixed = [(specs(self.inst)["b"], accept("b", 5.0, 5.0, 0.2, 100.0))]
         assert not is_valid_spot(self.f, 5.0, 32.0, 0.0, fixed, self.inst)
 
     def test_blocking_checked_against_candidate(self):
         # candidate below a longer-staying aircraft would trap itself
-        fixed = [(self.inst.aircraft("b"), accept("b", 5.0, 32.0, 0.0, 200.0))]
+        fixed = [(specs(self.inst)["b"], accept("b", 5.0, 32.0, 0.0, 200.0))]
         assert not is_valid_spot(self.f, 5.0, 5.0, 0.2, fixed, self.inst)
 
     def test_separation_of_roll_in_times(self):
-        fixed = [(self.inst.aircraft("b"), accept("b", 36.0, 5.0, 0.0, 100.0))]
+        fixed = [(specs(self.inst)["b"], accept("b", 36.0, 5.0, 0.0, 100.0))]
         assert not is_valid_spot(self.f, 5.0, 5.0, 0.05, fixed, self.inst)
         assert is_valid_spot(self.f, 5.0, 5.0, 0.1, fixed, self.inst)
 
@@ -147,19 +147,19 @@ class TestValidSpot:
 class TestFindBestPlacement:
     def test_origin_corner_when_empty(self):
         inst = make_instance(future=[make_future("a")])
-        cand = ach.find_best_placement(inst.aircraft("a"), 0.0, [], inst)
+        cand = ach.find_best_placement(specs(inst)["a"], 0.0, [], inst)
         assert (cand.x, cand.y) == (5.0, 5.0)
-        assert cand.t_out == pytest.approx(100.0)
+        assert cand.roll_out == pytest.approx(100.0)
 
     def test_matches_scalar_reference(self):
         # vectorized scan must agree with the scalar spot check on every cell
         inst = make_instance(
             future=[make_future("a"), make_future("b"), make_future("x", width=26.0, length=24.0)])
         fixed = [
-            (inst.aircraft("b"), accept("b", 5.0, 5.0, 0.0, 150.0)),
-            (inst.aircraft("x"), accept("x", 36.0, 33.0, 0.3, 90.0)),
+            (specs(inst)["b"], accept("b", 5.0, 5.0, 0.0, 150.0)),
+            (specs(inst)["x"], accept("x", 36.0, 33.0, 0.3, 90.0)),
         ]
-        f = inst.aircraft("a")
+        f = specs(inst)["a"]
         t_in = 0.6
         cand = ach.find_best_placement(f, t_in, fixed, inst)
         best = brute_force_placement(f, t_in, fixed, inst)
@@ -172,22 +172,22 @@ class TestFindBestPlacement:
     ], ids=["under-parked", "over-leaving"])
     def test_blocking_masks_match_brute_force(self, b_y, b_in, b_out, t_in):
         inst = make_instance(future=[make_future("a"), make_future("b")])
-        fixed = [(inst.aircraft("b"), accept("b", 5.0, b_y, b_in, b_out))]
-        f = inst.aircraft("a")
+        fixed = [(specs(inst)["b"], accept("b", 5.0, b_y, b_in, b_out))]
+        f = specs(inst)["a"]
         cand = ach.find_best_placement(f, t_in, fixed, inst)
         assert (cand.x, cand.y) == brute_force_placement(f, t_in, fixed, inst) == (34.0, 5.0)
 
     def test_tie_breaks_prefer_smaller_y(self):
         inst = make_instance(future=[make_future("a")])
-        cand = ach.find_best_placement(inst.aircraft("a"), 0.0, [], inst)
+        cand = ach.find_best_placement(specs(inst)["a"], 0.0, [], inst)
         # (5, 5) beats any other x+y=10 cell by the y-then-x rule
         assert (cand.x, cand.y) == (5.0, 5.0)
 
     def test_none_when_hangar_occupied(self):
         inst = make_instance(future=[make_future("a"),
                                      make_future("big", width=45.0, length=48.0)])
-        fixed = [(inst.aircraft("big"), accept("big", 5.0, 5.0, 0.0, 300.0))]
-        assert ach.find_best_placement(inst.aircraft("a"), 0.2, fixed, inst) is None
+        fixed = [(specs(inst)["big"], accept("big", 5.0, 5.0, 0.0, 300.0))]
+        assert ach.find_best_placement(specs(inst)["a"], 0.2, fixed, inst) is None
 
 
 class TestCommitCurrent:
@@ -220,7 +220,7 @@ class TestSolve:
         f = make_future("a", eta=12.0, service=100.0)
         inst = make_instance(future=[f])
         sol = ach.solve(inst)
-        asg = sol.assignment("a")
+        asg = sol.by_id()["a"]
         assert asg.accept
         assert (asg.x, asg.y) == (5.0, 5.0)
         assert asg.roll_in == pytest.approx(12.0)
@@ -233,7 +233,7 @@ class TestSolve:
         f = make_future("a", eta=0.0, service=100.0, p_rej=800.0, p_arr=10.0)
         inst = make_instance(future=[f], current=[c])
         sol = ach.solve(inst)
-        assert not sol.assignment("a").accept
+        assert not sol.by_id()["a"].accept
 
     def test_accepts_with_delay_when_worthwhile(self):
         c = make_current("c", width=45.0, length=48.0, x=5.0, y=5.0,
@@ -241,7 +241,7 @@ class TestSolve:
         f = make_future("a", eta=0.0, service=100.0, p_rej=800.0, p_arr=10.0)
         inst = make_instance(future=[f], current=[c])
         sol = ach.solve(inst)
-        asg = sol.assignment("a")
+        asg = sol.by_id()["a"]
         assert asg.accept
         assert asg.roll_in == pytest.approx(50.1)  # right after c departs
 
@@ -250,7 +250,7 @@ class TestSolve:
             inst = instgen.generate(instgen.GeneratorConfig(n_future=6, seed=seed))
             sol = ach.solve(inst)
             for f in inst.future:
-                asg = sol.assignment(f.id)
+                asg = sol.by_id()[f.id]
                 if asg.accept:
                     d_arr = max(0.0, asg.roll_in - f.eta)
                     assert f.p_arr * d_arr <= f.p_rej + 1e-6
@@ -288,9 +288,9 @@ class TestTermination:
         inst = make_instance(future=[wide, placed] if placed_first else [wide])
         with time_limit(10.0):
             sol = ach.solve(inst)
-        assert not sol.assignment("wide").accept
+        assert not sol.by_id()["wide"].accept
         if placed_first:
-            assert sol.assignment("a").accept
+            assert sol.by_id()["a"].accept
 
 
 def stepping_solve(instance):
@@ -299,23 +299,16 @@ def stepping_solve(instance):
     break-even times."""
     h = instance.hangar
     fixed = ach._commit_current(instance)
-    by_id = {f.id: f for f in instance.future}
     assignments = {s.id: a for s, a in fixed}
-    for fid in ach.prioritize(instance):
-        f = by_id[fid]
+    for f in ach.prioritize(instance):
         t_max = ach.max_admissible_time(f)
-        assignments[fid] = Assignment(aircraft_id=fid, accept=False)
+        assignments[f.id] = Assignment(aircraft_id=f.id, accept=False)
         k = 0
         while f.eta + k * h.eps_t <= t_max + TOL:
-            cand = ach.find_best_placement(f, f.eta + k * h.eps_t, fixed, instance)
-            if cand is not None:
-                asg = Assignment(
-                    aircraft_id=fid, accept=True, x=cand.x, y=cand.y,
-                    roll_in=cand.t_in, roll_out=cand.t_out,
-                    d_arr=max(0.0, cand.t_in - f.eta),
-                    d_dep=max(0.0, cand.t_out - f.etd))
+            asg = ach.find_best_placement(f, f.eta + k * h.eps_t, fixed, instance)
+            if asg is not None:
                 fixed.append((f, asg))
-                assignments[fid] = asg
+                assignments[f.id] = asg
                 break
             k += 1
     return Solution(instance_label=instance.label,
@@ -381,7 +374,7 @@ class TestScanAgainstValidator:
             hangar=HangarConfig(hl=hl)))
         plan = ach.solve(inst)
         held = inst.future[pick % n]
-        fixed = [(a, plan.assignment(a.id)) for a in inst.all_aircraft() if a.id != held.id]
+        fixed = [(a, plan.by_id()[a.id]) for a in inst.all_aircraft() if a.id != held.id]
         # roll-ins on the lattice from eta and next to every committed
         # movement, where the separation and blocking windows switch
         eps_t = inst.hangar.eps_t

@@ -86,9 +86,9 @@ class TestSolveAndValidate:
             res = run(runner, ["solve-ach", "-i", str(ip), "-o", str(sp)])
         assert res.exit_code == 0
         sol = io.load_solution(sp)
-        assert not sol.assignment("wide").accept
+        assert not sol.by_id()["wide"].accept
         if placed_first:
-            assert sol.assignment("a").accept
+            assert sol.by_id()["a"].accept
 
     def test_validate_json_output(self, runner, tmp_path):
         inst = self._gen(runner, tmp_path)
@@ -414,6 +414,34 @@ def test_bad_option_value_exit_3(runner, tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+#: click's own usage errors, each with the start of click's message.
+USAGE_ERRORS = {
+    "gen-without-n": (["gen", "--seed", "1", "-o", "x.json"], "Missing option '--n'"),
+    "gen-n-not-int": (["gen", "--n", "x", "--seed", "1", "-o", "x.json"],
+                      "Invalid value for '--n': 'x' is not a valid integer"),
+    "unknown-command": (["bogus"], "No such command 'bogus'"),
+    "missing-instance-file": (["solve-ach", "-i", "missing.json", "-o", "x.json"],
+                              "Invalid value for '-i': File 'missing.json' does not exist"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_exit_3(runner, tmp_path, case):
+    """Usage errors are input errors: exit 3, not 2, the infeasible-plan code;
+    click's usage message is kept."""
+    args, message = USAGE_ERRORS[case]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = run(runner, args)
+    assert res.exit_code == 3
+    assert "Usage:" in res.output and f"Error: {message}" in res.output
+
+
+@pytest.mark.parametrize("args", [["--help"], ["gen", "--help"]])
+def test_help_exit_0(runner, args):
+    res = run(runner, args)
+    assert res.exit_code == 0 and "Usage:" in res.output
+
+
 def _set(path, value):
     """An edit of a JSON document that sets the value at ``path``."""
     def edit(doc):
@@ -557,14 +585,58 @@ class TestPerturbedLp:
         model = milp.build_model(instance)
         point = milp.derive_binaries(instance, ach.solve(instance), model)
         text = _perturb_lp(milp.export_lp(model), action, line_no, token_no)
-        runner = CliRunner()
-        with tempfile.TemporaryDirectory() as tmp:
-            ip, lp, pp = Path(tmp) / "i.json", Path(tmp) / "m.lp", Path(tmp) / "p.txt"
-            io.save_instance(instance, ip)
-            lp.write_text(text)
-            pp.write_text("".join(f"{k} {v!r}\n" for k, v in point.items()))
-            with time_limit(20.0):
-                res = runner.invoke(cli.main, ["import", "-i", str(ip), "-m", str(lp),
-                                               "-p", str(pp), "-o", str(Path(tmp) / "o.json")])
+        res = _import(instance, text, _point_text(point))
+        assert res.exit_code in (0, 2, 3), (action, res.output, res.exception)
+        assert "Traceback" not in res.output
+
+
+def _point_text(point: dict[str, float]) -> str:
+    return "".join(f"{k} {v!r}\n" for k, v in point.items())
+
+
+def _import(instance, model_text: str, point_text: str):
+    """``hangarplan import`` of the two texts for the instance."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ip, lp, pp = Path(tmp) / "i.json", Path(tmp) / "m.lp", Path(tmp) / "p.txt"
+        io.save_instance(instance, ip)
+        lp.write_text(model_text)
+        pp.write_text(point_text)
+        with time_limit(20.0):
+            return CliRunner().invoke(cli.main, ["import", "-i", str(ip), "-m", str(lp),
+                                                 "-p", str(pp), "-o", str(Path(tmp) / "o.json")])
+
+
+def _perturb_point(text: str, action: str, line_no: int) -> str:
+    """One edit of a point file: drop or duplicate a line, swap a name and
+    its value, set a value to text or to +-1e308, or flip an ``Accept``."""
+    lines = text.splitlines()
+    rows = [k for k, ln in enumerate(lines) if action != "flip" or ln.startswith("Accept(")]
+    if not rows:
+        return text
+    i = rows[line_no % len(rows)]
+    name, value = lines[i].split(" ")
+    lines[i:i + 1] = {"drop": [], "duplicate": [lines[i]] * 2, "swap": [f"{value} {name}"],
+                      "text": [f"{name} x1"], "huge": [f"{name} 1e308"],
+                      "-huge": [f"{name} -1e308"],
+                      "flip": [f"{name} {1.0 - float(value)!r}"]}[action]
+    return "".join(ln + "\n" for ln in lines)
+
+
+class TestPerturbedPoint:
+    """A perturbed point file given to ``import`` ends in exit 0, 2 or 3,
+    never in a traceback."""
+
+    @settings(max_examples=10, deadline=timedelta(seconds=30))
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 6), n_current=st.integers(0, 3),
+           action=st.sampled_from(["drop", "duplicate", "swap", "text", "huge", "-huge",
+                                   "flip"]),
+           line_no=st.integers(0, 10**6))
+    def test_import_no_traceback(self, seed, n, n_current, action, line_no):
+        instance = instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed))
+        model = milp.build_model(instance)
+        point = milp.derive_binaries(instance, ach.solve(instance), model)
+        res = _import(instance, milp.export_lp(model),
+                      _perturb_point(_point_text(point), action, line_no))
         assert res.exit_code in (0, 2, 3), (action, res.output, res.exception)
         assert "Traceback" not in res.output

@@ -99,10 +99,8 @@ class TestInstance:
 
     def test_lookup(self):
         inst = make_instance(future=[make_future("a")], current=[make_current("c")])
-        assert inst.aircraft("a").kind is Kind.FUTURE
         assert [a.id for a in inst.all_aircraft()] == ["c", "a"]
-        with pytest.raises(KeyError):
-            inst.aircraft("zz")
+        assert [a.kind for a in inst.all_aircraft()] == [Kind.CURRENT, Kind.FUTURE]
 
 
 class TestGeometry:

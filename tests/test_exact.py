@@ -31,7 +31,7 @@ class TestTrivialOptima:
         inst = make_instance(future=[f])
         res = exact.solve_exact(inst)
         assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
-        asg = res.solution.assignment("a")
+        asg = res.solution.by_id()["a"]
         assert asg.accept
         assert (asg.x, asg.y) == (5.0, 5.0)
         assert asg.roll_in == pytest.approx(12.0)
@@ -155,8 +155,8 @@ class TestTimeGridCrossCheck:
         with time_limit(1.0):
             res = exact.solve_exact(inst, exact.OracleConfig(time_grid_step=0.5))
         assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
-        assert res.solution.assignment("a").accept
-        assert not res.solution.assignment("wide").accept
+        assert res.solution.by_id()["a"].accept
+        assert not res.solution.by_id()["wide"].accept
 
 
     def test_grid_mode_matches_event_driven(self):
@@ -365,7 +365,7 @@ class TestPrunedLayoutSearch:
         inst = make_instance(future=[make_future("a"), make_future("b", eta=0.5)])
         got, want = _solve_both(inst)
         _assert_matches_product(got, want)
-        assert (got.solution.assignment("a").x, got.solution.assignment("b").x) == (5.0, 34.0)
+        assert (got.solution.by_id()["a"].x, got.solution.by_id()["b"].x) == (5.0, 34.0)
 
     @pytest.mark.parametrize("parked,future,placed", [
         ((45.5, 5.5), [("a", 17.3, 19.1), ("b", 13.6, 15.2), ("d", 11.9, 25.4)], "cad"),

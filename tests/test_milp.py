@@ -22,6 +22,7 @@ from conftest import (
     make_future,
     make_instance,
     manual_solution,
+    time_limit,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -234,7 +235,7 @@ class TestDeriveBinaries:
         f = make_future("a01", eta=0.0, service=100.0, p_rej=800.0, p_arr=10.0)
         inst = make_instance(future=[f], current=[c])
         sol = ach.solve(inst)
-        assert not sol.assignment("a01").accept
+        assert not sol.by_id()["a01"].accept
         point = milp.derive_binaries(inst, sol)
         assert point["Accept(a01)"] == 0.0
         assert point["X(a01)"] == 0.0
@@ -344,7 +345,7 @@ class TestImport:
         point = milp.derive_binaries(inst, sol, model)
         imported = milp.import_solution(model, inst, self._point_text(point))
         for a in inst.all_aircraft():
-            orig, back = sol.assignment(a.id), imported.assignment(a.id)
+            orig, back = sol.by_id()[a.id], imported.by_id()[a.id]
             assert back.accept == orig.accept
             if orig.accept:
                 assert back.x == pytest.approx(orig.x)
@@ -355,7 +356,7 @@ class TestImport:
         inst = single_aircraft_instance()
         model = milp.build_model(inst)
         imported = milp.import_solution(model, inst, "Const 1\n")
-        assert not imported.assignment("a01").accept
+        assert not imported.by_id()["a01"].accept
 
     def test_model_of_other_instance_rejected(self):
         inst = three_aircraft_instance()
@@ -433,3 +434,20 @@ class TestRowLayerProperties:
     def test_parse_is_a_fixed_point(self, instance):
         parsed = milp.parse_lp(milp.export_lp(milp.build_model(instance)))
         assert milp.parse_lp(milp.export_lp(parsed)) == parsed
+
+
+class TestHeuristicPlanProperties:
+    """``ach`` plans of generated instances pass the validator, and their
+    derived point satisfies every row at the validator's cost."""
+
+    @settings(max_examples=10, deadline=timedelta(seconds=30))
+    @given(instance=instgen_instances())
+    def test_plan_point_satisfies_every_row(self, instance):
+        with time_limit(25.0):
+            solution = ach.solve(instance)
+            rep = validator.validate(instance, solution)
+            model = milp.build_model(instance)
+            point = milp.derive_binaries(instance, solution, model)
+            assert rep.feasible, validator.explain(rep)
+            assert milp.check_satisfaction(model, point) == []
+            assert milp.objective_value(model, point) == pytest.approx(rep.cost.total, abs=1e-6)

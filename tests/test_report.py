@@ -109,8 +109,7 @@ class TestRenderReport:
                              current=[c])
         sol = manual_solution(inst, {"c": accept("c", 5.0, 5.0, 0.0, 100.0,
                                                  etd=c.etd)})
-        out = report.render_report(inst, sol, evaluate_cost(inst, sol),
-                                   tmp_path / "report.html")
+        out = report.render_report(inst, sol, tmp_path / "report.html")
         html = out.read_text()
         # rejected table lists both future aircraft with their penalties
         assert html.count("<td>a</td>") + html.count("<td>b</td>") == 2
@@ -121,14 +120,12 @@ class TestRenderReport:
     def test_cost_breakdown_totals(self, tmp_path):
         inst, sol = simple_plan()
         cost = evaluate_cost(inst, sol)
-        html = report.render_report(inst, sol, cost,
-                                    tmp_path / "r.html").read_text()
+        html = report.render_report(inst, sol, tmp_path / "r.html").read_text()
         assert f"<td>{cost.total:.3f}</td>" in html
 
     def test_self_contained(self, tmp_path):
         inst, sol = simple_plan()
-        html = report.render_report(inst, sol, evaluate_cost(inst, sol),
-                                    tmp_path / "r.html").read_text()
+        html = report.render_report(inst, sol, tmp_path / "r.html").read_text()
         assert "<svg" in html           # frames and timeline are inline
         assert "http-equiv" not in html
         assert not re.search(r'src="https?://', html)
@@ -136,15 +133,13 @@ class TestRenderReport:
     def test_byte_deterministic(self, tmp_path):
         inst = instgen.generate(instgen.GeneratorConfig(n_future=3, seed=8))
         sol = ach.solve(inst)
-        cost = evaluate_cost(inst, sol)
-        a = report.render_report(inst, sol, cost, tmp_path / "a.html")
-        b = report.render_report(inst, sol, cost, tmp_path / "b.html")
+        a = report.render_report(inst, sol, tmp_path / "a.html")
+        b = report.render_report(inst, sol, tmp_path / "b.html")
         assert a.read_bytes() == b.read_bytes()
 
     def test_infeasible_solution_still_reports(self, tmp_path):
         f = make_future("a")
         inst = make_instance(future=[f])
         sol = manual_solution(inst, {"a": accept("a", 1.0, 5.0, 0.0, 100.0)})
-        html = report.render_report(inst, sol, evaluate_cost(inst, sol),
-                                    tmp_path / "r.html").read_text()
+        html = report.render_report(inst, sol, tmp_path / "r.html").read_text()
         assert "infeasible or empty" in html
