@@ -2,7 +2,9 @@
 (heuristic and exact), export/import the optimization model, validate,
 render, and compare.
 
-Exit codes: 0 ok, 2 infeasible, 3 parse or usage error, 4 budget exhausted.
+Exit codes: 0 ok, 2 infeasible, 3 parse or usage error (an option value
+out of range, or an input or output file that cannot be read, decoded as
+UTF-8, parsed or written), 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import click
 
 from . import ach, exact, instgen, milp, report, validator
 from .core import evaluate_cost
-from .io import ParseError, load_instance, load_solution, save_instance, save_solution
+from .io import (ParseError, load_instance, load_solution, parse_json, read_file,
+                 save_instance, save_solution)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -44,46 +47,50 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _load_instance(path: str):
-    try:
-        return load_instance(path)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_PARSE, f"cannot read instance {path}: {exc}")
-
-
 def _load_plan(instance_path: str, solution_path: str):
     """The instance and a solution that assigns every one of its aircraft."""
-    instance = _load_instance(instance_path)
-    try:
-        solution = load_solution(solution_path)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_PARSE, f"cannot read solution {solution_path}: {exc}")
+    instance = load_instance(instance_path)
+    solution = load_solution(solution_path)
     assigned = solution.by_id()
     missing = [a.id for a in instance.all_aircraft() if a.id not in assigned]
     if missing:
-        _fail(EXIT_PARSE, f"solution {solution_path} has no assignment for {', '.join(missing)}")
+        raise ParseError(f"solution {solution_path} has no assignment for {', '.join(missing)}")
     return instance, solution
 
 
-def _usage_exits_parse(call, *args, **kwargs):
-    """``call(*args, **kwargs)``, where a click usage error exits 3, not
-    click's own 2, the infeasible-plan code; click still prints its message."""
+def _options(make, **values):
+    """``make(**values)``; an option value that ``make`` refuses is a ParseError."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _bad_input_exits_parse(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, where bad input exits 3.  A click usage
+    error keeps click's message, but not click's own code 2, the
+    infeasible-plan code.  A ParseError, or an OSError from a file that
+    cannot be written, prints one ``error:`` line."""
     try:
         return call(*args, **kwargs)
     except click.UsageError as exc:
         exc.exit_code = EXIT_PARSE
         raise
+    except BrokenPipeError:
+        raise  # click ends quietly when the reader of its output goes away
+    except (ParseError, OSError) as exc:
+        _fail(EXIT_PARSE, str(exc))
 
 
 class _Group(click.Group):
     """The command group: it parses its own options and resolves, parses and
-    runs the command, so every usage error passes through here."""
+    runs the command, so every input error passes through here."""
 
     def make_context(self, *args, **kwargs):
-        return _usage_exits_parse(super().make_context, *args, **kwargs)
+        return _bad_input_exits_parse(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _usage_exits_parse(super().invoke, ctx)
+        return _bad_input_exits_parse(super().invoke, ctx)
 
 
 @click.group(cls=_Group)
@@ -94,13 +101,10 @@ class _Group(click.Group):
 def main(ctx: click.Context, config_path: Optional[str]) -> None:
     """Hangar scheduling and layout toolkit."""
     if config_path:
-        try:
-            defaults = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            _fail(EXIT_PARSE, f"cannot read config {config_path}: {exc}")
+        defaults = read_file(config_path, "config", parse_json)
         if not (isinstance(defaults, dict)
                 and all(isinstance(v, dict) for v in defaults.values())):
-            _fail(EXIT_PARSE, f"config {config_path} must map each command to an object")
+            raise ParseError(f"config {config_path} must map each command to an object")
         ctx.default_map = _checked_defaults(ctx, defaults, config_path)
 
 
@@ -119,13 +123,13 @@ def _checked_defaults(ctx: click.Context, defaults: dict, config_path: str) -> d
     for name, values in defaults.items():
         command = main.commands.get(name)
         if command is None:
-            _fail(EXIT_PARSE, f"config {config_path}: unknown command {name!r}")
+            raise ParseError(f"config {config_path}: unknown command {name!r}")
         params = {p.name: p for p in command.params}
         checked[name] = {}
         for key, value in values.items():
             param = params.get(key)
             if param is None:
-                _fail(EXIT_PARSE, f"config {config_path}: {name} has no option {key!r}")
+                raise ParseError(f"config {config_path}: {name} has no option {key!r}")
             try:
                 if param.nargs == -1:
                     if not isinstance(value, list):
@@ -135,7 +139,7 @@ def _checked_defaults(ctx: click.Context, defaults: dict, config_path: str) -> d
                     text = _option_text(value)
                 checked[name][key] = param.type_cast_value(ctx, text)
             except (TypeError, ValueError, click.BadParameter) as exc:
-                _fail(EXIT_PARSE, f"config {config_path}: {name} {key}: {exc}")
+                raise ParseError(f"config {config_path}: {name} {key}: {exc}") from exc
     return checked
 
 
@@ -151,13 +155,10 @@ def _checked_defaults(ctx: click.Context, defaults: dict, config_path: str) -> d
 def gen(n_future: int, seed: int, congestion: float, high_rejection: bool,
         n_current: int, out: str) -> None:
     """Generate a reproducible instance file."""
-    try:
-        config = instgen.GeneratorConfig(
-            n_future=n_future, n_current=n_current, seed=seed,
-            congestion=congestion,
-            rejection_multiplier=10.0 if high_rejection else 1.0)
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    config = _options(instgen.GeneratorConfig,
+                      n_future=n_future, n_current=n_current, seed=seed,
+                      congestion=congestion,
+                      rejection_multiplier=10.0 if high_rejection else 1.0)
     instance = instgen.generate(config)
     save_instance(instance, out)
     click.echo(f"wrote {out} ({instance.label}: {len(instance.future)} future, "
@@ -169,7 +170,7 @@ def gen(n_future: int, seed: int, congestion: float, high_rejection: bool,
 @click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
 def solve_ach(instance_path: str, out: str) -> None:
     """Solve with the constructive heuristic."""
-    instance = _load_instance(instance_path)
+    instance = load_instance(instance_path)
     solution = ach.solve(instance)
     save_solution(solution, out)
     cost = evaluate_cost(instance, solution)
@@ -188,16 +189,10 @@ def solve_ach(instance_path: str, out: str) -> None:
 def solve_exact(instance_path: str, out: str, node_budget: int,
                 time_budget: float, allow_large: bool) -> None:
     """Solve to grid-certified optimality (tiny instances only)."""
-    instance = _load_instance(instance_path)
-    try:
-        config = exact.OracleConfig(node_budget=node_budget, time_budget=time_budget,
-                                    allow_large=allow_large)
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    try:
-        result = exact.solve_exact(instance, config)
-    except exact.InstanceTooLarge as exc:
-        _fail(EXIT_PARSE, str(exc))
+    instance = load_instance(instance_path)
+    config = _options(exact.OracleConfig, node_budget=node_budget,
+                      time_budget=time_budget, allow_large=allow_large)
+    result = exact.solve_exact(instance, config)
     save_solution(result.solution, out)
     click.echo(f"wrote {out} (status {result.status.value}, "
                f"cost {result.cost.total:.6g}, nodes {result.nodes_explored})")
@@ -210,7 +205,7 @@ def solve_exact(instance_path: str, out: str, node_budget: int,
 @click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
 def export_milp(instance_path: str, out: str) -> None:
     """Export the optimization model in LP text format."""
-    instance = _load_instance(instance_path)
+    instance = load_instance(instance_path)
     model = milp.build_model(instance)
     Path(out).write_text(milp.export_lp(model))
     click.echo(f"wrote {out} ({len(model.variables)} variables, {len(model.rows)} rows)")
@@ -223,19 +218,11 @@ def export_milp(instance_path: str, out: str) -> None:
 @click.option("-o", "out", type=click.Path(dir_okay=False), required=True)
 def import_point(instance_path: str, model_path: str, point_path: str, out: str) -> None:
     """Turn a solver variable dump back into a validated plan."""
-    instance = _load_instance(instance_path)
+    instance = load_instance(instance_path)
+    model = read_file(model_path, "model", milp.parse_lp)
     try:
-        model = milp.parse_lp(Path(model_path).read_text())
-    except (ParseError, OSError) as exc:
-        _fail(EXIT_PARSE, f"cannot read model {model_path}: {exc}")
-    try:
-        point_text = Path(point_path).read_text()
-    except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot read point {point_path}: {exc}")
-    try:
-        solution = milp.import_solution(model, instance, point_text)
-    except ParseError as exc:
-        _fail(EXIT_PARSE, f"cannot import {point_path}: {exc}")
+        solution = read_file(point_path, "point",
+                             lambda text: milp.import_solution(model, instance, text))
     except milp.InfeasibleImport as exc:
         click.echo(validator.explain(exc.report), err=True)
         _fail(EXIT_INFEASIBLE, "imported point is infeasible")
@@ -298,15 +285,13 @@ def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool
 def compare(instances: tuple[str, ...], out_csv: str, node_budget: int,
             time_budget: float, as_json: bool) -> None:
     """Solve each instance with heuristic and oracle; write a gap table."""
-    try:
-        oracle_config = exact.OracleConfig(node_budget=node_budget, time_budget=time_budget)
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    oracle_config = _options(exact.OracleConfig, node_budget=node_budget,
+                             time_budget=time_budget)
     rows: list[CompareRow] = []
     for path in instances:
         try:
             instance = load_instance(path)
-        except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+        except ParseError as exc:
             rows.append(CompareRow(path, None, None, None, None, None,
                                    error=f"parse: {exc}"))
             continue

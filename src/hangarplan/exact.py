@@ -36,11 +36,12 @@ from .core import (
     separated,
     window_blocks,
 )
+from .io import ParseError
 
 
-class InstanceTooLarge(Exception):
+class InstanceTooLarge(ParseError):
     """The instance exceeds the documented desk-scale bound (override with
-    ``allow_large=True``)."""
+    ``allow_large=True``); an input error, so the CLI exits 3."""
 
 
 class OracleStatus(str, Enum):

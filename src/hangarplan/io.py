@@ -1,4 +1,5 @@
-"""JSON (de)serialization for instances and solutions.
+"""JSON (de)serialization for instances and solutions, and the one reader
+of input files.
 
 Field names match the domain types one to one; times are hours, lengths are
 meters, costs are dimensionless.
@@ -9,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, TypeVar, Union
 
 from .core import (
     AircraftSpec,
@@ -22,10 +23,12 @@ from .core import (
 )
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 
-class ParseError(Exception):
-    """Structurally invalid instance/solution document."""
+class ParseError(ValueError):
+    """An input the program refuses: a file that cannot be read, decoded or
+    parsed, a document that is not valid, or an option value out of range."""
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
@@ -63,6 +66,33 @@ def _number(obj: dict, key: str, context: str) -> float:
     raise ParseError(f"{context}: expected a finite number, got {value!r}", field=key)
 
 
+def _make(make: Callable[..., T], context: str, *args: Any, **kwargs: Any) -> T:
+    """``make(*args, **kwargs)``, where a value the domain type refuses is a
+    ParseError; one raised while reading the arguments keeps its field."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad {context}: {exc}") from exc
+
+
+def read_file(path: PathLike, what: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of the UTF-8 text of the input file ``path``.  A file that
+    cannot be read or decoded, or whose text ``parse`` refuses with a
+    ParseError, raises a ParseError that names it as ``what``."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_json(text: str) -> Any:
+    """The JSON document in ``text``; ParseError if it is not one."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Instance
 # ---------------------------------------------------------------------------
@@ -73,12 +103,9 @@ def hangar_to_dict(h: HangarConfig) -> dict:
 
 
 def hangar_from_dict(d: dict) -> HangarConfig:
-    fields = {k: _number(d, k, "hangar")
-              for k in ("hw", "hl", "buffer", "eps_t", "eps_p", "grid_step")}
-    try:
-        return HangarConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad hangar record: {exc}") from exc
+    return _make(HangarConfig, "hangar record",
+                 **{k: _number(d, k, "hangar")
+                    for k in ("hw", "hl", "buffer", "eps_t", "eps_p", "grid_step")})
 
 
 def aircraft_to_dict(a: AircraftSpec) -> dict:
@@ -100,14 +127,12 @@ def aircraft_to_dict(a: AircraftSpec) -> dict:
 def aircraft_from_dict(d: dict) -> AircraftSpec:
     aid = _field(d, "id", "aircraft", str)
     ctx = f"aircraft {aid}"
-    try:
-        kind = Kind(_field(d, "kind", ctx))
-        numbers = ("width", "length", "eta", "etd", "service", "p_dep") + (
-            ("p_rej", "p_arr") if kind is Kind.FUTURE else ("x_init", "y_init"))
-        return AircraftSpec(id=aid, kind=kind, vip=_field(d, "vip", ctx, bool, False),
-                            **{k: _number(d, k, ctx) for k in numbers})
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad aircraft record {aid}: {exc}") from exc
+    kind = _make(Kind, f"aircraft record {aid}", _field(d, "kind", ctx))
+    numbers = ("width", "length", "eta", "etd", "service", "p_dep") + (
+        ("p_rej", "p_arr") if kind is Kind.FUTURE else ("x_init", "y_init"))
+    return _make(AircraftSpec, f"aircraft record {aid}", id=aid, kind=kind,
+                 vip=_field(d, "vip", ctx, bool, False),
+                 **{k: _number(d, k, ctx) for k in numbers})
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -120,7 +145,8 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    return Instance(
+    return _make(
+        Instance, "instance",
         hangar=hangar_from_dict(_field(d, "hangar", "instance")),
         current=tuple(map(aircraft_from_dict, _field(d, "current", "instance", list, []))),
         future=tuple(map(aircraft_from_dict, _field(d, "future", "instance", list, []))),
@@ -133,11 +159,7 @@ def save_instance(inst: Instance, path: PathLike) -> None:
 
 
 def load_instance(path: PathLike) -> Instance:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return instance_from_dict(data)
+    return read_file(path, "instance", lambda text: instance_from_dict(parse_json(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +191,11 @@ def solution_to_dict(sol: Solution) -> dict:
 
 
 def solution_from_dict(d: dict) -> Solution:
-    return Solution(
+    return _make(
+        Solution, "solution",
         instance_label=_field(d, "instance_label", "solution", str, ""),
         assignments=tuple(map(assignment_from_dict, _field(d, "assignments", "solution", list))),
-        provenance=Provenance(d.get("provenance", "manual")),
+        provenance=_make(Provenance, "solution", d.get("provenance", "manual")),
     )
 
 
@@ -181,8 +204,4 @@ def save_solution(sol: Solution, path: PathLike) -> None:
 
 
 def load_solution(path: PathLike) -> Solution:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return solution_from_dict(data)
+    return read_file(path, "solution", lambda text: solution_from_dict(parse_json(text)))

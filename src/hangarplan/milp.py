@@ -654,13 +654,7 @@ def parse_point(text: str) -> dict[str, float]:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'name value', got {raw!r}")
-        try:
-            value = float(tokens[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad numeric value {tokens[1]!r}") from exc
-        if not math.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite value {tokens[1]!r}")
-        point[tokens[0]] = value
+        point[tokens[0]] = _number(tokens[1], f"line {lineno}")
     return point
 
 

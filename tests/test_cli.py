@@ -640,3 +640,109 @@ class TestPerturbedPoint:
                       _perturb_point(_point_text(point), action, line_no))
         assert res.exit_code in (0, 2, 3), (action, res.output, res.exception)
         assert "Traceback" not in res.output
+
+
+def _chain_files(runner, tmp: Path) -> dict[str, Path]:
+    """The input files of the README chain for a two-request instance: the
+    instance, its heuristic plan, its LP model and a point that rejects both
+    requests."""
+    files = {"i": tmp / "inst.json", "s": tmp / "sol.json",
+             "m": tmp / "model.lp", "p": tmp / "point.txt"}
+    run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(files["i"])])
+    run(runner, ["solve-ach", "-i", str(files["i"]), "-o", str(files["s"])])
+    run(runner, ["export-milp", "-i", str(files["i"]), "-o", str(files["m"])])
+    files["p"].write_text("Accept(a01) 0\nAccept(a02) 0\n")
+    return files
+
+
+#: For each file input, a command that reads ``bad`` there and the chain's
+#: files everywhere else.
+FILE_INPUTS = {
+    "-i": lambda f, bad: ["validate", "-i", bad, "-s", f["s"]],
+    "-s": lambda f, bad: ["validate", "-i", f["i"], "-s", bad],
+    "-m": lambda f, bad: ["import", "-i", f["i"], "-m", bad, "-p", f["p"],
+                          "-o", f["i"].parent / "out.json"],
+    "-p": lambda f, bad: ["import", "-i", f["i"], "-m", f["m"], "-p", bad,
+                          "-o", f["i"].parent / "out.json"],
+    "--config": lambda f, bad: ["--config", bad, "gen", "--n", "2", "--seed", "1",
+                                "-o", f["i"].parent / "out.json"],
+}
+
+#: File contents that no input may turn into a traceback.
+BAD_BYTES = {
+    "non-utf8": b"\xff\xfe\x00bad",
+    "deep-json": b"[" * 100_000,
+    "huge-int": b"1" * 5000,
+}
+
+#: For each command that writes a file, its arguments with output ``out``.
+WRITERS = {
+    "gen": lambda f, out: ["gen", "--n", "2", "--seed", "1", "-o", out],
+    "solve-ach": lambda f, out: ["solve-ach", "-i", f["i"], "-o", out],
+    "solve-exact": lambda f, out: ["solve-exact", "-i", f["i"], "-o", out],
+    "export-milp": lambda f, out: ["export-milp", "-i", f["i"], "-o", out],
+    "import": lambda f, out: ["import", "-i", f["i"], "-m", f["m"], "-p", f["p"], "-o", out],
+    "compare": lambda f, out: ["compare", f["i"], "-o", out],
+}
+
+
+def _assert_file_error(res, path):
+    """Exit 3 with one ``error:`` line that names ``path``, and no traceback."""
+    assert res.exit_code == 3, res.output
+    assert "Traceback" not in res.output
+    errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0], res.output
+
+
+class TestFileErrors:
+    """An input file that cannot be read, decoded as UTF-8 or parsed, and an
+    output file that cannot be written, exit 3 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("content", list(BAD_BYTES))
+    @pytest.mark.parametrize("which", list(FILE_INPUTS))
+    def test_unreadable_input(self, runner, tmp_path, which, content):
+        files = _chain_files(runner, tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(BAD_BYTES[content])
+        res = run(runner, [str(a) for a in FILE_INPUTS[which](files, bad)])
+        _assert_file_error(res, bad)
+
+    @pytest.mark.parametrize("command", list(WRITERS))
+    def test_output_under_missing_directory(self, runner, tmp_path, command):
+        files = _chain_files(runner, tmp_path)
+        out = tmp_path / "missing" / "out"
+        res = run(runner, [str(a) for a in WRITERS[command](files, out)])
+        _assert_file_error(res, out)
+
+    def test_render_under_a_file(self, runner, tmp_path):
+        files = _chain_files(runner, tmp_path)
+        out = files["i"] / "frames"
+        res = run(runner, ["render", "-i", str(files["i"]), "-s", str(files["s"]),
+                           "-o", str(out)])
+        _assert_file_error(res, out)
+
+    def test_broken_pipe_left_to_click(self):
+        """A reader that stops reading the output is no input error: click
+        ends quietly with exit 1."""
+        def write():
+            raise BrokenPipeError(32, "Broken pipe")
+        with pytest.raises(BrokenPipeError):
+            cli._bad_input_exits_parse(write)
+
+
+class TestArbitraryBytes:
+    """Arbitrary bytes as any one input file end in exit 0, 2 or 3, never in
+    a traceback."""
+
+    @settings(max_examples=10, deadline=timedelta(seconds=30))
+    @given(data=st.binary(), which=st.sampled_from(list(FILE_INPUTS)))
+    def test_no_traceback(self, data, which):
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            files = _chain_files(runner, Path(tmp))
+            bad = Path(tmp) / "bad.bin"
+            bad.write_bytes(data)
+            with time_limit(20.0):
+                res = runner.invoke(cli.main, [str(a) for a in FILE_INPUTS[which](files, bad)])
+        assert res.exit_code in (0, 2, 3), (which, data, res.output, res.exception)
+        assert "Traceback" not in res.output

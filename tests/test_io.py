@@ -1,5 +1,6 @@
 """JSON round-trips and structured parse errors."""
 
+import copy
 import json
 
 import pytest
@@ -119,3 +120,43 @@ class TestSolutionIO:
         io.save_instance(instance, p2)
         assert p1.read_bytes() == p2.read_bytes()
         json.loads(p1.read_text())  # well-formed
+
+
+def _append_copy(key):
+    """An edit of a JSON document that repeats the first entry of ``key``."""
+    return lambda doc: doc[key].append(copy.deepcopy(doc[key][0]))
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+#: (document, edit): each edit keeps every field's JSON type but describes
+#: no valid instance or plan.
+MALFORMED = {
+    "duplicate-aircraft-ids": ("instance", _append_copy("future")),
+    "current-listed-under-future": (
+        "instance", lambda doc: doc["future"].append(doc["current"].pop())),
+    "initial-position-out-of-bounds": (
+        "instance", lambda doc: doc["current"][0].__setitem__("x_init", -10.0)),
+    "duplicate-assignments": ("solution", _append_copy("assignments")),
+    "provenance-bogus": ("solution", _set("provenance", "bogus")),
+    "provenance-list": ("solution", _set("provenance", [1])),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_is_parse_error(instance, tmp_path, case):
+    which, edit = MALFORMED[case]
+    if which == "instance":
+        doc, from_dict, load = io.instance_to_dict(instance), io.instance_from_dict, io.load_instance
+    else:
+        doc = io.solution_to_dict(manual_solution(instance, {}))
+        from_dict, load = io.solution_from_dict, io.load_solution
+    edit(doc)
+    with pytest.raises(io.ParseError):
+        from_dict(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.ParseError, match="doc.json"):
+        load(path)
