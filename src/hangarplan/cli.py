@@ -10,7 +10,6 @@ UTF-8, parsed or written), 4 budget exhausted.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import sys
 import time
@@ -183,7 +182,7 @@ def solve_ach(instance_path: str, out: str) -> None:
 @click.option("--node-budget", type=int, default=2_000_000, show_default=True,
               help="Stop after this many nodes: branch-and-bound nodes over "
                    "acceptance and roll-in times plus closed branches of the "
-                   "layout search.")
+                   "layout search, which runs for every accepted prefix.")
 @click.option("--time-budget", type=float, default=300.0, show_default=True)
 @click.option("--allow-large", is_flag=True, help="Lift the instance-size guard.")
 def solve_exact(instance_path: str, out: str, node_budget: int,
@@ -264,14 +263,16 @@ def validate(instance_path: str, solution_path: str, as_json: bool) -> None:
 def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool) -> None:
     """Render per-event layout frames (and optionally the HTML report)."""
     instance, solution = _load_plan(instance_path, solution_path)
+    checked = validator.validate(instance, solution)  # shared by frames and report
     try:
-        paths = report.render_frames(instance, solution, out_dir)
+        paths = report.render_frames(instance, solution, out_dir, checked=checked)
     except report.InfeasibleSolution as exc:
         click.echo(str(exc), err=True)
         _fail(EXIT_INFEASIBLE, "solution is infeasible; nothing rendered")
     click.echo(f"wrote {len(paths)} frame(s) to {out_dir}")
     if with_html:
-        out = report.render_report(instance, solution, Path(out_dir) / "report.html")
+        out = report.render_report(instance, solution, Path(out_dir) / "report.html",
+                                   checked=checked)
         click.echo(f"wrote {out}")
 
 
@@ -287,58 +288,59 @@ def compare(instances: tuple[str, ...], out_csv: str, node_budget: int,
     """Solve each instance with heuristic and oracle; write a gap table."""
     oracle_config = _options(exact.OracleConfig, node_budget=node_budget,
                              time_budget=time_budget)
-    rows: list[CompareRow] = []
-    for path in instances:
-        try:
-            instance = load_instance(path)
-        except ParseError as exc:
-            rows.append(CompareRow(path, None, None, None, None, None,
-                                   error=f"parse: {exc}"))
-            continue
-        try:
-            t0 = time.perf_counter()
-            ach_sol = ach.solve(instance)
-            ach_time = time.perf_counter() - t0
-            ach_cost = evaluate_cost(instance, ach_sol).total
-        except Exception as exc:  # noqa: BLE001 - per-row error capture
-            rows.append(CompareRow(instance.label, None, None, None, None, None,
-                                   error=f"ach: {exc}"))
-            continue
-        oracle_cost = oracle_time = gap = None
-        error = ""
-        try:
-            t0 = time.perf_counter()
-            result = exact.solve_exact(instance, oracle_config)
-            oracle_time = time.perf_counter() - t0
-            if result.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID:
-                oracle_cost = result.cost.total
-                if oracle_cost > 1e-9:
-                    gap = (ach_cost - oracle_cost) / oracle_cost * 100.0
-                elif ach_cost <= 1e-9:
-                    gap = 0.0
-        except Exception as exc:  # noqa: BLE001 - per-row error capture
-            error = f"oracle: {exc}"
-        rows.append(CompareRow(instance.label, ach_cost, oracle_cost, gap,
-                               ach_time, oracle_time, error=error))
-
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "ach_cost", "oracle_cost", "gap_pct",
-                     "ach_time", "oracle_time", "error"])
-    for r in rows:
-        writer.writerow([
-            r.label,
-            "" if r.ach_cost is None else f"{r.ach_cost:.6f}",
-            "" if r.oracle_cost is None else f"{r.oracle_cost:.6f}",
-            "" if r.gap_pct is None else f"{r.gap_pct:.2f}",
-            "" if r.ach_time is None else f"{r.ach_time:.3f}",
-            "" if r.oracle_time is None else f"{r.oracle_time:.3f}",
-            r.error,
-        ])
-    Path(out_csv).write_text(buf.getvalue())
+    # opened before the first solve, so an -o that cannot be written exits 3
+    # with nothing solved
+    with open(out_csv, "w") as out_file:
+        rows = [_compare_row(path, oracle_config) for path in instances]
+        writer = csv.writer(out_file, lineterminator="\n")
+        writer.writerow(["label", "ach_cost", "oracle_cost", "gap_pct",
+                         "ach_time", "oracle_time", "error"])
+        for r in rows:
+            writer.writerow([
+                r.label,
+                "" if r.ach_cost is None else f"{r.ach_cost:.6f}",
+                "" if r.oracle_cost is None else f"{r.oracle_cost:.6f}",
+                "" if r.gap_pct is None else f"{r.gap_pct:.2f}",
+                "" if r.ach_time is None else f"{r.ach_time:.3f}",
+                "" if r.oracle_time is None else f"{r.oracle_time:.3f}",
+                r.error,
+            ])
     click.echo(f"wrote {out_csv} ({len(rows)} row(s))")
     if as_json:
         click.echo(json.dumps([r.__dict__ for r in rows], indent=2))
+
+
+def _compare_row(path: str, oracle_config: exact.OracleConfig) -> CompareRow:
+    """One instance solved by the heuristic and the oracle; an error is
+    recorded in the row, not raised."""
+    try:
+        instance = load_instance(path)
+    except ParseError as exc:
+        return CompareRow(path, None, None, None, None, None, error=f"parse: {exc}")
+    try:
+        t0 = time.perf_counter()
+        ach_sol = ach.solve(instance)
+        ach_time = time.perf_counter() - t0
+        ach_cost = evaluate_cost(instance, ach_sol).total
+    except Exception as exc:  # noqa: BLE001 - per-row error capture
+        return CompareRow(instance.label, None, None, None, None, None,
+                          error=f"ach: {exc}")
+    oracle_cost = oracle_time = gap = None
+    error = ""
+    try:
+        t0 = time.perf_counter()
+        result = exact.solve_exact(instance, oracle_config)
+        oracle_time = time.perf_counter() - t0
+        if result.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID:
+            oracle_cost = result.cost.total
+            if oracle_cost > 1e-9:
+                gap = (ach_cost - oracle_cost) / oracle_cost * 100.0
+            elif ach_cost <= 1e-9:
+                gap = 0.0
+    except Exception as exc:  # noqa: BLE001 - per-row error capture
+        error = f"oracle: {exc}"
+    return CompareRow(instance.label, ach_cost, oracle_cost, gap,
+                      ach_time, oracle_time, error=error)
 
 
 if __name__ == "__main__":

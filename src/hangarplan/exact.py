@@ -2,12 +2,16 @@
 
 Depth-first branch and bound over acceptance subsets, event-driven roll-in
 candidates, and grid placements, certifying the optimum relative to that
-discretization.  Placements are optimized per complete schedule by a second
-depth-first search over the pairwise separation disjunctions.  Each choice is
-a monotone constraint on one axis (a lower bound, a cap, or a difference edge);
-adding it raises the parent's least fixpoint (snapped up to the spatial grid)
-by worklist propagation.  A branch is cut once a position passes its wall or
-cap, or once its coordinate sum exceeds the best layout found so far.  Both
+discretization.  Placements are optimized for every accepted prefix (each
+accept branch) by a second depth-first search over the pairwise separation
+disjunctions.  Each choice is a monotone constraint on one axis (a lower
+bound, a cap, or a difference edge); adding it raises the parent's least
+fixpoint (snapped up to the spatial grid) by worklist propagation.  A branch
+is cut once a position passes its wall or cap, or once its coordinate sum
+exceeds the best layout found so far.  The prefix's minimal layout is carried
+down its subtree: a completion only adds separation pairs, so a prefix with
+no layout is cut and its coordinate sum bounds every completion's, and a
+complete schedule reuses the layout of its last accepted prefix.  Both
 searches share one node budget.
 """
 
@@ -103,7 +107,7 @@ def _min_positioning(instance: Instance,
                      fixed: Sequence[tuple[AircraftSpec, Assignment]],
                      budget: _Budget):
     """Minimal sum-of-coordinates grid layout for the accepted future aircraft
-    of a complete schedule, or None if spatially infeasible.
+    of a schedule prefix, or None if spatially infeasible.
 
     ``free``: (spec, roll_in, roll_out) triples.  ``fixed``: committed current
     aircraft.  Returns (positioning_sum, {id: (x, y)}); ties in the sum go to
@@ -254,23 +258,18 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
     order = ach.prioritize(instance)
 
     # Fallback incumbent: keep the current aircraft, reject everything else.
-    all_reject = _compose(instance, fixed_current, {}, {})
+    all_reject = _compose(instance, fixed_current, [], {})
     best = {
         "cost": evaluate_cost(instance, all_reject).total,
         "vector": _vector(instance, all_reject),
         "solution": all_reject,
     }
 
-    def leaf(committed_times: dict[str, tuple[float, float]],
-             committed_cost: float) -> None:
-        free = [(spec, committed_times[spec.id][0], committed_times[spec.id][1])
-                for spec in order if spec.id in committed_times]
-        res = _min_positioning(instance, free, fixed_current, budget)
-        if res is None:
-            return
+    def leaf(free: list[tuple[AircraftSpec, float, float]], committed_cost: float,
+             res: tuple[float, dict[str, tuple[float, float]]]) -> None:
         pos_sum, layout = res
         total = committed_cost + h.eps_p * pos_sum
-        solution = _compose(instance, fixed_current, committed_times, layout)
+        solution = _compose(instance, fixed_current, free, layout)
         vec = _vector(instance, solution)
         if (total < best["cost"] - 1e-9
                 or (abs(total - best["cost"]) <= 1e-9 and vec < best["vector"])):
@@ -282,30 +281,36 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
             best["vector"] = vec
             best["solution"] = solution
 
-    def dfs(idx: int, committed_times: dict[str, tuple[float, float]],
-            events: list[float], committed_cost: float) -> None:
+    def dfs(idx: int, free: list[tuple[AircraftSpec, float, float]],
+            events: list[float], committed_cost: float,
+            res: tuple[float, dict[str, tuple[float, float]]]) -> None:
+        # ``free`` is the accepted prefix, in priority order, and ``res`` its
+        # minimal layout: every completion keeps these separation pairs and
+        # adds its own, so res[0] bounds the positioning sum of the subtree.
         if budget.tick():
             return
-        if committed_cost > best["cost"] + TOL:
+        if committed_cost + h.eps_p * res[0] > best["cost"] + TOL:
             return
         if idx == len(order):
-            leaf(committed_times, committed_cost)
+            leaf(free, committed_cost, res)
             return
         spec = order[idx]
         t_max = ach.max_admissible_time(spec)
         for t in _time_candidates(spec, events, h.eps_t, t_max, config.time_grid_step):
             t_out = next_separated(t + spec.service, events, h.eps_t)
             d_arr, d_dep = delays(spec, t, t_out)
-            delay_cost = spec.p_arr * d_arr + spec.p_dep * d_dep
-            committed_times[spec.id] = (t, t_out)
-            dfs(idx + 1, committed_times, sorted(events + [t, t_out]),
-                committed_cost + delay_cost)
-            del committed_times[spec.id]
+            cost = committed_cost + spec.p_arr * d_arr + spec.p_dep * d_dep
+            if cost + h.eps_p * res[0] > best["cost"] + TOL:
+                continue  # the parent's layout already bounds this child out
+            accepted = free + [(spec, t, t_out)]
+            child = _min_positioning(instance, accepted, fixed_current, budget)
+            if child is not None:  # no layout for the prefix, none for any completion
+                dfs(idx + 1, accepted, sorted(events + [t, t_out]), cost, child)
             if budget.exhausted:
                 return
-        dfs(idx + 1, committed_times, events, committed_cost + spec.p_rej)
+        dfs(idx + 1, free, events, committed_cost + spec.p_rej, res)
 
-    dfs(0, {}, ach._events(fixed_current), current_cost)
+    dfs(0, [], ach._events(fixed_current), current_cost, (0.0, {}))
 
     status = (OracleStatus.BUDGET_EXHAUSTED if budget.exhausted
               else OracleStatus.PROVEN_OPTIMAL_ON_GRID)
@@ -318,14 +323,13 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
 
 def _compose(instance: Instance,
              fixed_current: Sequence[tuple[AircraftSpec, Assignment]],
-             committed_times: dict[str, tuple[float, float]],
+             free: Sequence[tuple[AircraftSpec, float, float]],
              layout: dict[str, tuple[float, float]]) -> Solution:
     assignments = {asg.aircraft_id: asg for _, asg in fixed_current}
     for f in instance.future:
-        if f.id in committed_times and f.id in layout:
-            assignments[f.id] = Assignment.placed(f, *layout[f.id], *committed_times[f.id])
-        else:
-            assignments[f.id] = Assignment(aircraft_id=f.id, accept=False)
+        assignments[f.id] = Assignment(aircraft_id=f.id, accept=False)
+    for spec, t_in, t_out in free:
+        assignments[spec.id] = Assignment.placed(spec, *layout[spec.id], t_in, t_out)
     ordered = tuple(assignments[a.id] for a in instance.all_aircraft())
     return Solution(instance_label=instance.label, assignments=ordered,
                     provenance=Provenance.ORACLE)

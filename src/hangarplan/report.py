@@ -11,6 +11,7 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from .core import Instance, Kind, Solution
 from . import validator
@@ -120,11 +121,14 @@ def frame_svg(instance: Instance, frame: FrameSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_frames(instance: Instance, solution: Solution, out_dir) -> list[Path]:
-    """One SVG per frame; file names `frame_<k>_<time>.svg`."""
-    report = validator.validate(instance, solution)
-    if not report.feasible:
-        raise InfeasibleSolution(validator.explain(report))
+def render_frames(instance: Instance, solution: Solution, out_dir, *,
+                  checked: Optional[validator.ValidationReport] = None) -> list[Path]:
+    """One SVG per frame; file names `frame_<k>_<time>.svg`.  ``checked`` is
+    the plan's validation report if the caller already has one."""
+    if checked is None:
+        checked = validator.validate(instance, solution)
+    if not checked.feasible:
+        raise InfeasibleSolution(validator.explain(checked))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -164,11 +168,14 @@ def timeline_svg(instance: Instance, solution: Solution) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_report(instance: Instance, solution: Solution, out_file) -> Path:
+def render_report(instance: Instance, solution: Solution, out_file, *,
+                  checked: Optional[validator.ValidationReport] = None) -> Path:
     """Single self-contained HTML report (inline SVG, no external resources).
-    The cost table and the frame gallery come from one validation; an
-    infeasible plan gets the table but no gallery."""
-    checked = validator.validate(instance, solution)
+    The cost table and the frame gallery come from one validation, ``checked``
+    if the caller already has it; an infeasible plan gets the table but no
+    gallery."""
+    if checked is None:
+        checked = validator.validate(instance, solution)
     cost = checked.cost
     by_id = solution.by_id()
     accepted = [(a, by_id[a.id]) for a in instance.all_aircraft() if by_id[a.id].accept]

@@ -7,13 +7,14 @@ import re
 import tempfile
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hangarplan import ach, cli, instgen, io, milp
+from hangarplan import ach, cli, exact, instgen, io, milp, validator
 
 from conftest import (
     NON_FINITE,
@@ -284,6 +285,17 @@ class TestRender:
         assert list(out.glob("frame_*.svg"))
         assert (out / "report.html").exists()
 
+    def test_html_validates_once(self, runner, tmp_path):
+        # frames and report share one validation of the plan
+        inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+        run(runner, ["gen", "--n", "2", "--seed", "4", "-o", str(inst)])
+        run(runner, ["solve-ach", "-i", str(inst), "-o", str(sol)])
+        with mock.patch.object(validator, "validate", wraps=validator.validate) as spy:
+            res = run(runner, ["render", "-i", str(inst), "-s", str(sol),
+                               "-o", str(tmp_path / "frames"), "--html"])
+        assert res.exit_code == 0
+        assert spy.call_count == 1
+
     def test_infeasible_exit_2(self, runner, tmp_path):
         f = make_future("a")
         instance = make_instance(future=[f])
@@ -294,6 +306,8 @@ class TestRender:
         res = run(runner, ["render", "-i", str(ip), "-s", str(sp),
                            "-o", str(tmp_path / "frames")])
         assert res.exit_code == 2
+        assert "solution is infeasible; nothing rendered" in res.output
+        assert not (tmp_path / "frames").exists()
 
 
 class TestCompare:
@@ -325,6 +339,17 @@ class TestCompare:
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["error"] == ""
         assert rows[1]["error"].startswith("parse")
+
+    def test_unwritable_output_solves_nothing(self, runner, tmp_path):
+        inst = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst)])
+        out = tmp_path / "missing" / "cmp.csv"
+        with mock.patch.object(exact, "solve_exact") as oracle, \
+                mock.patch.object(ach, "solve") as heuristic:
+            res = run(runner, ["compare", str(inst), "-o", str(out)])
+        assert res.exit_code == 3
+        oracle.assert_not_called()
+        heuristic.assert_not_called()
 
 
 class TestConfigPrecedence:

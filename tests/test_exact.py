@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
-from hangarplan.core import TOL, AircraftSpec, Kind, evaluate_cost, intervals_overlap
+from hangarplan.core import (TOL, AircraftSpec, HangarConfig, Kind, evaluate_cost,
+                             intervals_overlap)
 
 from conftest import (
     TINY_HANGAR,
@@ -396,3 +397,69 @@ class TestPrunedLayoutSearch:
                                 100_000)
         assume(want.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID)
         _assert_matches_product(got, want)
+
+
+def never_together(eps_p):
+    """Two large requests that can never stand in the default hangar at the
+    same time (36 + 30 plus three buffers of 5 exceed its width of 65, and
+    38 + 30 plus three buffers its length of 60) and whose windows overlap,
+    ahead of two small requests in the priority order."""
+    large = [make_future("a", width=36.0, length=38.0, service=20.0, p_rej=2000.0, p_arr=5.0),
+             make_future("b", width=30.0, length=30.0, eta=1.0, service=20.0,
+                         p_rej=1500.0, p_arr=5.0)]
+    small = [make_future(f"c{k}", width=10.0, length=10.0, eta=2.0 + 3.0 * k, service=4.0,
+                         slack=100.0, p_rej=300.0, p_arr=2.0, p_dep=1.0)
+             for k in range(2)]
+    return make_instance(future=large + small, hangar=HangarConfig(eps_p=eps_p))
+
+
+class TestPrefixPruning:
+    """The branch and bound lays out every accepted prefix and carries that
+    layout down: a prefix with no layout is cut, and its coordinate sum
+    bounds every completion's."""
+
+    @settings(max_examples=30, deadline=timedelta(seconds=20))
+    @given(n=st.integers(1, 4), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           multiplier=st.sampled_from([1.0, 10.0]),
+           seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_prefix_layout_bounds_the_full_layout(self, n, n_current, congestion,
+                                                  multiplier, seed, data):
+        inst = _generate(n, n_current, congestion, multiplier, seed)
+        fixed = ach._commit_current(inst)
+        free = []
+        for spec in data.draw(st.permutations(inst.future)):
+            roll_in = spec.eta + data.draw(st.integers(0, 600)) * 0.1
+            stay = spec.service + data.draw(st.integers(0, 100)) * 0.1
+            free.append((spec, roll_in, roll_in + stay))
+        k = data.draw(st.integers(0, len(free)))
+        budget = exact._Budget(exact.OracleConfig())
+        prefix = exact._min_positioning(inst, free[:k], fixed, budget)
+        full = exact._min_positioning(inst, free, fixed, budget)
+        assume(not budget.exhausted)
+        if prefix is None:
+            assert full is None
+        elif full is not None:
+            assert prefix[0] <= full[0] + TOL
+
+    @pytest.mark.parametrize("grid_step,eps_p,b_in,c1_in,cost,nodes", [
+        # nodes when only complete schedules were laid out: 90, 6,933 and 105
+        (None, 0.001, 20.1, 6.1, 97.755, 30),
+        (2.0, 0.001, 21.0, 7.0, 104.055, 62),
+        (None, 1.0, 20.1, 6.1, 152.7, 34),  # the layout sum also bounds the cost
+    ], ids=["events", "time-grid-2", "positioning-weight-1"])
+    def test_pair_that_never_fits_together(self, grid_step, eps_p, b_in, c1_in, cost,
+                                           nodes):
+        # b waits for a to leave; below the roll-in times of b inside a's stay
+        # the small requests are no longer enumerated
+        res = exact.solve_exact(never_together(eps_p),
+                                exact.OracleConfig(time_grid_step=grid_step))
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        placed = {a.aircraft_id: (a.x, a.y, a.roll_in, a.roll_out)
+                  for a in res.solution.assignments if a.accept}
+        assert placed == {"a": (20.0, 5.0, 0.0, 20.0),
+                          "b": (5.0, 5.0, b_in, pytest.approx(b_in + 20.0)),
+                          "c0": (5.0, 5.0, 2.0, 6.0),
+                          "c1": (5.0, 5.0, c1_in, pytest.approx(c1_in + 4.0))}
+        assert res.cost.total == pytest.approx(cost, abs=1e-9)
+        assert res.nodes_explored == nodes
