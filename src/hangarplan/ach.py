@@ -16,13 +16,20 @@ An aircraft is rejected when the break-even time is passed, or when no
 threshold is left ahead of any point: from then on every scan would miss.  So
 the search terminates for every valid instance, also when ``p_arr = 0`` makes
 the break-even time infinite.
+
+The search of one aircraft prepares, once against its committed schedule,
+what every scan reads that does not depend on the roll-in time
+(``prepare_scan``): the two grids and their scores, the sorted movement
+events, and for each accepted committed aircraft its stay, its movements and
+four index ranges on the grids.  A scan at one roll-in then makes only the
+time tests, and clears one slice of the grid for each test that holds.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -79,53 +86,97 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def find_best_placement(aircraft: AircraftSpec, t_in: float,
-                        fixed_schedule: Sequence[Committed],
-                        instance: Instance) -> Optional[Assignment]:
-    """Exhaustive grid scan at roll-in time t_in: the aircraft accepted at the
-    valid spot with minimal x + y (ties: smaller y, then smaller x) from t_in
-    to its roll-out, or None when no spot is valid."""
+class Scan(NamedTuple):
+    """What the grid scan of one aircraft next to one committed schedule reads
+    that does not depend on the roll-in time.
+
+    ``committed`` holds, for each accepted committed aircraft b, its stay
+    ``(roll_in, roll_out)``, its movements and four index ranges.  ``lane``
+    indexes ``xs``: the x cells whose buffered width overlaps b's.  ``band``,
+    ``below`` and ``above`` index ``ys``: the y cells whose buffered footprint
+    overlaps b's, lies below b, or lies above b.  The grids ascend, so each
+    range is one slice.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    score: np.ndarray
+    events: list[float]
+    committed: list[tuple[tuple[float, float], list[float], slice, slice, slice, slice]]
+
+
+def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
+                 instance: Instance) -> Scan:
+    """The time-invariant part of ``find_best_placement`` for ``aircraft``
+    next to ``fixed_schedule``."""
     h = instance.hangar
     xs = _grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step)
     ys = _grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step)
-    if xs.size == 0 or ys.size == 0:
+    committed = []
+    for spec_b, asg_b in fixed_schedule:
+        if not asg_b.accept:
+            continue
+        # on an ascending grid, v > lower holds from searchsorted(lower,
+        # "right") on, and v < upper below searchsorted(upper, "left")
+        x_lo = int(np.searchsorted(xs, asg_b.x - aircraft.width - h.buffer + TOL, "right"))
+        x_hi = int(np.searchsorted(xs, asg_b.x + spec_b.width + h.buffer - TOL, "left"))
+        y_lo = int(np.searchsorted(ys, asg_b.y - aircraft.length - h.buffer + TOL, "right"))
+        y_hi = int(np.searchsorted(ys, asg_b.y + spec_b.length + h.buffer - TOL, "left"))
+        committed.append(((asg_b.roll_in, asg_b.roll_out),
+                          movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
+                          slice(x_lo, x_hi), slice(y_lo, y_hi),
+                          slice(0, y_lo), slice(y_hi, None)))
+    return Scan(xs, ys, xs[:, None] + ys[None, :], _events(fixed_schedule), committed)
+
+
+def find_best_placement(aircraft: AircraftSpec, t_in: float,
+                        fixed_schedule: Sequence[Committed],
+                        instance: Instance, *,
+                        scan: Optional[Scan] = None) -> Optional[Assignment]:
+    """Exhaustive grid scan at roll-in time t_in: the aircraft accepted at the
+    valid spot with minimal x + y (ties: smaller y, then smaller x) from t_in
+    to its roll-out, or None when no spot is valid.
+
+    ``scan`` is ``prepare_scan(aircraft, fixed_schedule, instance)``, made
+    here when not given; the time search passes the one it made for all the
+    roll-ins of the aircraft.  Per roll-in the scan tests only times: the
+    separation of t_in, the roll-out walk, and for each committed aircraft
+    co-presence and the two blocking windows, each of which clears a slice.
+    """
+    if scan is None:
+        scan = prepare_scan(aircraft, fixed_schedule, instance)
+    if scan.xs.size == 0 or scan.ys.size == 0:
         return None
 
-    if not separated(t_in, _events(fixed_schedule), h.eps_t):
+    eps_t = instance.hangar.eps_t
+    if not separated(t_in, scan.events, eps_t):
         return None
-    t_out = resolve_roll_out(aircraft, t_in, fixed_schedule, h.eps_t)
+    t_out = next_separated(t_in + aircraft.service, scan.events, eps_t)
     window = (t_in, t_out)
     moves = movement_times(aircraft, t_in, t_out)
 
-    valid = np.ones((xs.size, ys.size), dtype=bool)
-    X = xs[:, None]
-    Y = ys[None, :]
-    for spec_b, asg_b in fixed_schedule:
-        in_b, out_b = asg_b.roll_in, asg_b.roll_out
+    valid = np.ones(scan.score.shape, dtype=bool)
+    for stay, moves_b, lane, band, below, above in scan.committed:
         # a window that contains a movement overlaps the other stay, so only
         # co-present aircraft can collide with or block the candidate
-        if not asg_b.accept or not intervals_overlap(window, (in_b, out_b)):
+        if not intervals_overlap(window, stay):
             continue
-        lane = ((X > asg_b.x - aircraft.width - h.buffer + TOL)
-                & (X < asg_b.x + spec_b.width + h.buffer - TOL))
-        y_overlap = ((Y > asg_b.y - aircraft.length - h.buffer + TOL)
-                     & (Y < asg_b.y + spec_b.length + h.buffer - TOL))
-        valid &= ~(lane & y_overlap)
+        valid[lane, band] = False
         # b parked above the candidate must not cover the candidate's
         # movements, and the candidate parked above b must not cover b's
-        if window_blocks((in_b, out_b), moves):
-            valid &= ~(lane & (Y <= asg_b.y - aircraft.length - h.buffer + TOL))
-        if window_blocks(window, movement_times(spec_b, in_b, out_b)):
-            valid &= ~(lane & (Y >= asg_b.y + spec_b.length + h.buffer - TOL))
+        if window_blocks(stay, moves):
+            valid[lane, below] = False
+        if window_blocks(window, moves_b):
+            valid[lane, above] = False
         if not valid.any():
             return None
 
-    score = X + Y
+    score = scan.score
     best = np.min(score[valid])
     tie = valid & (np.abs(score - best) < 1e-9)
     yi = np.min(np.where(tie.any(axis=0))[0])
     xi = np.min(np.where(tie[:, yi])[0])
-    return Assignment.placed(aircraft, float(xs[xi]), float(ys[yi]), t_in, t_out)
+    return Assignment.placed(aircraft, float(scan.xs[xi]), float(scan.ys[yi]), t_in, t_out)
 
 
 def _commit_current(instance: Instance) -> list[Committed]:
@@ -180,19 +231,19 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
     where it finds a spot, or None when the aircraft must be rejected."""
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
-    events = _events(fixed)
-    thresholds = _thresholds(fixed, events, h.eps_t)
+    scan = prepare_scan(aircraft, fixed, instance)
+    thresholds = _thresholds(fixed, scan.events, h.eps_t)
     k = 0
     while True:
         t = aircraft.eta + k * h.eps_t
         if t > t_max + TOL:
             return None
-        asg = find_best_placement(aircraft, t, fixed, instance)
+        asg = find_best_placement(aircraft, t, fixed, instance, scan=scan)
         if asg is not None:
             return asg
         # The scan reads t and every point of the roll-out walk.
         base = t + aircraft.service
-        walk = round((next_separated(base, events, h.eps_t) - base) / h.eps_t)
+        walk = round((next_separated(base, scan.events, h.eps_t) - base) / h.eps_t)
         points = [t] + [base + i * h.eps_t for i in range(walk + 1)]
         step = _steps_to_next_threshold(points, thresholds, h.eps_t)
         if step is None:

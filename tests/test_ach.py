@@ -3,6 +3,7 @@ and feasibility of its output."""
 
 import json
 import math
+from collections import Counter
 from datetime import timedelta
 
 import pytest
@@ -18,6 +19,9 @@ from hangarplan.core import (
     Kind,
     Provenance,
     Solution,
+    axis_separated,
+    is_above,
+    lanes_overlap,
 )
 
 from conftest import accept, make_current, make_future, make_instance, specs, time_limit
@@ -356,6 +360,30 @@ class TestEventDrivenSearch:
         _assert_matches_stepping(n, n_current, congestion, multiplier, seed)
 
 
+def held_out_scan(n, n_current, congestion, seed, pick, hl):
+    """An instgen plan with one future aircraft held out: the instance, the
+    held aircraft, the rest of the plan as the committed schedule, and the
+    roll-ins to scan at, on the lattice from eta and next to every committed
+    movement, where the separation and blocking windows switch."""
+    # the 100 m hangar stacks aircraft in a lane, so blocking decides
+    inst = instgen.generate(instgen.GeneratorConfig(
+        n_future=n, n_current=n_current, seed=seed, congestion=congestion,
+        hangar=HangarConfig(hl=hl)))
+    plan = ach.solve(inst)
+    held = inst.future[pick % n]
+    fixed = [(a, plan.by_id()[a.id]) for a in inst.all_aircraft() if a.id != held.id]
+    eps_t = inst.hangar.eps_t
+    times = [held.eta + k * eps_t for k in range(4)] + sorted(
+        e + d for e in ach._events(fixed)
+        for d in (-eps_t, 0.0, eps_t, 2 * eps_t)
+        if e + d >= held.eta)
+    return inst, held, fixed, times
+
+
+def cell(assignment):
+    return None if assignment is None else (assignment.x, assignment.y)
+
+
 class TestScanAgainstValidator:
     """The vectorized grid scan must pick the cell that a brute force over the
     grid, judged by the validator alone, picks next to a committed plan."""
@@ -368,22 +396,142 @@ class TestScanAgainstValidator:
            hl=st.sampled_from([60.0, 100.0]))
     def test_best_cell_matches_brute_force(self, n, n_current, congestion, seed,
                                            pick, picks, hl):
-        # the 100 m hangar stacks aircraft in a lane, so blocking decides
-        inst = instgen.generate(instgen.GeneratorConfig(
-            n_future=n, n_current=n_current, seed=seed, congestion=congestion,
-            hangar=HangarConfig(hl=hl)))
-        plan = ach.solve(inst)
-        held = inst.future[pick % n]
-        fixed = [(a, plan.by_id()[a.id]) for a in inst.all_aircraft() if a.id != held.id]
-        # roll-ins on the lattice from eta and next to every committed
-        # movement, where the separation and blocking windows switch
-        eps_t = inst.hangar.eps_t
-        times = [held.eta + k * eps_t for k in range(4)] + sorted(
-            e + d for e in ach._events(fixed)
-            for d in (-eps_t, 0.0, eps_t, 2 * eps_t)
-            if e + d >= held.eta)
+        inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl)
         for i in picks:
             t_in = times[i % len(times)]
-            cand = ach.find_best_placement(held, t_in, fixed, inst)
-            got = None if cand is None else (cand.x, cand.y)
+            got = cell(ach.find_best_placement(held, t_in, fixed, inst))
             assert got == brute_force_placement(held, t_in, fixed, inst), t_in
+
+    @settings(max_examples=4, deadline=timedelta(seconds=60))
+    @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 7),
+           hl=st.sampled_from([60.0, 100.0]))
+    def test_reused_scan_matches_brute_force(self, n, n_current, congestion, seed,
+                                             pick, hl):
+        # one prepared scan serves every roll-in, as in the time search
+        inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl)
+        scan = ach.prepare_scan(held, fixed, inst)
+        for t_in in times:
+            reused = ach.find_best_placement(held, t_in, fixed, inst, scan=scan)
+            assert reused == ach.find_best_placement(held, t_in, fixed, inst), t_in
+            assert cell(reused) == brute_force_placement(held, t_in, fixed, inst), t_in
+
+
+def range_indices(size, index_range):
+    return list(range(size))[index_range]
+
+
+def check_scan_ranges(aircraft, placed, inst):
+    """Prepare the scan of ``aircraft`` next to the committed aircraft
+    ``placed`` ((spec, x, y) each), and compare it with brute forces: each
+    index range with the cells that the geometry predicates of ``core`` pick
+    one by one, and the scan's cell with ``brute_force_placement``.  The
+    committed aircraft stay in two ways: leaving last, which bars their
+    footprint and the cells below them, and leaving first, which bars their
+    footprint and the cells above them.  Returns the scan."""
+    h = inst.hangar
+    stays = [(0.0, 200.0, 0.2), (0.2, 100.0, 0.0)]  # (b in, b out, candidate in)
+    for b_in, b_out, t_in in stays:
+        fixed = [(spec, accept(spec.id, x, y, b_in, b_out)) for spec, x, y in placed]
+        scan = ach.prepare_scan(aircraft, fixed, inst)
+        xs, ys = list(scan.xs), list(scan.ys)
+        for (spec, x, y), (_, _, lane, band, below, above) in zip(placed, scan.committed):
+            assert range_indices(len(xs), lane) == [
+                i for i, cx in enumerate(xs)
+                if lanes_overlap(cx, aircraft.width, x, spec.width, h.buffer)]
+            assert range_indices(len(ys), band) == [
+                j for j, cy in enumerate(ys)
+                if not axis_separated(cy, aircraft.length, y, spec.length, h.buffer)]
+            assert range_indices(len(ys), below) == [
+                j for j, cy in enumerate(ys)
+                if is_above(y, spec.length, cy, aircraft.length, h.buffer)]
+            assert range_indices(len(ys), above) == [
+                j for j, cy in enumerate(ys)
+                if is_above(cy, aircraft.length, y, spec.length, h.buffer)]
+        got = ach.find_best_placement(aircraft, t_in, fixed, inst, scan=scan)
+        assert cell(got) == brute_force_placement(aircraft, t_in, fixed, inst), (b_in, t_in)
+    return scan
+
+
+class TestScanRanges:
+    """Edge cases of the index ranges that a prepared scan holds for each
+    committed aircraft, each against the brute forces of
+    ``check_scan_ranges``."""
+
+    def test_step_that_does_not_divide_the_hangar(self):
+        # 2.3 m cells: neither the grids nor b's edges fall on whole metres
+        inst = make_instance(hangar=HangarConfig(grid_step=2.3))
+        a = make_future("a", width=10.0, length=10.0)
+        b = make_future("b", width=12.0, length=12.0)
+        scan = check_scan_ranges(a, [(b, 9.6, 5.0)], inst)
+        assert round(scan.xs[-1], 6) == 48.7 and round(scan.ys[-1], 6) == 44.1
+        _, _, lane, band, below, above = scan.committed[0]
+        assert (lane, band, below, above) == (
+            slice(0, 10), slice(0, 8), slice(0, 0), slice(8, None))
+
+    def test_committed_aircraft_flush_with_walls(self):
+        inst = make_instance()
+        a = make_future("a")
+        # b in the top left corner, c in the bottom right corner
+        b = make_future("b", width=20.0, length=20.0)
+        c = make_future("c", width=20.0, length=20.0)
+        scan = check_scan_ranges(a, [(b, 5.0, 35.0), (c, 40.0, 5.0)], inst)
+        nx, ny = scan.xs.size, scan.ys.size
+        (_, _, b_lane, _, _, b_above), (_, _, c_lane, _, c_below, _) = scan.committed
+        assert b_lane.start == 0 and range_indices(ny, b_above) == []
+        assert c_lane.stop == nx and range_indices(ny, c_below) == []
+
+    def test_lane_covering_the_whole_x_grid(self):
+        inst = make_instance()
+        a = make_future("a")
+        wide = make_future("wide", width=55.0, length=20.0)
+        scan = check_scan_ranges(a, [(wide, 5.0, 5.0)], inst)
+        lane = scan.committed[0][2]
+        assert range_indices(scan.xs.size, lane) == list(range(scan.xs.size))
+
+    def test_empty_below_and_above(self):
+        inst = make_instance()
+        a = make_future("a")
+        long = make_future("long", width=20.0, length=30.0)
+        scan = check_scan_ranges(a, [(long, 5.0, 5.0)], inst)
+        _, _, _, band, below, above = scan.committed[0]
+        assert range_indices(scan.ys.size, band) == list(range(scan.ys.size))
+        assert range_indices(scan.ys.size, below) == range_indices(scan.ys.size, above) == []
+
+    @pytest.mark.parametrize("width,length", [(60.0, 22.0), (24.0, 52.0)],
+                             ids=["too-wide", "too-long"])
+    def test_aircraft_too_large_for_the_hangar(self, width, length):
+        inst = make_instance()
+        a = make_future("a", width=width, length=length)
+        b = make_future("b")
+        scan = check_scan_ranges(a, [(b, 5.0, 5.0)], inst)
+        assert scan.xs.size * scan.ys.size == 0
+        assert ach.find_best_placement(a, 0.0, [], inst) is None
+
+
+class TestPreparedOncePerAircraft:
+    """The time search builds the committed movement list once per aircraft,
+    not once per scan."""
+
+    @pytest.mark.parametrize("n_current", [0, 2])
+    def test_events_built_once_per_search(self, monkeypatch, n_current):
+        # the congested family: requests wait many eps_t steps before they fit
+        inst = instgen.generate(instgen.GeneratorConfig(
+            n_future=4, n_current=n_current, seed=1, congestion=0.2,
+            rejection_multiplier=10.0))
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(ach, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(ach, name, wrapper)
+
+        for name in ("_events", "_earliest_fit", "find_best_placement"):
+            counting(name)
+        ach.solve(inst)
+        assert calls["find_best_placement"] > 10 * calls["_earliest_fit"]
+        assert calls["_events"] <= calls["_earliest_fit"] + len(inst.current)
