@@ -18,7 +18,6 @@ from .core import (
     HangarConfig,
     Instance,
     Kind,
-    rects_separated,
 )
 
 #: (width, length) catalog of aircraft footprints, in increasing area.
@@ -76,13 +75,22 @@ Rect = tuple[float, float, float, float]
 
 
 def _bottom_left_spot(w: float, l: float, placed: list[Rect], h: HangarConfig):
+    """The first grid cell, in y-then-x order, where a ``w`` x ``l`` footprint
+    is buffer-separated from every placed one, or ``None``.  One boolean mask
+    over ``ys x xs`` per placed footprint, with the comparisons of
+    ``core.x_separated`` in the same order."""
     xs = np.arange(h.buffer, h.hw - h.buffer - w + TOL, h.grid_step)
     ys = np.arange(h.buffer, h.hl - h.buffer - l + TOL, h.grid_step)
-    for y in ys:
-        for x in xs:
-            if all(rects_separated(x, y, w, l, *p, h.buffer) for p in placed):
-                return float(x), float(y)
-    return None
+    free = np.ones((len(ys), len(xs)), dtype=bool)
+    b = h.buffer
+    for px, py, pw, pl in placed:
+        sep_x = (px + pw + b <= xs + TOL) | (xs + w + b <= px + TOL)
+        sep_y = (py + pl + b <= ys + TOL) | (ys + l + b <= py + TOL)
+        free &= sep_y[:, None] | sep_x[None, :]
+    if not free.any():
+        return None
+    i, j = divmod(int(np.argmax(free)), len(xs))
+    return float(xs[j]), float(ys[i])
 
 
 def _try_pack(idx: list[int], h: HangarConfig) -> list[Rect] | None:

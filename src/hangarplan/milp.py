@@ -7,10 +7,20 @@ contract.  Fixed initial conditions are variable bounds, not rows; bound
 violations are reported under ``fix*``/``dom_nonneg`` names.  Rows and
 variables are immutable ``NamedTuple`` records (``MilpRow``,
 ``MilpVariable``); the LP text of a model is byte-stable.
+
+``build_model``, ``export_lp``, ``parse_lp``, ``derive_binaries`` and
+``parse_point`` run with the cyclic garbage collector paused
+(``_collector_paused``).  Each allocates tens of thousands of tuples and
+records, which would otherwise trigger collector passes that rescan them.
+The pause is lossless: none of these functions creates a reference cycle, so
+reference counting frees everything they drop, and a collection after any of
+them finds nothing (``tests/test_milp.py::TestCollectorPaused``).
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import re
 from dataclasses import dataclass
@@ -100,6 +110,24 @@ class MilpModel:
     aircraft_ids: list[str]
 
 
+def _collector_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector disabled, and enable it
+    again afterwards only if it was enabled on entry, so nested calls and
+    callers that paused it themselves are left as they were."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # Variable / row naming
 # ---------------------------------------------------------------------------
@@ -120,11 +148,16 @@ def vInOut(a, b): return f"InOut({a},{b})"
 
 CONST_VAR = "Const"  # fixed to 1; carries the constant objective term
 
+# LP tokens are split at whitespace and a row name ends at its first ':', so
+# an aircraft id with either would not read back.
+_NOT_IN_LP_NAME = re.compile(r"[\s:]")
+
 
 # ---------------------------------------------------------------------------
 # Model construction
 # ---------------------------------------------------------------------------
 
+@_collector_paused
 def build_model(instance: Instance) -> MilpModel:
     """The row system of ``instance``: variables in build order, rows grouped
     by family, and the objective with the rejection constant on ``Const``."""
@@ -136,6 +169,10 @@ def build_model(instance: Instance) -> MilpModel:
     future = list(instance.future)
     aircraft = current + future
     ids = [a.id for a in aircraft]
+    for i in ids:
+        if _NOT_IN_LP_NAME.search(i):
+            raise ParseError(f"aircraft id {i!r} cannot go into an LP model: "
+                             "it contains whitespace or ':'")
     spec = {a.id: a for a in aircraft}
     fut = {a.id for a in future}
 
@@ -342,6 +379,7 @@ def _wrap(prefix: str, body: str, width: int = LINE_WIDTH) -> list[str]:
     return lines
 
 
+@_collector_paused
 def export_lp(model: MilpModel) -> str:
     """Deterministic LP-format text (CPLEX dialect) of the model.
 
@@ -418,6 +456,7 @@ def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
 _SECTIONS = frozenset(("Minimize", "Subject To", "Bounds", "Binaries", "End"))
 
 
+@_collector_paused
 def parse_lp(text: str) -> MilpModel:
     """Re-parse our own LP export into a row system (internal round-trip
     reader; not a general LP parser).  Rows and variables come back as
@@ -519,6 +558,7 @@ def _strict_before(t1: float, t2: float, what: str) -> bool:
     return t1 < t2
 
 
+@_collector_paused
 def derive_binaries(instance: Instance, solution: Solution,
                     model: Optional[MilpModel] = None) -> dict[str, float]:
     """Full variable point for a semantic solution.
@@ -643,6 +683,7 @@ def objective_value(model: MilpModel, point: dict[str, float]) -> float:
 # Solver point import
 # ---------------------------------------------------------------------------
 
+@_collector_paused
 def parse_point(text: str) -> dict[str, float]:
     """Parse a `name value` listing (one pair per line; blank lines and lines
     starting with '#' or '\\' ignored)."""

@@ -258,6 +258,26 @@ class TestModelRoundTrip:
         assert "Traceback" not in res.output
 
 
+    def test_export_id_that_cannot_be_an_lp_name_exit_3(self, runner, tmp_path):
+        # the other commands take such ids; only the LP text cannot hold them
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst_p)])
+        doc = json.loads(inst_p.read_text())
+        for aircraft, aid in zip(doc["future"], ["a 01", "b:2"]):
+            aircraft["id"] = aid
+        inst_p.write_text(json.dumps(doc))
+        sol = tmp_path / "sol.json"
+        assert run(runner, ["solve-ach", "-i", str(inst_p), "-o", str(sol)]).exit_code == 0
+        assert run(runner, ["validate", "-i", str(inst_p), "-s", str(sol)]).exit_code == 0
+        lp = tmp_path / "model.lp"
+        res = run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+        assert [ln for ln in res.output.splitlines() if ln.startswith("error:")] == \
+            ["error: aircraft id 'a 01' cannot go into an LP model: "
+             "it contains whitespace or ':'"]
+        assert not lp.exists()
+
     def test_import_model_of_other_instance_exit_3(self, runner, tmp_path):
         inst_p, other_p = tmp_path / "inst.json", tmp_path / "other.json"
         run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst_p)])

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hangarplan import instgen
-from hangarplan.core import Kind
+from hangarplan.core import TOL, HangarConfig, Kind, rects_separated
 
 
 def gen(**kwargs):
@@ -111,6 +113,77 @@ class TestCurrentPlacement:
     def test_overfull_hangar_truncates(self):
         inst = gen(n_future=0, n_current=10, seed=3)
         assert 0 < len(inst.current) < 10
+
+
+def per_cell_spot(w, l, placed, h):
+    """The cell-by-cell scan that ``instgen._bottom_left_spot`` replaced,
+    kept as its reference: the first cell in y-then-x order that is
+    buffer-separated from every placed footprint."""
+    xs = np.arange(h.buffer, h.hw - h.buffer - w + TOL, h.grid_step)
+    ys = np.arange(h.buffer, h.hl - h.buffer - l + TOL, h.grid_step)
+    for y in ys:
+        for x in xs:
+            if all(rects_separated(x, y, w, l, *p, h.buffer) for p in placed):
+                return float(x), float(y)
+    return None
+
+
+def lengths(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spot_queries(draw):
+    hw, hl = draw(lengths(20.0, 90.0)), draw(lengths(20.0, 90.0))
+    hangar = HangarConfig(hw=hw, hl=hl, buffer=draw(st.sampled_from([0.0, 2.5, 5.0])),
+                          grid_step=draw(st.sampled_from([0.7, 1.0, 3.7, 5.0])))
+    # placed footprints anywhere, overlapping or out of bounds: the scan
+    # does not assume a valid packing.  Coordinates on the grid and whole
+    # sizes put edges exactly at, or a rounding error off, the separation
+    # bound, where the tolerance decides.
+    on_grid = st.integers(0, 90).map(lambda k: hangar.buffer + k * hangar.grid_step)
+    rect = st.tuples(lengths(-5.0, hw) | on_grid, lengths(-5.0, hl) | on_grid,
+                     lengths(1.0, 40.0) | st.integers(1, 40).map(float),
+                     lengths(1.0, 40.0) | st.integers(1, 40).map(float))
+    placed = draw(st.lists(rect, max_size=4))
+    # a footprint wider or longer than the hangar leaves no grid cell at all
+    size = lengths(1.0, 40.0) | st.integers(1, 40).map(float)
+    return draw(size), draw(size), placed, hangar
+
+
+class TestBottomLeftSpot:
+    @settings(max_examples=150, deadline=None)
+    @given(query=spot_queries())
+    def test_matches_per_cell_scan(self, query):
+        w, l, placed, hangar = query
+        assert instgen._bottom_left_spot(w, l, placed, hangar) == \
+            per_cell_spot(w, l, placed, hangar)
+
+    def test_step_not_dividing_hangar(self):
+        h = HangarConfig(hw=65.0, hl=60.0, buffer=5.0, grid_step=3.7)
+        placed = [(5.0, 5.0, 24.0, 22.0)]
+        spot = instgen._bottom_left_spot(24.0, 22.0, placed, h)
+        assert spot == per_cell_spot(24.0, 22.0, placed, h)
+        # the first cell right of the placed footprint and its buffer
+        assert spot == (pytest.approx(5.0 + 8 * 3.7), 5.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_tolerance_decides_at_the_bound(self, axis):
+        # with a 0.1 m step the grid drifts below whole metres, so the cell
+        # just past this 1 m footprint is a rounding error short of the bound
+        h = HangarConfig(grid_step=0.1)
+        placed = [(0.0, 0.0, 1.0, h.hl) if axis == 0 else (0.0, 0.0, h.hw, 1.0)]
+        spot = instgen._bottom_left_spot(10.0, 10.0, placed, h)
+        assert spot == per_cell_spot(10.0, 10.0, placed, h)
+        assert spot[axis] < 1.0 + h.buffer == pytest.approx(spot[axis])
+
+    def test_empty_grid(self):
+        h = HangarConfig()
+        assert instgen._bottom_left_spot(h.hw, 10.0, [], h) is None
+
+    def test_no_free_cell(self):
+        h = HangarConfig()
+        assert instgen._bottom_left_spot(24.0, 22.0, [(0.0, 0.0, h.hw, h.hl)], h) is None
 
 
 class TestConfig:

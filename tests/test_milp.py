@@ -1,7 +1,9 @@
 """Model materialization: row/variable domain coverage, LP export round-trip,
 binary derivation, satisfaction checking, and solver-point import."""
 
+import gc
 import math
+import re
 from datetime import timedelta
 from pathlib import Path
 
@@ -121,6 +123,14 @@ class TestBuildModelDomains:
         # second difference of a quadratic is constant
         r = [rows_at(n) for n in (2, 4, 6, 8)]
         assert r[3] - 2 * r[2] + r[1] == r[2] - 2 * r[1] + r[0]
+
+    @pytest.mark.parametrize("aid", ["a 01", "b:2", "a\t1", "c\u00a0"])
+    @pytest.mark.parametrize("kind", ["future", "current"])
+    def test_id_that_cannot_be_an_lp_name(self, aid, kind):
+        aircraft = make_future(aid) if kind == "future" else make_current(aid)
+        inst = make_instance(**{kind: [aircraft]})
+        with pytest.raises(ParseError, match=re.escape(repr(aid))):
+            milp.build_model(inst)
 
     def test_epsilons_come_from_config(self):
         from hangarplan.core import HangarConfig, derive_big_m
@@ -387,6 +397,76 @@ class TestImport:
             milp.import_solution(model, inst, text)
         kinds = {v.kind for v in exc.value.report.violations}
         assert ViolationKind.OUT_OF_BOUNDS in kinds
+
+
+#: The functions that run with the collector paused, each with a module
+#: global its body calls.
+PAUSED = {"build_model": "derive_big_m", "derive_binaries": "vAcc",
+          "export_lp": "_num", "parse_lp": "_number", "parse_point": "_number"}
+
+
+def paused_calls():
+    """One call of each function in ``PAUSED``, on an instance with parked
+    and requested aircraft."""
+    inst = instgen.generate(instgen.GeneratorConfig(n_future=4, n_current=2, seed=3))
+    sol = ach.solve(inst)
+    model = milp.build_model(inst)
+    text = milp.export_lp(model)
+    point_text = "".join(f"{k} {v!r}\n" for k, v in milp.derive_binaries(inst, sol).items())
+    return {
+        "build_model": lambda: milp.build_model(inst),
+        "export_lp": lambda: milp.export_lp(model),
+        "parse_lp": lambda: milp.parse_lp(text),
+        "derive_binaries": lambda: milp.derive_binaries(inst, sol),
+        "parse_point": lambda: milp.parse_point(point_text),
+    }
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPaused:
+    """The row-system functions pause the cyclic collector and leave its
+    state as they found it; the pause loses nothing, because they leave no
+    cyclic garbage behind."""
+
+    @pytest.mark.parametrize("name", PAUSED)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, collector, monkeypatch, name, enabled):
+        call = paused_calls()[name]
+        helper = getattr(milp, PAUSED[name])
+        seen = []
+
+        def probe(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return helper(*args, **kwargs)
+
+        monkeypatch.setattr(milp, PAUSED[name], probe)
+        (gc.enable if enabled else gc.disable)()
+        call()
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)  # paused while the body ran
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_on_parse_error(self, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ParseError):
+            milp.parse_lp("Minimize\n obj: + 1\nEnd\n")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("name", PAUSED)
+    def test_no_cyclic_garbage(self, collector, name):
+        call = paused_calls()[name]
+        call()  # warm-up: caches filled on first use are not garbage
+        gc.disable()
+        gc.collect()
+        call()
+        assert gc.collect() == 0
 
 
 def rounded(x: float) -> float:
