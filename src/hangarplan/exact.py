@@ -12,7 +12,9 @@ exceeds the best layout found so far.  The prefix's minimal layout is carried
 down its subtree: a completion only adds separation pairs, so a prefix with
 no layout is cut and its coordinate sum bounds every completion's, and a
 complete schedule reuses the layout of its last accepted prefix.  Both
-searches share one node budget.
+searches share one node budget.  They are module-level recursive functions
+over explicit arguments and one ``_Search`` record, so a call leaves no
+cyclic garbage.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     AircraftSpec,
     Assignment,
     CostBreakdown,
+    HangarConfig,
     Instance,
     Provenance,
     Solution,
@@ -64,6 +67,9 @@ class OracleConfig:
         if self.node_budget <= 0 or not self.time_budget > 0:
             raise ValueError("budgets must be positive, got node_budget "
                              f"{self.node_budget}, time_budget {self.time_budget}")
+        if self.time_grid_step is not None and not 0 < self.time_grid_step < math.inf:
+            raise ValueError("time_grid_step must be None or positive and finite, "
+                             f"got {self.time_grid_step}")
 
 
 @dataclass
@@ -121,7 +127,6 @@ def _min_positioning(instance: Instance,
     exceeds the number of option combinations.
     """
     h = instance.hangar
-    step = h.grid_step
     if not free:
         return 0.0, {}
     for spec, _, _ in free:
@@ -133,99 +138,96 @@ def _min_positioning(instance: Instance,
                [(spec, asg.roll_in, asg.roll_out, (asg.x, asg.y)) for spec, asg in fixed]
 
     # Pairs needing a separation choice: co-present with at least one free.
-    pairs = []
+    # Upper i blocks lower j's path: i above j only if j never moves while i is present.
+    n_free = len(free)
+    options = []
     for i in range(len(entities)):
         for j in range(i + 1, len(entities)):
-            if entities[i][3] is not None and entities[j][3] is not None:
+            if ((entities[i][3] is not None and entities[j][3] is not None)
+                    or not intervals_overlap(entities[i][1:3], entities[j][1:3])):
                 continue
-            if intervals_overlap(entities[i][1:3], entities[j][1:3]):
-                pairs.append((i, j))
-
-    def above_ok(upper: int, lower: int) -> bool:
-        # upper blocks lower's path: no movement of lower while upper present
-        return not window_blocks(entities[upper][1:3], movement_times(*entities[lower][:3]))
-
-    n_free = len(free)
-
-    def compile_option(kind: str, hi: int, lo: int):
-        # One constraint (v, u, value, cap) on the flat position list: x of
-        # free aircraft i at index i, y at n_free + i.  With u None it is
-        # pos[v] >= value and pos[v] <= cap; otherwise the difference edge
-        # pos[v] >= snap(pos[u] + value).
-        axis = 0 if kind == _RIGHT else 1
-        off = axis * n_free
-        size = entities[lo][0].width if axis == 0 else entities[lo][0].length
-        gap = size + h.buffer
-        hi_fixed, lo_fixed = entities[hi][3], entities[lo][3]
-        if lo_fixed is not None:
-            return off + hi, None, _snap_up(lo_fixed[axis] + gap, h.buffer, step), math.inf
-        if hi_fixed is not None:
-            # the free aircraft must stay below/left of the fixed one
-            return off + lo, None, h.buffer, hi_fixed[axis] - size - h.buffer
-        return off + hi, off + lo, gap, math.inf
-
-    options = []
-    for i, j in pairs:
-        opts = [(_RIGHT, i, j), (_RIGHT, j, i)]
-        if above_ok(i, j):
-            opts.append((_ABOVE, i, j))
-        if above_ok(j, i):
-            opts.append((_ABOVE, j, i))
-        options.append([compile_option(*o) for o in opts])
+            opts = [(_RIGHT, i, j), (_RIGHT, j, i)]
+            if not window_blocks(entities[i][1:3], movement_times(*entities[j][:3])):
+                opts.append((_ABOVE, i, j))
+            if not window_blocks(entities[j][1:3], movement_times(*entities[i][:3])):
+                opts.append((_ABOVE, j, i))
+            options.append([_compile_option(h, entities, n_free, *o) for o in opts])
 
     walls = ([h.hw - h.buffer - spec.width for spec, _, _ in free]
              + [h.hl - h.buffer - spec.length for spec, _, _ in free])
     succ: list[list[tuple[int, float]]] = [[] for _ in walls]
-    best = None  # (total, layout)
-
-    def total(pos: list[float]) -> float:
-        return sum(pos[i] + pos[n_free + i] for i in range(n_free))
-
-    def settle(pos: list[float], limit: list[float], v: int, value: float) -> bool:
-        # Raise pos[v] to value and propagate along the edges; positions only
-        # grow, so passing a wall or cap (a positive cycle ends up passing a
-        # wall) fails every extension of this branch.
-        work = [(v, value)]
-        while work:
-            v, value = work.pop()
-            if value > pos[v]:
-                pos[v] = value
-                work.extend((w, _snap_up(value + gap, h.buffer, step)) for w, gap in succ[v])
-            if pos[v] > limit[v] + TOL:
-                return False
-        return True
-
-    def search(k: int, pos: list[float], limit: list[float]) -> None:
-        nonlocal best
-        if k == len(options):
-            if budget.tick():
-                return
-            cand = (total(pos), tuple(zip(pos[:n_free], pos[n_free:])))
-            if best is None or cand < best:
-                best = cand
-            return
-        for v, u, value, cap in options[k]:
-            if budget.exhausted:
-                return
-            child, child_limit = pos[:], limit[:]
-            if u is not None:
-                succ[u].append((v, value))
-                value = _snap_up(child[u] + value, h.buffer, step)
-            child_limit[v] = min(child_limit[v], cap)
-            # the partial sum only grows; ties stay for the layout tie-break
-            if (settle(child, child_limit, v, value)
-                    and (best is None or total(child) <= best[0])):
-                search(k + 1, child, child_limit)
-            else:
-                budget.tick()
-            if u is not None:
-                succ[u].pop()
-
-    search(0, [h.buffer] * len(walls), walls)
+    best = _layout_search(h, options, succ, budget, 0, [h.buffer] * len(walls), walls, None)
     if best is None:
         return None
-    total_sum, layout = best
-    return total_sum, {free[i][0].id: layout[i] for i in range(n_free)}
+    return best[0], {free[i][0].id: best[1][i] for i in range(n_free)}
+
+
+def _compile_option(h: HangarConfig, entities: list, n_free: int,
+                    kind: str, hi: int, lo: int) -> tuple[int, Optional[int], float, float]:
+    """One constraint (v, u, value, cap) on the flat position list: x of free aircraft
+    i at index i, y at n_free + i.  With u None it is pos[v] >= value and pos[v] <=
+    cap; otherwise the difference edge pos[v] >= snap(pos[u] + value)."""
+    axis = 0 if kind == _RIGHT else 1
+    off = axis * n_free
+    size = entities[lo][0].width if axis == 0 else entities[lo][0].length
+    gap = size + h.buffer
+    hi_fixed, lo_fixed = entities[hi][3], entities[lo][3]
+    if lo_fixed is not None:
+        return off + hi, None, _snap_up(lo_fixed[axis] + gap, h.buffer, h.grid_step), math.inf
+    if hi_fixed is not None:
+        # the free aircraft must stay below/left of the fixed one
+        return off + lo, None, h.buffer, hi_fixed[axis] - size - h.buffer
+    return off + hi, off + lo, gap, math.inf
+
+
+def _total(pos: list[float]) -> float:
+    # x_i + y_i per aircraft in aircraft order: sum(pos) rounds differently
+    n = len(pos) // 2
+    return sum(pos[i] + pos[n + i] for i in range(n))
+
+
+def _settle(h: HangarConfig, succ: list[list[tuple[int, float]]], pos: list[float],
+            limit: list[float], v: int, value: float) -> bool:
+    """Raise pos[v] to value and propagate along the edges ``succ``; positions only grow, so
+    passing a wall or cap (a positive cycle ends up passing a wall) fails the branch."""
+    work = [(v, value)]
+    while work:
+        v, value = work.pop()
+        if value > pos[v]:
+            pos[v] = value
+            work.extend((w, _snap_up(value + gap, h.buffer, h.grid_step)) for w, gap in succ[v])
+        if pos[v] > limit[v] + TOL:
+            return False
+    return True
+
+
+def _layout_search(h: HangarConfig, options: list, succ: list[list[tuple[int, float]]],
+                   budget: _Budget, k: int, pos: list[float], limit: list[float], best):
+    """The better of ``best`` (a (total, layout) pair or None) and the best layout below
+    level ``k`` of ``options``; edges go onto ``succ`` down a branch, off on the way back."""
+    if k == len(options):
+        if budget.tick():
+            return best
+        n_free = len(pos) // 2
+        cand = (_total(pos), tuple(zip(pos[:n_free], pos[n_free:])))
+        return cand if best is None or cand < best else best
+    for v, u, value, cap in options[k]:
+        if budget.exhausted:
+            return best
+        child, child_limit = pos[:], limit[:]
+        if u is not None:
+            succ[u].append((v, value))
+            value = _snap_up(child[u] + value, h.buffer, h.grid_step)
+        child_limit[v] = min(child_limit[v], cap)
+        # the partial sum only grows; ties stay for the layout tie-break
+        if (_settle(h, succ, child, child_limit, v, value)
+                and (best is None or _total(child) <= best[0])):
+            best = _layout_search(h, options, succ, budget, k + 1, child, child_limit, best)
+        else:
+            budget.tick()
+        if u is not None:
+            succ[u].pop()
+    return best
 
 
 def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
@@ -244,6 +246,19 @@ def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
             if t <= t_max + TOL and separated(t, events, eps_t)]
 
 
+@dataclass
+class _Search:
+    """The branch and bound's fixed inputs and its incumbent."""
+    instance: Instance
+    config: OracleConfig
+    budget: _Budget
+    fixed_current: list[tuple[AircraftSpec, Assignment]]
+    order: list[AircraftSpec]
+    cost: float
+    vector: tuple
+    solution: Solution
+
+
 def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> OracleResult:
     config = config or OracleConfig()
     if len(instance.future) > MAX_FUTURE and not config.allow_large:
@@ -251,74 +266,62 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
             f"{len(instance.future)} future aircraft (documented bound {MAX_FUTURE}); "
             "pass allow_large=True to override")
 
-    h = instance.hangar
-    budget = _Budget(config)
     fixed_current = ach._commit_current(instance)
     current_cost = sum(a.p_dep * asg.d_dep for (a, asg) in fixed_current)
-    order = ach.prioritize(instance)
-
     # Fallback incumbent: keep the current aircraft, reject everything else.
     all_reject = _compose(instance, fixed_current, [], {})
-    best = {
-        "cost": evaluate_cost(instance, all_reject).total,
-        "vector": _vector(instance, all_reject),
-        "solution": all_reject,
-    }
+    search = _Search(instance, config, _Budget(config), fixed_current,
+                     ach.prioritize(instance), evaluate_cost(instance, all_reject).total,
+                     _vector(all_reject), all_reject)
+    _branch(search, 0, [], ach._events(fixed_current), current_cost, (0.0, {}))
 
-    def leaf(free: list[tuple[AircraftSpec, float, float]], committed_cost: float,
-             res: tuple[float, dict[str, tuple[float, float]]]) -> None:
-        pos_sum, layout = res
-        total = committed_cost + h.eps_p * pos_sum
-        solution = _compose(instance, fixed_current, free, layout)
-        vec = _vector(instance, solution)
-        if (total < best["cost"] - 1e-9
-                or (abs(total - best["cost"]) <= 1e-9 and vec < best["vector"])):
-            report = validator.validate(instance, solution)
-            if not report.feasible:  # pragma: no cover - search soundness guard
-                raise AssertionError("oracle produced infeasible candidate:\n"
-                                     + validator.explain(report))
-            best["cost"] = total
-            best["vector"] = vec
-            best["solution"] = solution
+    status = (OracleStatus.BUDGET_EXHAUSTED if search.budget.exhausted
+              else OracleStatus.PROVEN_OPTIMAL_ON_GRID)
+    return OracleResult(search.solution, evaluate_cost(instance, search.solution), status,
+                        search.budget.nodes)
 
-    def dfs(idx: int, free: list[tuple[AircraftSpec, float, float]],
+
+def _leaf(search: _Search, free: list[tuple[AircraftSpec, float, float]],
+          committed_cost: float, res: tuple[float, dict[str, tuple[float, float]]]) -> None:
+    total = committed_cost + search.instance.hangar.eps_p * res[0]
+    solution = _compose(search.instance, search.fixed_current, free, res[1])
+    vec = _vector(solution)
+    if (total < search.cost - 1e-9
+            or (abs(total - search.cost) <= 1e-9 and vec < search.vector)):
+        report = validator.validate(search.instance, solution)
+        if not report.feasible:  # pragma: no cover - search soundness guard
+            raise AssertionError("oracle produced infeasible candidate:\n"
+                                 + validator.explain(report))
+        search.cost, search.vector, search.solution = total, vec, solution
+
+
+def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, float]],
             events: list[float], committed_cost: float,
             res: tuple[float, dict[str, tuple[float, float]]]) -> None:
-        # ``free`` is the accepted prefix, in priority order, and ``res`` its
-        # minimal layout: every completion keeps these separation pairs and
-        # adds its own, so res[0] bounds the positioning sum of the subtree.
-        if budget.tick():
+    # ``free`` is the accepted prefix, in priority order, and ``res`` its
+    # minimal layout: every completion keeps these separation pairs and
+    # adds its own, so res[0] bounds the positioning sum of the subtree.
+    h, budget = search.instance.hangar, search.budget
+    if budget.tick() or committed_cost + h.eps_p * res[0] > search.cost + TOL:
+        return
+    if idx == len(search.order):
+        _leaf(search, free, committed_cost, res)
+        return
+    spec = search.order[idx]
+    t_max = ach.max_admissible_time(spec)
+    for t in _time_candidates(spec, events, h.eps_t, t_max, search.config.time_grid_step):
+        t_out = next_separated(t + spec.service, events, h.eps_t)
+        d_arr, d_dep = delays(spec, t, t_out)
+        cost = committed_cost + spec.p_arr * d_arr + spec.p_dep * d_dep
+        if cost + h.eps_p * res[0] > search.cost + TOL:
+            continue  # the parent's layout already bounds this child out
+        accepted = free + [(spec, t, t_out)]
+        child = _min_positioning(search.instance, accepted, search.fixed_current, budget)
+        if child is not None:  # no layout for the prefix, none for any completion
+            _branch(search, idx + 1, accepted, sorted(events + [t, t_out]), cost, child)
+        if budget.exhausted:
             return
-        if committed_cost + h.eps_p * res[0] > best["cost"] + TOL:
-            return
-        if idx == len(order):
-            leaf(free, committed_cost, res)
-            return
-        spec = order[idx]
-        t_max = ach.max_admissible_time(spec)
-        for t in _time_candidates(spec, events, h.eps_t, t_max, config.time_grid_step):
-            t_out = next_separated(t + spec.service, events, h.eps_t)
-            d_arr, d_dep = delays(spec, t, t_out)
-            cost = committed_cost + spec.p_arr * d_arr + spec.p_dep * d_dep
-            if cost + h.eps_p * res[0] > best["cost"] + TOL:
-                continue  # the parent's layout already bounds this child out
-            accepted = free + [(spec, t, t_out)]
-            child = _min_positioning(instance, accepted, fixed_current, budget)
-            if child is not None:  # no layout for the prefix, none for any completion
-                dfs(idx + 1, accepted, sorted(events + [t, t_out]), cost, child)
-            if budget.exhausted:
-                return
-        dfs(idx + 1, free, events, committed_cost + spec.p_rej, res)
-
-    dfs(0, [], ach._events(fixed_current), current_cost, (0.0, {}))
-
-    status = (OracleStatus.BUDGET_EXHAUSTED if budget.exhausted
-              else OracleStatus.PROVEN_OPTIMAL_ON_GRID)
-    solution = best["solution"]
-    return OracleResult(solution=solution,
-                        cost=evaluate_cost(instance, solution),
-                        status=status,
-                        nodes_explored=budget.nodes)
+    _branch(search, idx + 1, free, events, committed_cost + spec.p_rej, res)
 
 
 def _compose(instance: Instance,
@@ -335,10 +338,7 @@ def _compose(instance: Instance,
                     provenance=Provenance.ORACLE)
 
 
-def _vector(instance: Instance, solution: Solution):
-    by_id = solution.by_id()
-    vec = []
-    for a in instance.all_aircraft():
-        asg = by_id[a.id]
-        vec.append((0 if asg.accept else 1, asg.x, asg.y, asg.roll_in, asg.roll_out))
-    return tuple(vec)
+def _vector(solution: Solution):
+    # _compose lists the assignments in the instance's aircraft order
+    return tuple((0 if a.accept else 1, a.x, a.y, a.roll_in, a.roll_out)
+                 for a in solution.assignments)

@@ -367,11 +367,11 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _wrap(prefix: str, body: str, width: int = LINE_WIDTH) -> list[str]:
+def _wrap(prefix: str, body: str) -> list[str]:
     lines = []
     cur = prefix
     for tok in body.split(" "):
-        if len(cur) + 1 + len(tok) > width and cur != prefix:
+        if len(cur) + 1 + len(tok) > LINE_WIDTH and cur != prefix:
             lines.append(cur)
             cur = " "
         cur += " " + tok
@@ -655,21 +655,21 @@ def derive_binaries(instance: Instance, solution: Solution,
     return point
 
 
-def check_satisfaction(model: MilpModel, point: dict[str, float],
-                       tol: float = 1e-6) -> list[tuple[str, float]]:
-    """Violated rows and bounds at the point, as (name, residual) pairs."""
+def check_satisfaction(model: MilpModel, point: dict[str, float]) -> list[tuple[str, float]]:
+    """Rows and bounds violated at the point by more than ``TOL``, as (name,
+    residual) pairs."""
     for name in model.variables:
         if name not in point:
             raise MissingVariable(name)
     violated: list[tuple[str, float]] = []
     for row in model.rows:
         res = row.residual(point)
-        if res > tol:
+        if res > TOL:
             violated.append((row.name, res))
     for v in model.variables.values():
         val = point[v.name]
         res = max(v.lb - val, val - v.ub, 0.0)
-        if res > tol:
+        if res > TOL:
             name = v.fix_name if v.fix_name else f"dom_nonneg({v.name})"
             violated.append((name, res))
     return sorted(violated)
@@ -701,13 +701,17 @@ def parse_point(text: str) -> dict[str, float]:
 
 def import_solution(model: MilpModel, instance: Instance, text: str) -> Solution:
     """Reconstruct a Solution from a solver point dump; unlisted variables are
-    treated as zero.  Delays are recomputed; the result must validate.  The
-    model must be the instance's: the same aircraft in the same order."""
+    treated as zero, and a name the model does not declare is a ParseError.
+    Delays are recomputed; the result must validate.  The model must be the
+    instance's: the same aircraft in the same order."""
     ids = [a.id for a in instance.all_aircraft()]
     if model.aircraft_ids != ids:
         raise ParseError(f"model aircraft {model.aircraft_ids} are not the "
                          f"instance's {ids}")
     point = parse_point(text)
+    for name in point:  # in file order
+        if name not in model.variables:
+            raise ParseError(f"point names {name}, a variable the model does not declare")
 
     def val(name):
         v = point.get(name, 0.0)

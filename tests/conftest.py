@@ -7,6 +7,7 @@ no search code with the optimized oracle it cross-checks.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import signal
 from contextlib import contextmanager
@@ -198,6 +199,14 @@ def brute_force_optimum(instance: Instance) -> tuple[float, Solution]:
 @pytest.fixture
 def tiny_hangar() -> HangarConfig:
     return TINY_HANGAR
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
 
 
 # ---------------------------------------------------------------------------

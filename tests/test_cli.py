@@ -278,6 +278,22 @@ class TestModelRoundTrip:
              "it contains whitespace or ':'"]
         assert not lp.exists()
 
+    def test_import_undeclared_name_exit_3(self, runner, tmp_path):
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst_p)])
+        lp = tmp_path / "model.lp"
+        run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        point_p = tmp_path / "point.txt"
+        point_p.write_text("Accpet(a01) 1\nBogus 7\n")
+        out = tmp_path / "x.json"
+        res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
+                           "-p", str(point_p), "-o", str(out)])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+        errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "Accpet(a01)" in errors[0] and "Bogus" not in errors[0]
+        assert not out.exists()
+
     def test_import_model_of_other_instance_exit_3(self, runner, tmp_path):
         inst_p, other_p = tmp_path / "inst.json", tmp_path / "other.json"
         run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst_p)])

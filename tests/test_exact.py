@@ -1,6 +1,7 @@
 """Exact oracle: trivial optima, equality with an unpruned brute force,
 dominance over the heuristic, budgets, and model consistency."""
 
+import gc
 import itertools
 import json
 import math
@@ -199,6 +200,10 @@ class TestGuardsAndBudgets:
             exact.OracleConfig(time_budget=-1.0)
         with pytest.raises(ValueError):
             exact.OracleConfig(time_budget=float("nan"))
+        # a step that is not positive and finite never ends the grid candidates
+        for step in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                exact.OracleConfig(time_grid_step=step)
 
 
 def product_min_positioning(instance, free, fixed, budget):
@@ -463,3 +468,25 @@ class TestPrefixPruning:
                           "c1": (5.0, 5.0, c1_in, pytest.approx(c1_in + 4.0))}
         assert res.cost.total == pytest.approx(cost, abs=1e-9)
         assert res.nodes_explored == nodes
+
+
+class TestNoCyclicGarbage:
+    """The searches are plain recursive functions over explicit arguments, so
+    a call leaves nothing for the cyclic collector: reference counting frees
+    all it drops."""
+
+    @pytest.mark.parametrize("n_current,config", [
+        (0, exact.OracleConfig()),
+        (2, exact.OracleConfig()),
+        (0, exact.OracleConfig(time_grid_step=0.5)),
+        (0, exact.OracleConfig(node_budget=3)),
+    ], ids=["oracle-family", "parked", "time-grid", "budget-stop"])
+    def test_no_cyclic_garbage(self, collector, n_current, config):
+        inst = _generate(4, n_current, 0.2, 1.0, 7_400_000)
+        exact.solve_exact(inst, config)  # warm-up: caches filled on first use are not garbage
+        gc.disable()
+        gc.collect()
+        res = exact.solve_exact(inst, config)
+        assert gc.collect() == 0
+        assert res.status is (exact.OracleStatus.BUDGET_EXHAUSTED if config.node_budget == 3
+                              else exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID)

@@ -368,6 +368,14 @@ class TestImport:
         imported = milp.import_solution(model, inst, "Const 1\n")
         assert not imported.by_id()["a01"].accept
 
+    def test_undeclared_name_rejected(self):
+        # the first name the model does not declare, in file order
+        inst = make_instance(future=[make_future("a01"), make_future("a02")])
+        built = milp.build_model(inst)
+        for model in (built, milp.parse_lp(milp.export_lp(built))):
+            with pytest.raises(ParseError, match=r"Accpet\(a01\)"):
+                milp.import_solution(model, inst, "X(a01) 5\nAccpet(a01) 1\nBogus 7\n")
+
     def test_model_of_other_instance_rejected(self):
         inst = three_aircraft_instance()
         model = milp.build_model(inst)
@@ -420,14 +428,6 @@ def paused_calls():
         "derive_binaries": lambda: milp.derive_binaries(inst, sol),
         "parse_point": lambda: milp.parse_point(point_text),
     }
-
-
-@pytest.fixture
-def collector():
-    """Restores the collector's state after the test."""
-    enabled = gc.isenabled()
-    yield
-    (gc.enable if enabled else gc.disable)()
 
 
 class TestCollectorPaused:
