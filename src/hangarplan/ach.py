@@ -1,5 +1,5 @@
 """Deterministic constructive heuristic: prioritize, then place one aircraft
-at a time on the spatial grid at the earliest roll-in time where it fits.
+at a time on ``core.grid`` at the earliest roll-in time where it fits.
 
 Roll-in candidates are the lattice times ``eta + k * eps_t`` up to the
 break-even time, where the delay cost reaches the rejection penalty.  The
@@ -34,12 +34,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
+    GRID_TOL,
     TOL,
     AircraftSpec,
     Assignment,
     Instance,
     Provenance,
     Solution,
+    grid,
     intervals_overlap,
     is_above,
     lanes_overlap,
@@ -60,7 +62,7 @@ def prioritize(instance: Instance) -> list[AircraftSpec]:
 
 def max_admissible_time(aircraft: AircraftSpec) -> float:
     """Latest roll-in time before rejecting becomes cheaper than delaying."""
-    if aircraft.p_arr is None or aircraft.p_arr <= 0:
+    if aircraft.p_arr == 0:
         return math.inf
     return aircraft.eta + aircraft.p_rej / aircraft.p_arr
 
@@ -77,13 +79,6 @@ def resolve_roll_out(aircraft: AircraftSpec, t_in: float,
     """Smallest time >= t_in + service keeping eps_t separation from every
     committed movement, stepping in eps_t increments."""
     return next_separated(t_in + aircraft.service, _events(fixed_schedule), eps_t)
-
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(math.floor((hi - lo) / step + TOL))
-    if n < 0:
-        return np.asarray([])
-    return lo + step * np.arange(n + 1)
 
 
 class Scan(NamedTuple):
@@ -110,18 +105,18 @@ def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
     """The time-invariant part of ``find_best_placement`` for ``aircraft``
     next to ``fixed_schedule``."""
     h = instance.hangar
-    xs = _grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step)
-    ys = _grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step)
+    xs = grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step)
+    ys = grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step)
     committed = []
     for spec_b, asg_b in fixed_schedule:
         if not asg_b.accept:
             continue
         # on an ascending grid, v > lower holds from searchsorted(lower,
         # "right") on, and v < upper below searchsorted(upper, "left")
-        x_lo = int(np.searchsorted(xs, asg_b.x - aircraft.width - h.buffer + TOL, "right"))
-        x_hi = int(np.searchsorted(xs, asg_b.x + spec_b.width + h.buffer - TOL, "left"))
-        y_lo = int(np.searchsorted(ys, asg_b.y - aircraft.length - h.buffer + TOL, "right"))
-        y_hi = int(np.searchsorted(ys, asg_b.y + spec_b.length + h.buffer - TOL, "left"))
+        x_lo = int(np.searchsorted(xs, asg_b.x - aircraft.width - h.buffer + GRID_TOL, "right"))
+        x_hi = int(np.searchsorted(xs, asg_b.x + spec_b.width + h.buffer - GRID_TOL, "left"))
+        y_lo = int(np.searchsorted(ys, asg_b.y - aircraft.length - h.buffer + GRID_TOL, "right"))
+        y_hi = int(np.searchsorted(ys, asg_b.y + spec_b.length + h.buffer - GRID_TOL, "left"))
         committed.append(((asg_b.roll_in, asg_b.roll_out),
                           movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
                           slice(x_lo, x_hi), slice(y_lo, y_hi),

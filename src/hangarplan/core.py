@@ -13,8 +13,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 #: Absolute comparison tolerance for times (hours) and coordinates (meters).
 TOL = 1e-6
+
+#: Slack of the solvers' grid tests (m): TOL less a margin above the rounding of
+#: hangar-scale sums, so every cell they accept passes the validator's TOL test.
+GRID_TOL = TOL - 1e-9
 
 #: Largest placement grid a hangar may ask for, in cells.
 MAX_GRID_CELLS = 10**6
@@ -65,6 +71,9 @@ class AircraftSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{self.id}: {name} must be finite, got {value}")
+        for name in ("p_dep", "p_rej", "p_arr"):
+            if (getattr(self, name) or 0.0) < 0:
+                raise ValueError(f"{self.id}: {name} must be non-negative")
         if self.width <= 0 or self.length <= 0:
             raise ValueError(f"{self.id}: footprint must be positive")
         if self.service <= 0:
@@ -241,8 +250,21 @@ def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Solver-side movement rules (shared by ach and exact)
+# Solver-side placement grid and movement rules (shared by ach and exact)
 # ---------------------------------------------------------------------------
+
+def grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The placement grid of one axis: the cells lo + k * step (k >= 0) that
+    do not pass hi by more than GRID_TOL, ascending."""
+    cells = lo + step * np.arange(math.floor((hi - lo + GRID_TOL) / step) + 2)
+    return cells[cells <= hi + GRID_TOL]
+
+
+def snap_up(value: float, lo: float, step: float) -> float:
+    """The smallest cell of the placement grid from lo that is not below value
+    by more than GRID_TOL."""
+    return lo + max(0, math.ceil((value - GRID_TOL - lo) / step)) * step
+
 
 def movement_times(spec: AircraftSpec, roll_in: float, roll_out: float) -> list[float]:
     """The movements of one stay that need eps_t separation and a clear lane:

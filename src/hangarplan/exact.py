@@ -2,19 +2,19 @@
 
 Depth-first branch and bound over acceptance subsets, event-driven roll-in
 candidates, and grid placements, certifying the optimum relative to that
-discretization.  Placements are optimized for every accepted prefix (each
-accept branch) by a second depth-first search over the pairwise separation
-disjunctions.  Each choice is a monotone constraint on one axis (a lower
-bound, a cap, or a difference edge); adding it raises the parent's least
-fixpoint (snapped up to the spatial grid) by worklist propagation.  A branch
-is cut once a position passes its wall or cap, or once its coordinate sum
-exceeds the best layout found so far.  The prefix's minimal layout is carried
-down its subtree: a completion only adds separation pairs, so a prefix with
-no layout is cut and its coordinate sum bounds every completion's, and a
-complete schedule reuses the layout of its last accepted prefix.  Both
-searches share one node budget.  They are module-level recursive functions
-over explicit arguments and one ``_Search`` record, so a call leaves no
-cyclic garbage.
+discretization.  The placement grid is ``core``'s, the one ``ach`` scans.
+Placements are optimized for every accepted prefix (each accept branch) by a
+second depth-first search over the pairwise separation disjunctions.  Each
+choice is a monotone constraint on one axis (a lower bound, a cap, or a
+difference edge); adding it raises the parent's least fixpoint (snapped up to
+the grid by ``core.snap_up``) by worklist propagation.  A branch is cut once a
+position passes its wall or cap, or once its coordinate sum exceeds the best
+layout found so far.  The prefix's minimal layout is carried down its subtree:
+a completion only adds separation pairs, so a prefix with no layout is cut and
+its coordinate sum bounds every completion's, and a complete schedule reuses
+the layout of its last accepted prefix.  Both searches share one node budget.
+They are module-level recursive functions over explicit arguments and one
+``_Search`` record, so a call leaves no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from . import ach, validator
 from .core import (
+    GRID_TOL,
     TOL,
     AircraftSpec,
     Assignment,
@@ -41,6 +42,7 @@ from .core import (
     movement_times,
     next_separated,
     separated,
+    snap_up,
     window_blocks,
 )
 from .io import ParseError
@@ -58,7 +60,6 @@ class OracleStatus(str, Enum):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    time_grid_step: Optional[float] = None  # None = event-driven candidates
     node_budget: int = 2_000_000
     time_budget: float = 300.0
     allow_large: bool = False
@@ -67,9 +68,6 @@ class OracleConfig:
         if self.node_budget <= 0 or not self.time_budget > 0:
             raise ValueError("budgets must be positive, got node_budget "
                              f"{self.node_budget}, time_budget {self.time_budget}")
-        if self.time_grid_step is not None and not 0 < self.time_grid_step < math.inf:
-            raise ValueError("time_grid_step must be None or positive and finite, "
-                             f"got {self.time_grid_step}")
 
 
 @dataclass
@@ -96,16 +94,11 @@ class _Budget:
         self.nodes = 0
         self.exhausted = False
 
-    def tick(self, n: int = 1) -> bool:
-        self.nodes += n
+    def tick(self) -> bool:
+        self.nodes += 1
         if self.nodes > self.node_budget or time.monotonic() > self.deadline:
             self.exhausted = True
         return self.exhausted
-
-
-def _snap_up(value: float, lo: float, step: float) -> float:
-    k = math.ceil((value - lo) / step - 1e-9)
-    return lo + max(0, k) * step
 
 
 def _min_positioning(instance: Instance,
@@ -129,10 +122,10 @@ def _min_positioning(instance: Instance,
     h = instance.hangar
     if not free:
         return 0.0, {}
-    for spec, _, _ in free:
-        if (spec.width > h.hw - 2 * h.buffer + TOL
-                or spec.length > h.hl - 2 * h.buffer + TOL):
-            return None
+    walls = ([h.hw - h.buffer - spec.width for spec, _, _ in free]
+             + [h.hl - h.buffer - spec.length for spec, _, _ in free])
+    if any(h.buffer > wall + GRID_TOL for wall in walls):
+        return None  # an aircraft with no grid cell
 
     entities = [(spec, t_in, t_out, None) for spec, t_in, t_out in free] + \
                [(spec, asg.roll_in, asg.roll_out, (asg.x, asg.y)) for spec, asg in fixed]
@@ -153,8 +146,6 @@ def _min_positioning(instance: Instance,
                 opts.append((_ABOVE, j, i))
             options.append([_compile_option(h, entities, n_free, *o) for o in opts])
 
-    walls = ([h.hw - h.buffer - spec.width for spec, _, _ in free]
-             + [h.hl - h.buffer - spec.length for spec, _, _ in free])
     succ: list[list[tuple[int, float]]] = [[] for _ in walls]
     best = _layout_search(h, options, succ, budget, 0, [h.buffer] * len(walls), walls, None)
     if best is None:
@@ -173,7 +164,7 @@ def _compile_option(h: HangarConfig, entities: list, n_free: int,
     gap = size + h.buffer
     hi_fixed, lo_fixed = entities[hi][3], entities[lo][3]
     if lo_fixed is not None:
-        return off + hi, None, _snap_up(lo_fixed[axis] + gap, h.buffer, h.grid_step), math.inf
+        return off + hi, None, snap_up(lo_fixed[axis] + gap, h.buffer, h.grid_step), math.inf
     if hi_fixed is not None:
         # the free aircraft must stay below/left of the fixed one
         return off + lo, None, h.buffer, hi_fixed[axis] - size - h.buffer
@@ -195,8 +186,8 @@ def _settle(h: HangarConfig, succ: list[list[tuple[int, float]]], pos: list[floa
         v, value = work.pop()
         if value > pos[v]:
             pos[v] = value
-            work.extend((w, _snap_up(value + gap, h.buffer, h.grid_step)) for w, gap in succ[v])
-        if pos[v] > limit[v] + TOL:
+            work.extend((w, snap_up(value + gap, h.buffer, h.grid_step)) for w, gap in succ[v])
+        if pos[v] > limit[v] + GRID_TOL:
             return False
     return True
 
@@ -217,7 +208,7 @@ def _layout_search(h: HangarConfig, options: list, succ: list[list[tuple[int, fl
         child, child_limit = pos[:], limit[:]
         if u is not None:
             succ[u].append((v, value))
-            value = _snap_up(child[u] + value, h.buffer, h.grid_step)
+            value = snap_up(child[u] + value, h.buffer, h.grid_step)
         child_limit[v] = min(child_limit[v], cap)
         # the partial sum only grows; ties stay for the layout tie-break
         if (_settle(h, succ, child, child_limit, v, value)
@@ -231,17 +222,9 @@ def _layout_search(h: HangarConfig, options: list, succ: list[list[tuple[int, fl
 
 
 def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
-                     t_max: float, grid_step: Optional[float]) -> list[float]:
-    """Separated roll-in candidates up to t_max; ``events`` is sorted."""
-    if grid_step is not None:
-        # Stop at the first grid time at or after the last event + eps_t, the
-        # horizon of the event-driven candidates: t_max is inf when p_arr = 0.
-        horizon = events[-1] + eps_t if events else spec.eta
-        cands = [spec.eta]
-        while cands[-1] < horizon - TOL and cands[-1] <= t_max + TOL:
-            cands.append(spec.eta + len(cands) * grid_step)
-    else:
-        cands = [spec.eta] + [e + eps_t for e in events if e + eps_t > spec.eta - TOL]
+                     t_max: float) -> list[float]:
+    """Separated roll-ins in [eta, t_max]: eta, and eps_t after each event."""
+    cands = [spec.eta] + [e + eps_t for e in events if e + eps_t > spec.eta - TOL]
     return [t for t in sorted(set(round(t, 9) for t in cands))
             if t <= t_max + TOL and separated(t, events, eps_t)]
 
@@ -309,7 +292,7 @@ def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, flo
         return
     spec = search.order[idx]
     t_max = ach.max_admissible_time(spec)
-    for t in _time_candidates(spec, events, h.eps_t, t_max, search.config.time_grid_step):
+    for t in _time_candidates(spec, events, h.eps_t, t_max):
         t_out = next_separated(t + spec.service, events, h.eps_t)
         d_arr, d_dep = delays(spec, t, t_out)
         cost = committed_cost + spec.p_arr * d_arr + spec.p_dep * d_dep

@@ -144,6 +144,15 @@ class TestSolveAndValidate:
         assert res.exit_code == 3
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("field", ["p_dep", "p_rej", "p_arr"])
+    def test_negative_penalty_exit_3(self, runner, tmp_path, field):
+        ip = tmp_path / "i.json"
+        doc = instance_doc_with(make_instance(future=[make_future("a")]), field, -20.0)
+        ip.write_text(json.dumps(doc))
+        res = run(runner, ["solve-exact", "-i", str(ip), "-o", str(tmp_path / "s.json")])
+        assert res.exit_code == 3
+        assert f"{field} must be non-negative" in res.output
+
     def test_solve_ach_too_many_grid_cells_exit_3(self, runner, tmp_path):
         doc = instance_doc_with(make_instance(future=[make_future("a")]),
                                 "grid_step", 1e-9)

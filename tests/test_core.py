@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hangarplan.core import (
+    GRID_TOL,
     TOL,
     AircraftSpec,
     Assignment,
@@ -17,6 +18,7 @@ from hangarplan.core import (
     axis_separated,
     derive_big_m,
     evaluate_cost,
+    grid,
     intervals_overlap,
     is_above,
     lanes_overlap,
@@ -24,6 +26,7 @@ from hangarplan.core import (
     next_separated,
     rects_separated,
     separated,
+    snap_up,
     window_blocks,
     x_separated,
 )
@@ -56,6 +59,16 @@ class TestAircraftSpec:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             make_future("a", **kwargs)
+
+    @pytest.mark.parametrize("field", ["p_dep", "p_rej", "p_arr"])
+    def test_negative_penalty(self, field):
+        # a negative p_dep pays a plan for staying late, so no plan is
+        # optimal, and the solvers' bounds assume non-negative cost terms
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            make_future("a", **{field: -20.0})
+        make_future("a", **{field: 0.0})
+        with pytest.raises(ValueError, match="p_dep must be non-negative"):
+            make_current("c", p_dep=-1.0)
 
 
 class TestHangarConfig:
@@ -133,6 +146,35 @@ class TestGeometry:
         assert not intervals_overlap((0.0, 10.0), (10.0, 20.0))
         assert not intervals_overlap((0.0, 10.0), (20.0, 30.0))
 
+
+
+class TestPlacementGrid:
+    """The one placement grid of the heuristic and the oracle."""
+
+    def test_grid_cells(self):
+        assert grid(5.0, 36.0, 2.0).tolist() == [5.0 + 2.0 * k for k in range(16)]
+        assert grid(5.0, 5.0, 2.0).tolist() == [5.0]
+        assert grid(5.0, 5.0 - 2 * TOL, 2.0).size == 0
+
+    def test_grid_last_cell_within_tol_of_the_wall(self):
+        # at step 2, a wall 1.5e-6 m below the cell 35 leaves it out; one
+        # 0.5e-6 m below keeps it, as the validator's bound test does
+        assert grid(5.0, 35.0 - 1.5e-6, 2.0)[-1] == 33.0
+        assert grid(5.0, 35.0 - 0.5e-6, 2.0)[-1] == 35.0
+
+    def test_snap_up(self):
+        assert snap_up(30.0 + 9.9e-7, 5.0, 1.0) == 30.0  # just under 1e-6 above the cell
+        assert snap_up(30.0 + 1.5e-6, 5.0, 1.0) == 31.0
+        assert snap_up(30.0, 5.0, 1.0) == 30.0
+        assert snap_up(-3.0, 5.0, 1.0) == 5.0
+
+    @pytest.mark.parametrize("step", [0.5, 0.7, 1.0, 2.0, 2.3])
+    def test_snap_up_is_the_first_grid_cell_not_below(self, step):
+        cells = grid(5.0, 60.0, step)
+        for cell in cells[:-1].tolist():
+            for nudge in (-2e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 2e-6, 0.3 * step):
+                value = cell + nudge
+                assert snap_up(value, 5.0, step) == cells[cells >= value - GRID_TOL][0]
 
 
 class TestMovementRules:

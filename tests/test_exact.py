@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import replace
 from datetime import timedelta
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
-from hangarplan.core import (TOL, AircraftSpec, HangarConfig, Kind, evaluate_cost,
-                             intervals_overlap)
+from hangarplan.core import (GRID_TOL, TOL, AircraftSpec, HangarConfig, Kind,
+                             evaluate_cost, intervals_overlap, separated, snap_up)
 
 from conftest import (
     TINY_HANGAR,
@@ -23,7 +24,6 @@ from conftest import (
     make_current,
     make_future,
     make_instance,
-    time_limit,
 )
 
 
@@ -147,20 +147,19 @@ class TestDominanceAndConsistency:
         assert r1.nodes_explored == r2.nodes_explored
 
 
+def lattice_candidates(spec, events, eps_t, t_max, *, step):
+    """Reference roll-in candidates: every separated ``eta + k * step`` up to
+    t_max, stopping at the first one at or after the last event + eps_t (the
+    horizon of the event-driven candidates; t_max is inf when p_arr = 0)."""
+    horizon = events[-1] + eps_t if events else spec.eta
+    cands = [spec.eta]
+    while cands[-1] < horizon - TOL and cands[-1] <= t_max + TOL:
+        cands.append(spec.eta + len(cands) * step)
+    return [t for t in sorted(set(round(t, 9) for t in cands))
+            if t <= t_max + TOL and separated(t, events, eps_t)]
+
+
 class TestTimeGridCrossCheck:
-    def test_grid_mode_terminates_with_zero_delay_penalty(self):
-        # p_arr = 0 makes the break-even time infinite; grid candidates must
-        # still stop at the last event
-        wide = tiny_future("wide", width=500.0, p_arr=0.0)
-        a = tiny_future("a", p_rej=900.0)
-        inst = make_instance(future=[a, wide], hangar=TINY_HANGAR)
-        with time_limit(1.0):
-            res = exact.solve_exact(inst, exact.OracleConfig(time_grid_step=0.5))
-        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
-        assert res.solution.by_id()["a"].accept
-        assert not res.solution.by_id()["wide"].accept
-
-
     def test_grid_mode_matches_event_driven(self):
         # the event-driven candidate restriction must not miss the optimum
         c = make_current("c", width=10.0, length=10.0, x=2.0, y=2.0,
@@ -168,7 +167,9 @@ class TestTimeGridCrossCheck:
         inst = make_instance(current=[c], future=[tiny_future("a", p_arr=30.0)],
                              hangar=TINY_HANGAR)
         event = exact.solve_exact(inst)
-        grid = exact.solve_exact(inst, exact.OracleConfig(time_grid_step=0.1))
+        with mock.patch.object(exact, "_time_candidates",
+                               partial(lattice_candidates, step=0.1)):
+            grid = exact.solve_exact(inst)
         assert event.cost.total == pytest.approx(grid.cost.total, abs=1e-9)
 
 
@@ -200,10 +201,6 @@ class TestGuardsAndBudgets:
             exact.OracleConfig(time_budget=-1.0)
         with pytest.raises(ValueError):
             exact.OracleConfig(time_budget=float("nan"))
-        # a step that is not positive and finite never ends the grid candidates
-        for step in (0.0, -0.5, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                exact.OracleConfig(time_grid_step=step)
 
 
 def product_min_positioning(instance, free, fixed, budget):
@@ -215,8 +212,8 @@ def product_min_positioning(instance, free, fixed, budget):
     if not free:
         return 0.0, {}
     for spec, _, _ in free:
-        if (spec.width > h.hw - 2 * h.buffer + TOL
-                or spec.length > h.hl - 2 * h.buffer + TOL):
+        if (spec.width > h.hw - 2 * h.buffer + GRID_TOL
+                or spec.length > h.hl - 2 * h.buffer + GRID_TOL):
             return None
 
     entities = [(spec, t_in, t_out, None) for spec, t_in, t_out in free] + \
@@ -296,17 +293,17 @@ def product_min_positioning(instance, free, fixed, budget):
                         req = max(req, c[1])
                     else:
                         req = max(req, pos[(axis, c[1])] + c[2])
-                req = exact._snap_up(req, h.buffer, step)
+                req = snap_up(req, h.buffer, step)
                 if req > pos[(axis, i)] + 1e-9:
                     pos[(axis, i)] = req
                     changed = True
-                if req > wall(axis, i) + TOL:
+                if req > wall(axis, i) + GRID_TOL:
                     feasible = False
                     break
         if (not feasible
-                or any(pos[key] > cap + TOL for key, cap in upper.items())
-                or any(pos[("x", i)] > wall("x", i) + TOL
-                       or pos[("y", i)] > wall("y", i) + TOL for i in range(n_free))):
+                or any(pos[key] > cap + GRID_TOL for key, cap in upper.items())
+                or any(pos[("x", i)] > wall("x", i) + GRID_TOL
+                       or pos[("y", i)] > wall("y", i) + GRID_TOL for i in range(n_free))):
             continue
         total = sum(pos[("x", i)] + pos[("y", i)] for i in range(n_free))
         layout = tuple((pos[("x", i)], pos[("y", i)]) for i in range(n_free))
@@ -447,18 +444,15 @@ class TestPrefixPruning:
         elif full is not None:
             assert prefix[0] <= full[0] + TOL
 
-    @pytest.mark.parametrize("grid_step,eps_p,b_in,c1_in,cost,nodes", [
-        # nodes when only complete schedules were laid out: 90, 6,933 and 105
-        (None, 0.001, 20.1, 6.1, 97.755, 30),
-        (2.0, 0.001, 21.0, 7.0, 104.055, 62),
-        (None, 1.0, 20.1, 6.1, 152.7, 34),  # the layout sum also bounds the cost
-    ], ids=["events", "time-grid-2", "positioning-weight-1"])
-    def test_pair_that_never_fits_together(self, grid_step, eps_p, b_in, c1_in, cost,
-                                           nodes):
+    @pytest.mark.parametrize("eps_p,b_in,c1_in,cost,nodes", [
+        # nodes when only complete schedules were laid out: 90 and 105
+        (0.001, 20.1, 6.1, 97.755, 30),
+        (1.0, 20.1, 6.1, 152.7, 34),  # the layout sum also bounds the cost
+    ], ids=["events", "positioning-weight-1"])
+    def test_pair_that_never_fits_together(self, eps_p, b_in, c1_in, cost, nodes):
         # b waits for a to leave; below the roll-in times of b inside a's stay
         # the small requests are no longer enumerated
-        res = exact.solve_exact(never_together(eps_p),
-                                exact.OracleConfig(time_grid_step=grid_step))
+        res = exact.solve_exact(never_together(eps_p))
         assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
         placed = {a.aircraft_id: (a.x, a.y, a.roll_in, a.roll_out)
                   for a in res.solution.assignments if a.accept}
@@ -478,9 +472,8 @@ class TestNoCyclicGarbage:
     @pytest.mark.parametrize("n_current,config", [
         (0, exact.OracleConfig()),
         (2, exact.OracleConfig()),
-        (0, exact.OracleConfig(time_grid_step=0.5)),
         (0, exact.OracleConfig(node_budget=3)),
-    ], ids=["oracle-family", "parked", "time-grid", "budget-stop"])
+    ], ids=["oracle-family", "parked", "budget-stop"])
     def test_no_cyclic_garbage(self, collector, n_current, config):
         inst = _generate(4, n_current, 0.2, 1.0, 7_400_000)
         exact.solve_exact(inst, config)  # warm-up: caches filled on first use are not garbage
@@ -490,3 +483,87 @@ class TestNoCyclicGarbage:
         assert gc.collect() == 0
         assert res.status is (exact.OracleStatus.BUDGET_EXHAUSTED if config.node_budget == 3
                               else exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID)
+
+
+def parked_beside(step, parked_width, request_width):
+    """A request of width ``request_width`` next to a parked aircraft of width
+    ``parked_width`` at (5, 5), in the default hangar on a grid of ``step``: 50
+    m long, the parked aircraft leaves no room above or below it."""
+    c = make_current("c", width=parked_width, length=50.0, service=100.0, etd=200.0)
+    f = make_future("f", width=request_width, length=30.0, eta=10.0, service=50.0,
+                    etd=200.0, p_rej=900.0, p_arr=10.0, p_dep=20.0)
+    return make_instance(current=[c], future=[f], hangar=HangarConfig(grid_step=step))
+
+
+#: Nudges of a grid multiple around the TOL of the bound and separation tests;
+#: two of them can add up to TOL exactly.
+NUDGES = [-2e-6, -1.5e-6, -1e-6, -5e-7, 0.0, 5e-7, 9.9e-7, 1e-6, 1.5e-6, 2e-6]
+
+
+def _length(step, lo, hi):
+    """A length in [lo, hi] that is off the grid of ``step``: any float, or a
+    grid multiple moved by one of NUDGES."""
+    near = st.builds(lambda k, d: k * step + d,
+                     st.integers(math.ceil(lo / step), math.floor(hi / step)),
+                     st.sampled_from(NUDGES))
+    return st.floats(lo, hi) | near.filter(lambda v: lo <= v <= hi)
+
+
+class TestSharedGrid:
+    """``ach`` and the oracle search the one grid of ``core.grid`` and
+    ``core.snap_up``, whose slack GRID_TOL lies just inside the validator's
+    TOL: every ``ach`` plan validates, and a proven oracle optimum is never
+    worse than it."""
+
+    def test_request_past_the_wall_by_more_than_tol_is_rejected(self):
+        # at x = 35, the first cell clear of the parked aircraft, the request
+        # passes the wall (65 - 5 - 25.0000015) by 1.5e-6 m
+        inst = parked_beside(2.0, 24.0, 25.0000015)
+        sol = ach.solve(inst)
+        assert validator.validate(inst, sol).feasible
+        assert not sol.by_id()["f"].accept
+        res = exact.solve_exact(inst)
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert res.cost.total <= evaluate_cost(inst, sol).total + 1e-9
+
+    def test_gap_short_of_a_cell_by_less_than_tol_snaps_down(self):
+        # the parked aircraft ends 5e-7 m past x = 25, so the separated cell
+        # x = 30 is 5e-7 m short of the buffer: within TOL, as ach finds
+        inst = parked_beside(1.0, 20.0000005, 20.0)
+        sol = ach.solve(inst)
+        assert validator.validate(inst, sol).feasible
+        assert sol.by_id()["f"].x == 30.0
+        res = exact.solve_exact(inst)
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert res.solution.by_id()["f"].x == 30.0
+        assert res.cost.total == pytest.approx(0.035, abs=1e-12)
+        assert res.cost.total == evaluate_cost(inst, sol).total
+
+    @settings(max_examples=200, deadline=timedelta(seconds=20))
+    @given(step=st.sampled_from([0.5, 0.7, 1.0, 2.0, 2.3]), n_parked=st.integers(1, 2),
+           n=st.integers(1, 3), data=st.data())
+    def test_oracle_never_worse_than_ach_off_the_grid(self, step, n_parked, n, data):
+        h = HangarConfig(grid_step=step)
+        parked = []
+        for k in range(n_parked):
+            width = data.draw(_length(step, 5.0, 40.0))
+            length = data.draw(_length(step, 5.0, 40.0))
+            x = data.draw(_length(step, h.buffer, h.hw - h.buffer - width))
+            y = data.draw(_length(step, h.buffer, h.hl - h.buffer - length))
+            parked.append(make_current(f"c{k}", width=width, length=length, x=x, y=y,
+                                       service=data.draw(st.integers(10, 150))))
+        future = [make_future(f"f{k}", width=data.draw(_length(step, 5.0, 40.0)),
+                              length=data.draw(_length(step, 5.0, 40.0)),
+                              eta=data.draw(st.integers(0, 100)),
+                              service=data.draw(st.integers(10, 80)),
+                              p_rej=900.0, p_arr=10.0)
+                  for k in range(n)]
+        try:
+            inst = make_instance(current=parked, future=future, hangar=h)
+        except ValueError:  # parked aircraft out of bounds or overlapping
+            assume(False)
+        sol = ach.solve(inst)
+        assert validator.validate(inst, sol).feasible
+        res = exact.solve_exact(inst)
+        if res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID:
+            assert res.cost.total <= evaluate_cost(inst, sol).total + 1e-9
