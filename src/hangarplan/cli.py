@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -39,6 +39,11 @@ class CompareRow:
     ach_time: Optional[float]
     oracle_time: Optional[float]
     error: str = ""
+
+
+#: The CSV format of each number column of ``CompareRow``; text prints as itself.
+_CELL_FORMAT = {"ach_cost": ".6f", "oracle_cost": ".6f", "gap_pct": ".2f",
+                "ach_time": ".3f", "oracle_time": ".3f"}
 
 
 def _fail(code: int, message: str) -> None:
@@ -238,17 +243,7 @@ def validate(instance_path: str, solution_path: str, as_json: bool) -> None:
     instance, solution = _load_plan(instance_path, solution_path)
     rep = validator.validate(instance, solution)
     if as_json:
-        click.echo(json.dumps({
-            "feasible": rep.feasible,
-            "violations": [{"kind": v.kind.value, "aircraft": list(v.aircraft),
-                            "detail": v.detail, "magnitude": v.magnitude}
-                           for v in rep.violations],
-            "cost": {"rejection": rep.cost.rejection,
-                     "arrival_delay": rep.cost.arrival_delay,
-                     "departure_delay": rep.cost.departure_delay,
-                     "positioning": rep.cost.positioning,
-                     "total": rep.cost.total},
-        }, indent=2))
+        click.echo(json.dumps(asdict(rep), indent=2))
     else:
         click.echo(validator.explain(rep))
     if not rep.feasible:
@@ -293,21 +288,13 @@ def compare(instances: tuple[str, ...], out_csv: str, node_budget: int,
     with open(out_csv, "w") as out_file:
         rows = [_compare_row(path, oracle_config) for path in instances]
         writer = csv.writer(out_file, lineterminator="\n")
-        writer.writerow(["label", "ach_cost", "oracle_cost", "gap_pct",
-                         "ach_time", "oracle_time", "error"])
+        writer.writerow(f.name for f in fields(CompareRow))
         for r in rows:
-            writer.writerow([
-                r.label,
-                "" if r.ach_cost is None else f"{r.ach_cost:.6f}",
-                "" if r.oracle_cost is None else f"{r.oracle_cost:.6f}",
-                "" if r.gap_pct is None else f"{r.gap_pct:.2f}",
-                "" if r.ach_time is None else f"{r.ach_time:.3f}",
-                "" if r.oracle_time is None else f"{r.oracle_time:.3f}",
-                r.error,
-            ])
+            writer.writerow("" if v is None else format(v, _CELL_FORMAT.get(k, ""))
+                            for k, v in asdict(r).items())
     click.echo(f"wrote {out_csv} ({len(rows)} row(s))")
     if as_json:
-        click.echo(json.dumps([r.__dict__ for r in rows], indent=2))
+        click.echo(json.dumps([asdict(r) for r in rows], indent=2))
 
 
 def _compare_row(path: str, oracle_config: exact.OracleConfig) -> CompareRow:

@@ -142,6 +142,11 @@ class Instance:
         for a in self.future:
             if a.kind is not Kind.FUTURE:
                 raise ValueError(f"{a.id}: listed under future but kind={a.kind}")
+            # the rows and both solvers separate only the movements of two
+            # different aircraft; a parked aircraft moves only once
+            if a.service < self.hangar.eps_t - TOL:
+                raise ValueError(f"{a.id}: service {a.service} is shorter than "
+                                 f"eps_t {self.hangar.eps_t}")
         self._check_initial_layout()
 
     def _check_initial_layout(self) -> None:
@@ -305,11 +310,35 @@ def window_blocks(window: tuple[float, float], moves: Iterable[float]) -> bool:
 # ---------------------------------------------------------------------------
 
 def derive_big_m(instance: Instance) -> tuple[float, float, float]:
-    """(M_T, M_X, M_Y): the time constant is the latest future arrival plus the
-    sum of all service times; the distance constants are the hangar sides."""
+    """(M_T, M_X, M_Y), the constants that relax the MILP's disjunctive rows:
+
+    - M_T = max eta + sum over all aircraft of (service + 2 eps_t) + eps_t;
+    - M_X = max(hw, max width + buffer);
+    - M_Y = max(hl, max length + buffer).
+
+    They keep every plan of ``ach`` and of the oracle in the row system.  A
+    rejected aircraft has all its variables at 0.  Every row relaxed by M_T
+    then holds when each movement plus eps_t is at most M_T.  Every row
+    relaxed by M_X needs M_X >= hw, and M_X >= width + buffer of a rejected
+    aircraft, whose X is 0; M_Y likewise.
+
+    Both solvers commit the aircraft in order: the parked ones first, then
+    ``ach``'s priority order or the oracle's branching order.  Let T be the
+    latest movement of the aircraft committed before one aircraft (0 before
+    the first).  Past T the hangar is empty.  So at the first lattice or event
+    roll-in past T + eps_t, at most max(eta, T + 2 eps_t), the aircraft
+    fits if it fits at all, and its roll-out walk meets no event.  An earlier
+    fit walks its roll-out at most to T + 2 eps_t.  So its roll-out is at most
+    max(eta, T + 2 eps_t) + service <= max eta + T + 2 eps_t + service, and by
+    induction every movement is at most M_T - eps_t.
+    """
+    h = instance.hangar
+    aircraft = instance.all_aircraft()
     max_eta = max((f.eta for f in instance.future), default=0.0)
-    m_t = max_eta + sum(a.service for a in instance.all_aircraft())
-    return m_t, instance.hangar.hw, instance.hangar.hl
+    m_t = max_eta + sum(a.service + 2.0 * h.eps_t for a in aircraft) + h.eps_t
+    m_x = max([h.hw] + [a.width + h.buffer for a in aircraft])
+    m_y = max([h.hl] + [a.length + h.buffer for a in aircraft])
+    return m_t, m_x, m_y
 
 
 def evaluate_cost(instance: Instance, solution: Solution) -> CostBreakdown:

@@ -225,7 +225,7 @@ def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
                      t_max: float) -> list[float]:
     """Separated roll-ins in [eta, t_max]: eta, and eps_t after each event."""
     cands = [spec.eta] + [e + eps_t for e in events if e + eps_t > spec.eta - TOL]
-    return [t for t in sorted(set(round(t, 9) for t in cands))
+    return [t for t in sorted(set(cands))
             if t <= t_max + TOL and separated(t, events, eps_t)]
 
 
@@ -233,7 +233,6 @@ def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
 class _Search:
     """The branch and bound's fixed inputs and its incumbent."""
     instance: Instance
-    config: OracleConfig
     budget: _Budget
     fixed_current: list[tuple[AircraftSpec, Assignment]]
     order: list[AircraftSpec]
@@ -253,7 +252,7 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
     current_cost = sum(a.p_dep * asg.d_dep for (a, asg) in fixed_current)
     # Fallback incumbent: keep the current aircraft, reject everything else.
     all_reject = _compose(instance, fixed_current, [], {})
-    search = _Search(instance, config, _Budget(config), fixed_current,
+    search = _Search(instance, _Budget(config), fixed_current,
                      ach.prioritize(instance), evaluate_cost(instance, all_reject).total,
                      _vector(all_reject), all_reject)
     _branch(search, 0, [], ach._events(fixed_current), current_cost, (0.0, {}))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Callable, TypeVar, Union
 
@@ -98,14 +99,12 @@ def parse_json(text: str) -> Any:
 # ---------------------------------------------------------------------------
 
 def hangar_to_dict(h: HangarConfig) -> dict:
-    return {"hw": h.hw, "hl": h.hl, "buffer": h.buffer,
-            "eps_t": h.eps_t, "eps_p": h.eps_p, "grid_step": h.grid_step}
+    return asdict(h)
 
 
 def hangar_from_dict(d: dict) -> HangarConfig:
     return _make(HangarConfig, "hangar record",
-                 **{k: _number(d, k, "hangar")
-                    for k in ("hw", "hl", "buffer", "eps_t", "eps_p", "grid_step")})
+                 **{f.name: _number(d, f.name, "hangar") for f in fields(HangarConfig)})
 
 
 def aircraft_to_dict(a: AircraftSpec) -> dict:

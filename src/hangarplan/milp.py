@@ -612,12 +612,8 @@ def derive_binaries(instance: Instance, solution: Solution,
                 if intervals_overlap((aa.roll_in, aa.roll_out), (ab.roll_in, ab.roll_out)):
                     right = 1.0 if x_separated(aa.x, sa.width, ab.x, sb.width, h.buffer) else 0.0
                     above = 1.0 if x_separated(aa.y, sa.length, ab.y, sb.length, h.buffer) else 0.0
-                else:
-                    if abs(aa.roll_out - ab.roll_in) <= TOL:
-                        raise AmbiguousOrder(
-                            f"OutIn({a},{b}): events coincide at t={aa.roll_out}")
-                    if aa.roll_out < ab.roll_in:
-                        outin = 1.0
+                elif _strict_before(aa.roll_out, ab.roll_in, f"OutIn({a},{b})"):
+                    outin = 1.0
             point[vRight(a, b)] = right
             point[vAbove(a, b)] = above
             point[vOutIn(a, b)] = outin

@@ -153,6 +153,21 @@ class TestSolveAndValidate:
         assert res.exit_code == 3
         assert f"{field} must be non-negative" in res.output
 
+    @pytest.mark.parametrize("command", ["solve-ach", "solve-exact", "validate"])
+    def test_service_shorter_than_eps_t_exit_3(self, runner, tmp_path, command):
+        # roll-in and roll-out of the one request would come closer than eps_t
+        instance = make_instance(future=[make_future(
+            "a", width=20.0, length=20.0, eta=1.0, etd=5.0, service=1.0,
+            p_rej=900.0, p_arr=10.0)])
+        ip, sp = tmp_path / "i.json", tmp_path / "s.json"
+        io.save_solution(manual_solution(instance, {}), sp)
+        ip.write_text(json.dumps(instance_doc_with(instance, "service", 0.05)))
+        flag = "-s" if command == "validate" else "-o"
+        res = run(runner, [command, "-i", str(ip), flag, str(sp)])
+        assert res.exit_code == 3
+        assert "a: service 0.05 is shorter than eps_t 0.1" in res.output
+        assert "Traceback" not in res.output
+
     def test_solve_ach_too_many_grid_cells_exit_3(self, runner, tmp_path):
         doc = instance_doc_with(make_instance(future=[make_future("a")]),
                                 "grid_step", 1e-9)

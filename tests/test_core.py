@@ -110,6 +110,15 @@ class TestInstance:
             make_instance(current=[make_current("c1", x=5, y=5),
                                    make_current("c2", x=6, y=6)])
 
+    def test_request_service_shorter_than_eps_t(self):
+        # the rows and both solvers separate only the movements of two
+        # different aircraft, so one stay must keep eps_t on its own
+        with pytest.raises(ValueError, match="shorter than eps_t"):
+            make_instance(future=[make_future("a", service=0.05)])
+        make_instance(future=[make_future("a", service=0.1 - 1e-7)])
+        # a parked aircraft moves only once
+        make_instance(current=[make_current("c", service=0.05)])
+
     def test_lookup(self):
         inst = make_instance(future=[make_future("a")], current=[make_current("c")])
         assert [a.id for a in inst.all_aircraft()] == ["c", "a"]
@@ -232,16 +241,23 @@ class TestMovementRules:
 class TestBigM:
     def test_empty_instance(self):
         inst = make_instance()
-        assert derive_big_m(inst) == (0.0, 65.0, 60.0)
+        assert derive_big_m(inst) == (pytest.approx(0.1), 65.0, 60.0)
 
-    def test_time_constant_is_latest_eta_plus_all_services(self):
+    def test_time_constant_is_latest_eta_plus_all_stays_and_spacings(self):
+        # max eta + sum of (service + 2 eps_t) + eps_t, at eps_t = 0.1
         inst = make_instance(
             future=[make_future("a", eta=50.0, service=100.0),
                     make_future("b", eta=200.0, service=300.0)],
             current=[make_current("c", service=80.0)])
         m_t, m_x, m_y = derive_big_m(inst)
-        assert m_t == pytest.approx(200.0 + 100.0 + 300.0 + 80.0)
+        assert m_t == pytest.approx(200.0 + 100.0 + 300.0 + 80.0 + 3 * 0.2 + 0.1)
         assert (m_x, m_y) == (65.0, 60.0)
+
+    def test_distance_constants_cover_an_aircraft_larger_than_the_hangar(self):
+        inst = make_instance(future=[make_future("a", width=70.0, length=20.0),
+                                     make_future("b", width=20.0, length=58.0)])
+        _, m_x, m_y = derive_big_m(inst)
+        assert (m_x, m_y) == (75.0, 63.0)
 
 
 class TestEvaluateCost:

@@ -172,6 +172,18 @@ class TestTimeGridCrossCheck:
             grid = exact.solve_exact(inst)
         assert event.cost.total == pytest.approx(grid.cost.total, abs=1e-9)
 
+    def test_roll_in_at_eta_keeps_full_precision(self):
+        # an eta with more than 9 decimals: rounded up, the roll-in at eta
+        # would cost an arrival delay that ach does not pay
+        f = make_future("f", width=20.0, length=30.0, eta=33.65082706969816,
+                        service=15.723995732250549, p_rej=100.0, p_arr=10.0, p_dep=0.0)
+        inst = make_instance(future=[f])
+        sol = ach.solve(inst)
+        res = exact.solve_exact(inst)
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert res.solution.by_id()["f"].roll_in == f.eta
+        assert res.cost.total == evaluate_cost(inst, sol).total == pytest.approx(0.01)
+
 
 class TestGuardsAndBudgets:
     def test_instance_too_large(self):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hangarplan import ach, instgen, milp, validator
-from hangarplan.core import evaluate_cost
+from hangarplan import ach, exact, instgen, milp, validator
+from hangarplan.core import HangarConfig, evaluate_cost
 from hangarplan.io import ParseError
 from hangarplan.validator import ViolationKind
 
@@ -314,6 +314,93 @@ class TestCheckSatisfaction:
         model = milp.build_model(single_aircraft_instance())
         with pytest.raises(milp.MissingVariable):
             milp.check_satisfaction(model, {"X(a01)": 0.0})
+
+
+def assert_point_satisfies_rows(instance, solution):
+    """The plan validates, and its derived point satisfies every row."""
+    rep = validator.validate(instance, solution)
+    assert rep.feasible, validator.explain(rep)
+    model = milp.build_model(instance)
+    point = milp.derive_binaries(instance, solution, model)
+    assert milp.check_satisfaction(model, point) == []
+
+
+class TestBigMKeepsSolverPlans:
+    """The big-M constants of ``core.derive_big_m`` keep the plans of both
+    solvers in the row system."""
+
+    def test_request_wider_than_the_hangar(self):
+        # rejection puts X(f) at 0 beside the parked X(c) = 5; eq11_right(c,f)
+        # needs M_X >= 70 + 5, more than the hangar's width
+        c = make_current("c", width=20.0, length=20.0, service=50.0, etd=60.0)
+        f = make_future("f", width=70.0, length=20.0, eta=10.0, etd=100.0,
+                        service=50.0, p_rej=900.0, p_arr=10.0, p_dep=20.0)
+        inst = make_instance(future=[f], current=[c])
+        for solution in (ach.solve(inst), exact.solve_exact(inst).solution):
+            assert not solution.by_id()["f"].accept
+            assert_point_satisfies_rows(inst, solution)
+
+    def test_serialized_pair_rolls_out_past_the_sum_of_services(self):
+        # neither fits beside the other, so b rolls in at 100.1 and out at
+        # 200.1, past the eta plus the services
+        fa, fb = (make_future(i, width=45.0, length=48.0, eta=0.0, service=100.0,
+                              etd=300.0, p_rej=5000.0, p_arr=10.0, p_dep=20.0)
+                  for i in ("a", "b"))
+        inst = make_instance(future=[fa, fb])
+        result = exact.solve_exact(inst)
+        assert result.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert result.cost.total == pytest.approx(1001.02)
+        for solution in (ach.solve(inst), result.solution):
+            assert solution.by_id()["b"].roll_out == pytest.approx(200.1)
+            assert_point_satisfies_rows(inst, solution)
+
+
+@st.composite
+def hand_built_instances(draw):
+    """Small hangars, long eps_t, and requests up to 45 x 48 m, some of them
+    larger than the hangar; 0-1 parked aircraft at the corner."""
+    h = HangarConfig(hw=draw(st.sampled_from([40.0, 65.0])),
+                     hl=draw(st.sampled_from([40.0, 60.0, 100.0])),
+                     buffer=draw(st.sampled_from([0.0, 5.0])),
+                     eps_t=draw(st.sampled_from([0.1, 1.0, 7.0, 30.0])),
+                     grid_step=draw(st.sampled_from([1.0, 2.3, 5.0])))
+    current = []
+    if draw(st.booleans()):
+        service = draw(st.integers(1, 150))
+        current.append(make_current(
+            "c", width=draw(st.integers(5, int(h.hw - 2 * h.buffer))),
+            length=draw(st.integers(5, int(h.hl - 2 * h.buffer))),
+            x=h.buffer, y=h.buffer, service=service,
+            etd=service + draw(st.integers(0, 50))))
+    future = []
+    for k in range(draw(st.integers(1, 4))):
+        eta = draw(st.integers(0, 100))
+        service = h.eps_t + draw(st.integers(0, 100))
+        future.append(make_future(
+            f"f{k}", width=draw(st.integers(5, 45)), length=draw(st.integers(5, 48)),
+            eta=eta, service=service, etd=eta + service + draw(st.integers(0, 50)),
+            p_rej=draw(st.sampled_from([100.0, 900.0, 5000.0])),
+            p_arr=draw(st.sampled_from([0.0, 10.0])),
+            p_dep=draw(st.sampled_from([0.0, 20.0]))))
+    return make_instance(current=current, future=future, hangar=h)
+
+
+class TestSolverPlanProperties:
+    """Criterion 02 on hand-built instances: a validated plan of ``ach``, and
+    at n <= 3 of the oracle, has a derived point that satisfies every row."""
+
+    @settings(max_examples=300, deadline=timedelta(seconds=30))
+    @given(instance=hand_built_instances())
+    def test_plan_points_satisfy_every_row(self, instance):
+        with time_limit(25.0):
+            plans = [ach.solve(instance)]
+            if len(instance.future) <= 3:
+                plans.append(exact.solve_exact(instance).solution)
+            model = milp.build_model(instance)
+            for solution in plans:
+                if validator.validate(instance, solution).feasible:
+                    point = milp.derive_binaries(instance, solution, model)
+                    assert milp.check_satisfaction(model, point) == []
 
 
 class TestObjective:
