@@ -4,13 +4,12 @@ at a time on ``core.grid`` at the earliest roll-in time where it fits.
 Roll-in candidates are the lattice times ``eta + k * eps_t`` up to the
 break-even time, where the delay cost reaches the rejection penalty.  The
 search over them is event-driven.  The grid scan's answer depends on time only
-through comparisons of the roll-in time, and of the points of the roll-out
-walk, with the committed roll-ins and roll-outs and with the ``eps_t``
-separation window around each committed movement.  After a miss the search
-therefore jumps to the first lattice index at which such a point may reach
-the next of those thresholds; every index it skips would give the same miss.
-It evaluates the same lattice times as stepping ``k`` one by one and finds the
-same first fit.
+through comparisons of the roll-in time t, and of the points of the roll-out
+walk from t + service, with the committed roll-ins and roll-outs and the
+``eps_t`` window around each committed movement.  After a miss the search
+jumps to the first lattice index at which t or t + service may reach the next
+of those thresholds (``_steps_to_next_threshold``); every index skipped gives
+the same miss, so the search finds the first fit of stepping ``k`` by one.
 
 An aircraft is rejected when the break-even time is passed, or when no
 threshold is left ahead of any point: from then on every scan would miss.  So
@@ -209,7 +208,10 @@ def _steps_to_next_threshold(points: Sequence[float], thresholds: Sequence[float
     within 2*TOL of the nearest threshold above it; at least one.  All points
     move with the roll-in, so every roll-in skipped keeps each point more than
     2*TOL below its next threshold, beyond reach of every switch.  None when
-    no threshold lies above any point."""
+    no threshold lies above any point.  Of a roll-out walk from p = t + service,
+    p alone sets the step.  A walk that moves starts with an event e within
+    eps_t - TOL of p.  Events are thresholds, as is e + eps_t, so one of the
+    two lies above p - 2*TOL and less than eps_t - TOL above p: step 1."""
     gap = math.inf
     for p in points:
         i = bisect_right(thresholds, p - 2 * TOL)
@@ -236,11 +238,7 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
         asg = find_best_placement(aircraft, t, fixed, instance, scan=scan)
         if asg is not None:
             return asg
-        # The scan reads t and every point of the roll-out walk.
-        base = t + aircraft.service
-        walk = round((next_separated(base, scan.events, h.eps_t) - base) / h.eps_t)
-        points = [t] + [base + i * h.eps_t for i in range(walk + 1)]
-        step = _steps_to_next_threshold(points, thresholds, h.eps_t)
+        step = _steps_to_next_threshold([t, t + aircraft.service], thresholds, h.eps_t)
         if step is None:
             return None
         k += step

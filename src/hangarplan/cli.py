@@ -52,13 +52,18 @@ def _fail(code: int, message: str) -> None:
 
 
 def _load_plan(instance_path: str, solution_path: str):
-    """The instance and a solution that assigns every one of its aircraft."""
+    """The instance and a solution that assigns exactly its aircraft."""
     instance = load_instance(instance_path)
     solution = load_solution(solution_path)
     assigned = solution.by_id()
     missing = [a.id for a in instance.all_aircraft() if a.id not in assigned]
     if missing:
         raise ParseError(f"solution {solution_path} has no assignment for {', '.join(missing)}")
+    known = {a.id for a in instance.all_aircraft()}
+    unknown = [i for i in assigned if i not in known]
+    if unknown:
+        raise ParseError(f"solution {solution_path} assigns {', '.join(unknown)}, "
+                         "not aircraft of the instance")
     return instance, solution
 
 

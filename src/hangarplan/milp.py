@@ -149,8 +149,9 @@ def vInOut(a, b): return f"InOut({a},{b})"
 CONST_VAR = "Const"  # fixed to 1; carries the constant objective term
 
 # LP tokens are split at whitespace and a row name ends at its first ':', so
-# an aircraft id with either would not read back.
-_NOT_IN_LP_NAME = re.compile(r"[\s:]")
+# an aircraft id with either would not read back; pair names join two ids
+# with ',', so ids with one could give two pairs the same names.
+_NOT_IN_LP_NAME = re.compile(r"[\s:,]")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def build_model(instance: Instance) -> MilpModel:
     for i in ids:
         if _NOT_IN_LP_NAME.search(i):
             raise ParseError(f"aircraft id {i!r} cannot go into an LP model: "
-                             "it contains whitespace or ':'")
+                             "it contains whitespace, ':' or ','")
     spec = {a.id: a for a in aircraft}
     fut = {a.id for a in future}
 
@@ -684,6 +685,7 @@ def parse_point(text: str) -> dict[str, float]:
     """Parse a `name value` listing (one pair per line; blank lines and lines
     starting with '#' or '\\' ignored)."""
     point: dict[str, float] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("\\"):
@@ -691,7 +693,11 @@ def parse_point(text: str) -> dict[str, float]:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'name value', got {raw!r}")
-        point[tokens[0]] = _number(tokens[1], f"line {lineno}")
+        name = tokens[0]
+        if name in seen:
+            raise ParseError(f"line {lineno}: {name} is already set on line {seen[name]}")
+        seen[name] = lineno
+        point[name] = _number(tokens[1], f"line {lineno}")
     return point
 
 

@@ -22,6 +22,7 @@ from hangarplan.core import (
     axis_separated,
     is_above,
     lanes_overlap,
+    next_separated,
 )
 
 from conftest import accept, make_current, make_future, make_instance, specs, time_limit
@@ -380,6 +381,28 @@ def held_out_scan(n, n_current, congestion, seed, pick, hl):
     return inst, held, fixed, times
 
 
+class TestJumpFromRollInAndService:
+    """After a miss, the roll-in t and t + service give the step that t and
+    every point of the roll-out walk give together."""
+
+    @settings(max_examples=20, deadline=timedelta(seconds=30))
+    @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 7),
+           hl=st.sampled_from([60.0, 100.0]))
+    def test_step_equals_step_of_whole_walk(self, n, n_current, congestion, seed, pick, hl):
+        inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl)
+        eps_t = inst.hangar.eps_t
+        events = ach._events(fixed)
+        thresholds = ach._thresholds(fixed, events, eps_t)
+        for t in times:
+            base = t + held.service
+            walk = round((next_separated(base, events, eps_t) - base) / eps_t)
+            points = [t] + [base + i * eps_t for i in range(walk + 1)]
+            assert ach._steps_to_next_threshold([t, base], thresholds, eps_t) == \
+                ach._steps_to_next_threshold(points, thresholds, eps_t), t
+
+
 def cell(assignment):
     return None if assignment is None else (assignment.x, assignment.y)
 
@@ -512,11 +535,13 @@ class TestScanRanges:
 
 class TestPreparedOncePerAircraft:
     """The time search builds the committed movement list once per aircraft,
-    not once per scan."""
+    not once per scan, and walks the roll-out only inside the scan."""
 
-    @pytest.mark.parametrize("n_current", [0, 2])
-    def test_events_built_once_per_search(self, monkeypatch, n_current):
-        # the congested family: requests wait many eps_t steps before they fit
+    @staticmethod
+    def solve_counting(monkeypatch, n_current, names):
+        """Calls of each ``ach`` function in ``names`` while ``ach.solve``
+        runs on an instance of the congested family, where requests wait
+        many eps_t steps before they fit; and the instance."""
         inst = instgen.generate(instgen.GeneratorConfig(
             n_future=4, n_current=n_current, seed=1, congestion=0.2,
             rejection_multiplier=10.0))
@@ -530,8 +555,22 @@ class TestPreparedOncePerAircraft:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(ach, name, wrapper)
 
-        for name in ("_events", "_earliest_fit", "find_best_placement"):
+        for name in names:
             counting(name)
         ach.solve(inst)
+        return calls, inst
+
+    @pytest.mark.parametrize("n_current", [0, 2])
+    def test_events_built_once_per_search(self, monkeypatch, n_current):
+        calls, inst = self.solve_counting(
+            monkeypatch, n_current, ("_events", "_earliest_fit", "find_best_placement"))
         assert calls["find_best_placement"] > 10 * calls["_earliest_fit"]
         assert calls["_events"] <= calls["_earliest_fit"] + len(inst.current)
+
+    @pytest.mark.parametrize("n_current", [0, 2])
+    def test_roll_out_walked_once_per_scan(self, monkeypatch, n_current):
+        # parked aircraft walk their roll-out once each, before the search
+        calls, inst = self.solve_counting(
+            monkeypatch, n_current, ("next_separated", "find_best_placement"))
+        assert calls["find_best_placement"] > 10
+        assert calls["next_separated"] <= calls["find_best_placement"] + len(inst.current)

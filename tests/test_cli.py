@@ -133,6 +133,24 @@ class TestSolveAndValidate:
         assert res.exit_code == 3
         assert "no assignment for b" in res.output
 
+    @pytest.mark.parametrize("command", ["validate", "render"])
+    def test_extra_assignment_exit_3(self, runner, tmp_path, command):
+        ip, sp = tmp_path / "i.json", tmp_path / "s.json"
+        run(runner, ["gen", "--n", "3", "--seed", "1", "-o", str(ip)])
+        run(runner, ["solve-ach", "-i", str(ip), "-o", str(sp)])
+        doc = json.loads(sp.read_text())
+        doc["assignments"].append({**doc["assignments"][0], "aircraft_id": "zzz",
+                                   "accept": True, "x": -50.0})
+        sp.write_text(json.dumps(doc))
+        out = tmp_path / "frames"
+        extra = ["-o", str(out)] if command == "render" else []
+        res = run(runner, [command, "-i", str(ip), "-s", str(sp), *extra])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+        errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "zzz" in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["service", "eta", "width", "hw"])
     @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
     def test_solve_ach_non_finite_exit_3(self, runner, tmp_path, field, value):
@@ -299,7 +317,23 @@ class TestModelRoundTrip:
         assert "Traceback" not in res.output
         assert [ln for ln in res.output.splitlines() if ln.startswith("error:")] == \
             ["error: aircraft id 'a 01' cannot go into an LP model: "
-             "it contains whitespace or ':'"]
+             "it contains whitespace, ':' or ','"]
+        assert not lp.exists()
+
+    def test_export_ids_with_commas_exit_3(self, runner, tmp_path):
+        # the pairs (a, "b,c") and ("a,b", c) would both be Right(a,b,c)
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "4", "--seed", "1", "-o", str(inst_p)])
+        doc = json.loads(inst_p.read_text())
+        for aircraft, aid in zip(doc["future"], ["a", "b,c", "a,b", "c"]):
+            aircraft["id"] = aid
+        inst_p.write_text(json.dumps(doc))
+        lp = tmp_path / "model.lp"
+        res = run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+        errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "'b,c'" in errors[0]
         assert not lp.exists()
 
     def test_import_undeclared_name_exit_3(self, runner, tmp_path):
@@ -316,6 +350,23 @@ class TestModelRoundTrip:
         assert "Traceback" not in res.output
         errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and "Accpet(a01)" in errors[0] and "Bogus" not in errors[0]
+        assert not out.exists()
+
+    def test_import_name_set_twice_exit_3(self, runner, tmp_path):
+        inst_p = tmp_path / "inst.json"
+        run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst_p)])
+        lp = tmp_path / "model.lp"
+        run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        point_p = tmp_path / "point.txt"
+        point_p.write_text("Accept(a01) 0\nAccept(a02) 1\nAccept(a02) 0\n")
+        out = tmp_path / "x.json"
+        res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
+                           "-p", str(point_p), "-o", str(out)])
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+        errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "Accept(a02)" in errors[0]
+        assert "line 3" in errors[0] and "line 2" in errors[0]
         assert not out.exists()
 
     def test_import_model_of_other_instance_exit_3(self, runner, tmp_path):

@@ -124,7 +124,7 @@ class TestBuildModelDomains:
         r = [rows_at(n) for n in (2, 4, 6, 8)]
         assert r[3] - 2 * r[2] + r[1] == r[2] - 2 * r[1] + r[0]
 
-    @pytest.mark.parametrize("aid", ["a 01", "b:2", "a\t1", "c\u00a0"])
+    @pytest.mark.parametrize("aid", ["a 01", "b:2", "a\t1", "c\u00a0", "a,b"])
     @pytest.mark.parametrize("kind", ["future", "current"])
     def test_id_that_cannot_be_an_lp_name(self, aid, kind):
         aircraft = make_future(aid) if kind == "future" else make_current(aid)
@@ -478,6 +478,10 @@ class TestImport:
             milp.parse_point("X(a01) 1 2\n")
         with pytest.raises(ParseError):
             milp.parse_point("X(a01) notanumber\n")
+
+    def test_name_set_twice(self):
+        with pytest.raises(ParseError, match=r"line 4: Accept\(a02\) is already set on line 2"):
+            milp.parse_point("Accept(a01) 1\nAccept(a02) 1\n# again\nAccept(a02) 0\n")
 
     def test_comment_and_blank_lines_ignored(self):
         point = milp.parse_point("# header\n\nX(a01) 5.0\n\\ solver chatter\n")
