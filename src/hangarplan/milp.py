@@ -8,9 +8,9 @@ violations are reported under ``fix*``/``dom_nonneg`` names.  Rows and
 variables are immutable ``NamedTuple`` records (``MilpRow``,
 ``MilpVariable``); the LP text of a model is byte-stable.
 
-``build_model``, ``export_lp``, ``parse_lp``, ``derive_binaries`` and
-``parse_point`` run with the cyclic garbage collector paused
-(``_collector_paused``).  Each allocates tens of thousands of tuples and
+``build_model``, ``export_lp``, ``parse_lp``, ``lp_outline``,
+``derive_binaries`` and ``parse_point`` run with the cyclic garbage collector
+paused (``_collector_paused``).  Each allocates tens of thousands of tuples and
 records, which would otherwise trigger collector passes that rescan them.
 The pause is lossless: none of these functions creates a reference cycle, so
 reference counting frees everything they drop, and a collection after any of
@@ -369,14 +369,20 @@ def _num(x: float) -> str:
 
 
 def _wrap(prefix: str, body: str) -> list[str]:
+    """``prefix body`` in lines of at most ``LINE_WIDTH`` characters, broken
+    between the tokens of ``body``; continuation lines start with two
+    spaces.  A line longer than ``LINE_WIDTH`` holds only its first token."""
     lines = []
-    cur = prefix
-    for tok in body.split(" "):
-        if len(cur) + 1 + len(tok) > LINE_WIDTH and cur != prefix:
-            lines.append(cur)
-            cur = " "
-        cur += " " + tok
-    lines.append(cur)
+    line, start = f"{prefix} {body}", len(prefix) + 1  # first token starts at ``start``
+    while len(line) > LINE_WIDTH:
+        cut = line.rfind(" ", start, LINE_WIDTH + 1)
+        if cut < 0:
+            cut = line.find(" ", start)
+            if cut < 0:
+                break
+        lines.append(line[:cut])
+        line, start = " " + line[cut:], 2
+    lines.append(line)
     return lines
 
 
@@ -389,6 +395,7 @@ def export_lp(model: MilpModel) -> str:
     that fits is one line, which is what ``_wrap`` gives it too.
     """
     signed: dict[float, str] = {}  # coefficient -> "± |coef|", for this call
+    rhs_text: dict[float, str] = {}  # right-hand side -> text, for this call
 
     def terms_text(terms) -> str:
         parts = []
@@ -412,7 +419,10 @@ def export_lp(model: MilpModel) -> str:
     for row in model.rows:
         if row.sense not in _SENSES:
             raise ValueError(f"row {row.name}: unknown sense {row.sense!r}")
-        emit(f" {row.name}:", f"{terms_text(row.terms)} {row.sense} {_num(row.rhs)}")
+        rhs = rhs_text.get(row.rhs)
+        if rhs is None:
+            rhs = rhs_text[row.rhs] = _num(row.rhs)
+        emit(f" {row.name}:", f"{terms_text(row.terms)} {row.sense} {rhs}")
     out.append("Bounds")
     for v in model.variables.values():
         if v.lb == v.ub:
@@ -440,14 +450,15 @@ def _number(text: str, what: str) -> float:
 
 
 def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
-    """``lo <= name <= hi`` (hi may be ``+inf``) or ``name = value``."""
+    """``lo <= name <= hi`` (hi may be ``+inf``) or ``name = value``, and
+    nothing else on the line."""
     if "<=" in line:
-        m = re.match(r"([0-9.eE+-]+)\s*<=\s*(\S+)\s*<=\s*(\S+)", line)
+        m = re.fullmatch(r"([0-9.eE+-]+)\s*<=\s*(\S+)\s*<=\s*(\S+)", line)
         if m:
             lo, name, hi = m.groups()
             return name, (_number(lo, line), math.inf if hi == "+inf" else _number(hi, line))
     else:
-        m = re.match(r"(\S+)\s*=\s*([0-9.eE+-]+)", line)
+        m = re.fullmatch(r"(\S+)\s*=\s*([0-9.eE+-]+)", line)
         if m:
             name, val = m.groups()
             return name, (_number(val, line), _number(val, line))
@@ -455,20 +466,31 @@ def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
 
 
 _SECTIONS = frozenset(("Minimize", "Subject To", "Bounds", "Binaries", "End"))
+_SIGNS = frozenset("+-")
 
 
-@_collector_paused
-def parse_lp(text: str) -> MilpModel:
-    """Re-parse our own LP export into a row system (internal round-trip
-    reader; not a general LP parser).  Rows and variables come back as
-    ``MilpRow`` / ``MilpVariable`` records; variables are sorted by name
-    and carry no ``fix_name``.  A line, row, bound or number that breaks
-    the format raises ``ParseError``."""
+def _check_terms(tokens: Sequence[str], what: str) -> None:
+    """``sign coef name`` triples; every token must belong to one."""
+    if len(tokens) % 3:
+        raise ParseError(f"{what}: {len(tokens)} tokens do not form '± coef name' terms")
+    if not _SIGNS.issuperset(tokens[::3]):
+        sign = next(t for t in tokens[::3] if t not in _SIGNS)
+        raise ParseError(f"{what}: expected a sign, got {sign!r}")
+
+
+def _read_lp(text: str):
+    """The layout of our own LP export, checked but for its numbers: the
+    objective's tokens, the rows as ``(name, tokens)``, the bounds as
+    ``name -> (lb, ub)``, the binary names and the aircraft ids.
+
+    Row tokens are ``± coef name`` triples, then ``sense rhs``, so
+    ``tokens[1::3]`` are a row's numbers and ``tokens[2::3]`` its variables.
+    A line, row, sign or bound that breaks the format raises ``ParseError``."""
     section = None
     obj_text = ""
-    row_chunks: list[str] = []
-    bound_lines: list[str] = []
-    binary_names: list[str] = []
+    rows: list[tuple[str, list[str]]] = []
+    bounds: dict[str, tuple[float, float]] = {}
+    binaries: list[str] = []
     for ln in text.splitlines():
         if not ln or ln.startswith("\\"):
             continue
@@ -478,75 +500,102 @@ def parse_lp(text: str) -> MilpModel:
         elif section == "Subject To":
             # A row starts with "name:"; a continuation line has no colon.
             if ":" in stripped:
-                row_chunks.append(stripped)
-            elif row_chunks:
-                row_chunks[-1] += " " + stripped
+                name, _, body = stripped.partition(":")
+                rows.append((name.strip(), body.split()))
+            elif rows:
+                rows[-1][1].extend(stripped.split())
             else:
                 raise ParseError(f"continuation before the first row: {stripped!r}")
         elif section == "Minimize":
             obj_text += " " + stripped
         elif section == "Bounds":
-            bound_lines.append(stripped)
+            name, bound = _parse_bound(stripped)
+            if name in bounds:
+                raise ParseError(f"variable {name} is bounded twice")
+            bounds[name] = bound
         elif section == "Binaries":
-            binary_names.extend(stripped.split())
+            binaries.extend(stripped.split())
         elif section is None:
             raise ParseError(f"line outside any section: {stripped!r}")
 
-    numbers: dict[str, float] = {}  # number text -> value, for this call
-    seen: set[str] = set()  # every variable named by a term, bound or binary
-
-    def parse_terms(tokens: Sequence[str], what: str) -> tuple[tuple[float, str], ...]:
-        """``sign coef name`` triples; every token must belong to one."""
-        if len(tokens) % 3:
-            raise ParseError(f"{what}: {len(tokens)} tokens do not form '± coef name' terms")
-        terms = []
-        it = iter(tokens)
-        for sign, num, var in zip(it, it, it):
-            value = numbers.get(num)
-            if value is None:
-                value = numbers[num] = _number(num, what)
-            if sign == "+":
-                terms.append((value, var))
-            elif sign == "-":
-                terms.append((-value, var))
-            else:
-                raise ParseError(f"{what}: expected a sign, got {sign!r}")
-        seen.update(tokens[2::3])
-        return tuple(terms)
-
     if ":" not in obj_text:
         raise ParseError("objective has no name")
-    objective = parse_terms(obj_text.split(":", 1)[1].split(), "objective")
-
-    rows: list[MilpRow] = []
-    for chunk in row_chunks:
-        name, body = chunk.split(":", 1)
-        tokens = body.split()
+    objective = obj_text.split(":", 1)[1].split()
+    _check_terms(objective, "objective")
+    for name, tokens in rows:
         # one or more terms, then exactly one "sense rhs"
         if len(tokens) < 5 or tokens[-2] not in _SENSES:
             raise ParseError(f"cannot parse row {name}")
-        terms = parse_terms(tokens[:-2], name)
-        rhs = numbers.get(tokens[-1])
-        if rhs is None:
-            rhs = numbers[tokens[-1]] = _number(tokens[-1], name)
-        rows.append(MilpRow(name.strip(), terms, tokens[-2], rhs))
-
-    bounds = dict(_parse_bound(ln) for ln in bound_lines)
-    binary = set(binary_names)
-    # A variable fixed by its bound alone (a lone parked aircraft's X and Y)
-    # is in no term.
-    seen.update(bounds, binary)
-    variables: dict[str, MilpVariable] = {}
-    for name in sorted(seen):
-        lb, ub = bounds.get(name, (0.0, math.inf))
-        variables[name] = MilpVariable(name, BINARY if name in binary else CONTINUOUS, lb, ub)
+        _check_terms(tokens[:-2], name)
 
     # Every aircraft has one eq4_servt row, and rows keep their build order;
     # the Binaries section does not, once a parsed model is exported again.
-    aircraft_ids = [r.name[10:-1] for r in rows
-                    if r.name.startswith("eq4_servt(") and r.name.endswith(")")]
-    return MilpModel(variables=variables, rows=rows, objective=objective,
+    aircraft_ids = [name[10:-1] for name, _ in rows
+                    if name.startswith("eq4_servt(") and name.endswith(")")]
+    return objective, rows, bounds, binaries, aircraft_ids
+
+
+def _numbers_and_names(objective: list[str], rows: list[tuple[str, list[str]]]):
+    """The number texts and the variable names of ``_read_lp``'s objective
+    and rows.  A number text that is not a finite number raises
+    ``ParseError``, naming the first one: the objective's, then each row's
+    in order."""
+    numbers: set[str] = set()
+    names: set[str] = set()
+    for what, tokens in [("objective", objective), *rows]:
+        if not numbers.issuperset(tokens[1::3]):
+            for num in tokens[1::3]:
+                _number(num, what)
+            numbers.update(tokens[1::3])
+        names.update(tokens[2::3])
+    return numbers, names
+
+
+@_collector_paused
+def parse_lp(text: str) -> MilpModel:
+    """Re-parse our own LP export into a row system (internal round-trip
+    reader; not a general LP parser).  Rows and variables come back as
+    ``MilpRow`` / ``MilpVariable`` records; variables are sorted by name
+    and carry no ``fix_name``.  A line, row, bound or number that breaks
+    the format raises ``ParseError``."""
+    objective_tokens, row_tokens, bounds, binaries, aircraft_ids = _read_lp(text)
+    numbers, names = _numbers_and_names(objective_tokens, row_tokens)
+    value = {num: float(num) for num in numbers}
+
+    def terms(tokens: Sequence[str]) -> tuple[tuple[float, str], ...]:
+        it = iter(tokens)  # a row's trailing "sense rhs" forms no triple
+        return tuple([(value[num] if sign == "+" else -value[num], var)
+                      for sign, num, var in zip(it, it, it)])
+
+    rows = [MilpRow(name, terms(tokens), tokens[-2], value[tokens[-1]])
+            for name, tokens in row_tokens]
+    binary = set(binaries)
+    # A variable fixed by its bound alone (a lone parked aircraft's X and Y)
+    # is in no term.
+    variables: dict[str, MilpVariable] = {}
+    for name in sorted(names.union(bounds, binary)):
+        lb, ub = bounds.get(name, (0.0, math.inf))
+        variables[name] = MilpVariable(name, BINARY if name in binary else CONTINUOUS, lb, ub)
+    return MilpModel(variables=variables, rows=rows, objective=terms(objective_tokens),
                      aircraft_ids=aircraft_ids)
+
+
+class LpOutline(NamedTuple):
+    """What ``import`` takes from an LP file: the aircraft in build order and
+    the set of declared variable names."""
+
+    aircraft_ids: list[str]
+    variables: frozenset[str]
+
+
+@_collector_paused
+def lp_outline(text: str) -> LpOutline:
+    """Check an LP file as ``parse_lp`` does, and build no rows: it raises
+    ``ParseError`` exactly when ``parse_lp`` does, and otherwise gives its
+    ``aircraft_ids`` and the names of its ``variables``."""
+    objective, rows, bounds, binaries, aircraft_ids = _read_lp(text)
+    _, names = _numbers_and_names(objective, rows)
+    return LpOutline(aircraft_ids, frozenset(names.union(bounds, binaries)))
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +750,8 @@ def parse_point(text: str) -> dict[str, float]:
     return point
 
 
-def import_solution(model: MilpModel, instance: Instance, text: str) -> Solution:
+def import_solution(model: MilpModel | LpOutline, instance: Instance,
+                    text: str) -> Solution:
     """Reconstruct a Solution from a solver point dump; unlisted variables are
     treated as zero, and a name the model does not declare is a ParseError.
     Delays are recomputed; the result must validate.  The model must be the

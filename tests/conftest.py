@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import re
 import signal
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -106,6 +107,38 @@ def instance_doc_with(instance: Instance, field: str, value) -> dict:
     doc = io.instance_to_dict(instance)
     (doc["hangar"] if field in doc["hangar"] else doc["future"][0])[field] = value
     return doc
+
+
+#: The edits ``perturb_lp`` makes.
+LP_EDITS = ["drop", "duplicate", "swap", "nan", "text", "delete-line", "duplicate-line"]
+
+
+def perturb_lp(text: str, action: str, line_no: int, token_no: int) -> str:
+    """One edit of an LP file: drop, duplicate or swap a token of a line,
+    turn a number into ``nan`` or text, or delete or duplicate the line."""
+    lines = text.splitlines()
+    i = line_no % len(lines)
+    if action == "delete-line":
+        del lines[i]
+        return "\n".join(lines) + "\n"
+    if action == "duplicate-line":
+        lines.insert(i, lines[i])
+        return "\n".join(lines) + "\n"
+    tokens = lines[i].split(" ")
+    j = token_no % len(tokens)
+    if action == "drop":
+        del tokens[j]
+    elif action == "duplicate":
+        tokens.insert(j, tokens[j])
+    elif action == "swap":
+        k = (j + 1) % len(tokens)
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    else:
+        numbers = [k for k, tok in enumerate(tokens) if re.fullmatch(r"[-+]?[0-9.]+(e[-+]?[0-9]+)?", tok)]
+        if numbers:
+            tokens[numbers[token_no % len(numbers)]] = "nan" if action == "nan" else "x1"
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
 
 
 #: Small hangar keeping brute-force cross-products tractable.

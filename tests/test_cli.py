@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from hangarplan import ach, cli, exact, instgen, io, milp, validator
 
 from conftest import (
+    LP_EDITS,
     NON_FINITE,
     accept,
     instance_doc_with,
     make_future,
     make_instance,
     manual_solution,
+    perturb_lp,
     time_limit,
 )
 
@@ -283,6 +285,10 @@ class TestModelRoundTrip:
                      id="no-valid-term"),
         pytest.param(lambda lp: lp.replace("eq5_darr(a01): + 1", "eq5_darr(a01): + nan"),
                      id="non-finite-coefficient"),
+        pytest.param(lambda lp: lp.replace(" Const = 1\n", " Const = 1 1\n"),
+                     id="stray-token-in-bound"),
+        pytest.param(lambda lp: lp.replace(" Const = 1\n", " Const = 1\n Const = 1\n"),
+                     id="bound-twice"),
     ])
     def test_import_malformed_lp_exit_3(self, runner, tmp_path, edit):
         inst_p = tmp_path / "inst.json"
@@ -299,6 +305,20 @@ class TestModelRoundTrip:
         assert res.exit_code == 3
         assert "Traceback" not in res.output
 
+    def test_import_builds_no_rows(self, runner, tmp_path):
+        # import checks the whole LP file but takes only its outline
+        inst_p, lp = tmp_path / "inst.json", tmp_path / "model.lp"
+        run(runner, ["gen", "--n", "2", "--seed", "3", "-o", str(inst_p)])
+        run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        point_p = tmp_path / "point.txt"
+        point_p.write_text("Accept(a01) 0\nAccept(a02) 0\n")
+        with mock.patch.object(milp, "parse_lp", wraps=milp.parse_lp) as parse, \
+                mock.patch.object(milp, "lp_outline", wraps=milp.lp_outline) as outline:
+            res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
+                               "-p", str(point_p), "-o", str(tmp_path / "x.json")])
+        assert res.exit_code == 0
+        assert parse.call_count == 0
+        assert outline.call_count == 1
 
     def test_export_id_that_cannot_be_an_lp_name_exit_3(self, runner, tmp_path):
         # the other commands take such ids; only the LP text cannot hold them
@@ -682,45 +702,20 @@ class TestPerturbedInput:
                 assert "Traceback" not in res.output
 
 
-def _perturb_lp(text: str, action: str, line_no: int, token_no: int) -> str:
-    """One edit of an LP file: drop, duplicate or swap a token of a line,
-    turn a number into ``nan`` or text, or delete the line."""
-    lines = text.splitlines()
-    i = line_no % len(lines)
-    if action == "delete-line":
-        del lines[i]
-        return "\n".join(lines) + "\n"
-    tokens = lines[i].split(" ")
-    j = token_no % len(tokens)
-    if action == "drop":
-        del tokens[j]
-    elif action == "duplicate":
-        tokens.insert(j, tokens[j])
-    elif action == "swap":
-        k = (j + 1) % len(tokens)
-        tokens[j], tokens[k] = tokens[k], tokens[j]
-    else:
-        numbers = [k for k, tok in enumerate(tokens) if re.fullmatch(r"[-+]?[0-9.]+(e[-+]?[0-9]+)?", tok)]
-        if numbers:
-            tokens[numbers[token_no % len(numbers)]] = "nan" if action == "nan" else "x1"
-    lines[i] = " ".join(tokens)
-    return "\n".join(lines) + "\n"
-
-
 class TestPerturbedLp:
     """A perturbed LP file given to ``import`` ends in exit 0, 2 or 3, never
     in a traceback."""
 
     @settings(max_examples=10, deadline=timedelta(seconds=30))
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 6), n_current=st.integers(0, 3),
-           action=st.sampled_from(["drop", "duplicate", "swap", "nan", "text", "delete-line"]),
+           action=st.sampled_from(LP_EDITS),
            line_no=st.integers(0, 10**6), token_no=st.integers(0, 10**6))
     def test_import_no_traceback(self, seed, n, n_current, action, line_no, token_no):
         instance = instgen.generate(instgen.GeneratorConfig(
             n_future=n, n_current=n_current, seed=seed))
         model = milp.build_model(instance)
         point = milp.derive_binaries(instance, ach.solve(instance), model)
-        text = _perturb_lp(milp.export_lp(model), action, line_no, token_no)
+        text = perturb_lp(milp.export_lp(model), action, line_no, token_no)
         res = _import(instance, text, _point_text(point))
         assert res.exit_code in (0, 2, 3), (action, res.output, res.exception)
         assert "Traceback" not in res.output

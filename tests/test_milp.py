@@ -18,12 +18,14 @@ from hangarplan.validator import ViolationKind
 
 from conftest import (
     FAMILY_BY_KIND,
+    LP_EDITS,
     accept,
     directed_fixtures,
     make_current,
     make_future,
     make_instance,
     manual_solution,
+    perturb_lp,
     time_limit,
 )
 
@@ -211,6 +213,80 @@ class TestExport:
         assert parsed.variables["Accept(a01)"].kind == milp.BINARY
         assert parsed.variables["X(c01)"].lb == parsed.variables["X(c01)"].ub == 5.0
         assert parsed.variables[milp.CONST_VAR].lb == 1.0
+
+
+def wrap_per_token(prefix: str, body: str) -> list[str]:
+    """``milp._wrap`` as a loop over the tokens: the reference it must equal."""
+    lines = []
+    cur = prefix
+    for tok in body.split(" "):
+        if len(cur) + 1 + len(tok) > milp.LINE_WIDTH and cur != prefix:
+            lines.append(cur)
+            cur = " "
+        cur += " " + tok
+    lines.append(cur)
+    return lines
+
+
+class TestWrap:
+    @settings(max_examples=300)
+    @given(prefix=st.text(st.characters(blacklist_characters=" \n"), max_size=259),
+           tokens=st.lists(st.integers(1, 260), min_size=1, max_size=12), seed=st.integers(0, 25))
+    def test_equals_the_per_token_loop(self, prefix, tokens, seed):
+        # The prefix is " " and then no space, as " name:" is in the export,
+        # so it never equals a continuation line, which the reference's
+        # ``cur != prefix`` would take for an empty one.
+        body = " ".join(chr(ord("a") + (seed + k) % 26) * n for k, n in enumerate(tokens))
+        assert milp._wrap(" " + prefix, body) == wrap_per_token(" " + prefix, body)
+
+
+READERS = [milp.parse_lp, milp.lp_outline]
+
+
+class TestReadLp:
+    """``parse_lp`` and ``lp_outline`` read the LP text with one reader."""
+
+    LP = ("Minimize\n obj: + 1 X(a01)\nSubject To\n r(a01): + 1 X(a01) >= 0\n"
+          "Bounds\n{bounds}Binaries\nEnd\n")
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("bounds", [" X(a01) = 5\n", " 0 <= X(a01) <= 5\n",
+                                        " 0 <= X(a01) <= +inf\n"])
+    def test_bound_lines(self, read, bounds):
+        read(self.LP.format(bounds=bounds))
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("bounds", [" X(a01) = 5 5\n", " 0 <= X(a01) <= 5 junk\n"])
+    def test_bound_line_with_trailing_text(self, read, bounds):
+        with pytest.raises(ParseError, match="cannot parse bound"):
+            read(self.LP.format(bounds=bounds))
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_variable_bounded_twice(self, read):
+        with pytest.raises(ParseError, match=re.escape("X(a01) is bounded twice")):
+            read(self.LP.format(bounds=" X(a01) = 5\n X(a01) = 7\n"))
+
+    @settings(max_examples=40, deadline=timedelta(seconds=10))
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 6), n_current=st.integers(0, 3),
+           action=st.sampled_from(LP_EDITS),
+           line_no=st.integers(0, 10**6), token_no=st.integers(0, 10**6))
+    def test_outline_agrees_with_parse_lp(self, seed, n, n_current, action, line_no, token_no):
+        """On one edit of an exported model, ``lp_outline`` raises exactly
+        when ``parse_lp`` does, with the same message; otherwise both give
+        the same aircraft and variable names."""
+        instance = instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed))
+        text = perturb_lp(milp.export_lp(milp.build_model(instance)), action, line_no, token_no)
+        try:
+            model = milp.parse_lp(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as outline_error:
+                milp.lp_outline(text)
+            assert str(outline_error.value) == str(exc)
+        else:
+            outline = milp.lp_outline(text)
+            assert outline.aircraft_ids == model.aircraft_ids
+            assert outline.variables == set(model.variables)
 
 
 class TestDeriveBinaries:
@@ -501,7 +577,8 @@ class TestImport:
 #: The functions that run with the collector paused, each with a module
 #: global its body calls.
 PAUSED = {"build_model": "derive_big_m", "derive_binaries": "vAcc",
-          "export_lp": "_num", "parse_lp": "_number", "parse_point": "_number"}
+          "export_lp": "_num", "parse_lp": "_number", "lp_outline": "_number",
+          "parse_point": "_number"}
 
 
 def paused_calls():
@@ -516,6 +593,7 @@ def paused_calls():
         "build_model": lambda: milp.build_model(inst),
         "export_lp": lambda: milp.export_lp(model),
         "parse_lp": lambda: milp.parse_lp(text),
+        "lp_outline": lambda: milp.lp_outline(text),
         "derive_binaries": lambda: milp.derive_binaries(inst, sol),
         "parse_point": lambda: milp.parse_point(point_text),
     }
@@ -581,8 +659,10 @@ class TestRowLayerProperties:
     @given(instance=instgen_instances())
     def test_round_trip_keeps_the_model(self, instance):
         model = milp.build_model(instance)
-        parsed = milp.parse_lp(milp.export_lp(model))
-        assert parsed.aircraft_ids == model.aircraft_ids
+        text = milp.export_lp(model)
+        parsed, outline = milp.parse_lp(text), milp.lp_outline(text)
+        assert parsed.aircraft_ids == outline.aircraft_ids == model.aircraft_ids
+        assert outline.variables == set(model.variables)
         assert [r.name for r in parsed.rows] == [r.name for r in model.rows]
         for r1, r2 in zip(model.rows, parsed.rows):
             assert r2.sense == r1.sense
