@@ -168,7 +168,7 @@ def gen(n_future: int, seed: int, congestion: float, high_rejection: bool,
                       n_future=n_future, n_current=n_current, seed=seed,
                       congestion=congestion,
                       rejection_multiplier=10.0 if high_rejection else 1.0)
-    instance = instgen.generate(config)
+    instance = _options(instgen.generate, config=config)
     save_instance(instance, out)
     click.echo(f"wrote {out} ({instance.label}: {len(instance.future)} future, "
                f"{len(instance.current)} current)")

@@ -25,6 +25,11 @@ GRID_TOL = TOL - 1e-9
 #: Largest placement grid a hangar may ask for, in cells.
 MAX_GRID_CELLS = 10**6
 
+#: Largest time horizon M_T (``derive_big_m``) an instance may have, in hours.
+#: Up to it one float step is at most 1.2e-7 h, inside TOL; at 3e10 h it is
+#: 3.8e-6 h, and sums of times no longer round within TOL.
+MAX_HORIZON = 1e9
+
 
 class MissingAssignment(Exception):
     """A solution lacks an assignment for some aircraft of the instance."""
@@ -147,6 +152,10 @@ class Instance:
             if a.service < self.hangar.eps_t - TOL:
                 raise ValueError(f"{a.id}: service {a.service} is shorter than "
                                  f"eps_t {self.hangar.eps_t}")
+        m_t = derive_big_m(self)[0]
+        if m_t > MAX_HORIZON:
+            raise ValueError(f"time horizon M_T = {m_t:.6g} h exceeds {MAX_HORIZON:g} h, "
+                             "past which times lose the precision of the tolerance")
         self._check_initial_layout()
 
     def _check_initial_layout(self) -> None:

@@ -12,7 +12,13 @@ position passes its wall or cap, or once its coordinate sum exceeds the best
 layout found so far.  The prefix's minimal layout is carried down its subtree:
 a completion only adds separation pairs, so a prefix with no layout is cut and
 its coordinate sum bounds every completion's, and a complete schedule reuses
-the layout of its last accepted prefix.  Both searches share one node budget.
+the layout of its last accepted prefix.  So are the prefix's separation
+options: an accept branch builds only the pairs of its new aircraft
+(``_pair_options``) and merges them with its parent's by key, which keeps the
+search order, and so the node count, of options built all at once.  An option
+indexes a flat position list per aircraft (x of free aircraft i at 2i, y at
+2i + 1), so it does not depend on the prefix length.  Both searches share one
+node budget.
 They are module-level recursive functions over explicit arguments and one
 ``_Search`` record, so a call leaves no cyclic garbage.
 """
@@ -80,12 +86,6 @@ class OracleResult:
 
 MAX_FUTURE = 4
 
-# Pairwise separation options: (kind, first, second); a_right_b means the
-# first aircraft sits fully right of the second (buffered), a_above_b likewise
-# in y.
-_RIGHT = "right"
-_ABOVE = "above"
-
 
 class _Budget:
     def __init__(self, config: OracleConfig):
@@ -103,14 +103,15 @@ class _Budget:
 
 def _min_positioning(instance: Instance,
                      free: Sequence[tuple[AircraftSpec, float, float]],
-                     fixed: Sequence[tuple[AircraftSpec, Assignment]],
-                     budget: _Budget):
+                     options: list, budget: _Budget):
     """Minimal sum-of-coordinates grid layout for the accepted future aircraft
     of a schedule prefix, or None if spatially infeasible.
 
-    ``free``: (spec, roll_in, roll_out) triples.  ``fixed``: committed current
-    aircraft.  Returns (positioning_sum, {id: (x, y)}); ties in the sum go to
-    the smaller layout tuple.
+    ``free``: (spec, roll_in, roll_out) triples.  ``options``: the prefix's
+    keyed separation options, ``_pair_options(h, free, fixed, 0)`` or the
+    parent prefix's merged with those of its new aircraft.  Returns
+    (positioning_sum, {id: (x, y)}); ties in the sum go to the smaller layout
+    tuple.
 
     Depth-first over the co-present pairs, one separation option per level.
     Positions are the least fixpoint of the chosen constraints and only grow
@@ -122,59 +123,68 @@ def _min_positioning(instance: Instance,
     h = instance.hangar
     if not free:
         return 0.0, {}
-    walls = ([h.hw - h.buffer - spec.width for spec, _, _ in free]
-             + [h.hl - h.buffer - spec.length for spec, _, _ in free])
-    if any(h.buffer > wall + GRID_TOL for wall in walls):
+    walls = [wall for spec, _, _ in free
+             for wall in (h.hw - h.buffer - spec.width, h.hl - h.buffer - spec.length)]
+    if h.buffer > min(walls) + GRID_TOL:
         return None  # an aircraft with no grid cell
-
-    entities = [(spec, t_in, t_out, None) for spec, t_in, t_out in free] + \
-               [(spec, asg.roll_in, asg.roll_out, (asg.x, asg.y)) for spec, asg in fixed]
-
-    # Pairs needing a separation choice: co-present with at least one free.
-    # Upper i blocks lower j's path: i above j only if j never moves while i is present.
-    n_free = len(free)
-    options = []
-    for i in range(len(entities)):
-        for j in range(i + 1, len(entities)):
-            if ((entities[i][3] is not None and entities[j][3] is not None)
-                    or not intervals_overlap(entities[i][1:3], entities[j][1:3])):
-                continue
-            opts = [(_RIGHT, i, j), (_RIGHT, j, i)]
-            if not window_blocks(entities[i][1:3], movement_times(*entities[j][:3])):
-                opts.append((_ABOVE, i, j))
-            if not window_blocks(entities[j][1:3], movement_times(*entities[i][:3])):
-                opts.append((_ABOVE, j, i))
-            options.append([_compile_option(h, entities, n_free, *o) for o in opts])
-
     succ: list[list[tuple[int, float]]] = [[] for _ in walls]
     best = _layout_search(h, options, succ, budget, 0, [h.buffer] * len(walls), walls, None)
     if best is None:
         return None
-    return best[0], {free[i][0].id: best[1][i] for i in range(n_free)}
+    return best[0], {spec.id: xy for (spec, _, _), xy in zip(free, best[1])}
 
 
-def _compile_option(h: HangarConfig, entities: list, n_free: int,
-                    kind: str, hi: int, lo: int) -> tuple[int, Optional[int], float, float]:
-    """One constraint (v, u, value, cap) on the flat position list: x of free aircraft
-    i at index i, y at n_free + i.  With u None it is pos[v] >= value and pos[v] <=
-    cap; otherwise the difference edge pos[v] >= snap(pos[u] + value)."""
-    axis = 0 if kind == _RIGHT else 1
-    off = axis * n_free
-    size = entities[lo][0].width if axis == 0 else entities[lo][0].length
-    gap = size + h.buffer
-    hi_fixed, lo_fixed = entities[hi][3], entities[lo][3]
-    if lo_fixed is not None:
-        return off + hi, None, snap_up(lo_fixed[axis] + gap, h.buffer, h.grid_step), math.inf
-    if hi_fixed is not None:
-        # the free aircraft must stay below/left of the fixed one
-        return off + lo, None, h.buffer, hi_fixed[axis] - size - h.buffer
-    return off + hi, off + lo, gap, math.inf
+def _pair_options(h: HangarConfig, free: Sequence[tuple[AircraftSpec, float, float]],
+                  fixed: Sequence[tuple[AircraftSpec, Assignment]], first: int) -> list:
+    """The separation options of the co-present pairs whose later free aircraft
+    is free[j] for some j >= first, keyed (i, 0, j) for free aircraft i < j and
+    (j, 1, k) for parked aircraft k, in key order: the search order.
+
+    An option is one constraint (v, u, value, cap) on the flat position list,
+    x of free aircraft i at index 2i and y at 2i + 1.  With u None it is
+    pos[v] >= value and pos[v] <= cap; otherwise the difference edge
+    pos[v] >= snap(pos[u] + value).  A pair's options are: each of the two
+    right of the other (buffered), then each above the other, which the upper
+    one may only be if the lower one never moves while it is present.
+    """
+    keyed = []
+    for j in range(first, len(free)):
+        b, b_in, b_out = free[j]
+        b_stay = (b_in, b_out)
+        b_moves = movement_times(b, b_in, b_out)
+        for i in range(j):
+            a, a_in, a_out = free[i]
+            if not intervals_overlap((a_in, a_out), b_stay):
+                continue
+            opts = [(2 * i, 2 * j, b.width + h.buffer, math.inf),
+                    (2 * j, 2 * i, a.width + h.buffer, math.inf)]
+            if not window_blocks((a_in, a_out), b_moves):
+                opts.append((2 * i + 1, 2 * j + 1, b.length + h.buffer, math.inf))
+            if not window_blocks(b_stay, movement_times(a, a_in, a_out)):
+                opts.append((2 * j + 1, 2 * i + 1, a.length + h.buffer, math.inf))
+            keyed.append(((i, 0, j), opts))
+        for k, (c, asg) in enumerate(fixed):
+            if not intervals_overlap(b_stay, (asg.roll_in, asg.roll_out)):
+                continue
+            # right of or above the parked aircraft is a lower bound; left of
+            # or below it, a cap
+            opts = [(2 * j, None, snap_up(asg.x + c.width + h.buffer, h.buffer, h.grid_step),
+                     math.inf),
+                    (2 * j, None, h.buffer, asg.x - b.width - h.buffer)]
+            if not window_blocks(b_stay, movement_times(c, asg.roll_in, asg.roll_out)):
+                opts.append((2 * j + 1, None,
+                             snap_up(asg.y + c.length + h.buffer, h.buffer, h.grid_step),
+                             math.inf))
+            if not window_blocks((asg.roll_in, asg.roll_out), b_moves):
+                opts.append((2 * j + 1, None, h.buffer, asg.y - b.length - h.buffer))
+            keyed.append(((j, 1, k), opts))
+    keyed.sort()  # the keys are unique, so no two option lists are compared
+    return keyed
 
 
 def _total(pos: list[float]) -> float:
     # x_i + y_i per aircraft in aircraft order: sum(pos) rounds differently
-    n = len(pos) // 2
-    return sum(pos[i] + pos[n + i] for i in range(n))
+    return sum(pos[i] + pos[i + 1] for i in range(0, len(pos), 2))
 
 
 def _settle(h: HangarConfig, succ: list[list[tuple[int, float]]], pos: list[float],
@@ -199,10 +209,9 @@ def _layout_search(h: HangarConfig, options: list, succ: list[list[tuple[int, fl
     if k == len(options):
         if budget.tick():
             return best
-        n_free = len(pos) // 2
-        cand = (_total(pos), tuple(zip(pos[:n_free], pos[n_free:])))
+        cand = (_total(pos), tuple(zip(pos[::2], pos[1::2])))
         return cand if best is None or cand < best else best
-    for v, u, value, cap in options[k]:
+    for v, u, value, cap in options[k][1]:
         if budget.exhausted:
             return best
         child, child_limit = pos[:], limit[:]
@@ -255,7 +264,7 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
     search = _Search(instance, _Budget(config), fixed_current,
                      ach.prioritize(instance), evaluate_cost(instance, all_reject).total,
                      _vector(all_reject), all_reject)
-    _branch(search, 0, [], ach._events(fixed_current), current_cost, (0.0, {}))
+    _branch(search, 0, [], [], ach._events(fixed_current), current_cost, (0.0, {}))
 
     status = (OracleStatus.BUDGET_EXHAUSTED if search.budget.exhausted
               else OracleStatus.PROVEN_OPTIMAL_ON_GRID)
@@ -278,11 +287,12 @@ def _leaf(search: _Search, free: list[tuple[AircraftSpec, float, float]],
 
 
 def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, float]],
-            events: list[float], committed_cost: float,
+            options: list, events: list[float], committed_cost: float,
             res: tuple[float, dict[str, tuple[float, float]]]) -> None:
-    # ``free`` is the accepted prefix, in priority order, and ``res`` its
-    # minimal layout: every completion keeps these separation pairs and
-    # adds its own, so res[0] bounds the positioning sum of the subtree.
+    # ``free`` is the accepted prefix, in priority order, ``options`` its
+    # keyed separation options and ``res`` its minimal layout: every
+    # completion keeps these separation pairs and adds its own, so res[0]
+    # bounds the positioning sum of the subtree.
     h, budget = search.instance.hangar, search.budget
     if budget.tick() or committed_cost + h.eps_p * res[0] > search.cost + TOL:
         return
@@ -298,12 +308,13 @@ def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, flo
         if cost + h.eps_p * res[0] > search.cost + TOL:
             continue  # the parent's layout already bounds this child out
         accepted = free + [(spec, t, t_out)]
-        child = _min_positioning(search.instance, accepted, search.fixed_current, budget)
+        pairs = sorted(options + _pair_options(h, accepted, search.fixed_current, len(free)))
+        child = _min_positioning(search.instance, accepted, pairs, budget)
         if child is not None:  # no layout for the prefix, none for any completion
-            _branch(search, idx + 1, accepted, sorted(events + [t, t_out]), cost, child)
+            _branch(search, idx + 1, accepted, pairs, sorted(events + [t, t_out]), cost, child)
         if budget.exhausted:
             return
-    _branch(search, idx + 1, free, events, committed_cost + spec.p_rej, res)
+    _branch(search, idx + 1, free, options, events, committed_cost + spec.p_rej, res)
 
 
 def _compose(instance: Instance,

@@ -147,7 +147,8 @@ def generate(config: GeneratorConfig) -> Instance:
 
     if config.congestion != 1.0 and n > 0:
         eta_min = float(np.min(etas))
-        etas = eta_min + config.congestion * (etas - eta_min)
+        with np.errstate(over="ignore"):  # an eta that overflows to inf is refused below
+            etas = eta_min + config.congestion * (etas - eta_min)
 
     future = []
     for i in range(n):

@@ -5,6 +5,7 @@ import csv
 import json
 import re
 import tempfile
+import warnings
 from datetime import timedelta
 from pathlib import Path
 from unittest import mock
@@ -55,6 +56,20 @@ class TestGen:
         b, c = io.load_instance(base), io.load_instance(comp)
         assert len(c.current) == 1
         assert c.future[0].p_rej == pytest.approx(10.0 * b.future[0].p_rej)
+
+    @pytest.mark.parametrize("congestion", ["1e12", "1e308"])
+    def test_past_the_horizon_bound_exit_3(self, runner, tmp_path, congestion):
+        # 1e12 stretches the etas past the 1e9 h horizon bound, 1e308
+        # overflows them; either way one error line and no file
+        out = tmp_path / "inst.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # nor a numpy overflow warning
+            res = run(runner, ["gen", "--n", "3", "--seed", "1", "--congestion", congestion,
+                               "-o", str(out)])
+        assert res.exit_code == 3
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
 
     def test_reproducible(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -661,9 +676,10 @@ def _slots(doc, path=()):
             yield from _slots(value, path + (key,))
 
 
-#: Replacement values: wrong types, non-finite numbers and booleans.
+#: Replacement values: wrong types, non-finite numbers, booleans, and times
+#: past the horizon bound.
 PERTURBATIONS = ["x", None, [], {}, True, False,
-                 float("nan"), float("inf"), float("-inf")]
+                 float("nan"), float("inf"), float("-inf"), 1e14, 1e308]
 
 
 class TestPerturbedInput:
@@ -691,15 +707,20 @@ class TestPerturbedInput:
             _set(path, copy.deepcopy(PERTURBATIONS[action]))(doc)
         runner = CliRunner()
         with tempfile.TemporaryDirectory() as tmp:
-            ip, sp = Path(tmp) / "i.json", Path(tmp) / "s.json"
+            ip, sp, out = Path(tmp) / "i.json", Path(tmp) / "s.json", Path(tmp) / "out.json"
             ip.write_text(json.dumps(docs["instance"]))
             sp.write_text(json.dumps(docs["solution"]))
             for args in (["validate", "--json", "-i", str(ip), "-s", str(sp)],
-                         ["solve-ach", "-i", str(ip), "-o", str(Path(tmp) / "out.json")]):
+                         ["solve-ach", "-i", str(ip), "-o", str(out)],
+                         ["solve-exact", "-i", str(ip), "-o", str(out)]):
                 with time_limit(20.0):
                     res = runner.invoke(cli.main, args)
                 assert res.exit_code in (0, 2, 3), (path, action, res.output, res.exception)
                 assert "Traceback" not in res.output
+                if args[0] != "validate" and res.exit_code == 0:
+                    # every plan a solver writes passes the validator
+                    res = runner.invoke(cli.main, ["validate", "-i", str(ip), "-s", str(out)])
+                    assert res.exit_code == 0, (path, action, args[0], res.output)
 
 
 class TestPerturbedLp:

@@ -7,6 +7,7 @@ import pytest
 
 from hangarplan.core import (
     GRID_TOL,
+    MAX_HORIZON,
     TOL,
     AircraftSpec,
     Assignment,
@@ -118,6 +119,19 @@ class TestInstance:
         make_instance(future=[make_future("a", service=0.1 - 1e-7)])
         # a parked aircraft moves only once
         make_instance(current=[make_current("c", service=0.05)])
+
+    def test_time_horizon_bound(self):
+        # M_T = eta + (service + 2 eps_t) + eps_t; past 1e9 h a float step
+        # nears TOL, so the instance is refused
+        def request_at(eta):
+            return make_instance(future=[make_future("a", eta=eta, service=100.0)])
+
+        eta = MAX_HORIZON - 100.3
+        assert MAX_HORIZON - 2e-3 < derive_big_m(request_at(eta - 1e-3))[0] <= MAX_HORIZON
+        with pytest.raises(ValueError, match="time horizon"):
+            request_at(eta + 1e-3)
+        with pytest.raises(ValueError, match="time horizon"):
+            request_at(1e308)
 
     def test_lookup(self):
         inst = make_instance(future=[make_future("a")], current=[make_current("c")])

@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
-from hangarplan.core import (GRID_TOL, TOL, AircraftSpec, HangarConfig, Kind,
-                             evaluate_cost, intervals_overlap, separated, snap_up)
+from hangarplan.core import (GRID_TOL, MAX_HORIZON, TOL, AircraftSpec, HangarConfig, Kind,
+                             derive_big_m, evaluate_cost, intervals_overlap, separated,
+                             snap_up)
 
 from conftest import (
     TINY_HANGAR,
@@ -215,6 +216,12 @@ class TestGuardsAndBudgets:
             exact.OracleConfig(time_budget=float("nan"))
 
 
+#: The reference's separation options: (kind, first, second) with the first
+#: aircraft fully right of (above) the second, buffered.
+_RIGHT = "right"
+_ABOVE = "above"
+
+
 def product_min_positioning(instance, free, fixed, budget):
     """Reference layout search: every combination of the pairwise separation
     options (``itertools.product``), each solved by a from-scratch fixpoint.
@@ -249,11 +256,11 @@ def product_min_positioning(instance, free, fixed, budget):
 
     options_per_pair = []
     for i, j in pairs:
-        opts = [(exact._RIGHT, i, j), (exact._RIGHT, j, i)]
+        opts = [(_RIGHT, i, j), (_RIGHT, j, i)]
         if above_ok(i, j):
-            opts.append((exact._ABOVE, i, j))
+            opts.append((_ABOVE, i, j))
         if above_ok(j, i):
-            opts.append((exact._ABOVE, j, i))
+            opts.append((_ABOVE, j, i))
         options_per_pair.append(opts)
 
     n_free = len(free)
@@ -271,7 +278,7 @@ def product_min_positioning(instance, free, fixed, budget):
         lower = {}
         upper = {}
         for kind, hi, lo_idx in combo:
-            axis = "x" if kind == exact._RIGHT else "y"
+            axis = "x" if kind == _RIGHT else "y"
             size = (entities[lo_idx][0].width if axis == "x"
                     else entities[lo_idx][0].length)
             gap = size + h.buffer
@@ -334,10 +341,15 @@ def _generate(n, n_current, congestion, multiplier, seed):
         rejection_multiplier=multiplier))
 
 
+def _product_for_options(instance, free, options, budget):
+    # the reference builds its own options from the parked aircraft
+    return product_min_positioning(instance, free, ach._commit_current(instance), budget)
+
+
 def _solve_both(inst, node_budget=2_000_000):
     config = exact.OracleConfig(node_budget=node_budget)
     got = exact.solve_exact(inst, config)
-    with mock.patch.object(exact, "_min_positioning", product_min_positioning):
+    with mock.patch.object(exact, "_min_positioning", _product_for_options):
         want = exact.solve_exact(inst, config)
     return got, want
 
@@ -427,6 +439,17 @@ def never_together(eps_p):
     return make_instance(future=large + small, hangar=HangarConfig(eps_p=eps_p))
 
 
+def _drawn_stays(inst, data):
+    """The instance's requests in a drawn order, each with a drawn stay of at
+    least its service from a drawn roll-in at or after its eta."""
+    free = []
+    for spec in data.draw(st.permutations(inst.future)):
+        roll_in = spec.eta + data.draw(st.integers(0, 600)) * 0.1
+        stay = spec.service + data.draw(st.integers(0, 100)) * 0.1
+        free.append((spec, roll_in, roll_in + stay))
+    return free
+
+
 class TestPrefixPruning:
     """The branch and bound lays out every accepted prefix and carries that
     layout down: a prefix with no layout is cut, and its coordinate sum
@@ -441,15 +464,15 @@ class TestPrefixPruning:
                                                   multiplier, seed, data):
         inst = _generate(n, n_current, congestion, multiplier, seed)
         fixed = ach._commit_current(inst)
-        free = []
-        for spec in data.draw(st.permutations(inst.future)):
-            roll_in = spec.eta + data.draw(st.integers(0, 600)) * 0.1
-            stay = spec.service + data.draw(st.integers(0, 100)) * 0.1
-            free.append((spec, roll_in, roll_in + stay))
+        free = _drawn_stays(inst, data)
         k = data.draw(st.integers(0, len(free)))
         budget = exact._Budget(exact.OracleConfig())
-        prefix = exact._min_positioning(inst, free[:k], fixed, budget)
-        full = exact._min_positioning(inst, free, fixed, budget)
+
+        def layout(free):
+            options = exact._pair_options(inst.hangar, free, fixed, 0)
+            return exact._min_positioning(inst, free, options, budget)
+
+        prefix, full = layout(free[:k]), layout(free)
         assume(not budget.exhausted)
         if prefix is None:
             assert full is None
@@ -474,6 +497,64 @@ class TestPrefixPruning:
                           "c1": (5.0, 5.0, c1_in, pytest.approx(c1_in + 4.0))}
         assert res.cost.total == pytest.approx(cost, abs=1e-9)
         assert res.nodes_explored == nodes
+
+
+#: Oracle node counts on instgen instances with tenfold rejection penalties:
+#: (hangar, n_future, n_current, seed, congestion, nodes).
+NODE_PINS = [
+    (HangarConfig(), 4, 2, 23, 1.0, 137),
+    (HangarConfig(), 4, 0, 3, 1.0, 131),
+    (HangarConfig(hw=120, hl=100), 4, 1, 7, 1.0, 306),
+    (HangarConfig(hw=120, hl=100), 3, 2, 2, 0.2, 75),
+]
+
+
+class TestCarriedOptions:
+    """Each accept branch carries its prefix's separation options and builds
+    only the pairs of the aircraft it adds.  Merged by key, they keep the
+    search order of options built at once, so node counts, and with them the
+    meaning of a node budget, do not depend on how the options were built."""
+
+    @settings(max_examples=30, deadline=timedelta(seconds=20))
+    @given(n=st.integers(1, 4), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           multiplier=st.sampled_from([1.0, 10.0]),
+           seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_merged_aircraft_by_aircraft(self, n, n_current, congestion, multiplier,
+                                         seed, data):
+        inst = _generate(n, n_current, congestion, multiplier, seed)
+        fixed = ach._commit_current(inst)
+        free = _drawn_stays(inst, data)
+        options = []
+        for j in range(len(free)):
+            options = sorted(options + exact._pair_options(inst.hangar, free[:j + 1], fixed, j))
+        assert options == exact._pair_options(inst.hangar, free, fixed, 0)
+
+    @pytest.mark.parametrize("hangar,n,n_current,seed,congestion,nodes", NODE_PINS)
+    def test_node_counts(self, hangar, n, n_current, seed, congestion, nodes):
+        inst = instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed, hangar=hangar,
+            congestion=congestion, rejection_multiplier=10.0))
+        res = exact.solve_exact(inst)
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert res.nodes_explored == nodes
+
+
+class TestHorizon:
+    """Up to the horizon bound of 1e9 h a float step stays inside TOL, so
+    both solvers' plans validate on instances shifted that late."""
+
+    @settings(max_examples=10, deadline=timedelta(seconds=20))
+    @given(n=st.integers(1, 3), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]), seed=st.integers(0, 2**31 - 1),
+           share=st.floats(0.0, 1.0))
+    def test_shifted_plans_validate(self, n, n_current, congestion, seed, share):
+        inst = _generate(n, n_current, congestion, 1.0, seed)
+        offset = share * (MAX_HORIZON - derive_big_m(inst)[0] - 1.0)
+        shifted = replace(inst, future=tuple(
+            replace(f, eta=f.eta + offset, etd=f.etd + offset) for f in inst.future))
+        for solution in (ach.solve(shifted), exact.solve_exact(shifted).solution):
+            assert validator.validate(shifted, solution).feasible
 
 
 class TestNoCyclicGarbage:
