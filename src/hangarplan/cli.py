@@ -329,6 +329,8 @@ def _compare_row(path: str, oracle_config: exact.OracleConfig) -> CompareRow:
                 gap = (ach_cost - oracle_cost) / oracle_cost * 100.0
             elif ach_cost <= 1e-9:
                 gap = 0.0
+        else:
+            error = f"oracle: {result.status.value} after {result.nodes_explored} nodes"
     except Exception as exc:  # noqa: BLE001 - per-row error capture
         error = f"oracle: {exc}"
     return CompareRow(instance.label, ach_cost, oracle_cost, gap,

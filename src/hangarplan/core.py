@@ -166,8 +166,13 @@ class Instance:
                 raise ValueError(f"{a.id}: initial position violates buffered hangar bounds")
         for i, a in enumerate(self.current):
             for b in self.current[i + 1:]:
-                if not rects_separated(a.x_init, a.y_init, a.width, a.length,
-                                       b.x_init, b.y_init, b.width, b.length, h.buffer):
+                # the validator's gaps, rounded as it rounds them, so that a
+                # plan keeping the parked aircraft in place can validate
+                gaps = (a.x_init - (b.x_init + b.width + h.buffer),
+                        b.x_init - (a.x_init + a.width + h.buffer),
+                        a.y_init - (b.y_init + b.length + h.buffer),
+                        b.y_init - (a.y_init + a.length + h.buffer))
+                if max(gaps) < -TOL:
                     raise ValueError(f"{a.id}/{b.id}: initial positions violate buffered separation")
 
     def all_aircraft(self) -> tuple[AircraftSpec, ...]:
@@ -290,7 +295,9 @@ def separated(t: float, events: Sequence[float], eps_t: float) -> bool:
     """True iff t keeps eps_t from every event of the sorted list; by float
     monotonicity the nearest event is one of t's two neighbours."""
     i = bisect_left(events, t)
-    return all(abs(e - t) >= eps_t - TOL for e in events[max(0, i - 1):i + 1])
+    if i < len(events) and abs(events[i] - t) < eps_t - TOL:
+        return False
+    return i == 0 or abs(events[i - 1] - t) >= eps_t - TOL
 
 
 def next_separated(t0: float, events: Sequence[float], eps_t: float) -> float:
@@ -311,7 +318,10 @@ def window_blocks(window: tuple[float, float], moves: Iterable[float]) -> bool:
     """True iff the presence window of an aircraft strictly contains one of the
     movements of another.  Parked above it in a shared lane, the first blocks
     the second's path to the open front at that movement."""
-    return any(window[0] < e - TOL and e < window[1] - TOL for e in moves)
+    for e in moves:
+        if window[0] < e - TOL and e < window[1] - TOL:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

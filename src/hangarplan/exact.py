@@ -17,8 +17,11 @@ options: an accept branch builds only the pairs of its new aircraft
 (``_pair_options``) and merges them with its parent's by key, which keeps the
 search order, and so the node count, of options built all at once.  An option
 indexes a flat position list per aircraft (x of free aircraft i at 2i, y at
-2i + 1), so it does not depend on the prefix length.  Both searches share one
-node budget.
+2i + 1), so it does not depend on the prefix length.  The prefix's walls
+(each aircraft's largest grid x and y) are carried down the same way, each
+aircraft's computed once when it is branched on.  An aircraft with no grid
+cell is never branched on as accepted, only as rejected.  Both searches
+share one node budget.
 They are module-level recursive functions over explicit arguments and one
 ``_Search`` record, so a call leaves no cyclic garbage.
 """
@@ -103,15 +106,20 @@ class _Budget:
 
 def _min_positioning(instance: Instance,
                      free: Sequence[tuple[AircraftSpec, float, float]],
-                     options: list, budget: _Budget):
+                     options: list, walls: list[float], budget: _Budget):
     """Minimal sum-of-coordinates grid layout for the accepted future aircraft
     of a schedule prefix, or None if spatially infeasible.
 
     ``free``: (spec, roll_in, roll_out) triples.  ``options``: the prefix's
     keyed separation options, ``_pair_options(h, free, fixed, 0)`` or the
-    parent prefix's merged with those of its new aircraft.  Returns
-    (positioning_sum, {id: (x, y)}); ties in the sum go to the smaller layout
-    tuple.
+    parent prefix's merged with those of its new aircraft.  ``walls``: the
+    prefix's position limits, indexed as the options index positions (x of
+    free aircraft i at 2i, y at 2i + 1): hw - buffer - width and
+    hl - buffer - length.  ``_branch`` carries them down with the options.
+    Every aircraft of ``free`` must have a grid cell (buffer at most its
+    walls, within GRID_TOL): the branch and bound never accepts one that has
+    none.  Returns (positioning_sum, {id: (x, y)}); ties in the sum go to the
+    smaller layout tuple.
 
     Depth-first over the co-present pairs, one separation option per level.
     Positions are the least fixpoint of the chosen constraints and only grow
@@ -123,10 +131,6 @@ def _min_positioning(instance: Instance,
     h = instance.hangar
     if not free:
         return 0.0, {}
-    walls = [wall for spec, _, _ in free
-             for wall in (h.hw - h.buffer - spec.width, h.hl - h.buffer - spec.length)]
-    if h.buffer > min(walls) + GRID_TOL:
-        return None  # an aircraft with no grid cell
     succ: list[list[tuple[int, float]]] = [[] for _ in walls]
     best = _layout_search(h, options, succ, budget, 0, [h.buffer] * len(walls), walls, None)
     if best is None:
@@ -196,7 +200,8 @@ def _settle(h: HangarConfig, succ: list[list[tuple[int, float]]], pos: list[floa
         v, value = work.pop()
         if value > pos[v]:
             pos[v] = value
-            work.extend((w, snap_up(value + gap, h.buffer, h.grid_step)) for w, gap in succ[v])
+            for w, gap in succ[v]:
+                work.append((w, snap_up(value + gap, h.buffer, h.grid_step)))
         if pos[v] > limit[v] + GRID_TOL:
             return False
     return True
@@ -264,7 +269,7 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
     search = _Search(instance, _Budget(config), fixed_current,
                      ach.prioritize(instance), evaluate_cost(instance, all_reject).total,
                      _vector(all_reject), all_reject)
-    _branch(search, 0, [], [], ach._events(fixed_current), current_cost, (0.0, {}))
+    _branch(search, 0, [], [], [], ach._events(fixed_current), current_cost, (0.0, {}))
 
     status = (OracleStatus.BUDGET_EXHAUSTED if search.budget.exhausted
               else OracleStatus.PROVEN_OPTIMAL_ON_GRID)
@@ -287,12 +292,12 @@ def _leaf(search: _Search, free: list[tuple[AircraftSpec, float, float]],
 
 
 def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, float]],
-            options: list, events: list[float], committed_cost: float,
+            options: list, walls: list[float], events: list[float], committed_cost: float,
             res: tuple[float, dict[str, tuple[float, float]]]) -> None:
     # ``free`` is the accepted prefix, in priority order, ``options`` its
-    # keyed separation options and ``res`` its minimal layout: every
-    # completion keeps these separation pairs and adds its own, so res[0]
-    # bounds the positioning sum of the subtree.
+    # keyed separation options, ``walls`` its position limits and ``res`` its
+    # minimal layout: every completion keeps these separation pairs and adds
+    # its own, so res[0] bounds the positioning sum of the subtree.
     h, budget = search.instance.hangar, search.budget
     if budget.tick() or committed_cost + h.eps_p * res[0] > search.cost + TOL:
         return
@@ -300,21 +305,25 @@ def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, flo
         _leaf(search, free, committed_cost, res)
         return
     spec = search.order[idx]
-    t_max = ach.max_admissible_time(spec)
-    for t in _time_candidates(spec, events, h.eps_t, t_max):
-        t_out = next_separated(t + spec.service, events, h.eps_t)
-        d_arr, d_dep = delays(spec, t, t_out)
-        cost = committed_cost + spec.p_arr * d_arr + spec.p_dep * d_dep
-        if cost + h.eps_p * res[0] > search.cost + TOL:
-            continue  # the parent's layout already bounds this child out
-        accepted = free + [(spec, t, t_out)]
-        pairs = sorted(options + _pair_options(h, accepted, search.fixed_current, len(free)))
-        child = _min_positioning(search.instance, accepted, pairs, budget)
-        if child is not None:  # no layout for the prefix, none for any completion
-            _branch(search, idx + 1, accepted, pairs, sorted(events + [t, t_out]), cost, child)
-        if budget.exhausted:
-            return
-    _branch(search, idx + 1, free, options, events, committed_cost + spec.p_rej, res)
+    x_wall, y_wall = h.hw - h.buffer - spec.width, h.hl - h.buffer - spec.length
+    if h.buffer <= min(x_wall, y_wall) + GRID_TOL:  # else no grid cell: only rejected
+        accepted_walls = walls + [x_wall, y_wall]
+        t_max = ach.max_admissible_time(spec)
+        for t in _time_candidates(spec, events, h.eps_t, t_max):
+            t_out = next_separated(t + spec.service, events, h.eps_t)
+            d_arr, d_dep = delays(spec, t, t_out)
+            cost = committed_cost + spec.p_arr * d_arr + spec.p_dep * d_dep
+            if cost + h.eps_p * res[0] > search.cost + TOL:
+                continue  # the parent's layout already bounds this child out
+            accepted = free + [(spec, t, t_out)]
+            pairs = sorted(options + _pair_options(h, accepted, search.fixed_current, len(free)))
+            child = _min_positioning(search.instance, accepted, pairs, accepted_walls, budget)
+            if child is not None:  # no layout for the prefix, none for any completion
+                _branch(search, idx + 1, accepted, pairs, accepted_walls,
+                        sorted(events + [t, t_out]), cost, child)
+            if budget.exhausted:
+                return
+    _branch(search, idx + 1, free, options, walls, events, committed_cost + spec.p_rej, res)
 
 
 def _compose(instance: Instance,

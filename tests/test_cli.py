@@ -486,6 +486,23 @@ class TestCompare:
         assert rows[0]["error"] == ""
         assert rows[1]["error"].startswith("parse")
 
+    def test_budget_stop_recorded_in_error(self, runner, tmp_path):
+        # two requests that fill the hangar: proven in 9 nodes, stopped at 3
+        pair = [make_future(aid, width=45.0, length=48.0, etd=300.0, p_rej=5000.0)
+                for aid in ("a", "b")]
+        inst = tmp_path / "serialized.json"
+        io.save_instance(make_instance(future=pair), inst)
+        out = tmp_path / "cmp.csv"
+        res = run(runner, ["compare", str(inst), "--node-budget", "3", "-o", str(out)])
+        assert res.exit_code == 0
+        [row] = csv.DictReader(out.open())
+        assert row["oracle_cost"] == row["gap_pct"] == ""
+        assert row["error"] == "oracle: BudgetExhausted after 4 nodes"
+        run(runner, ["compare", str(inst), "-o", str(out)])
+        [row] = csv.DictReader(out.open())
+        assert float(row["oracle_cost"]) == pytest.approx(1001.02)
+        assert row["error"] == ""
+
     def test_unwritable_output_solves_nothing(self, runner, tmp_path):
         inst = tmp_path / "inst.json"
         run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst)])

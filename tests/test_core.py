@@ -1,9 +1,12 @@
 """Domain types, geometry predicates, Big-M derivation, and cost evaluation."""
 
 import math
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hangarplan.core import (
     GRID_TOL,
@@ -110,6 +113,14 @@ class TestInstance:
         with pytest.raises(ValueError):
             make_instance(current=[make_current("c1", x=5, y=5),
                                    make_current("c2", x=6, y=6)])
+
+    def test_current_overlap_as_the_validator_rounds_it(self):
+        # 22.4999985 - (6.4999985 + 11.000001 + 5) rounds to -1.000000001e-6,
+        # past -TOL, though 6.4999985 + 11.000001 + 5 <= 22.4999985 + TOL
+        with pytest.raises(ValueError, match="buffered separation"):
+            make_instance(current=[
+                make_current("c0", width=5.0, length=11.000001, x=5.0, y=6.4999985),
+                make_current("c1", width=5.0, length=5.0, x=5.0, y=22.4999985)])
 
     def test_request_service_shorter_than_eps_t(self):
         # the rows and both solvers separate only the movements of two
@@ -250,6 +261,79 @@ class TestMovementRules:
         assert not window_blocks(window, movement_times(current, 0.0, 100.0))
         assert window_blocks(window, movement_times(current, 0.0, 40.0))
         assert window_blocks(window, movement_times(make_future("f"), 0.0, 100.0))
+
+
+def _separated_reference(t, events, eps_t):
+    """``separated`` as a generator over the two bisect neighbours."""
+    i = bisect_left(events, t)
+    return all(abs(e - t) >= eps_t - TOL for e in events[max(0, i - 1):i + 1])
+
+
+def _window_blocks_reference(window, moves):
+    """``window_blocks`` as a generator over the movements."""
+    return any(window[0] < e - TOL and e < window[1] - TOL for e in moves)
+
+
+#: Offsets around a boundary of the tolerance tests.
+NEAR = [0.0, TOL, -TOL, TOL / 2, -TOL / 2, 2 * TOL, -2 * TOL]
+
+#: Times: any float, one on the 0.1 h lattice of the solvers' roll-ins, or
+#: one within 1e-5 h of 0, where ``w + TOL < e`` and ``w < e - TOL`` can
+#: round apart.
+TIMES = (st.floats(0.0, 1e4) | st.integers(0, 10**5).map(lambda k: k * 0.1)
+         | st.floats(0.0, 1e-5))
+
+
+def _ulps(value, k):
+    """value moved k ulps."""
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.copysign(math.inf, k))
+    return value
+
+
+def _near(base, gap):
+    """base - (gap + d) and base + (gap + d) for every d in NEAR, each also
+    moved up to 2 ulps either way."""
+    return [_ulps(base + sign * (gap + d), k)
+            for sign in (-1.0, 1.0) for d in NEAR for k in range(-2, 3)]
+
+
+@st.composite
+def _with_duplicates(draw, values):
+    """``values`` plus a drawn repeat of some of them, sorted."""
+    values = draw(values)
+    repeats = draw(st.lists(st.sampled_from(values), max_size=3)) if values else []
+    return sorted(values + repeats)
+
+
+class TestKernelEquivalence:
+    """``separated`` and ``window_blocks`` return exactly what their
+    generator forms return, at and around every tolerance boundary: for each
+    time near one on its own, then for a drawn list of them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), t=TIMES, eps_t=st.sampled_from([0.1, 0.7, 1.0, 2.3]))
+    def test_separated(self, data, t, eps_t):
+        near = _near(t, eps_t)
+        for e in near:
+            assert separated(t, [e], eps_t) is _separated_reference(t, [e], eps_t)
+        anywhere = st.floats(t - 3 * eps_t, t + 3 * eps_t) | st.just(t)
+        events = data.draw(_with_duplicates(
+            st.lists(st.sampled_from(near) | anywhere, max_size=3)))
+        assert separated(t, events, eps_t) is _separated_reference(t, events, eps_t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), start=TIMES,
+           length=st.floats(0.0, 500.0) | st.sampled_from([TOL, 2 * TOL, 3 * TOL]))
+    def test_window_blocks(self, data, start, length):
+        window = (start, start + length)
+        near = _near(window[0], 0.0) + _near(window[1], 0.0)
+        for e in near:
+            assert window_blocks(window, [e]) is _window_blocks_reference(window, [e])
+        anywhere = st.floats(start - 10.0, start + length + 10.0)
+        moves = data.draw(_with_duplicates(
+            st.lists(st.sampled_from(near) | anywhere, max_size=2)))
+        assert window_blocks(window, moves) is _window_blocks_reference(window, moves)
 
 
 class TestBigM:

@@ -341,7 +341,7 @@ def _generate(n, n_current, congestion, multiplier, seed):
         rejection_multiplier=multiplier))
 
 
-def _product_for_options(instance, free, options, budget):
+def _product_for_options(instance, free, options, walls, budget):
     # the reference builds its own options from the parked aircraft
     return product_min_positioning(instance, free, ach._commit_current(instance), budget)
 
@@ -450,6 +450,13 @@ def _drawn_stays(inst, data):
     return free
 
 
+def _walls(h, free):
+    """The position limits of ``free``, indexed as ``exact._pair_options``
+    indexes positions."""
+    return [wall for spec, _, _ in free
+            for wall in (h.hw - h.buffer - spec.width, h.hl - h.buffer - spec.length)]
+
+
 class TestPrefixPruning:
     """The branch and bound lays out every accepted prefix and carries that
     layout down: a prefix with no layout is cut, and its coordinate sum
@@ -470,7 +477,7 @@ class TestPrefixPruning:
 
         def layout(free):
             options = exact._pair_options(inst.hangar, free, fixed, 0)
-            return exact._min_positioning(inst, free, options, budget)
+            return exact._min_positioning(inst, free, options, _walls(inst.hangar, free), budget)
 
         prefix, full = layout(free[:k]), layout(free)
         assume(not budget.exhausted)
@@ -538,6 +545,41 @@ class TestCarriedOptions:
         res = exact.solve_exact(inst)
         assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
         assert res.nodes_explored == nodes
+
+
+class TestCarriedWalls:
+    """Each aircraft's walls are computed once, where it is branched on, and
+    carried down with the options.  An aircraft with no grid cell is only
+    branched on as rejected: every accept branch of it would end in no
+    layout before its first node, so node counts do not change."""
+
+    @pytest.mark.parametrize("width,length", [(70.0, 20.0), (20.0, 70.0)],
+                             ids=["wider", "longer"])
+    @pytest.mark.parametrize("with_fitting,nodes,cost", [(False, 2, 900.0),
+                                                         (True, 6, 900.035)],
+                             ids=["alone", "with-fitting"])
+    def test_no_cell_request_never_laid_out(self, width, length, with_fitting, nodes, cost):
+        parked = make_current("c", width=20.0, length=20.0, service=50.0, etd=60.0)
+        future = [make_future("f", width=width, length=length, eta=10.0, service=50.0,
+                              etd=100.0, p_rej=900.0)]
+        if with_fitting:
+            future.append(make_future("g", width=20.0, length=20.0, eta=10.0, service=50.0,
+                                      etd=100.0, p_rej=900.0))
+        inst = make_instance(future=future, current=[parked])
+        with mock.patch.object(exact, "_min_positioning",
+                               wraps=exact._min_positioning) as spy:
+            res = exact.solve_exact(inst)
+        assert all(spec.id != "f" for call in spy.call_args_list for spec, _, _ in call.args[1])
+        assert spy.called == with_fitting
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert res.nodes_explored == nodes
+        assert res.cost.total == pytest.approx(cost, abs=1e-9)
+        placed = {a.aircraft_id: (a.x, a.y, a.roll_in, a.roll_out)
+                  for a in res.solution.assignments if a.accept}
+        want = {"c": (5.0, 5.0, 0.0, 50.0)}
+        if with_fitting:
+            want["g"] = (30.0, 5.0, 10.0, 60.0)
+        assert placed == want
 
 
 class TestHorizon:
