@@ -244,13 +244,6 @@ def axis_separated(xa: float, wa: float, xb: float, wb: float, buffer: float) ->
     return x_separated(xa, wa, xb, wb, buffer) or x_separated(xb, wb, xa, wa, buffer)
 
 
-def rects_separated(ax: float, ay: float, aw: float, al: float,
-                    bx: float, by: float, bw: float, bl: float, buffer: float) -> bool:
-    """Buffered separation of two footprints on at least one axis."""
-    return (axis_separated(ax, aw, bx, bw, buffer)
-            or axis_separated(ay, al, by, bl, buffer))
-
-
 def lanes_overlap(ax: float, aw: float, bx: float, bw: float, buffer: float) -> bool:
     """True iff the buffered x-extents of two aircraft are not separated in
     either direction, i.e. they share a movement lane to the open front."""
@@ -378,17 +371,16 @@ def evaluate_cost(instance: Instance, solution: Solution) -> CostBreakdown:
     positioning = 0.0
     eps_p = instance.hangar.eps_p
 
-    for f in instance.future:
-        asg = by_id[f.id]
-        if not asg.accept:
-            rejection += f.p_rej
-            continue
-        arrival += f.p_arr * max(0.0, asg.roll_in - f.eta)
-        positioning += eps_p * (asg.x + asg.y)
     for a in instance.all_aircraft():
         asg = by_id[a.id]
         if asg.accept:
-            departure += a.p_dep * max(0.0, asg.roll_out - a.etd)
+            d_arr, d_dep = delays(a, asg.roll_in, asg.roll_out)
+            departure += a.p_dep * d_dep
+            if a.kind is Kind.FUTURE:
+                arrival += a.p_arr * d_arr
+                positioning += eps_p * (asg.x + asg.y)
+        elif a.kind is Kind.FUTURE:
+            rejection += a.p_rej
 
     total = rejection + arrival + departure + positioning
     return CostBreakdown(rejection, arrival, departure, positioning, total)

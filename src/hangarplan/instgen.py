@@ -18,6 +18,7 @@ from .core import (
     HangarConfig,
     Instance,
     Kind,
+    grid,
 )
 
 #: (width, length) catalog of aircraft footprints, in increasing area.
@@ -75,12 +76,12 @@ Rect = tuple[float, float, float, float]
 
 
 def _bottom_left_spot(w: float, l: float, placed: list[Rect], h: HangarConfig):
-    """The first grid cell, in y-then-x order, where a ``w`` x ``l`` footprint
-    is buffer-separated from every placed one, or ``None``.  One boolean mask
-    over ``ys x xs`` per placed footprint, with the comparisons of
-    ``core.x_separated`` in the same order."""
-    xs = np.arange(h.buffer, h.hw - h.buffer - w + TOL, h.grid_step)
-    ys = np.arange(h.buffer, h.hl - h.buffer - l + TOL, h.grid_step)
+    """The first cell of ``core.grid``, in y-then-x order, where a ``w`` x ``l``
+    footprint is buffer-separated from every placed one, or ``None``.  One
+    boolean mask over ``ys x xs`` per placed footprint, with the comparisons
+    of ``core.x_separated`` in the same order."""
+    xs = grid(h.buffer, h.hw - h.buffer - w, h.grid_step)
+    ys = grid(h.buffer, h.hl - h.buffer - l, h.grid_step)
     free = np.ones((len(ys), len(xs)), dtype=bool)
     b = h.buffer
     for px, py, pw, pl in placed:

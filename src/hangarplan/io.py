@@ -98,10 +98,6 @@ def parse_json(text: str) -> Any:
 # Instance
 # ---------------------------------------------------------------------------
 
-def hangar_to_dict(h: HangarConfig) -> dict:
-    return asdict(h)
-
-
 def hangar_from_dict(d: dict) -> HangarConfig:
     return _make(HangarConfig, "hangar record",
                  **{f.name: _number(d, f.name, "hangar") for f in fields(HangarConfig)})
@@ -137,7 +133,7 @@ def aircraft_from_dict(d: dict) -> AircraftSpec:
 def instance_to_dict(inst: Instance) -> dict:
     return {
         "label": inst.label,
-        "hangar": hangar_to_dict(inst.hangar),
+        "hangar": asdict(inst.hangar),
         "current": [aircraft_to_dict(a) for a in inst.current],
         "future": [aircraft_to_dict(a) for a in inst.future],
     }
@@ -165,12 +161,6 @@ def load_instance(path: PathLike) -> Instance:
 # Solution
 # ---------------------------------------------------------------------------
 
-def assignment_to_dict(a: Assignment) -> dict:
-    return {"aircraft_id": a.aircraft_id, "accept": a.accept,
-            "x": a.x, "y": a.y, "roll_in": a.roll_in, "roll_out": a.roll_out,
-            "d_arr": a.d_arr, "d_dep": a.d_dep}
-
-
 def assignment_from_dict(d: dict) -> Assignment:
     aid = _field(d, "aircraft_id", "assignment", str)
     ctx = f"assignment {aid}"
@@ -185,7 +175,7 @@ def solution_to_dict(sol: Solution) -> dict:
     return {
         "instance_label": sol.instance_label,
         "provenance": sol.provenance.value,
-        "assignments": [assignment_to_dict(a) for a in sol.assignments],
+        "assignments": [asdict(a) for a in sol.assignments],
     }
 
 

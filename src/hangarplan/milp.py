@@ -34,6 +34,7 @@ from .core import (
     MissingAssignment,
     Provenance,
     Solution,
+    delays,
     derive_big_m,
     intervals_overlap,
     x_separated,
@@ -85,12 +86,9 @@ class MilpRow(NamedTuple):
     def family(self) -> str:
         return self.name.split("(", 1)[0]
 
-    def lhs(self, point: dict[str, float]) -> float:
-        return sum(c * point[v] for c, v in self.terms)
-
     def residual(self, point: dict[str, float]) -> float:
         """Amount by which the row is violated (0 if satisfied)."""
-        lhs = self.lhs(point)
+        lhs = sum(c * point[v] for c, v in self.terms)
         if self.sense == "<=":
             return max(0.0, lhs - self.rhs)
         if self.sense == ">=":
@@ -391,8 +389,8 @@ def export_lp(model: MilpModel) -> str:
     """Deterministic LP-format text (CPLEX dialect) of the model.
 
     The text is byte-stable: the same model always gives the same bytes.
-    Lines are wrapped at ``LINE_WIDTH`` characters between tokens; a row
-    that fits is one line, which is what ``_wrap`` gives it too.
+    ``_wrap`` breaks each row at ``LINE_WIDTH`` characters between tokens,
+    so a row that fits is one line.
     """
     signed: dict[float, str] = {}  # coefficient -> "± |coef|", for this call
     rhs_text: dict[float, str] = {}  # right-hand side -> text, for this call
@@ -407,14 +405,8 @@ def export_lp(model: MilpModel) -> str:
             parts.append(var)
         return " ".join(parts)
 
-    def emit(prefix: str, body: str) -> None:
-        if len(prefix) + 1 + len(body) <= LINE_WIDTH:
-            out.append(f"{prefix} {body}")
-        else:
-            out.extend(_wrap(prefix, body))
-
     out: list[str] = ["\\ hangarplan model export", "Minimize"]
-    emit(" obj:", terms_text(model.objective))
+    out.extend(_wrap(" obj:", terms_text(model.objective)))
     out.append("Subject To")
     for row in model.rows:
         if row.sense not in _SENSES:
@@ -422,7 +414,7 @@ def export_lp(model: MilpModel) -> str:
         rhs = rhs_text.get(row.rhs)
         if rhs is None:
             rhs = rhs_text[row.rhs] = _num(row.rhs)
-        emit(f" {row.name}:", f"{terms_text(row.terms)} {row.sense} {rhs}")
+        out.extend(_wrap(f" {row.name}:", f"{terms_text(row.terms)} {row.sense} {rhs}"))
     out.append("Bounds")
     for v in model.variables.values():
         if v.lb == v.ub:
@@ -615,8 +607,9 @@ def derive_binaries(instance: Instance, solution: Solution,
 
     Relational binaries are set consistently with the row system: spatial
     binaries from geometry for co-present pairs only, temporal binaries from
-    strict event order, fixings from the initial conditions.  Rejected
-    aircraft get all-zero continuous values and relational binaries.
+    strict event order, fixings from the initial conditions.  A rejected
+    aircraft has every variable at 0, and so has each pair binary it is in,
+    but for the fixed ``InIn`` of a pair with a parked aircraft.
     """
     if model is None:
         model = build_model(instance)
@@ -631,34 +624,23 @@ def derive_binaries(instance: Instance, solution: Solution,
     point: dict[str, float] = {CONST_VAR: 1.0}
     for aid in model.aircraft_ids:
         asg = by_id[aid]
-        sp = spec[aid]
-        if asg.accept:
-            point[vAcc(aid)] = 1.0
-            point[vX(aid)] = asg.x
-            point[vY(aid)] = asg.y
-            point[vIn(aid)] = asg.roll_in
-            point[vOut(aid)] = asg.roll_out
-            point[vDDep(aid)] = max(0.0, asg.roll_out - sp.etd)
-            if aid in fut:
-                point[vDArr(aid)] = max(0.0, asg.roll_in - sp.eta)
-        else:
-            point[vAcc(aid)] = 0.0
-            for name in (vX(aid), vY(aid), vIn(aid), vOut(aid), vDDep(aid)):
-                point[name] = 0.0
-            if aid in fut:
-                point[vDArr(aid)] = 0.0
+        d_arr, d_dep = delays(spec[aid], asg.roll_in, asg.roll_out)
+        values = {vAcc(aid): 1.0, vX(aid): asg.x, vY(aid): asg.y, vIn(aid): asg.roll_in,
+                  vOut(aid): asg.roll_out, vDDep(aid): d_dep}
+        if aid in fut:
+            values[vDArr(aid)] = d_arr
+        point.update(values if asg.accept else dict.fromkeys(values, 0.0))
 
-    def accepted(aid):
-        return by_id[aid].accept
-
-    for a in model.aircraft_ids:
-        for b in model.aircraft_ids:
+    ids = model.aircraft_ids
+    for a in ids:
+        aa, sa = by_id[a], spec[a]
+        for b in ids:
             if a == b:
                 continue
-            aa, ab = by_id[a], by_id[b]
-            sa, sb = spec[a], spec[b]
+            ab, sb = by_id[b], spec[b]
+            both = aa.accept and ab.accept
             right = above = outin = 0.0
-            if accepted(a) and accepted(b):
+            if both:
                 if intervals_overlap((aa.roll_in, aa.roll_out), (ab.roll_in, ab.roll_out)):
                     right = 1.0 if x_separated(aa.x, sa.width, ab.x, sb.width, h.buffer) else 0.0
                     above = 1.0 if x_separated(aa.y, sa.length, ab.y, sb.length, h.buffer) else 0.0
@@ -667,36 +649,20 @@ def derive_binaries(instance: Instance, solution: Solution,
             point[vRight(a, b)] = right
             point[vAbove(a, b)] = above
             point[vOutIn(a, b)] = outin
-
-            # InIn: honor fixings, otherwise strict roll-in order (accepted F pairs).
-            if a not in fut and b in fut:
-                point[vInIn(a, b)] = 1.0
-            elif a in fut and b not in fut:
-                point[vInIn(a, b)] = 0.0
-            elif a not in fut and b not in fut:
-                point[vInIn(a, b)] = 1.0
+            if a in fut and b in fut:
+                point[vInIn(a, b)] = 1.0 if both and _strict_before(
+                    aa.roll_in, ab.roll_in, f"InIn({a},{b})") else 0.0
             else:
-                if accepted(a) and accepted(b):
-                    point[vInIn(a, b)] = 1.0 if _strict_before(
-                        aa.roll_in, ab.roll_in, f"InIn({a},{b})") else 0.0
-                else:
-                    point[vInIn(a, b)] = 0.0
-
+                # fixed with a parked aircraft (fix23-25): 0 when a is the request
+                point[vInIn(a, b)] = 0.0 if a in fut else 1.0
             if a in fut or b in fut:
-                if accepted(a) and accepted(b):
-                    point[vInOut(a, b)] = 1.0 if aa.roll_in < ab.roll_out - TOL else 0.0
-                else:
-                    point[vInOut(a, b)] = 0.0
+                point[vInOut(a, b)] = 1.0 if both and aa.roll_in < ab.roll_out - TOL else 0.0
 
-    ids = model.aircraft_ids
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            a, b = ids[i], ids[j]
-            if accepted(a) and accepted(b):
-                point[vOutOut(a, b)] = 1.0 if _strict_before(
-                    by_id[a].roll_out, by_id[b].roll_out, f"OutOut({a},{b})") else 0.0
-            else:
-                point[vOutOut(a, b)] = 0.0
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            aa, ab = by_id[a], by_id[b]
+            point[vOutOut(a, b)] = 1.0 if aa.accept and ab.accept and _strict_before(
+                aa.roll_out, ab.roll_out, f"OutOut({a},{b})") else 0.0
 
     return point
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import Instance, Kind, Solution
+from .core import Instance, Kind, Solution, delays
 from . import validator
 
 COLOR_STATIC = "#3b6fb5"      # parked
@@ -185,8 +185,7 @@ def render_report(instance: Instance, solution: Solution, out_file, *,
         f"<tr><td>{html.escape(s.id)}</td><td>{s.kind.value}</td>"
         f"<td>({asg.x:.1f}, {asg.y:.1f})</td>"
         f"<td>{asg.roll_in:.2f}</td><td>{asg.roll_out:.2f}</td>"
-        f"<td>{max(0.0, asg.roll_in - s.eta):.2f}</td>"
-        f"<td>{max(0.0, asg.roll_out - s.etd):.2f}</td></tr>"
+        + "<td>{:.2f}</td><td>{:.2f}</td></tr>".format(*delays(s, asg.roll_in, asg.roll_out))
         for s, asg in accepted)
     rows_rej = "\n".join(
         f"<tr><td>{html.escape(s.id)}</td><td>{s.p_rej:.0f}</td></tr>"

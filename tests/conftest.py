@@ -24,6 +24,7 @@ from hangarplan.core import (
     Kind,
     Provenance,
     Solution,
+    axis_separated,
     evaluate_cost,
 )
 from hangarplan import io, validator
@@ -70,6 +71,13 @@ def manual_solution(instance: Instance, by_id: dict[str, Assignment]) -> Solutio
             a.id, Assignment(aircraft_id=a.id, accept=False)))
     return Solution(instance_label=instance.label, assignments=tuple(assignments),
                     provenance=Provenance.MANUAL)
+
+
+def rects_separated(ax: float, ay: float, aw: float, al: float,
+                    bx: float, by: float, bw: float, bl: float, buffer: float) -> bool:
+    """Buffered separation of two footprints on at least one axis."""
+    return (axis_separated(ax, aw, bx, bw, buffer)
+            or axis_separated(ay, al, by, bl, buffer))
 
 
 def accept(aid: str, x: float, y: float, roll_in: float, roll_out: float,

@@ -28,14 +28,20 @@ from hangarplan.core import (
     lanes_overlap,
     movement_times,
     next_separated,
-    rects_separated,
     separated,
     snap_up,
     window_blocks,
     x_separated,
 )
 
-from conftest import accept, make_current, make_future, make_instance, manual_solution
+from conftest import (
+    accept,
+    make_current,
+    make_future,
+    make_instance,
+    manual_solution,
+    rects_separated,
+)
 
 
 class TestAircraftSpec:

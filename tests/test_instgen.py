@@ -1,12 +1,13 @@
 """Seeded instance generation: determinism, distributions, congestion."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hangarplan import instgen
-from hangarplan.core import TOL, HangarConfig, Kind, rects_separated
+from hangarplan.core import HangarConfig, Kind, grid
+
+from conftest import rects_separated
 
 
 def gen(**kwargs):
@@ -114,13 +115,24 @@ class TestCurrentPlacement:
         inst = gen(n_future=0, n_current=10, seed=3)
         assert 0 < len(inst.current) < 10
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_positions_on_the_solvers_grid(self, seed):
+        # a 0.1 m step is not a binary fraction: cells counted up by repeated
+        # addition drift off the solvers' cells lo + k * step
+        h = HangarConfig(grid_step=0.1)
+        inst = gen(n_future=2, n_current=3, seed=seed, hangar=h)
+        assert inst.current
+        for c in inst.current:
+            assert c.x_init in grid(h.buffer, h.hw - h.buffer - c.width, h.grid_step).tolist()
+            assert c.y_init in grid(h.buffer, h.hl - h.buffer - c.length, h.grid_step).tolist()
+
 
 def per_cell_spot(w, l, placed, h):
     """The cell-by-cell scan that ``instgen._bottom_left_spot`` replaced,
     kept as its reference: the first cell in y-then-x order that is
     buffer-separated from every placed footprint."""
-    xs = np.arange(h.buffer, h.hw - h.buffer - w + TOL, h.grid_step)
-    ys = np.arange(h.buffer, h.hl - h.buffer - l + TOL, h.grid_step)
+    xs = grid(h.buffer, h.hw - h.buffer - w, h.grid_step)
+    ys = grid(h.buffer, h.hl - h.buffer - l, h.grid_step)
     for y in ys:
         for x in xs:
             if all(rects_separated(x, y, w, l, *p, h.buffer) for p in placed):
@@ -169,13 +181,13 @@ class TestBottomLeftSpot:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_tolerance_decides_at_the_bound(self, axis):
-        # with a 0.1 m step the grid drifts below whole metres, so the cell
-        # just past this 1 m footprint is a rounding error short of the bound
+        # with a 0.1 m step the buffered edge 0.3 + 8.3 + 5 rounds to just
+        # above the cell 5 + 86 * 0.1 = 13.6, a rounding error short of it
         h = HangarConfig(grid_step=0.1)
-        placed = [(0.0, 0.0, 1.0, h.hl) if axis == 0 else (0.0, 0.0, h.hw, 1.0)]
+        placed = [(0.3, 0.0, 8.3, h.hl) if axis == 0 else (0.0, 0.3, h.hw, 8.3)]
         spot = instgen._bottom_left_spot(10.0, 10.0, placed, h)
         assert spot == per_cell_spot(10.0, 10.0, placed, h)
-        assert spot[axis] < 1.0 + h.buffer == pytest.approx(spot[axis])
+        assert spot[axis] < 0.3 + 8.3 + h.buffer == pytest.approx(spot[axis])
 
     def test_empty_grid(self):
         h = HangarConfig()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, milp, validator
-from hangarplan.core import HangarConfig, evaluate_cost
+from hangarplan.core import Assignment, HangarConfig, evaluate_cost
 from hangarplan.io import ParseError
 from hangarplan.validator import ViolationKind
 
@@ -329,6 +329,49 @@ class TestDeriveBinaries:
             assert point[f"Right({a},{b})"] == 0.0
             assert point[f"Above({a},{b})"] == 0.0
             assert point[f"OutIn({a},{b})"] == 0.0
+
+    def test_rejected_record_with_fields_all_zero(self):
+        # a hand-written plan may leave a rejected aircraft's fields set
+        c = make_current("c", service=50.0)
+        fa = make_future("a", eta=0.0)
+        fb = make_future("b", eta=10.0)
+        inst = make_instance(future=[fa, fb], current=[c])
+        sol = manual_solution(inst, {
+            "c": accept("c", 5.0, 5.0, 0.0, 50.0, etd=c.etd),
+            "a": accept("a", 36.0, 5.0, 0.0, 100.0, eta=fa.eta, etd=fa.etd),
+            "b": Assignment("b", False, x=7.0, y=3.0, roll_in=50.0, roll_out=150.0,
+                            d_arr=40.0, d_dep=20.0)})
+        point = milp.derive_binaries(inst, sol)
+        for var in ("Accept", "X", "Y", "Rollin", "Rollout", "DArr", "DDep"):
+            assert point[f"{var}(b)"] == 0.0
+        pairs = [("c", "b"), ("a", "b"), ("b", "c"), ("b", "a")]
+        expected = {f"{var}({p},{q})": 0.0 for p, q in pairs
+                    for var in ("Right", "Above", "OutIn", "InIn", "InOut")}
+        # ... but for the InIn that the parked aircraft fixes
+        expected.update({"OutOut(c,b)": 0.0, "OutOut(a,b)": 0.0, "InIn(c,b)": 1.0})
+        assert {name for name in point if "(b," in name or name.endswith(",b)")} == set(expected)
+        assert {name: point[name] for name in expected} == expected
+
+    @pytest.mark.parametrize("request_accepted", [True, False])
+    def test_fixed_inin_of_parked_pairs(self, request_accepted):
+        c1 = make_current("c1", service=50.0)
+        c2 = make_current("c2", x=36.0, service=60.0)
+        f = make_future("f", eta=70.0)
+        inst = make_instance(future=[f], current=[c1, c2])
+        plan = {"c1": accept("c1", 5.0, 5.0, 0.0, 50.0, etd=c1.etd),
+                "c2": accept("c2", 36.0, 5.0, 0.0, 60.0, etd=c2.etd)}
+        if request_accepted:
+            plan["f"] = accept("f", 5.0, 32.0, 70.0, 170.0, eta=f.eta, etd=f.etd)
+        model = milp.build_model(inst)
+        point = milp.derive_binaries(inst, manual_solution(inst, plan), model)
+        # a parked aircraft rolled in before every request: current -> future
+        # 1, future -> current 0, current -> current 1
+        expected = {"InIn(c1,c2)": 1.0, "InIn(c1,f)": 1.0, "InIn(c2,c1)": 1.0,
+                    "InIn(c2,f)": 1.0, "InIn(f,c1)": 0.0, "InIn(f,c2)": 0.0}
+        assert {name: v for name, v in point.items() if name.startswith("InIn(")} == expected
+        # the same values as the model's fixing bounds
+        for name, value in expected.items():
+            assert model.variables[name].lb == model.variables[name].ub == value
 
     def test_coincident_events_ambiguous(self):
         fa = make_future("a", eta=0.0, service=100.0)
