@@ -232,8 +232,8 @@ def import_point(instance_path: str, model_path: str, point_path: str, out: str)
     try:
         solution = read_file(point_path, "point",
                              lambda text: milp.import_solution(model, instance, text))
-    except milp.InfeasibleImport as exc:
-        click.echo(validator.explain(exc.report), err=True)
+    except validator.Infeasible as exc:
+        click.echo(str(exc), err=True)
         _fail(EXIT_INFEASIBLE, "imported point is infeasible")
     save_solution(solution, out)
     click.echo(f"wrote {out}")
@@ -266,7 +266,7 @@ def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool
     checked = validator.validate(instance, solution)  # shared by frames and report
     try:
         paths = report.render_frames(instance, solution, out_dir, checked=checked)
-    except report.InfeasibleSolution as exc:
+    except validator.Infeasible as exc:
         click.echo(str(exc), err=True)
         _fail(EXIT_INFEASIBLE, "solution is infeasible; nothing rendered")
     click.echo(f"wrote {len(paths)} frame(s) to {out_dir}")

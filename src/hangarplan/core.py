@@ -268,7 +268,7 @@ def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 def grid(lo: float, hi: float, step: float) -> np.ndarray:
     """The placement grid of one axis: the cells lo + k * step (k >= 0) that
     do not pass hi by more than GRID_TOL, ascending."""
-    cells = lo + step * np.arange(math.floor((hi - lo + GRID_TOL) / step) + 2)
+    cells = lo + step * np.arange(max(0, math.floor((hi - lo + GRID_TOL) / step) + 2))
     return cells[cells <= hi + GRID_TOL]
 
 

@@ -103,19 +103,16 @@ def hangar_from_dict(d: dict) -> HangarConfig:
                  **{f.name: _number(d, f.name, "hangar") for f in fields(HangarConfig)})
 
 
+#: An aircraft record's number fields in file order: the shared ones, then
+#: (after ``vip``) those of its kind.
+_SHARED_NUMBERS = ("width", "length", "eta", "etd", "service", "p_dep")
+_KIND_NUMBERS = {Kind.FUTURE: ("p_rej", "p_arr"), Kind.CURRENT: ("x_init", "y_init")}
+
+
 def aircraft_to_dict(a: AircraftSpec) -> dict:
-    d: dict[str, Any] = {
-        "id": a.id, "kind": a.kind.value,
-        "width": a.width, "length": a.length,
-        "eta": a.eta, "etd": a.etd, "service": a.service,
-        "p_dep": a.p_dep, "vip": a.vip,
-    }
-    if a.kind is Kind.FUTURE:
-        d["p_rej"] = a.p_rej
-        d["p_arr"] = a.p_arr
-    else:
-        d["x_init"] = a.x_init
-        d["y_init"] = a.y_init
+    d: dict[str, Any] = {"id": a.id, "kind": a.kind.value}
+    for k in _SHARED_NUMBERS + ("vip",) + _KIND_NUMBERS[a.kind]:
+        d[k] = getattr(a, k)
     return d
 
 
@@ -123,11 +120,9 @@ def aircraft_from_dict(d: dict) -> AircraftSpec:
     aid = _field(d, "id", "aircraft", str)
     ctx = f"aircraft {aid}"
     kind = _make(Kind, f"aircraft record {aid}", _field(d, "kind", ctx))
-    numbers = ("width", "length", "eta", "etd", "service", "p_dep") + (
-        ("p_rej", "p_arr") if kind is Kind.FUTURE else ("x_init", "y_init"))
     return _make(AircraftSpec, f"aircraft record {aid}", id=aid, kind=kind,
                  vip=_field(d, "vip", ctx, bool, False),
-                 **{k: _number(d, k, ctx) for k in numbers})
+                 **{k: _number(d, k, ctx) for k in _SHARED_NUMBERS + _KIND_NUMBERS[kind]})
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -171,11 +166,15 @@ def assignment_from_dict(d: dict) -> Assignment:
     )
 
 
+_ASSIGNMENT_KEYS = tuple(f.name for f in fields(Assignment))
+
+
 def solution_to_dict(sol: Solution) -> dict:
     return {
         "instance_label": sol.instance_label,
         "provenance": sol.provenance.value,
-        "assignments": [asdict(a) for a in sol.assignments],
+        "assignments": [{k: getattr(a, k) for k in _ASSIGNMENT_KEYS}
+                        for a in sol.assignments],
     }
 
 

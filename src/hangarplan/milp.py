@@ -54,14 +54,6 @@ class MissingVariable(Exception):
     """A point does not assign every model variable."""
 
 
-class InfeasibleImport(Exception):
-    """An imported solver point fails semantic validation."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(_validator.explain(report))
-
-
 class MilpVariable(NamedTuple):
     """One model variable.  An immutable record: a ``NamedTuple``, so it
     compares, hashes and unpacks like the tuple of its fields."""
@@ -81,10 +73,6 @@ class MilpRow(NamedTuple):
     terms: tuple[tuple[float, str], ...]
     sense: str  # "<=", ">=", "="
     rhs: float
-
-    @property
-    def family(self) -> str:
-        return self.name.split("(", 1)[0]
 
     def residual(self, point: dict[str, float]) -> float:
         """Amount by which the row is violated (0 if satisfied)."""
@@ -309,30 +297,20 @@ def build_model(instance: Instance) -> MilpModel:
         a, b = p
         add_row(f"eq14_outin({a},{b})", ((1.0, OUT[a]), (-1.0, IN[b]), (m_t, OUTIN[p])),
                 "<=", m_t - eps)
-    for p in f_ordered:
-        a, b = p
-        add_row(f"eq15_inin({a},{b})",
-                ((1.0, IN[b]), (-1.0, IN[a]), (-m_t, ININ[p]),
-                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
-        add_row(f"eq16_inin({a},{b})",
-                ((1.0, IN[a]), (-1.0, IN[b]), (m_t, ININ[p]),
-                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
-    for p in unordered:
-        a, b = p
-        add_row(f"eq15b_outout({a},{b})",
-                ((1.0, OUT[b]), (-1.0, OUT[a]), (-m_t, OUTOUT[p]),
-                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
-        add_row(f"eq16b_outout({a},{b})",
-                ((1.0, OUT[a]), (-1.0, OUT[b]), (m_t, OUTOUT[p]),
-                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
-    for p in mixed:
-        a, b = p
-        add_row(f"eq16c_inout({a},{b})",
-                ((1.0, OUT[b]), (-1.0, IN[a]), (-m_t, INOUT[p]),
-                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
-        add_row(f"eq16d_inout({a},{b})",
-                ((1.0, IN[a]), (-1.0, OUT[b]), (m_t, INOUT[p]),
-                 (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
+    # Event order: binary (a, b) = 1 puts a's earlier event eps before b's later
+    # one, 0 the other way round; both rows relax when a or b is rejected.
+    for first, second, pairs, later, earlier, binary in (
+            ("eq15_inin", "eq16_inin", f_ordered, IN, IN, ININ),
+            ("eq15b_outout", "eq16b_outout", unordered, OUT, OUT, OUTOUT),
+            ("eq16c_inout", "eq16d_inout", mixed, OUT, IN, INOUT)):
+        for p in pairs:
+            a, b = p
+            add_row(f"{first}({a},{b})",
+                    ((1.0, later[b]), (-1.0, earlier[a]), (-m_t, binary[p]),
+                     (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
+            add_row(f"{second}({a},{b})",
+                    ((1.0, earlier[a]), (-1.0, later[b]), (m_t, binary[p]),
+                     (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
 
     # Blocking.
     for p in ordered:
@@ -720,8 +698,8 @@ def import_solution(model: MilpModel | LpOutline, instance: Instance,
                     text: str) -> Solution:
     """Reconstruct a Solution from a solver point dump; unlisted variables are
     treated as zero, and a name the model does not declare is a ParseError.
-    Delays are recomputed; the result must validate.  The model must be the
-    instance's: the same aircraft in the same order."""
+    Delays are recomputed, and an infeasible plan raises ``validator.Infeasible``.
+    The model must be the instance's: the same aircraft in the same order."""
     ids = [a.id for a in instance.all_aircraft()]
     if model.aircraft_ids != ids:
         raise ParseError(f"model aircraft {model.aircraft_ids} are not the "
@@ -748,5 +726,5 @@ def import_solution(model: MilpModel | LpOutline, instance: Instance,
                         provenance=Provenance.IMPORTED)
     report = _validator.validate(instance, solution)
     if not report.feasible:
-        raise InfeasibleImport(report)
+        raise _validator.Infeasible(report)
     return solution

@@ -25,10 +25,6 @@ SCALE = 8.0   # px per meter
 MARGIN = 24.0
 
 
-class InfeasibleSolution(Exception):
-    """Frames are only rendered for validator-feasible plans."""
-
-
 @dataclass(frozen=True)
 class FrameSpec:
     time: float
@@ -124,11 +120,12 @@ def frame_svg(instance: Instance, frame: FrameSpec) -> str:
 def render_frames(instance: Instance, solution: Solution, out_dir, *,
                   checked: Optional[validator.ValidationReport] = None) -> list[Path]:
     """One SVG per frame; file names `frame_<k>_<time>.svg`.  ``checked`` is
-    the plan's validation report if the caller already has one."""
+    the plan's validation report if the caller already has one.  An
+    infeasible plan raises ``validator.Infeasible`` and writes nothing."""
     if checked is None:
         checked = validator.validate(instance, solution)
     if not checked.feasible:
-        raise InfeasibleSolution(validator.explain(checked))
+        raise validator.Infeasible(checked)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

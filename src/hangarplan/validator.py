@@ -17,7 +17,6 @@ from .core import (
     CostBreakdown,
     Instance,
     Kind,
-    MissingAssignment,
     Solution,
     evaluate_cost,
     intervals_overlap,
@@ -53,6 +52,14 @@ class ValidationReport:
     cost: CostBreakdown
 
 
+class Infeasible(Exception):
+    """A plan the validator rejects where a feasible one is required."""
+
+    def __init__(self, report: ValidationReport):
+        self.report = report
+        super().__init__(explain(report))
+
+
 def _movement_events(instance: Instance, by_id: dict[str, Assignment]):
     """(time, aircraft_id, label) for every separation-relevant movement:
     roll-ins of accepted future aircraft plus roll-outs of all accepted
@@ -70,11 +77,8 @@ def _movement_events(instance: Instance, by_id: dict[str, Assignment]):
 
 def validate(instance: Instance, solution: Solution) -> ValidationReport:
     """Run every check and report all violations; no short-circuiting."""
+    cost = evaluate_cost(instance, solution)  # raises MissingAssignment first
     by_id = solution.by_id()
-    for a in instance.all_aircraft():
-        if a.id not in by_id:
-            raise MissingAssignment(a.id)
-
     h = instance.hangar
     violations: list[Violation] = []
 
@@ -176,7 +180,7 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
     return ValidationReport(
         feasible=not violations,
         violations=tuple(violations),
-        cost=evaluate_cost(instance, solution),
+        cost=cost,
     )
 
 

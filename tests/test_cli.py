@@ -108,6 +108,22 @@ class TestSolveAndValidate:
         if placed_first:
             assert sol.by_id()["a"].accept
 
+    @pytest.mark.parametrize("command", ["solve-ach", "solve-exact"])
+    @pytest.mark.parametrize("side", ["width", "length"])
+    def test_solvers_reject_a_request_longer_than_any_grid(
+            self, runner, tmp_path, command, side):
+        # a 1e308 m side leaves no grid cell, however far the scan would run
+        huge = make_future("huge", **{side: 1e308})
+        ip, sp = tmp_path / "i.json", tmp_path / "s.json"
+        io.save_instance(make_instance(future=[huge, make_future("a")]), ip)
+        with time_limit(10.0):
+            res = run(runner, [command, "-i", str(ip), "-o", str(sp)])
+        assert res.exit_code == 0, res.output
+        sol = io.load_solution(sp)
+        assert not sol.by_id()["huge"].accept
+        assert sol.by_id()["a"].accept
+        assert run(runner, ["validate", "-i", str(ip), "-s", str(sp)]).exit_code == 0
+
     def test_validate_json_output(self, runner, tmp_path):
         inst = self._gen(runner, tmp_path)
         sol = tmp_path / "sol.json"

@@ -195,6 +195,7 @@ class TestPlacementGrid:
         assert grid(5.0, 36.0, 2.0).tolist() == [5.0 + 2.0 * k for k in range(16)]
         assert grid(5.0, 5.0, 2.0).tolist() == [5.0]
         assert grid(5.0, 5.0 - 2 * TOL, 2.0).size == 0
+        assert grid(5.0, 60.0 - 1e308, 1.0).size == 0  # a 1e308 m wide aircraft
 
     def test_grid_last_cell_within_tol_of_the_wall(self):
         # at step 2, a wall 1.5e-6 m below the cell 35 leaves it out; one

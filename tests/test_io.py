@@ -1,6 +1,7 @@
 """JSON round-trips and structured parse errors."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -42,6 +43,14 @@ class TestInstanceIO:
         assert d["future"][0]["p_rej"] == 800.0
         assert d["current"][0]["x_init"] == 5.0
         assert io.instance_from_dict(d) == instance
+
+    def test_record_key_order(self, instance):
+        # the key order of each record is the file format
+        d = io.instance_to_dict(instance)
+        assert list(d) == ["label", "hangar", "current", "future"]
+        shared = ["id", "kind", "width", "length", "eta", "etd", "service", "p_dep", "vip"]
+        assert list(d["current"][0]) == shared + ["x_init", "y_init"]
+        assert list(d["future"][0]) == shared + ["p_rej", "p_arr"]
 
     def test_missing_field_named(self):
         d = {"hangar": {"hw": 65.0}}
@@ -101,6 +110,23 @@ class TestSolutionIO:
         path = tmp_path / "sol.json"
         io.save_solution(sol, path)
         assert io.load_solution(path).provenance is Provenance.ORACLE
+
+    def test_assignment_records(self, instance):
+        sol = manual_solution(instance, {
+            "c01": accept("c01", 5.0, 5.0, 0.0, 100.0),
+            "a01": accept("a01", 34.0, 5.0, 12.5, 112.5, eta=12.5),
+        })
+        d = io.solution_to_dict(sol)
+        assert list(d) == ["instance_label", "provenance", "assignments"]
+        for record, asg in zip(d["assignments"], sol.assignments):
+            assert list(record) == ["aircraft_id", "accept", "x", "y",
+                                    "roll_in", "roll_out", "d_arr", "d_dep"]
+            assert record == dataclasses.asdict(asg)
+            # a fresh dict: changing it leaves the assignment as it was
+            assert record is not vars(asg)
+            before = copy.copy(asg)
+            record["x"] = -1.0
+            assert asg == before
 
     def test_missing_assignments_key(self):
         with pytest.raises(io.ParseError) as exc:

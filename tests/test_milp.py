@@ -60,7 +60,7 @@ class TestBuildModelDomains:
         named = {"X(a01)", "Y(a01)", "Rollin(a01)", "Rollout(a01)",
                  "DArr(a01)", "DDep(a01)", "Accept(a01)"}
         assert named | {milp.CONST_VAR} == set(model.variables)
-        families = sorted(r.family for r in model.rows)
+        families = sorted(r.name.split("(", 1)[0] for r in model.rows)
         assert families == sorted([
             "eq2_accept", "eq3_rollin_eta", "eq4_servt", "eq5_darr",
             "eq6_ddep", "eq7_xmin", "eq8_xmax", "eq9_ymin", "eq10_ymax"])
@@ -611,10 +611,11 @@ class TestImport:
         model = milp.build_model(inst)
         text = ("Accept(a01) 1\nX(a01) 1\nY(a01) 5\n"
                 "Rollin(a01) 12\nRollout(a01) 112\n")
-        with pytest.raises(milp.InfeasibleImport) as exc:
+        with pytest.raises(validator.Infeasible) as exc:
             milp.import_solution(model, inst, text)
         kinds = {v.kind for v in exc.value.report.violations}
         assert ViolationKind.OUT_OF_BOUNDS in kinds
+        assert str(exc.value) == validator.explain(exc.value.report)
 
 
 #: The functions that run with the collector paused, each with a module

@@ -82,8 +82,11 @@ class TestRenderFrames:
         f = make_future("a")
         inst = make_instance(future=[f])
         sol = manual_solution(inst, {"a": accept("a", 1.0, 5.0, 0.0, 100.0)})
-        with pytest.raises(report.InfeasibleSolution):
-            report.render_frames(inst, sol, tmp_path)
+        with pytest.raises(validator.Infeasible) as exc:
+            report.render_frames(inst, sol, tmp_path / "frames")
+        assert not exc.value.report.feasible
+        assert str(exc.value) == validator.explain(exc.value.report)
+        assert not (tmp_path / "frames").exists()
 
     def test_byte_deterministic(self, tmp_path):
         inst = instgen.generate(instgen.GeneratorConfig(n_future=4, seed=6))

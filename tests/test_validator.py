@@ -113,6 +113,14 @@ class TestReportMechanics:
         with pytest.raises(MissingAssignment):
             validator.validate(inst, sol)
 
+    def test_missing_assignment_names_the_aircraft(self):
+        inst = make_instance(future=[make_future("a"), make_future("b")])
+        sol = Solution(instance_label="x",
+                       assignments=(Assignment(aircraft_id="a", accept=False),))
+        with pytest.raises(MissingAssignment) as exc:
+            validator.validate(inst, sol)
+        assert exc.value.args == ("b",)
+
     def test_all_violations_reported_not_just_first(self):
         f = make_future("a", eta=10.0, service=100.0)
         inst = make_instance(future=[f])
