@@ -215,9 +215,15 @@ def solve_exact(instance_path: str, out: str, node_budget: int,
 def export_milp(instance_path: str, out: str) -> None:
     """Export the optimization model in LP text format."""
     instance = load_instance(instance_path)
-    model = milp.build_model(instance)
-    Path(out).write_text(milp.export_lp(model))
-    click.echo(f"wrote {out} ({len(model.variables)} variables, {len(model.rows)} rows)")
+    # one pause: the model is built, written out and freed before the
+    # collector's next pass, so that pass does not scan it
+    with milp.collector_paused():
+        model = milp.build_model(instance)
+        text = milp.export_lp(model)
+        summary = f"{len(model.variables)} variables, {len(model.rows)} rows"
+        del model
+    Path(out).write_text(text)
+    click.echo(f"wrote {out} ({summary})")
 
 
 @main.command(name="import")

@@ -23,7 +23,10 @@ aircraft's computed once when it is branched on.  An aircraft with no grid
 cell is never branched on as accepted, only as rejected.  Both searches
 share one node budget.
 They are module-level recursive functions over explicit arguments and one
-``_Search`` record, so a call leaves no cyclic garbage.
+``_Search`` record, so a call leaves no cyclic garbage.  The record keeps the
+incumbent as the search builds it, its cost, accepted schedule and layout;
+the plan is composed, validated and costed once, when the search ends.  An
+equal-cost leaf replaces the incumbent only if its ``_vector`` is smaller.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .core import (
     Provenance,
     Solution,
     delays,
-    evaluate_cost,
     intervals_overlap,
     movement_times,
     next_separated,
@@ -245,14 +247,15 @@ def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
 
 @dataclass
 class _Search:
-    """The branch and bound's fixed inputs and its incumbent."""
+    """The branch and bound's fixed inputs and its incumbent, kept as the
+    search builds it: its cost, its accepted schedule and its layout."""
     instance: Instance
     budget: _Budget
     fixed_current: list[tuple[AircraftSpec, Assignment]]
     order: list[AircraftSpec]
     cost: float
-    vector: tuple
-    solution: Solution
+    free: list[tuple[AircraftSpec, float, float]]
+    layout: dict[str, tuple[float, float]]
 
 
 def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> OracleResult:
@@ -264,31 +267,31 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
 
     fixed_current = ach._commit_current(instance)
     current_cost = sum(a.p_dep * asg.d_dep for (a, asg) in fixed_current)
-    # Fallback incumbent: keep the current aircraft, reject everything else.
-    all_reject = _compose(instance, fixed_current, [], {})
-    search = _Search(instance, _Budget(config), fixed_current,
-                     ach.prioritize(instance), evaluate_cost(instance, all_reject).total,
-                     _vector(all_reject), all_reject)
+    order = ach.prioritize(instance)
+    # Fallback incumbent: keep the current aircraft, reject everything else,
+    # at the total the search reaches on that leaf.
+    search = _Search(instance, _Budget(config), fixed_current, order,
+                     sum((spec.p_rej for spec in order), current_cost), [], {})
     _branch(search, 0, [], [], [], ach._events(fixed_current), current_cost, (0.0, {}))
 
+    solution = _compose(instance, fixed_current, search.free, search.layout)
+    report = validator.validate(instance, solution)
+    if not report.feasible:  # pragma: no cover - search soundness guard
+        raise AssertionError("oracle produced infeasible candidate:\n"
+                             + validator.explain(report))
     status = (OracleStatus.BUDGET_EXHAUSTED if search.budget.exhausted
               else OracleStatus.PROVEN_OPTIMAL_ON_GRID)
-    return OracleResult(search.solution, evaluate_cost(instance, search.solution), status,
-                        search.budget.nodes)
+    return OracleResult(solution, report.cost, status, search.budget.nodes)
 
 
 def _leaf(search: _Search, free: list[tuple[AircraftSpec, float, float]],
           committed_cost: float, res: tuple[float, dict[str, tuple[float, float]]]) -> None:
     total = committed_cost + search.instance.hangar.eps_p * res[0]
-    solution = _compose(search.instance, search.fixed_current, free, res[1])
-    vec = _vector(solution)
     if (total < search.cost - 1e-9
-            or (abs(total - search.cost) <= 1e-9 and vec < search.vector)):
-        report = validator.validate(search.instance, solution)
-        if not report.feasible:  # pragma: no cover - search soundness guard
-            raise AssertionError("oracle produced infeasible candidate:\n"
-                                 + validator.explain(report))
-        search.cost, search.vector, search.solution = total, vec, solution
+            or (abs(total - search.cost) <= 1e-9
+                and _vector(search.instance, free, res[1])
+                < _vector(search.instance, search.free, search.layout))):
+        search.cost, search.free, search.layout = total, free, res[1]
 
 
 def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, float]],
@@ -340,7 +343,11 @@ def _compose(instance: Instance,
                     provenance=Provenance.ORACLE)
 
 
-def _vector(solution: Solution):
-    # _compose lists the assignments in the instance's aircraft order
-    return tuple((0 if a.accept else 1, a.x, a.y, a.roll_in, a.roll_out)
-                 for a in solution.assignments)
+def _vector(instance: Instance, free: Sequence[tuple[AircraftSpec, float, float]],
+            layout: dict[str, tuple[float, float]]) -> tuple:
+    """The equal-cost tie-break key of the plan ``_compose`` builds from
+    ``free`` and ``layout``: (0|1, x, y, roll_in, roll_out) per future aircraft
+    in instance order, as its assignments read.  The current aircraft would
+    lead every plan's key with the same entries, so they are left out."""
+    placed = {spec.id: (0, *layout[spec.id], t_in, t_out) for spec, t_in, t_out in free}
+    return tuple(placed.get(f.id, (1, 0.0, 0.0, 0.0, 0.0)) for f in instance.future)

@@ -10,16 +10,19 @@ variables are immutable ``NamedTuple`` records (``MilpRow``,
 
 ``build_model``, ``export_lp``, ``parse_lp``, ``lp_outline``,
 ``derive_binaries`` and ``parse_point`` run with the cyclic garbage collector
-paused (``_collector_paused``).  Each allocates tens of thousands of tuples and
+paused (``collector_paused``).  Each allocates tens of thousands of tuples and
 records, which would otherwise trigger collector passes that rescan them.
 The pause is lossless: none of these functions creates a reference cycle, so
 reference counting frees everything they drop, and a collection after any of
-them finds nothing (``tests/test_milp.py::TestCollectorPaused``).
+them finds nothing (``tests/test_milp.py::TestCollectorPaused``).  The
+collector keeps counting allocations while paused, so a caller that drops a
+model should drop it inside the same pause (``cli export-milp`` does): the
+first pass after the pause would otherwise scan the whole model.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import gc
 import math
 import re
@@ -96,22 +99,19 @@ class MilpModel:
     aircraft_ids: list[str]
 
 
-def _collector_paused(fn):
-    """Run ``fn`` with the cyclic garbage collector disabled, and enable it
-    again afterwards only if it was enabled on entry, so nested calls and
-    callers that paused it themselves are left as they were."""
-
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    return paused
+@contextlib.contextmanager
+def collector_paused():
+    """Run a ``with`` block, or a function decorated ``@collector_paused()``,
+    with the cyclic garbage collector disabled, and enable it again afterwards
+    only if it was enabled on entry, so nested pauses and callers that paused
+    it themselves are left as they were."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ _NOT_IN_LP_NAME = re.compile(r"[\s:,]")
 # Model construction
 # ---------------------------------------------------------------------------
 
-@_collector_paused
+@collector_paused()
 def build_model(instance: Instance) -> MilpModel:
     """The row system of ``instance``: variables in build order, rows grouped
     by family, and the objective with the rejection constant on ``Const``."""
@@ -362,7 +362,7 @@ def _wrap(prefix: str, body: str) -> list[str]:
     return lines
 
 
-@_collector_paused
+@collector_paused()
 def export_lp(model: MilpModel) -> str:
     """Deterministic LP-format text (CPLEX dialect) of the model.
 
@@ -521,7 +521,7 @@ def _numbers_and_names(objective: list[str], rows: list[tuple[str, list[str]]]):
     return numbers, names
 
 
-@_collector_paused
+@collector_paused()
 def parse_lp(text: str) -> MilpModel:
     """Re-parse our own LP export into a row system (internal round-trip
     reader; not a general LP parser).  Rows and variables come back as
@@ -558,7 +558,7 @@ class LpOutline(NamedTuple):
     variables: frozenset[str]
 
 
-@_collector_paused
+@collector_paused()
 def lp_outline(text: str) -> LpOutline:
     """Check an LP file as ``parse_lp`` does, and build no rows: it raises
     ``ParseError`` exactly when ``parse_lp`` does, and otherwise gives its
@@ -578,7 +578,7 @@ def _strict_before(t1: float, t2: float, what: str) -> bool:
     return t1 < t2
 
 
-@_collector_paused
+@collector_paused()
 def derive_binaries(instance: Instance, solution: Solution,
                     model: Optional[MilpModel] = None) -> dict[str, float]:
     """Full variable point for a semantic solution.
@@ -673,7 +673,7 @@ def objective_value(model: MilpModel, point: dict[str, float]) -> float:
 # Solver point import
 # ---------------------------------------------------------------------------
 
-@_collector_paused
+@collector_paused()
 def parse_point(text: str) -> dict[str, float]:
     """Parse a `name value` listing (one pair per line; blank lines and lines
     starting with '#' or '\\' ignored)."""

@@ -2,17 +2,19 @@
 
 import copy
 import csv
+import gc
 import json
 import re
 import tempfile
 import warnings
+import weakref
 from datetime import timedelta
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, cli, exact, instgen, io, milp, validator
@@ -268,6 +270,33 @@ class TestModelRoundTrip:
         imported = io.load_solution(out)
         assert [a.accept for a in imported.assignments] == \
             [a.accept for a in solution.assignments]
+
+    def test_export_frees_the_model_before_the_collector_resumes(self, runner, tmp_path,
+                                                                  collector):
+        # the collector counts allocations while paused: a model alive when it
+        # resumes is scanned by its next pass
+        inst_p, lp = tmp_path / "inst.json", tmp_path / "model.lp"
+        run(runner, ["gen", "--n", "4", "--n-current", "2", "--seed", "3", "-o", str(inst_p)])
+        build_model, enable = milp.build_model, gc.enable
+        built, alive_at_enable = [], []
+
+        def tracked_build(instance):
+            model = build_model(instance)
+            built.append(weakref.ref(model))
+            return model
+
+        def tracked_enable():
+            if built:
+                alive_at_enable.append(built[0]() is not None)
+            enable()
+
+        gc.enable()
+        with mock.patch.object(milp, "build_model", tracked_build), \
+                mock.patch.object(gc, "enable", tracked_enable):
+            res = run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        assert res.exit_code == 0
+        assert len(built) == 1
+        assert alive_at_enable[:1] == [False]
 
     def test_import_infeasible_exit_2(self, runner, tmp_path):
         inst_p = tmp_path / "inst.json"
@@ -715,6 +744,16 @@ PERTURBATIONS = ["x", None, [], {}, True, False,
                  float("nan"), float("inf"), float("-inf"), 1e14, 1e308]
 
 
+def _perturbed_instance(seed):
+    return instgen.generate(instgen.GeneratorConfig(n_future=3, n_current=1, seed=seed))
+
+
+def _instance_slot(seed, path):
+    """The ``slot`` draw of ``TestPerturbedInput`` that picks ``path`` in the
+    instance file of ``seed``."""
+    return list(_slots(io.instance_to_dict(_perturbed_instance(seed)))).index(path)
+
+
 class TestPerturbedInput:
     """A perturbed instance or solution file ends in exit 0, 2 or 3, never in
     a traceback."""
@@ -723,9 +762,13 @@ class TestPerturbedInput:
     @given(seed=st.integers(0, 2**31 - 1), which=st.sampled_from(["instance", "solution"]),
            slot=st.integers(0, 10**6),
            action=st.sampled_from(["drop"] + list(range(len(PERTURBATIONS)))))
+    # a request side of 1e308 m once overflowed the placement grid's cell count
+    @example(seed=0, which="instance", slot=_instance_slot(0, ("future", 0, "width")),
+             action=PERTURBATIONS.index(1e308))
+    @example(seed=0, which="instance", slot=_instance_slot(0, ("future", 0, "length")),
+             action=PERTURBATIONS.index(1e308))
     def test_no_traceback(self, seed, which, slot, action):
-        instance = instgen.generate(instgen.GeneratorConfig(
-            n_future=3, n_current=1, seed=seed))
+        instance = _perturbed_instance(seed)
         docs = {"instance": io.instance_to_dict(instance),
                 "solution": io.solution_to_dict(ach.solve(instance))}
         doc = docs[which]

@@ -620,6 +620,42 @@ class TestNoCyclicGarbage:
                               else exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID)
 
 
+class TestPlanComposedOnce:
+    """The incumbent is kept as a schedule and a layout; the plan is composed,
+    validated and costed once, when the search ends, whatever ended it."""
+
+    @pytest.mark.parametrize("inst,config,status", [
+        # two incumbents before the optimum
+        (_generate(4, 0, 0.2, 1.0, 7_400_007), exact.OracleConfig(),
+         exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID),
+        (_generate(4, 0, 0.2, 1.0, 7_400_007), exact.OracleConfig(node_budget=3),
+         exact.OracleStatus.BUDGET_EXHAUSTED),
+        # placing the request costs 0.01 in positioning, more than rejecting it
+        (make_instance(future=[make_future("a", p_rej=0.001)]), exact.OracleConfig(),
+         exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID),
+    ], ids=["optimum", "budget-stop", "reject-all"])
+    def test_validated_once(self, inst, config, status):
+        with mock.patch.object(exact.validator, "validate", wraps=validator.validate) as spy:
+            res = exact.solve_exact(inst, config)
+        assert spy.call_count == 1
+        assert res.status is status
+        assert res.cost == validator.validate(inst, res.solution).cost
+
+    def test_equal_costs_go_to_the_smallest_plan_in_instance_order(self):
+        # three identical requests, each filling the hangar for the whole
+        # window: the plans that accept one cost the same, and the one that
+        # accepts b, listed first, has the smallest (0|1, x, y, in, out) key
+        inst = make_instance(future=[
+            make_future(aid, width=45.0, length=48.0, eta=0.0, etd=100.0, service=100.0,
+                        p_dep=20.0, p_rej=10.0, p_arr=10.0) for aid in "bac"])
+        assert [a.id for a in ach.prioritize(inst)] == ["a", "b", "c"]
+        res = exact.solve_exact(inst)
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        assert [a.aircraft_id for a in res.solution.assignments if a.accept] == ["b"]
+        assert res.cost.total == pytest.approx(20.01)
+        assert res.nodes_explored == 19
+
+
 def parked_beside(step, parked_width, request_width):
     """A request of width ``request_width`` next to a parked aircraft of width
     ``parked_width`` at (5, 5), in the default hangar on a grid of ``step``: 50
