@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import pytest
+from hypothesis import settings
 
 from hangarplan.core import (
     AircraftSpec,
@@ -28,6 +29,14 @@ from hangarplan.core import (
     evaluate_cost,
 )
 from hangarplan import io, validator
+
+# Every run draws the same examples, locally and in CI, and keeps the deadline
+# of the profile hypothesis loaded for its environment.  The ``explore``
+# profile (``pytest --hypothesis-profile=explore``, loaded after this file)
+# draws at random and prints the blob that reproduces a failure.
+settings.register_profile("derandomized", settings(settings.default, derandomize=True))
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("derandomized")
 
 
 def make_future(aid: str, *, width=24.0, length=22.0, eta=0.0, service=100.0,

@@ -221,6 +221,19 @@ class TestSolveAndValidate:
         assert "a: service 0.05 is shorter than eps_t 0.1" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("command", ["solve-ach", "solve-exact", "export-milp"])
+    def test_eta_past_the_horizon_bound_exit_3(self, runner, tmp_path, command):
+        # an instance written by hand: gen refuses to write one
+        doc = io.instance_to_dict(make_instance(future=[make_future("a")]))
+        doc["future"][0].update(eta=1e14, etd=1e14)
+        ip, out = tmp_path / "far.json", tmp_path / "far_out"
+        ip.write_text(json.dumps(doc))
+        res = run(runner, [command, "-i", str(ip), "-o", str(out)])
+        assert res.exit_code == 3
+        errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "exceeds 1e+09 h" in errors[0]
+        assert not out.exists()
+
     def test_solve_ach_too_many_grid_cells_exit_3(self, runner, tmp_path):
         doc = instance_doc_with(make_instance(future=[make_future("a")]),
                                 "grid_step", 1e-9)
@@ -237,6 +250,20 @@ class TestSolveAndValidate:
         res = run(runner, ["solve-exact", "-i", str(inst), "-o", str(sol)])
         assert res.exit_code == 0
         assert "ProvenOptimalOnGrid" in res.output
+
+    @pytest.mark.parametrize("n_current,seed,cost,nodes", [(0, 1, 2921.01, 31),
+                                                         (2, 2, 3107.01, 37)])
+    def test_solve_exact_pinned_node_count(self, runner, tmp_path, n_current, seed,
+                                           cost, nodes):
+        # the oracle's cost and node count at the default rejection penalties
+        inst, sol = tmp_path / "inst.json", tmp_path / "opt.json"
+        run(runner, ["gen", "--n", "4", "--n-current", str(n_current), "--seed", str(seed),
+                     "-o", str(inst)])
+        res = run(runner, ["solve-exact", "-i", str(inst), "-o", str(sol)])
+        assert res.exit_code == 0
+        assert "ProvenOptimalOnGrid" in res.output
+        assert f"cost {cost:.6g}, nodes {nodes})" in res.output
+        assert run(runner, ["validate", "-i", str(inst), "-s", str(sol)]).exit_code == 0
 
     def test_solve_exact_budget_exit_4(self, runner, tmp_path):
         inst = self._gen(runner, tmp_path, n=3)
@@ -306,9 +333,11 @@ class TestModelRoundTrip:
         point_p = tmp_path / "point.txt"
         point_p.write_text("Accept(a01) 1\nX(a01) 1\nY(a01) 5\n"
                            "Rollin(a01) 0\nRollout(a01) 200\n")
+        out = tmp_path / "x.json"
         res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
-                           "-p", str(point_p), "-o", str(tmp_path / "x.json")])
+                           "-p", str(point_p), "-o", str(out)])
         assert res.exit_code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_import_non_finite_point_exit_3(self, runner, tmp_path, value):

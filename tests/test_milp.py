@@ -436,12 +436,14 @@ class TestCheckSatisfaction:
 
 
 def assert_point_satisfies_rows(instance, solution):
-    """The plan validates, and its derived point satisfies every row."""
+    """The plan validates, and its derived point satisfies every row at the
+    validator's cost."""
     rep = validator.validate(instance, solution)
     assert rep.feasible, validator.explain(rep)
     model = milp.build_model(instance)
     point = milp.derive_binaries(instance, solution, model)
     assert milp.check_satisfaction(model, point) == []
+    assert milp.objective_value(model, point) == pytest.approx(rep.cost.total, abs=1e-6)
 
 
 class TestBigMKeepsSolverPlans:
@@ -469,8 +471,20 @@ class TestBigMKeepsSolverPlans:
         result = exact.solve_exact(inst)
         assert result.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
         assert result.cost.total == pytest.approx(1001.02)
+        assert result.nodes_explored == 9
         for solution in (ach.solve(inst), result.solution):
             assert solution.by_id()["b"].roll_out == pytest.approx(200.1)
+            assert_point_satisfies_rows(inst, solution)
+
+    def test_identical_requests_accept_one(self):
+        # three identical requests listed b, a, c, each filling the hangar for
+        # the whole window: a plan accepts one of them and rejects two
+        inst = make_instance(future=[
+            make_future(aid, width=45.0, length=48.0, eta=0.0, etd=100.0, service=100.0,
+                        p_dep=20.0, p_rej=10.0, p_arr=10.0) for aid in "bac"])
+        for solution in (ach.solve(inst), exact.solve_exact(inst).solution):
+            assert sum(a.accept for a in solution.assignments) == 1
+            assert evaluate_cost(inst, solution).total == pytest.approx(20.01)
             assert_point_satisfies_rows(inst, solution)
 
 
