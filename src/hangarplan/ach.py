@@ -255,16 +255,8 @@ def solve(instance: Instance) -> Solution:
     the search terminates for every valid instance.
     """
     fixed = _commit_current(instance)
-    assignments: dict[str, Assignment] = {s.id: a for s, a in fixed}
-
     for f in prioritize(instance):
         asg = _earliest_fit(f, fixed, instance)
-        if asg is None:
-            asg = Assignment(aircraft_id=f.id, accept=False)
-        else:
+        if asg is not None:
             fixed.append((f, asg))
-        assignments[f.id] = asg
-
-    ordered = tuple(assignments[a.id] for a in instance.all_aircraft())
-    return Solution(instance_label=instance.label, assignments=ordered,
-                    provenance=Provenance.HEURISTIC)
+    return Solution.compose(instance, (asg for _, asg in fixed), Provenance.HEURISTIC)

@@ -214,6 +214,15 @@ class Solution:
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate assignments")
 
+    @classmethod
+    def compose(cls, instance: Instance, placed: Iterable[Assignment],
+                provenance: Provenance) -> Solution:
+        """The plan of ``instance`` that accepts the ``placed`` assignments
+        and rejects every other aircraft, in ``all_aircraft()`` order."""
+        by_id = {asg.aircraft_id: asg for asg in placed}
+        return cls(instance.label, tuple(by_id.get(a.id) or Assignment(a.id, False)
+                                         for a in instance.all_aircraft()), provenance)
+
     def by_id(self) -> dict[str, Assignment]:
         return {a.aircraft_id: a for a in self.assignments}
 

@@ -274,7 +274,12 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
                      sum((spec.p_rej for spec in order), current_cost), [], {})
     _branch(search, 0, [], [], [], ach._events(fixed_current), current_cost, (0.0, {}))
 
-    solution = _compose(instance, fixed_current, search.free, search.layout)
+    solution = Solution.compose(
+        instance,
+        [asg for _, asg in fixed_current]
+        + [Assignment.placed(spec, *search.layout[spec.id], t_in, t_out)
+           for spec, t_in, t_out in search.free],
+        Provenance.ORACLE)
     report = validator.validate(instance, solution)
     if not report.feasible:  # pragma: no cover - search soundness guard
         raise AssertionError("oracle produced infeasible candidate:\n"
@@ -329,23 +334,9 @@ def _branch(search: _Search, idx: int, free: list[tuple[AircraftSpec, float, flo
     _branch(search, idx + 1, free, options, walls, events, committed_cost + spec.p_rej, res)
 
 
-def _compose(instance: Instance,
-             fixed_current: Sequence[tuple[AircraftSpec, Assignment]],
-             free: Sequence[tuple[AircraftSpec, float, float]],
-             layout: dict[str, tuple[float, float]]) -> Solution:
-    assignments = {asg.aircraft_id: asg for _, asg in fixed_current}
-    for f in instance.future:
-        assignments[f.id] = Assignment(aircraft_id=f.id, accept=False)
-    for spec, t_in, t_out in free:
-        assignments[spec.id] = Assignment.placed(spec, *layout[spec.id], t_in, t_out)
-    ordered = tuple(assignments[a.id] for a in instance.all_aircraft())
-    return Solution(instance_label=instance.label, assignments=ordered,
-                    provenance=Provenance.ORACLE)
-
-
 def _vector(instance: Instance, free: Sequence[tuple[AircraftSpec, float, float]],
             layout: dict[str, tuple[float, float]]) -> tuple:
-    """The equal-cost tie-break key of the plan ``_compose`` builds from
+    """The equal-cost tie-break key of the plan ``solve_exact`` composes from
     ``free`` and ``layout``: (0|1, x, y, roll_in, roll_out) per future aircraft
     in instance order, as its assignments read.  The current aircraft would
     lead every plan's key with the same entries, so they are left out."""

@@ -449,13 +449,15 @@ def _check_terms(tokens: Sequence[str], what: str) -> None:
 
 
 def _read_lp(text: str):
-    """The layout of our own LP export, checked but for its numbers: the
-    objective's tokens, the rows as ``(name, tokens)``, the bounds as
-    ``name -> (lb, ub)``, the binary names and the aircraft ids.
+    """Our own LP export, checked: the objective's tokens, the rows as
+    ``(name, tokens)``, the bounds as ``name -> (lb, ub)``, the binary names,
+    the aircraft ids, and the number texts and names of objective and rows.
 
     Row tokens are ``± coef name`` triples, then ``sense rhs``, so
     ``tokens[1::3]`` are a row's numbers and ``tokens[2::3]`` its variables.
-    A line, row, sign or bound that breaks the format raises ``ParseError``."""
+    A line, row, sign or bound that breaks the format raises ``ParseError``,
+    and then the first number text that is not a finite number: the
+    objective's, then each row's in order."""
     section = None
     obj_text = ""
     rows: list[tuple[str, list[str]]] = []
@@ -497,19 +499,6 @@ def _read_lp(text: str):
         if len(tokens) < 5 or tokens[-2] not in _SENSES:
             raise ParseError(f"cannot parse row {name}")
         _check_terms(tokens[:-2], name)
-
-    # Every aircraft has one eq4_servt row, and rows keep their build order;
-    # the Binaries section does not, once a parsed model is exported again.
-    aircraft_ids = [name[10:-1] for name, _ in rows
-                    if name.startswith("eq4_servt(") and name.endswith(")")]
-    return objective, rows, bounds, binaries, aircraft_ids
-
-
-def _numbers_and_names(objective: list[str], rows: list[tuple[str, list[str]]]):
-    """The number texts and the variable names of ``_read_lp``'s objective
-    and rows.  A number text that is not a finite number raises
-    ``ParseError``, naming the first one: the objective's, then each row's
-    in order."""
     numbers: set[str] = set()
     names: set[str] = set()
     for what, tokens in [("objective", objective), *rows]:
@@ -518,7 +507,12 @@ def _numbers_and_names(objective: list[str], rows: list[tuple[str, list[str]]]):
                 _number(num, what)
             numbers.update(tokens[1::3])
         names.update(tokens[2::3])
-    return numbers, names
+
+    # Every aircraft has one eq4_servt row, and rows keep their build order;
+    # the Binaries section does not, once a parsed model is exported again.
+    aircraft_ids = [name[10:-1] for name, _ in rows
+                    if name.startswith("eq4_servt(") and name.endswith(")")]
+    return objective, rows, bounds, binaries, aircraft_ids, numbers, names
 
 
 @collector_paused()
@@ -528,8 +522,7 @@ def parse_lp(text: str) -> MilpModel:
     ``MilpRow`` / ``MilpVariable`` records; variables are sorted by name
     and carry no ``fix_name``.  A line, row, bound or number that breaks
     the format raises ``ParseError``."""
-    objective_tokens, row_tokens, bounds, binaries, aircraft_ids = _read_lp(text)
-    numbers, names = _numbers_and_names(objective_tokens, row_tokens)
+    objective_tokens, row_tokens, bounds, binaries, aircraft_ids, numbers, names = _read_lp(text)
     value = {num: float(num) for num in numbers}
 
     def terms(tokens: Sequence[str]) -> tuple[tuple[float, str], ...]:
@@ -563,8 +556,7 @@ def lp_outline(text: str) -> LpOutline:
     """Check an LP file as ``parse_lp`` does, and build no rows: it raises
     ``ParseError`` exactly when ``parse_lp`` does, and otherwise gives its
     ``aircraft_ids`` and the names of its ``variables``."""
-    objective, rows, bounds, binaries, aircraft_ids = _read_lp(text)
-    _, names = _numbers_and_names(objective, rows)
+    _, _, bounds, binaries, aircraft_ids, _, names = _read_lp(text)
     return LpOutline(aircraft_ids, frozenset(names.union(bounds, binaries)))
 
 
@@ -587,20 +579,20 @@ def derive_binaries(instance: Instance, solution: Solution,
     binaries from geometry for co-present pairs only, temporal binaries from
     strict event order, fixings from the initial conditions.  A rejected
     aircraft has every variable at 0, and so has each pair binary it is in,
-    but for the fixed ``InIn`` of a pair with a parked aircraft.
+    but for the fixed ``InIn`` of a pair with a parked aircraft.  Aircraft
+    come in ``model``'s order, without one in the instance's (its build order).
     """
-    if model is None:
-        model = build_model(instance)
+    ids = model.aircraft_ids if model is not None else [a.id for a in instance.all_aircraft()]
     h = instance.hangar
     by_id = solution.by_id()
-    for aid in model.aircraft_ids:
+    for aid in ids:
         if aid not in by_id:
             raise MissingAssignment(aid)
     spec = {a.id: a for a in instance.all_aircraft()}
     fut = {a.id for a in instance.future}
 
     point: dict[str, float] = {CONST_VAR: 1.0}
-    for aid in model.aircraft_ids:
+    for aid in ids:
         asg = by_id[aid]
         d_arr, d_dep = delays(spec[aid], asg.roll_in, asg.roll_out)
         values = {vAcc(aid): 1.0, vX(aid): asg.x, vY(aid): asg.y, vIn(aid): asg.roll_in,
@@ -609,7 +601,6 @@ def derive_binaries(instance: Instance, solution: Solution,
             values[vDArr(aid)] = d_arr
         point.update(values if asg.accept else dict.fromkeys(values, 0.0))
 
-    ids = model.aircraft_ids
     for a in ids:
         aa, sa = by_id[a], spec[a]
         for b in ids:
@@ -713,17 +704,10 @@ def import_solution(model: MilpModel | LpOutline, instance: Instance,
         v = point.get(name, 0.0)
         return 0.0 if abs(v) < TOL else v
 
-    assignments = []
-    for spec in instance.all_aircraft():
-        aid = spec.id
-        if val(vAcc(aid)) > 0.5:
-            assignments.append(Assignment.placed(spec, val(vX(aid)), val(vY(aid)),
-                                                 val(vIn(aid)), val(vOut(aid))))
-        else:
-            assignments.append(Assignment(aircraft_id=aid, accept=False))
-    solution = Solution(instance_label=instance.label,
-                        assignments=tuple(assignments),
-                        provenance=Provenance.IMPORTED)
+    placed = [Assignment.placed(spec, val(vX(spec.id)), val(vY(spec.id)),
+                                val(vIn(spec.id)), val(vOut(spec.id)))
+              for spec in instance.all_aircraft() if val(vAcc(spec.id)) > 0.5]
+    solution = Solution.compose(instance, placed, Provenance.IMPORTED)
     report = _validator.validate(instance, solution)
     if not report.feasible:
         raise _validator.Infeasible(report)

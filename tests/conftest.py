@@ -74,12 +74,7 @@ def specs(instance: Instance) -> dict[str, AircraftSpec]:
 
 def manual_solution(instance: Instance, by_id: dict[str, Assignment]) -> Solution:
     """Solution in instance order; unlisted aircraft become rejections."""
-    assignments = []
-    for a in instance.all_aircraft():
-        assignments.append(by_id.get(
-            a.id, Assignment(aircraft_id=a.id, accept=False)))
-    return Solution(instance_label=instance.label, assignments=tuple(assignments),
-                    provenance=Provenance.MANUAL)
+    return Solution.compose(instance, by_id.values(), Provenance.MANUAL)
 
 
 def rects_separated(ax: float, ay: float, aw: float, al: float,

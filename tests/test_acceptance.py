@@ -8,6 +8,8 @@ computed once per module and shared across criteria.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 import shutil
@@ -18,7 +20,7 @@ from contextlib import contextmanager
 import pytest
 from click.testing import CliRunner
 
-from hangarplan import ach, cli, exact, instgen, milp, validator
+from hangarplan import ach, cli, exact, instgen, io, milp, validator
 from hangarplan.core import evaluate_cost
 
 from conftest import (
@@ -80,6 +82,12 @@ def heuristic_sweep():
         point = milp.derive_binaries(inst, sol, model)
         records.append((inst, sol, report, model, point))
     return records, solve_seconds
+
+
+#: sha256 of the heuristic's plans over ``SWEEP_SPECS``: one line of
+#: key-sorted solution JSON per instance, in sweep order.  A change that alters
+#: a plan on purpose updates it and says why.
+HEURISTIC_SWEEP_SHA256 = "7e3afe8135d473401782f9b77836ab7e219a04c745851a528ed57409fd329841"
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +303,13 @@ class TestAcceptance:
             cost = evaluate_cost(inst, solution).total
             heuristic = evaluate_cost(inst, ach.solve(inst)).total
             assert cost <= heuristic + 1e-6
+
+
+def test_heuristic_sweep_plans_pinned(heuristic_sweep):
+    # only the heuristic's plans: the oracle's costs and Big-M sum with the
+    # builtin sum(), whose rounding changed in Python 3.12
+    records, _ = heuristic_sweep
+    digest = hashlib.sha256()
+    for _, sol, _, _, _ in records:
+        digest.update(json.dumps(io.solution_to_dict(sol), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == HEURISTIC_SWEEP_SHA256

@@ -18,6 +18,7 @@ from hangarplan.core import (
     Instance,
     Kind,
     MissingAssignment,
+    Provenance,
     Solution,
     axis_separated,
     derive_big_m,
@@ -407,6 +408,21 @@ class TestEvaluateCost:
         c = evaluate_cost(inst, sol)
         assert c.total == pytest.approx(
             c.rejection + c.arrival_delay + c.departure_delay + c.positioning)
+
+
+class TestSolutionCompose:
+    def test_instance_order_and_rejections(self):
+        c = make_current("c")
+        fb = make_future("b", eta=150.0)
+        inst = make_instance(future=[make_future("a"), fb, make_future("z")], current=[c],
+                             label="plan-7")
+        placed = [accept("b", 5.0, 5.0, 150.0, 250.0, eta=fb.eta, etd=fb.etd),
+                  accept("c", 5.0, 5.0, 0.0, 100.0, etd=c.etd)]
+        sol = Solution.compose(inst, placed, Provenance.ORACLE)
+        assert [a.aircraft_id for a in sol.assignments] == ["c", "a", "b", "z"]
+        assert sol.assignments == (placed[1], Assignment("a", False), placed[0],
+                                   Assignment("z", False))
+        assert (sol.instance_label, sol.provenance) == ("plan-7", Provenance.ORACLE)
 
 
 def test_version_matches_pyproject():

@@ -373,6 +373,16 @@ class TestDeriveBinaries:
         for name, value in expected.items():
             assert model.variables[name].lb == model.variables[name].ub == value
 
+    def test_without_model_builds_no_rows(self, monkeypatch):
+        # the aircraft order comes from the instance, not from a row system
+        inst = instgen.generate(instgen.GeneratorConfig(n_future=6, n_current=2, seed=3))
+        sol = ach.solve(inst)
+        want = list(milp.derive_binaries(inst, sol, milp.build_model(inst)).items())
+        calls, build = [], milp.build_model
+        monkeypatch.setattr(milp, "build_model", lambda *args: calls.append(args) or build(*args))
+        assert list(milp.derive_binaries(inst, sol).items()) == want
+        assert calls == []
+
     def test_coincident_events_ambiguous(self):
         fa = make_future("a", eta=0.0, service=100.0)
         fb = make_future("b", eta=100.0, service=100.0)
