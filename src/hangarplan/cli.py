@@ -269,16 +269,18 @@ def validate(instance_path: str, solution_path: str, as_json: bool) -> None:
 def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool) -> None:
     """Render per-event layout frames (and optionally the HTML report)."""
     instance, solution = _load_plan(instance_path, solution_path)
-    checked = validator.validate(instance, solution)  # shared by frames and report
+    # one validation and one drawing of each frame, shared by frames and report
+    checked = validator.validate(instance, solution)
+    drawn = report.draw_frames(instance, solution) if checked.feasible else None
     try:
-        paths = report.render_frames(instance, solution, out_dir, checked=checked)
+        paths = report.render_frames(instance, solution, out_dir, checked=checked, drawn=drawn)
     except validator.Infeasible as exc:
         click.echo(str(exc), err=True)
         _fail(EXIT_INFEASIBLE, "solution is infeasible; nothing rendered")
     click.echo(f"wrote {len(paths)} frame(s) to {out_dir}")
     if with_html:
         out = report.render_report(instance, solution, Path(out_dir) / "report.html",
-                                   checked=checked)
+                                   checked=checked, drawn=drawn)
         click.echo(f"wrote {out}")
 
 

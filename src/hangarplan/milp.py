@@ -6,7 +6,10 @@ Row names follow ``eq<k>_<family>(<ids>)`` and are part of the external
 contract.  Fixed initial conditions are variable bounds, not rows; bound
 violations are reported under ``fix*``/``dom_nonneg`` names.  Rows and
 variables are immutable ``NamedTuple`` records (``MilpRow``,
-``MilpVariable``); the LP text of a model is byte-stable.
+``MilpVariable``); the LP text of a model is byte-stable.  Rows share their
+immutable ``(coef, var)`` term tuples: ``build_model`` builds a term that
+several rows hold once, so a model of n aircraft holds far fewer term tuples
+than term occurrences.
 
 ``build_model``, ``export_lp``, ``parse_lp``, ``lp_outline``,
 ``derive_binaries`` and ``parse_point`` run with the cyclic garbage collector
@@ -27,7 +30,10 @@ import gc
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .core import (
     TOL,
@@ -144,10 +150,28 @@ _NOT_IN_LP_NAME = re.compile(r"[\s:,]")
 # Model construction
 # ---------------------------------------------------------------------------
 
+# ``MilpRow((name, terms, sense, rhs))`` and ``MilpVariable((name, kind, lb, ub,
+# fix_name))`` without the Python-level ``__new__`` that ``NamedTuple``
+# generates: every field is given, in order.
+_row = partial(tuple.__new__, MilpRow)
+_var = partial(tuple.__new__, MilpVariable)
+
+
+def _terms(coef: float, names: dict) -> dict:
+    """The term ``(coef, var)`` of each variable in ``names``, under its key."""
+    return {key: (coef, var) for key, var in names.items()}
+
+
 @collector_paused()
 def build_model(instance: Instance) -> MilpModel:
     """The row system of ``instance``: variables in build order, rows grouped
-    by family, and the objective with the rejection constant on ``Const``."""
+    by family, and the objective with the rejection constant on ``Const``.
+
+    Rows share immutable term tuples: an aircraft's ``(±1, X)``, ``(±1, Y)``,
+    ``(±1, Rollin)``, ``(±1, Rollout)``, ``(1, DArr)``, ``(1, DDep)``,
+    ``(-1, Accept)`` and ``(-M_T, Accept)`` and a pair's ``(M_T, Right)``
+    and ``(-M_T, Above)`` are built once each.  Records are made by ``_row``
+    and ``_var``, with no Python-level call per record."""
     h = instance.hangar
     m_t, m_x, m_y = derive_big_m(instance)
     eps = h.eps_t
@@ -160,7 +184,6 @@ def build_model(instance: Instance) -> MilpModel:
         if _NOT_IN_LP_NAME.search(i):
             raise ParseError(f"aircraft id {i!r} cannot go into an LP model: "
                              "it contains whitespace, ':' or ','")
-    spec = {a.id: a for a in aircraft}
     fut = {a.id for a in future}
 
     ordered = [(a, b) for a in ids for b in ids if a != b]
@@ -176,58 +199,51 @@ def build_model(instance: Instance) -> MilpModel:
     DARR = {f: vDArr(f) for f in fut}
     DDEP = {a: vDDep(a) for a in ids}
     ACC = {a: vAcc(a) for a in ids}
-    RIGHT = {(a, b): vRight(a, b) for a, b in ordered}
-    ABOVE = {(a, b): vAbove(a, b) for a, b in ordered}
-    OUTIN = {(a, b): vOutIn(a, b) for a, b in ordered}
-    ININ = {(a, b): vInIn(a, b) for a, b in ordered}
-    OUTOUT = {(a, b): vOutOut(a, b) for a, b in unordered}
-    INOUT = {(a, b): vInOut(a, b) for a, b in mixed}
+    # A pair's name is at NAME[a][b]: two lookups by a string, whose hash is
+    # cached, cost less than one by a new (a, b) tuple.
+    RIGHT, ABOVE, OUTIN, ININ = ({a: {b: name(a, b) for b in ids if b != a} for a in ids}
+                                 for name in (vRight, vAbove, vOutIn, vInIn))
+    OUTOUT = {a: {b: vOutOut(a, b) for b in ids[i + 1:]} for i, a in enumerate(ids)}
+    INOUT = {a: {b: vInOut(a, b) for b in ids if b != a and (a in fut or b in fut)}
+             for a in ids}
 
-    variables: dict[str, MilpVariable] = {}
-    rows: list[MilpRow] = []
-
-    def add_var(name, kind, lb=0.0, ub=math.inf, fix_name=None):
-        variables[name] = MilpVariable(name, kind, lb, ub, fix_name)
-
-    def add_row(name, terms, sense, rhs):
-        rows.append(MilpRow(name, terms, sense, float(rhs)))
-
-    # Continuous variables; current aircraft get fixed bounds in place of rows.
+    # Variables in build order; current aircraft get fixed bounds in place of
+    # rows.
+    inf = math.inf
+    records: list[MilpVariable] = []
     for a in aircraft:
         i = a.id
         if a.kind is Kind.CURRENT:
-            add_var(X[i], CONTINUOUS, a.x_init, a.x_init, f"fix20_xinit({i})")
-            add_var(Y[i], CONTINUOUS, a.y_init, a.y_init, f"fix21_yinit({i})")
-            add_var(IN[i], CONTINUOUS, 0.0, 0.0, f"fix22_rollin({i})")
-            add_var(ACC[i], BINARY, 1.0, 1.0, f"fix19_accept({i})")
+            records += [_var((X[i], CONTINUOUS, a.x_init, a.x_init, f"fix20_xinit({i})")),
+                        _var((Y[i], CONTINUOUS, a.y_init, a.y_init, f"fix21_yinit({i})")),
+                        _var((IN[i], CONTINUOUS, 0.0, 0.0, f"fix22_rollin({i})")),
+                        _var((ACC[i], BINARY, 1.0, 1.0, f"fix19_accept({i})"))]
         else:
-            add_var(X[i], CONTINUOUS)
-            add_var(Y[i], CONTINUOUS)
-            add_var(IN[i], CONTINUOUS)
-            add_var(ACC[i], BINARY, 0.0, 1.0)
-        add_var(OUT[i], CONTINUOUS)
-        add_var(DDEP[i], CONTINUOUS)
-    for f in future:
-        add_var(DARR[f.id], CONTINUOUS)
+            records += [_var((X[i], CONTINUOUS, 0.0, inf, None)),
+                        _var((Y[i], CONTINUOUS, 0.0, inf, None)),
+                        _var((IN[i], CONTINUOUS, 0.0, inf, None)),
+                        _var((ACC[i], BINARY, 0.0, 1.0, None))]
+        records += [_var((OUT[i], CONTINUOUS, 0.0, inf, None)),
+                    _var((DDEP[i], CONTINUOUS, 0.0, inf, None))]
+    records += [_var((DARR[f.id], CONTINUOUS, 0.0, inf, None)) for f in future]
 
-    for p in ordered:
-        a, b = p
-        add_var(RIGHT[p], BINARY, 0.0, 1.0)
-        add_var(ABOVE[p], BINARY, 0.0, 1.0)
-        add_var(OUTIN[p], BINARY, 0.0, 1.0)
+    for a, b in ordered:
         if a not in fut and b in fut:
-            add_var(ININ[p], BINARY, 1.0, 1.0, f"fix23_inin_cf({a},{b})")
+            inin = (1.0, 1.0, f"fix23_inin_cf({a},{b})")
         elif a in fut and b not in fut:
-            add_var(ININ[p], BINARY, 0.0, 0.0, f"fix24_inin_fc({a},{b})")
+            inin = (0.0, 0.0, f"fix24_inin_fc({a},{b})")
         elif a not in fut and b not in fut:
-            add_var(ININ[p], BINARY, 1.0, 1.0, f"fix25_inin_cd({a},{b})")
+            inin = (1.0, 1.0, f"fix25_inin_cd({a},{b})")
         else:
-            add_var(ININ[p], BINARY, 0.0, 1.0)
-    for p in unordered:
-        add_var(OUTOUT[p], BINARY, 0.0, 1.0)
-    for p in mixed:
-        add_var(INOUT[p], BINARY, 0.0, 1.0)
-    add_var(CONST_VAR, CONTINUOUS, 1.0, 1.0)
+            inin = (0.0, 1.0, None)
+        records += [_var((RIGHT[a][b], BINARY, 0.0, 1.0, None)),
+                    _var((ABOVE[a][b], BINARY, 0.0, 1.0, None)),
+                    _var((OUTIN[a][b], BINARY, 0.0, 1.0, None)),
+                    _var((ININ[a][b], BINARY, *inin))]
+    records += [_var((OUTOUT[a][b], BINARY, 0.0, 1.0, None)) for a, b in unordered]
+    records += [_var((INOUT[a][b], BINARY, 0.0, 1.0, None)) for a, b in mixed]
+    records.append(_var((CONST_VAR, CONTINUOUS, 1.0, 1.0, None)))
+    variables = {v[0]: v for v in records}
 
     # Objective: rejection constant folded into the fixed Const variable.
     obj: list[tuple[float, str]] = []
@@ -246,87 +262,87 @@ def build_model(instance: Instance) -> MilpModel:
     if not future:
         obj.append((0.0, CONST_VAR))
 
+    rows: list[MilpRow] = []
+    # A term that more than one row holds is built once and shared, which is
+    # safe because terms are immutable tuples.  Every right-hand side is a
+    # float computed once per family or per aircraft.
+    px, py, pin, pout, pdarr, pddep = (_terms(1.0, v) for v in (X, Y, IN, OUT, DARR, DDEP))
+    nx, ny, nin, nout, nacc = (_terms(-1.0, v) for v in (X, Y, IN, OUT, ACC))
+    nacc_m = _terms(-m_t, ACC)
+    right_m = {a: _terms(m_t, names) for a, names in RIGHT.items()}
+    nabove_m = {a: _terms(-m_t, names) for a, names in ABOVE.items()}
+
     # Acceptance / scheduling.
     link = m_x + m_y + 4.0 * m_t
     for f in future:
         i = f.id
-        add_row(f"eq2_accept({i})",
-                ((1.0, X[i]), (1.0, Y[i]), (1.0, IN[i]), (1.0, OUT[i]),
-                 (1.0, DARR[i]), (1.0, DDEP[i]), (-link, ACC[i])), "<=", 0.0)
-        add_row(f"eq3_rollin_eta({i})", ((1.0, IN[i]), (-f.eta, ACC[i])), ">=", 0.0)
-    for a in aircraft:
-        i = a.id
-        add_row(f"eq4_servt({i})",
-                ((1.0, OUT[i]), (-1.0, IN[i]), (-a.service, ACC[i])), ">=", 0.0)
-    for f in future:
-        i = f.id
-        add_row(f"eq5_darr({i})", ((1.0, DARR[i]), (-1.0, IN[i])), ">=", -f.eta)
-    for a in aircraft:
-        i = a.id
-        add_row(f"eq6_ddep({i})", ((1.0, DDEP[i]), (-1.0, OUT[i])), ">=", -a.etd)
+        rows += [_row((f"eq2_accept({i})",
+                       (px[i], py[i], pin[i], pout[i], pdarr[i], pddep[i], (-link, ACC[i])),
+                       "<=", 0.0)),
+                 _row((f"eq3_rollin_eta({i})", (pin[i], (-f.eta, ACC[i])), ">=", 0.0))]
+    rows += [_row((f"eq4_servt({a.id})", (pout[a.id], nin[a.id], (-a.service, ACC[a.id])),
+                   ">=", 0.0)) for a in aircraft]
+    rows += [_row((f"eq5_darr({f.id})", (pdarr[f.id], nin[f.id]), ">=", float(-f.eta)))
+             for f in future]
+    rows += [_row((f"eq6_ddep({a.id})", (pddep[a.id], nout[a.id]), ">=", float(-a.etd)))
+             for a in aircraft]
 
     # Boundaries (future aircraft; current positions are fixed by bounds).
     for f in future:
         i = f.id
-        add_row(f"eq7_xmin({i})", ((1.0, X[i]), (-h.buffer, ACC[i])), ">=", 0.0)
-        add_row(f"eq8_xmax({i})", ((1.0, X[i]), (m_x, ACC[i])),
-                "<=", h.hw - h.buffer - f.width + m_x)
-        add_row(f"eq9_ymin({i})", ((1.0, Y[i]), (-h.buffer, ACC[i])), ">=", 0.0)
-        add_row(f"eq10_ymax({i})", ((1.0, Y[i]), (m_y, ACC[i])),
-                "<=", h.hl - h.buffer - f.length + m_y)
+        rows += [_row((f"eq7_xmin({i})", (px[i], (-h.buffer, ACC[i])), ">=", 0.0)),
+                 _row((f"eq8_xmax({i})", (px[i], (m_x, ACC[i])),
+                       "<=", float(h.hw - h.buffer - f.width + m_x))),
+                 _row((f"eq9_ymin({i})", (py[i], (-h.buffer, ACC[i])), ">=", 0.0)),
+                 _row((f"eq10_ymax({i})", (py[i], (m_y, ACC[i])),
+                       "<=", float(h.hl - h.buffer - f.length + m_y)))]
 
     # Relative placement semantics.
-    for p in ordered:
-        a, b = p
-        add_row(f"eq11_right({a},{b})", ((1.0, X[b]), (-1.0, X[a]), (m_x, RIGHT[p])),
-                "<=", m_x - spec[b].width - h.buffer)
-        add_row(f"eq12_above({a},{b})", ((1.0, Y[b]), (-1.0, Y[a]), (m_y, ABOVE[p])),
-                "<=", m_y - spec[b].length - h.buffer)
+    rhs_right = {a.id: float(m_x - a.width - h.buffer) for a in aircraft}
+    rhs_above = {a.id: float(m_y - a.length - h.buffer) for a in aircraft}
+    for a, b in ordered:
+        rows += [_row((f"eq11_right({a},{b})", (px[b], nx[a], (m_x, RIGHT[a][b])),
+                       "<=", rhs_right[b])),
+                 _row((f"eq12_above({a},{b})", (py[b], ny[a], (m_y, ABOVE[a][b])),
+                       "<=", rhs_above[b]))]
 
     # Pairwise disjunction.
-    for p in unordered:
-        a, b = p
-        q = (b, a)
-        add_row(f"eq13_rel({a},{b})",
-                ((1.0, RIGHT[q]), (1.0, RIGHT[p]), (1.0, ABOVE[q]), (1.0, ABOVE[p]),
-                 (1.0, OUTIN[p]), (1.0, OUTIN[q]), (-1.0, ACC[a]), (-1.0, ACC[b])),
-                ">=", -1.0)
+    rows += [_row((f"eq13_rel({a},{b})",
+                   ((1.0, RIGHT[b][a]), (1.0, RIGHT[a][b]), (1.0, ABOVE[b][a]),
+                    (1.0, ABOVE[a][b]), (1.0, OUTIN[a][b]), (1.0, OUTIN[b][a]),
+                    nacc[a], nacc[b]), ">=", -1.0))
+             for a, b in unordered]
 
     # Temporal ordering semantics.
-    for p in ordered:
-        a, b = p
-        add_row(f"eq14_outin({a},{b})", ((1.0, OUT[a]), (-1.0, IN[b]), (m_t, OUTIN[p])),
-                "<=", m_t - eps)
+    rhs_outin = float(m_t - eps)
+    rows += [_row((f"eq14_outin({a},{b})", (pout[a], nin[b], (m_t, OUTIN[a][b])),
+                   "<=", rhs_outin))
+             for a, b in ordered]
     # Event order: binary (a, b) = 1 puts a's earlier event eps before b's later
     # one, 0 the other way round; both rows relax when a or b is rejected.
-    for first, second, pairs, later, earlier, binary in (
-            ("eq15_inin", "eq16_inin", f_ordered, IN, IN, ININ),
-            ("eq15b_outout", "eq16b_outout", unordered, OUT, OUT, OUTOUT),
-            ("eq16c_inout", "eq16d_inout", mixed, OUT, IN, INOUT)):
-        for p in pairs:
-            a, b = p
-            add_row(f"{first}({a},{b})",
-                    ((1.0, later[b]), (-1.0, earlier[a]), (-m_t, binary[p]),
-                     (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 3.0 * m_t)
-            add_row(f"{second}({a},{b})",
-                    ((1.0, earlier[a]), (-1.0, later[b]), (m_t, binary[p]),
-                     (-m_t, ACC[a]), (-m_t, ACC[b])), ">=", eps - 2.0 * m_t)
+    rhs_first, rhs_second = float(eps - 3.0 * m_t), float(eps - 2.0 * m_t)
+    for first, second, pairs, (plater, nlater), (pearlier, nearlier), binary in (
+            ("eq15_inin", "eq16_inin", f_ordered, (pin, nin), (pin, nin), ININ),
+            ("eq15b_outout", "eq16b_outout", unordered, (pout, nout), (pout, nout), OUTOUT),
+            ("eq16c_inout", "eq16d_inout", mixed, (pout, nout), (pin, nin), INOUT)):
+        for a, b in pairs:
+            rows += [_row((f"{first}({a},{b})",
+                           (plater[b], nearlier[a], (-m_t, binary[a][b]), nacc_m[a], nacc_m[b]),
+                           ">=", rhs_first)),
+                     _row((f"{second}({a},{b})",
+                           (pearlier[a], nlater[b], (m_t, binary[a][b]), nacc_m[a], nacc_m[b]),
+                           ">=", rhs_second))]
 
     # Blocking.
-    for p in ordered:
-        a, b = p
-        q = (b, a)
-        add_row(f"eq17_exit_block({a},{b})",
-                ((1.0, OUT[a]), (-1.0, OUT[b]), (-m_t, ABOVE[q]),
-                 (m_t, RIGHT[p]), (m_t, RIGHT[q]), (-m_t, ININ[p])),
-                ">=", eps - 2.0 * m_t)
-    for p in mixed:
-        a, b = p
-        q = (b, a)
-        add_row(f"eq18_entry_block({a},{b})",
-                ((1.0, IN[a]), (-1.0, OUT[b]), (-m_t, ABOVE[q]),
-                 (m_t, RIGHT[p]), (m_t, RIGHT[q]), (m_t, ININ[p])),
-                ">=", eps - m_t)
+    rows += [_row((f"eq17_exit_block({a},{b})",
+                   (pout[a], nout[b], nabove_m[b][a], right_m[a][b], right_m[b][a],
+                    (-m_t, ININ[a][b])), ">=", rhs_second))
+             for a, b in ordered]
+    rhs_entry = float(eps - m_t)
+    rows += [_row((f"eq18_entry_block({a},{b})",
+                   (pin[a], nout[b], nabove_m[b][a], right_m[a][b], right_m[b][a],
+                    (m_t, ININ[a][b])), ">=", rhs_entry))
+             for a, b in mixed]
 
     return MilpModel(variables=variables, rows=rows, objective=tuple(obj),
                      aircraft_ids=ids)
@@ -337,7 +353,7 @@ def build_model(instance: Instance) -> MilpModel:
 # ---------------------------------------------------------------------------
 
 LINE_WIDTH = 200
-_SENSES = ("<=", ">=", "=")
+_SENSES = frozenset(("<=", ">=", "="))
 
 
 def _num(x: float) -> str:
@@ -437,6 +453,11 @@ def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
 
 _SECTIONS = frozenset(("Minimize", "Subject To", "Bounds", "Binaries", "End"))
 _SIGNS = frozenset("+-")
+_PAD = ("",)  # no LP token is empty
+# Rows per block of ``_read_lp``'s checks: a block's tokens stay in the cache
+# through its passes.  One pass per check over the whole file was slower
+# from n = 40 on, by 24 % at n = 80.
+_BLOCK_ROWS = 256
 
 
 def _check_terms(tokens: Sequence[str], what: str) -> None:
@@ -448,16 +469,35 @@ def _check_terms(tokens: Sequence[str], what: str) -> None:
         raise ParseError(f"{what}: expected a sign, got {sign!r}")
 
 
+def _raise_first_fault(objective: list[str], rows: list[tuple[str, list[str]]]) -> NoReturn:
+    """Raise the ``ParseError`` of the first fault, walking objective and rows
+    in order: the first structure fault (a row without ``sense rhs``, a
+    token count, a sign), else the first number text that is not a finite
+    number."""
+    _check_terms(objective, "objective")
+    for name, tokens in rows:
+        # one or more terms, then exactly one "sense rhs"
+        if len(tokens) < 5 or tokens[-2] not in _SENSES:
+            raise ParseError(f"cannot parse row {name}")
+        _check_terms(tokens[:-2], name)
+    for what, tokens in [("objective", objective), *rows]:
+        for num in tokens[1::3]:
+            _number(num, what)
+    raise AssertionError("the whole-file checks found a fault that the walk did not")
+
+
 def _read_lp(text: str):
     """Our own LP export, checked: the objective's tokens, the rows as
     ``(name, tokens)``, the bounds as ``name -> (lb, ub)``, the binary names,
-    the aircraft ids, and the number texts and names of objective and rows.
+    the aircraft ids, each number text of objective and rows with its value,
+    and the names in their terms.
 
-    Row tokens are ``± coef name`` triples, then ``sense rhs``, so
-    ``tokens[1::3]`` are a row's numbers and ``tokens[2::3]`` its variables.
-    A line, row, sign or bound that breaks the format raises ``ParseError``,
-    and then the first number text that is not a finite number: the
-    objective's, then each row's in order."""
+    Row tokens are ``± coef name`` triples, then ``sense rhs``.  A line,
+    row, sign or bound that breaks the format raises ``ParseError``, and
+    then the first number text that is not a finite number: the
+    objective's, then each row's in order.  The checks take whole blocks of
+    rows at a time, with no Python step per row; only when one fails does
+    ``_raise_first_fault`` walk the rows to name the first fault."""
     section = None
     obj_text = ""
     rows: list[tuple[str, list[str]]] = []
@@ -493,26 +533,37 @@ def _read_lp(text: str):
     if ":" not in obj_text:
         raise ParseError("objective has no name")
     objective = obj_text.split(":", 1)[1].split()
-    _check_terms(objective, "objective")
-    for name, tokens in rows:
-        # one or more terms, then exactly one "sense rhs"
-        if len(tokens) < 5 or tokens[-2] not in _SENSES:
-            raise ParseError(f"cannot parse row {name}")
-        _check_terms(tokens[:-2], name)
-    numbers: set[str] = set()
-    names: set[str] = set()
-    for what, tokens in [("objective", objective), *rows]:
-        if not numbers.issuperset(tokens[1::3]):
-            for num in tokens[1::3]:
-                _number(num, what)
-            numbers.update(tokens[1::3])
-        names.update(tokens[2::3])
+    token_lists = list(map(itemgetter(1), rows))
+    if (len(objective) % 3 or not _SIGNS.issuperset(objective[::3])
+            or min(map(len, token_lists), default=5) < 5
+            or not _SENSES.issuperset(map(itemgetter(-2), token_lists))):
+        _raise_first_fault(objective, rows)
+    # A row's 3k + 2 tokens and one pad are triples: its terms, then
+    # (sense, rhs, pad).  So one list holds every triple of a block of rows,
+    # and a row of another length moves a pad out of the third place, where
+    # it fails the sign or the number check.
+    texts, names = set(objective[1::3]), set(objective[2::3])
+    for start in range(0, len(token_lists), _BLOCK_ROWS):
+        block = token_lists[start:start + _BLOCK_ROWS]
+        triples = [*chain.from_iterable(chain.from_iterable(zip(block, repeat(_PAD))))]
+        signs = triples[::3]  # the terms' signs and each row's sense
+        if signs.count("+") + signs.count("-") + len(block) != len(signs):
+            _raise_first_fault(objective, rows)
+        texts.update(triples[1::3])
+        names.update(triples[2::3])
+    try:
+        values = {num: float(num) for num in texts}
+    except ValueError:
+        _raise_first_fault(objective, rows)
+    if not all(map(math.isfinite, values.values())):
+        _raise_first_fault(objective, rows)
+    names.discard(_PAD[0])
 
     # Every aircraft has one eq4_servt row, and rows keep their build order;
     # the Binaries section does not, once a parsed model is exported again.
     aircraft_ids = [name[10:-1] for name, _ in rows
                     if name.startswith("eq4_servt(") and name.endswith(")")]
-    return objective, rows, bounds, binaries, aircraft_ids, numbers, names
+    return objective, rows, bounds, binaries, aircraft_ids, values, names
 
 
 @collector_paused()
@@ -522,8 +573,7 @@ def parse_lp(text: str) -> MilpModel:
     ``MilpRow`` / ``MilpVariable`` records; variables are sorted by name
     and carry no ``fix_name``.  A line, row, bound or number that breaks
     the format raises ``ParseError``."""
-    objective_tokens, row_tokens, bounds, binaries, aircraft_ids, numbers, names = _read_lp(text)
-    value = {num: float(num) for num in numbers}
+    objective_tokens, row_tokens, bounds, binaries, aircraft_ids, value, names = _read_lp(text)
 
     def terms(tokens: Sequence[str]) -> tuple[tuple[float, str], ...]:
         it = iter(tokens)  # a row's trailing "sense rhs" forms no triple
@@ -608,30 +658,33 @@ def derive_binaries(instance: Instance, solution: Solution,
                 continue
             ab, sb = by_id[b], spec[b]
             both = aa.accept and ab.accept
+            # each variable name also names its pair when the order is ambiguous
+            outin_name, inin_name = vOutIn(a, b), vInIn(a, b)
             right = above = outin = 0.0
             if both:
                 if intervals_overlap((aa.roll_in, aa.roll_out), (ab.roll_in, ab.roll_out)):
                     right = 1.0 if x_separated(aa.x, sa.width, ab.x, sb.width, h.buffer) else 0.0
                     above = 1.0 if x_separated(aa.y, sa.length, ab.y, sb.length, h.buffer) else 0.0
-                elif _strict_before(aa.roll_out, ab.roll_in, f"OutIn({a},{b})"):
+                elif _strict_before(aa.roll_out, ab.roll_in, outin_name):
                     outin = 1.0
             point[vRight(a, b)] = right
             point[vAbove(a, b)] = above
-            point[vOutIn(a, b)] = outin
+            point[outin_name] = outin
             if a in fut and b in fut:
-                point[vInIn(a, b)] = 1.0 if both and _strict_before(
-                    aa.roll_in, ab.roll_in, f"InIn({a},{b})") else 0.0
+                point[inin_name] = 1.0 if both and _strict_before(
+                    aa.roll_in, ab.roll_in, inin_name) else 0.0
             else:
                 # fixed with a parked aircraft (fix23-25): 0 when a is the request
-                point[vInIn(a, b)] = 0.0 if a in fut else 1.0
+                point[inin_name] = 0.0 if a in fut else 1.0
             if a in fut or b in fut:
                 point[vInOut(a, b)] = 1.0 if both and aa.roll_in < ab.roll_out - TOL else 0.0
 
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             aa, ab = by_id[a], by_id[b]
-            point[vOutOut(a, b)] = 1.0 if aa.accept and ab.accept and _strict_before(
-                aa.roll_out, ab.roll_out, f"OutOut({a},{b})") else 0.0
+            name = vOutOut(a, b)
+            point[name] = 1.0 if aa.accept and ab.accept and _strict_before(
+                aa.roll_out, ab.roll_out, name) else 0.0
 
     return point
 

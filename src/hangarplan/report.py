@@ -117,21 +117,30 @@ def frame_svg(instance: Instance, frame: FrameSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
+def draw_frames(instance: Instance, solution: Solution) -> list[tuple[FrameSpec, str]]:
+    """Every frame of a feasible plan, with its SVG."""
+    return [(frame, frame_svg(instance, frame)) for frame in build_frames(instance, solution)]
+
+
 def render_frames(instance: Instance, solution: Solution, out_dir, *,
-                  checked: Optional[validator.ValidationReport] = None) -> list[Path]:
+                  checked: Optional[validator.ValidationReport] = None,
+                  drawn: Optional[list[tuple[FrameSpec, str]]] = None) -> list[Path]:
     """One SVG per frame; file names `frame_<k>_<time>.svg`.  ``checked`` is
-    the plan's validation report if the caller already has one.  An
-    infeasible plan raises ``validator.Infeasible`` and writes nothing."""
+    the plan's validation report and ``drawn`` its ``draw_frames``, if the
+    caller already has them.  An infeasible plan raises
+    ``validator.Infeasible`` and writes nothing."""
     if checked is None:
         checked = validator.validate(instance, solution)
     if not checked.feasible:
         raise validator.Infeasible(checked)
+    if drawn is None:
+        drawn = draw_frames(instance, solution)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for k, frame in enumerate(build_frames(instance, solution)):
+    for k, (frame, svg) in enumerate(drawn):
         path = out_dir / f"frame_{k:03d}_{frame.time:.2f}.svg"
-        path.write_text(frame_svg(instance, frame))
+        path.write_text(svg)
         paths.append(path)
     return paths
 
@@ -166,11 +175,13 @@ def timeline_svg(instance: Instance, solution: Solution) -> str:
 
 
 def render_report(instance: Instance, solution: Solution, out_file, *,
-                  checked: Optional[validator.ValidationReport] = None) -> Path:
+                  checked: Optional[validator.ValidationReport] = None,
+                  drawn: Optional[list[tuple[FrameSpec, str]]] = None) -> Path:
     """Single self-contained HTML report (inline SVG, no external resources).
     The cost table and the frame gallery come from one validation, ``checked``
     if the caller already has it; an infeasible plan gets the table but no
-    gallery."""
+    gallery.  ``drawn`` is the plan's ``draw_frames``, if the caller already
+    has it."""
     if checked is None:
         checked = validator.validate(instance, solution)
     cost = checked.cost
@@ -190,9 +201,10 @@ def render_report(instance: Instance, solution: Solution, out_file, *,
 
     gallery = []
     if checked.feasible:
-        for frame in build_frames(instance, solution):
-            gallery.append(f"<figure><figcaption>t = {frame.time:.2f} h</figcaption>"
-                           f"{frame_svg(instance, frame)}</figure>")
+        if drawn is None:
+            drawn = draw_frames(instance, solution)
+        gallery = [f"<figure><figcaption>t = {frame.time:.2f} h</figcaption>{svg}</figure>"
+                   for frame, svg in drawn]
     gallery_html = "\n".join(gallery) if gallery else "<p>(no layout frames: plan infeasible or empty)</p>"
 
     doc = f"""<!DOCTYPE html>

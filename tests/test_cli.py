@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hangarplan import ach, cli, exact, instgen, io, milp, validator
+from hangarplan import ach, cli, exact, instgen, io, milp, report, validator
 
 from conftest import (
     LP_EDITS,
@@ -515,6 +515,21 @@ class TestRender:
                                "-o", str(tmp_path / "frames"), "--html"])
         assert res.exit_code == 0
         assert spy.call_count == 1
+
+    def test_html_draws_each_frame_once(self, runner, tmp_path):
+        # the frame files and the report's gallery share one drawing
+        inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+        run(runner, ["gen", "--n", "2", "--seed", "4", "-o", str(inst)])
+        run(runner, ["solve-ach", "-i", str(inst), "-o", str(sol)])
+        out = tmp_path / "frames"
+        with mock.patch.object(report, "frame_svg", wraps=report.frame_svg) as spy:
+            res = run(runner, ["render", "-i", str(inst), "-s", str(sol),
+                               "-o", str(out), "--html"])
+        assert res.exit_code == 0
+        frames = sorted(out.glob("frame_*.svg"))
+        assert spy.call_count == len(frames) > 0
+        html = (out / "report.html").read_text()
+        assert all(f.read_text() in html for f in frames)
 
     def test_infeasible_exit_2(self, runner, tmp_path):
         f = make_future("a")

@@ -2,6 +2,7 @@
 binary derivation, satisfaction checking, and solver-point import."""
 
 import gc
+import hashlib
 import math
 import re
 from datetime import timedelta
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hangarplan import ach, exact, instgen, milp, validator
+from hangarplan import ach, exact, instgen, io, milp, validator
 from hangarplan.core import Assignment, HangarConfig, evaluate_cost
 from hangarplan.io import ParseError
 from hangarplan.validator import ViolationKind
@@ -134,6 +135,18 @@ class TestBuildModelDomains:
         with pytest.raises(ParseError, match=re.escape(repr(aid))):
             milp.build_model(inst)
 
+    def test_integer_json_values_give_float_rhs(self):
+        """An instance read from JSON keeps its integers, and every row's
+        right-hand side is still a ``float``."""
+        d = io.instance_to_dict(three_aircraft_instance())
+        for record in [d["hangar"], *d["future"], *d["current"]]:
+            for k, v in record.items():
+                if isinstance(v, float) and v == int(v):
+                    record[k] = int(v)
+        model = milp.build_model(io.instance_from_dict(d))
+        assert any(type(c) is int for r in model.rows for c, _ in r.terms)
+        assert all(type(r.rhs) is float for r in model.rows)
+
     def test_epsilons_come_from_config(self):
         from hangarplan.core import HangarConfig, derive_big_m
         inst = make_instance(future=[make_future("a"), make_future("b", eta=300.0)],
@@ -214,6 +227,39 @@ class TestExport:
         assert parsed.variables["X(c01)"].lb == parsed.variables["X(c01)"].ub == 5.0
         assert parsed.variables[milp.CONST_VAR].lb == 1.0
 
+    def test_sweep_pinned(self):
+        digest = hashlib.sha256()
+        for inst in lp_sweep():
+            digest.update(milp.export_lp(milp.build_model(inst)).encode())
+        assert digest.hexdigest() == LP_SWEEP_SHA256
+
+
+#: The regimes of the LP sweep: defaults, compressed arrivals with tenfold
+#: rejection penalties, a large hangar, and a fine grid with a long eps_t.
+LP_SWEEP_REGIMES = [
+    {},
+    {"congestion": 0.2, "rejection_multiplier": 10.0},
+    {"hangar": HangarConfig(hw=120.0, hl=100.0)},
+    {"hangar": HangarConfig(grid_step=0.3, eps_t=0.7)},
+]
+
+
+def lp_sweep():
+    """Instances for every n in 0..12, 0..3 parked aircraft and each regime."""
+    for n in range(13):
+        for n_current in range(4):
+            for k, regime in enumerate(LP_SWEEP_REGIMES):
+                yield instgen.generate(instgen.GeneratorConfig(
+                    n_future=n, n_current=n_current, seed=100 * n + 10 * n_current + k,
+                    **regime))
+
+
+#: sha256 of ``export_lp(build_model(inst))`` over ``lp_sweep()``, in sweep
+#: order.  A change that alters the LP text on purpose updates it and says
+#: why.  Verified on CPython 3.11.7 only: M_T is a builtin ``sum()``, whose
+#: rounding changed in Python 3.12.
+LP_SWEEP_SHA256 = "0227169cf1fc8a4e26a91e4e6002fa8c55281ecc70b5dfcfbad2339167964deb"
+
 
 def wrap_per_token(prefix: str, body: str) -> list[str]:
     """``milp._wrap`` as a loop over the tokens: the reference it must equal."""
@@ -265,6 +311,26 @@ class TestReadLp:
     def test_variable_bounded_twice(self, read):
         with pytest.raises(ParseError, match=re.escape("X(a01) is bounded twice")):
             read(self.LP.format(bounds=" X(a01) = 5\n X(a01) = 7\n"))
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("coef, rows, message", [
+        # a bad number, then a row with no sense: the structure error wins
+        ("1", [" r1: + 1 X(a01) >= 0", " r2: + x1 X(a01) >= 0", " r3: + 1 X(a01) 0"],
+         "cannot parse row r3"),
+        # a wrong sign, then a short row: the earlier row's error wins
+        ("1", [" r1: + 1 X(a01) >= 0", " r2: * 1 X(a01) >= 0", " r3: + 1 >= 0"],
+         "r2: expected a sign, got '*'"),
+        ("1", [" r1: + 1 X(a01) >= 0", " r2: * 1 X(a01) >= 0", " r3: + 1 X(a01) + 2 >= 0"],
+         "r2: expected a sign, got '*'"),
+        # bad numbers in the objective and in a row: the objective's wins
+        ("nan", [" r1: + inf X(a01) >= 0"], "non-finite number 'nan' in objective"),
+    ])
+    def test_first_of_two_faults(self, read, coef, rows, message):
+        text = (f"Minimize\n obj: + {coef} X(a01)\nSubject To\n"
+                + "".join(row + "\n" for row in rows) + "Bounds\nBinaries\nEnd\n")
+        with pytest.raises(ParseError) as error:
+            read(text)
+        assert str(error.value) == message
 
     @settings(max_examples=40, deadline=timedelta(seconds=10))
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 6), n_current=st.integers(0, 3),
@@ -392,6 +458,23 @@ class TestDeriveBinaries:
             "b": accept("b", 5.0, 5.0, 100.0, 200.0, eta=fb.eta, etd=fb.etd)})
         with pytest.raises(milp.AmbiguousOrder):
             milp.derive_binaries(inst, sol)
+
+    @pytest.mark.parametrize("b_x, b_stay, message", [
+        (5.0, (100.0, 200.0), "OutIn(a,b): events coincide at t=100.0"),
+        (40.0, (0.0, 50.0), "InIn(a,b): events coincide at t=0.0"),
+        (40.0, (10.0, 100.0), "OutOut(a,b): events coincide at t=100.0"),
+    ])
+    def test_ambiguous_order_names_the_binary(self, b_x, b_stay, message):
+        """The error names the binary whose order the coinciding events leave open."""
+        fa = make_future("a", eta=0.0, service=100.0)
+        fb = make_future("b", eta=b_stay[0], service=b_stay[1] - b_stay[0])
+        inst = make_instance(future=[fa, fb])
+        sol = manual_solution(inst, {
+            "a": accept("a", 5.0, 5.0, 0.0, 100.0, eta=fa.eta, etd=fa.etd),
+            "b": accept("b", b_x, 5.0, *b_stay, eta=fb.eta, etd=fb.etd)})
+        with pytest.raises(milp.AmbiguousOrder) as error:
+            milp.derive_binaries(inst, sol)
+        assert str(error.value) == message
 
 
 class TestCheckSatisfaction:
