@@ -222,7 +222,7 @@ def export_milp(instance_path: str, out: str) -> None:
         text = milp.export_lp(model)
         summary = f"{len(model.variables)} variables, {len(model.rows)} rows"
         del model
-    Path(out).write_text(text)
+    Path(out).write_text(text, encoding="utf-8")
     click.echo(f"wrote {out} ({summary})")
 
 
@@ -298,7 +298,7 @@ def compare(instances: tuple[str, ...], out_csv: str, node_budget: int,
                              time_budget=time_budget)
     # opened before the first solve, so an -o that cannot be written exits 3
     # with nothing solved
-    with open(out_csv, "w") as out_file:
+    with open(out_csv, "w", encoding="utf-8") as out_file:
         rows = [_compare_row(path, oracle_config) for path in instances]
         writer = csv.writer(out_file, lineterminator="\n")
         writer.writerow(f.name for f in fields(CompareRow))

@@ -145,7 +145,7 @@ def instance_from_dict(d: dict) -> Instance:
 
 
 def save_instance(inst: Instance, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
+    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n", encoding="utf-8")
 
 
 def load_instance(path: PathLike) -> Instance:
@@ -188,7 +188,7 @@ def solution_from_dict(d: dict) -> Solution:
 
 
 def save_solution(sol: Solution, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(solution_to_dict(sol), indent=2) + "\n")
+    Path(path).write_text(json.dumps(solution_to_dict(sol), indent=2) + "\n", encoding="utf-8")
 
 
 def load_solution(path: PathLike) -> Solution:

@@ -11,6 +11,12 @@ immutable ``(coef, var)`` term tuples: ``build_model`` builds a term that
 several rows hold once, so a model of n aircraft holds far fewer term tuples
 than term occurrences.
 
+The LP text is read one block of ``_BLOCK_ROWS`` rows at a time.
+Beyond the text, ``lp_outline`` holds one slice of it, the tokens of one
+block of rows and the set of variable names: at most twice the text's
+length, where holding every row's tokens took 7.4 times
+(``tests/test_milp.py``).  ``parse_lp`` holds, besides, the rows it builds.
+
 ``build_model``, ``export_lp``, ``parse_lp``, ``lp_outline``,
 ``derive_binaries`` and ``parse_point`` run with the cyclic garbage collector
 paused (``collector_paused``).  Each allocates tens of thousands of tuples and
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import NamedTuple, NoReturn, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .core import (
     TOL,
@@ -458,6 +464,8 @@ _PAD = ("",)  # no LP token is empty
 # through its passes.  One pass per check over the whole file was slower
 # from n = 40 on, by 24 % at n = 80.
 _BLOCK_ROWS = 256
+# Characters per slice of the text that ``_read_lp`` splits into lines.
+_SLICE_CHARS = 1 << 16
 
 
 def _check_terms(tokens: Sequence[str], what: str) -> None:
@@ -483,27 +491,84 @@ def _raise_first_fault(objective: list[str], rows: list[tuple[str, list[str]]]) 
     for what, tokens in [("objective", objective), *rows]:
         for num in tokens[1::3]:
             _number(num, what)
-    raise AssertionError("the whole-file checks found a fault that the walk did not")
+    raise AssertionError("the block checks found a fault that the walk did not")
 
 
-def _read_lp(text: str):
-    """Our own LP export, checked: the objective's tokens, the rows as
-    ``(name, tokens)``, the bounds as ``name -> (lb, ub)``, the binary names,
-    the aircraft ids, each number text of objective and rows with its value,
-    and the names in their terms.
+def _slices(text: str) -> Iterator[str]:
+    """``text`` in slices of about ``_SLICE_CHARS`` characters.  Each slice
+    but the last ends just after a ``\\n``, which ends every line break it is
+    in, so the slices split into the same lines as the whole text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _read_lp(text: str, take: Callable[[list, dict[str, float]], object]):
+    """Our own LP export, checked one block of ``_BLOCK_ROWS`` rows at a
+    time: each block of rows ``(name, tokens)`` that passes the checks goes
+    to ``take(block, values)`` and is then dropped.  Returns the objective's
+    tokens, the bounds as ``name -> (lb, ub)``, the binary names, the
+    aircraft ids, each number text of objective and rows with its value
+    (``values``), and the names in their terms.
 
     Row tokens are ``± coef name`` triples, then ``sense rhs``.  A line,
     row, sign or bound that breaks the format raises ``ParseError``, and
     then the first number text that is not a finite number: the
-    objective's, then each row's in order.  The checks take whole blocks of
-    rows at a time, with no Python step per row; only when one fails does
-    ``_raise_first_fault`` walk the rows to name the first fault."""
+    objective's, then each row's in order.  The checks take a whole block
+    at a time, with no Python step per row.  The reader keeps the first
+    block that fails the structure checks and the first that fails the
+    number check, and ``_raise_first_fault`` walks the objective and these
+    blocks to name the first fault."""
     section = None
     obj_text = ""
-    rows: list[tuple[str, list[str]]] = []
+    block: list[tuple[str, list[str]]] = []
+    bad_numbers = bad_structure = None  # the first block to fail each check
     bounds: dict[str, tuple[float, float]] = {}
     binaries: list[str] = []
-    for ln in text.splitlines():
+    aircraft_ids: list[str] = []
+    values: dict[str, float] = {}
+    names: set[str] = set()
+
+    def finite(texts) -> bool:
+        """Whether each of the number texts is a finite number; adds their
+        values to ``values``."""
+        try:
+            new = {num: float(num) for num in set(texts).difference(values)}
+        except ValueError:
+            return False
+        values.update(new)
+        return all(map(math.isfinite, new.values()))
+
+    def check(rows: list[tuple[str, list[str]]]) -> None:
+        nonlocal bad_numbers, bad_structure
+        if bad_structure is not None:
+            return  # the first structure fault is in a block already kept
+        token_lists = list(map(itemgetter(1), rows))
+        # A row's 3k + 2 tokens and one pad are triples: its terms, then
+        # (sense, rhs, pad).  So one list holds every triple of the block,
+        # and a row of another length moves a pad out of the third place,
+        # where it fails the sign or the number check.
+        triples = [*chain.from_iterable(chain.from_iterable(zip(token_lists, repeat(_PAD))))]
+        signs = triples[::3]  # the terms' signs and each row's sense
+        if (min(map(len, token_lists)) < 5
+                or not _SENSES.issuperset(map(itemgetter(-2), token_lists))
+                or signs.count("+") + signs.count("-") + len(rows) != len(signs)):
+            bad_structure = rows
+        elif bad_numbers is None:
+            if not finite(triples[1::3]):
+                bad_numbers = rows
+                return
+            names.update(triples[2::3])
+            # Every aircraft has one eq4_servt row, and rows keep their build
+            # order; the Binaries section does not, once a parsed model is
+            # exported again.
+            aircraft_ids.extend([name[10:-1] for name, _ in rows
+                                 if name.startswith("eq4_servt(") and name.endswith(")")])
+            take(rows, values)
+
+    for ln in chain.from_iterable(map(str.splitlines, _slices(text))):
         if not ln or ln.startswith("\\"):
             continue
         stripped = ln.strip()
@@ -512,10 +577,13 @@ def _read_lp(text: str):
         elif section == "Subject To":
             # A row starts with "name:"; a continuation line has no colon.
             if ":" in stripped:
+                if len(block) == _BLOCK_ROWS:
+                    check(block)
+                    block = []
                 name, _, body = stripped.partition(":")
-                rows.append((name.strip(), body.split()))
-            elif rows:
-                rows[-1][1].extend(stripped.split())
+                block.append((name.strip(), body.split()))
+            elif block:
+                block[-1][1].extend(stripped.split())
             else:
                 raise ParseError(f"continuation before the first row: {stripped!r}")
         elif section == "Minimize":
@@ -529,59 +597,40 @@ def _read_lp(text: str):
             binaries.extend(stripped.split())
         elif section is None:
             raise ParseError(f"line outside any section: {stripped!r}")
+    if block:
+        check(block)
 
     if ":" not in obj_text:
         raise ParseError("objective has no name")
     objective = obj_text.split(":", 1)[1].split()
-    token_lists = list(map(itemgetter(1), rows))
     if (len(objective) % 3 or not _SIGNS.issuperset(objective[::3])
-            or min(map(len, token_lists), default=5) < 5
-            or not _SENSES.issuperset(map(itemgetter(-2), token_lists))):
-        _raise_first_fault(objective, rows)
-    # A row's 3k + 2 tokens and one pad are triples: its terms, then
-    # (sense, rhs, pad).  So one list holds every triple of a block of rows,
-    # and a row of another length moves a pad out of the third place, where
-    # it fails the sign or the number check.
-    texts, names = set(objective[1::3]), set(objective[2::3])
-    for start in range(0, len(token_lists), _BLOCK_ROWS):
-        block = token_lists[start:start + _BLOCK_ROWS]
-        triples = [*chain.from_iterable(chain.from_iterable(zip(block, repeat(_PAD))))]
-        signs = triples[::3]  # the terms' signs and each row's sense
-        if signs.count("+") + signs.count("-") + len(block) != len(signs):
-            _raise_first_fault(objective, rows)
-        texts.update(triples[1::3])
-        names.update(triples[2::3])
-    try:
-        values = {num: float(num) for num in texts}
-    except ValueError:
-        _raise_first_fault(objective, rows)
-    if not all(map(math.isfinite, values.values())):
-        _raise_first_fault(objective, rows)
+            or not finite(objective[1::3]) or bad_numbers or bad_structure):
+        _raise_first_fault(objective, [*(bad_numbers or ()), *(bad_structure or ())])
+    names.update(objective[2::3])
     names.discard(_PAD[0])
-
-    # Every aircraft has one eq4_servt row, and rows keep their build order;
-    # the Binaries section does not, once a parsed model is exported again.
-    aircraft_ids = [name[10:-1] for name, _ in rows
-                    if name.startswith("eq4_servt(") and name.endswith(")")]
-    return objective, rows, bounds, binaries, aircraft_ids, values, names
+    return objective, bounds, binaries, aircraft_ids, values, names
 
 
 @collector_paused()
 def parse_lp(text: str) -> MilpModel:
     """Re-parse our own LP export into a row system (internal round-trip
     reader; not a general LP parser).  Rows and variables come back as
-    ``MilpRow`` / ``MilpVariable`` records; variables are sorted by name
-    and carry no ``fix_name``.  A line, row, bound or number that breaks
-    the format raises ``ParseError``."""
-    objective_tokens, row_tokens, bounds, binaries, aircraft_ids, value, names = _read_lp(text)
+    ``MilpRow`` / ``MilpVariable`` records, the rows built one block at a
+    time as ``_read_lp`` checks them; variables are sorted by name and
+    carry no ``fix_name``.  A line, row, bound or number that breaks the
+    format raises ``ParseError``."""
+    rows: list[MilpRow] = []
 
-    def terms(tokens: Sequence[str]) -> tuple[tuple[float, str], ...]:
+    def terms(tokens: Sequence[str], value: dict[str, float]) -> tuple[tuple[float, str], ...]:
         it = iter(tokens)  # a row's trailing "sense rhs" forms no triple
         return tuple([(value[num] if sign == "+" else -value[num], var)
                       for sign, num, var in zip(it, it, it)])
 
-    rows = [MilpRow(name, terms(tokens), tokens[-2], value[tokens[-1]])
-            for name, tokens in row_tokens]
+    def take(block: list[tuple[str, list[str]]], value: dict[str, float]) -> None:
+        rows.extend([_row((name, terms(tokens, value), tokens[-2], value[tokens[-1]]))
+                     for name, tokens in block])
+
+    objective, bounds, binaries, aircraft_ids, value, names = _read_lp(text, take)
     binary = set(binaries)
     # A variable fixed by its bound alone (a lone parked aircraft's X and Y)
     # is in no term.
@@ -589,7 +638,7 @@ def parse_lp(text: str) -> MilpModel:
     for name in sorted(names.union(bounds, binary)):
         lb, ub = bounds.get(name, (0.0, math.inf))
         variables[name] = MilpVariable(name, BINARY if name in binary else CONTINUOUS, lb, ub)
-    return MilpModel(variables=variables, rows=rows, objective=terms(objective_tokens),
+    return MilpModel(variables=variables, rows=rows, objective=terms(objective, value),
                      aircraft_ids=aircraft_ids)
 
 
@@ -606,7 +655,7 @@ def lp_outline(text: str) -> LpOutline:
     """Check an LP file as ``parse_lp`` does, and build no rows: it raises
     ``ParseError`` exactly when ``parse_lp`` does, and otherwise gives its
     ``aircraft_ids`` and the names of its ``variables``."""
-    _, _, bounds, binaries, aircraft_ids, _, names = _read_lp(text)
+    _, bounds, binaries, aircraft_ids, _, names = _read_lp(text, lambda block, values: None)
     return LpOutline(aircraft_ids, frozenset(names.union(bounds, binaries)))
 
 
@@ -734,7 +783,11 @@ def parse_point(text: str) -> dict[str, float]:
         if name in seen:
             raise ParseError(f"line {lineno}: {name} is already set on line {seen[name]}")
         seen[name] = lineno
-        point[name] = _number(tokens[1], f"line {lineno}")
+        try:
+            point[name] = _number(tokens[1], "point")
+        except ParseError:
+            _number(tokens[1], f"line {lineno}")  # raises, naming the line
+            raise
     return point
 
 

@@ -140,7 +140,7 @@ def render_frames(instance: Instance, solution: Solution, out_dir, *,
     paths = []
     for k, (frame, svg) in enumerate(drawn):
         path = out_dir / f"frame_{k:03d}_{frame.time:.2f}.svg"
-        path.write_text(svg)
+        path.write_text(svg, encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -251,5 +251,5 @@ figcaption {{ font-size: 12px; color: #555; }}
 """
     out_file = Path(out_file)
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    out_file.write_text(doc)
+    out_file.write_text(doc, encoding="utf-8")
     return out_file

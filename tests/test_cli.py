@@ -4,7 +4,10 @@ import copy
 import csv
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -490,6 +493,67 @@ class TestModelRoundTrip:
                            "-p", str(point_p), "-o", str(tmp_path / "x.json")])
         assert res.exit_code == 3
         assert "Traceback" not in res.output
+
+
+#: The chain of commands, run in one process: the instance's label and its
+#: first request's id are not ASCII, and the point comes from the heuristic
+#: plan.
+UTF8_CHAIN = """
+import json
+from hangarplan import cli, io, milp
+
+def hangarplan(*args):
+    cli.main(list(args), standalone_mode=False)
+
+hangarplan("gen", "--n", "2", "--n-current", "1", "--seed", "3", "-o", "inst.json")
+doc = io.read_file("inst.json", "instance", io.parse_json)
+doc["label"] = doc["future"][0]["id"] = "r\u00e9q-\u03b1"
+with open("inst.json", "w", encoding="utf-8") as f:
+    json.dump(doc, f)
+hangarplan("solve-ach", "-i", "inst.json", "-o", "sol.json")
+hangarplan("export-milp", "-i", "inst.json", "-o", "model.lp")
+instance = io.load_instance("inst.json")
+point = milp.derive_binaries(instance, io.load_solution("sol.json"))
+with open("point.txt", "w", encoding="utf-8") as f:
+    f.writelines(f"{k} {v!r}\\n" for k, v in point.items())
+hangarplan("import", "-i", "inst.json", "-m", "model.lp", "-p", "point.txt", "-o", "imported.json")
+hangarplan("render", "-i", "inst.json", "-s", "imported.json", "-o", "frames", "--html")
+hangarplan("compare", "inst.json", "-o", "gap.csv")
+"""
+
+
+class TestUtf8Files:
+    def test_every_file_is_written_as_utf8(self, tmp_path):
+        """The chain runs with Python's warning for a text file opened
+        without an encoding raised as an error, so a writer that would use
+        the locale's encoding fails it."""
+        src = Path(cli.__file__).parents[1]
+        res = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", UTF8_CHAIN],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, encoding="utf-8", timeout=120)
+        assert res.returncode == 0, res.stderr
+        instance = io.load_instance(tmp_path / "inst.json")
+        assert (tmp_path / "model.lp").read_bytes() == \
+            milp.export_lp(milp.build_model(instance)).encode("utf-8")
+        for out in ("frames/report.html", "gap.csv"):
+            assert "r\u00e9q-\u03b1" in (tmp_path / out).read_text(encoding="utf-8")
+
+    def test_export_file_is_export_lp(self, runner, tmp_path):
+        # more than one block of rows, and rows that wrap at LINE_WIDTH
+        doc = io.instance_to_dict(instgen.generate(instgen.GeneratorConfig(
+            n_future=8, n_current=1, seed=2)))
+        for k, aircraft in enumerate([*doc["current"], *doc["future"]]):
+            aircraft["id"] = f"aircraft-with-a-long-id-{k:02d}"
+        inst_p, lp = tmp_path / "inst.json", tmp_path / "model.lp"
+        inst_p.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)]).exit_code == 0
+        model = milp.build_model(io.load_instance(inst_p))
+        text = milp.export_lp(model)
+        assert len(model.rows) > milp._BLOCK_ROWS
+        assert any(ln.startswith("  ") for ln in text.splitlines())
+        assert lp.read_bytes() == text.encode("utf-8")
 
 
 class TestRender:

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import math
 import re
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -331,6 +332,39 @@ class TestReadLp:
         with pytest.raises(ParseError) as error:
             read(text)
         assert str(error.value) == message
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("faults, bounds, message", [
+        # a bad number, then a row with no sense in a later block
+        ({10: " r10: + x1 X(a01) >= 0", 290: " r290: + 1 X(a01) 0"}, "",
+         "cannot parse row r290"),
+        # a wrong sign, then a short row in a later block
+        ({10: " r10: * 1 X(a01) >= 0", 290: " r290: + 1 >= 0"}, "",
+         "r10: expected a sign, got '*'"),
+        # a faulty row, then a bad bound line
+        ({290: " r290: + 1 X(a01) 0"}, " X(a01) = 5 5\n",
+         "cannot parse bound 'X(a01) = 5 5'"),
+    ])
+    def test_first_of_two_faults_in_different_blocks(self, read, faults, bounds, message):
+        assert milp._BLOCK_ROWS < 290  # r10 and r290 fall in different blocks
+        rows = "".join(faults.get(k, f" r{k}: + 1 X(a01) >= 0") + "\n" for k in range(1, 301))
+        text = (f"Minimize\n obj: + 1 X(a01)\nSubject To\n{rows}"
+                f"Bounds\n{bounds}Binaries\nEnd\n")
+        with pytest.raises(ParseError) as error:
+            read(text)
+        assert str(error.value) == message
+
+    def test_outline_holds_little_beyond_the_text(self):
+        # a model of n = 25 requests and one parked aircraft: 6,952 rows
+        instance = instgen.generate(instgen.GeneratorConfig(n_future=25, n_current=1, seed=1))
+        text = milp.export_lp(milp.build_model(instance))
+        tracemalloc.start()
+        try:
+            milp.lp_outline(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text)
 
     @settings(max_examples=40, deadline=timedelta(seconds=10))
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 6), n_current=st.integers(0, 3),
@@ -704,6 +738,17 @@ class TestImport:
             milp.parse_point("X(a01) 1 2\n")
         with pytest.raises(ParseError):
             milp.parse_point("X(a01) notanumber\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("X(a01) notanumber", "bad number 'notanumber' in line 1"),
+        ("X(a01) 1\nY(a01) inf\n", "non-finite number 'inf' in line 2"),
+        ("A 1\nA 0", "line 2: A is already set on line 1"),
+        ("A 1\n\nB 1 2\n", "line 3: expected 'name value', got 'B 1 2'"),
+    ])
+    def test_point_fault_names_its_line(self, text, message):
+        with pytest.raises(ParseError) as error:
+            milp.parse_point(text)
+        assert str(error.value) == message
 
     def test_name_set_twice(self):
         with pytest.raises(ParseError, match=r"line 4: Accept\(a02\) is already set on line 2"):
