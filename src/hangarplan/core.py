@@ -213,6 +213,13 @@ class Solution:
         ids = [a.aircraft_id for a in self.assignments]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate assignments")
+        # the rule that bounds an instance's M_T, here for the times of a plan
+        for a in self.assignments:
+            if a.roll_in > MAX_HORIZON or a.roll_out > MAX_HORIZON:
+                field = "roll_in" if a.roll_in > MAX_HORIZON else "roll_out"
+                raise ValueError(f"{a.aircraft_id}: {field} {getattr(a, field)!r} h "
+                                 f"exceeds {MAX_HORIZON:g} h, past which times lose "
+                                 "the precision of the tolerance")
 
     @classmethod
     def compose(cls, instance: Instance, placed: Iterable[Assignment],

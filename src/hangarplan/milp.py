@@ -1,6 +1,7 @@
 """Materialized continuous-time MILP: variable/row construction, LP-format
-export and re-parsing, binary derivation from semantic solutions, point
-satisfaction checking, and solver-point import.
+export and re-parsing, the numpy array form (``to_arrays``), binary
+derivation from semantic solutions, point satisfaction checking, and
+solver-point import (``solution_from_point``).
 
 Row names follow ``eq<k>_<family>(<ids>)`` and are part of the external
 contract.  Fixed initial conditions are variable bounds, not rows; bound
@@ -10,6 +11,13 @@ variables are immutable ``NamedTuple`` records (``MilpRow``,
 immutable ``(coef, var)`` term tuples: ``build_model`` builds a term that
 several rows hold once, so a model of n aircraft holds far fewer term tuples
 than term occurrences.
+
+``to_arrays`` gives one numpy form of any model, built or parsed: COO
+triplets in row-then-term order, row bounds with ±inf on the open side,
+column bounds, a ``uint8`` integrality vector and the cost vector.
+``check_satisfaction`` is one sparse product over it, and HiGHS's own
+reading of the LP export equals it (``tests/test_lp_highs.py``).  A point
+becomes a validated plan through ``solution_from_point`` alone.
 
 The LP text is read one block of ``_BLOCK_ROWS`` rows at a time.
 Beyond the text, ``lp_outline`` holds one slice of it, the tokens of one
@@ -40,6 +48,8 @@ from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     TOL,
@@ -88,15 +98,6 @@ class MilpRow(NamedTuple):
     terms: tuple[tuple[float, str], ...]
     sense: str  # "<=", ">=", "="
     rhs: float
-
-    def residual(self, point: dict[str, float]) -> float:
-        """Amount by which the row is violated (0 if satisfied)."""
-        lhs = sum(c * point[v] for c, v in self.terms)
-        if self.sense == "<=":
-            return max(0.0, lhs - self.rhs)
-        if self.sense == ">=":
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
 
 
 @dataclass
@@ -660,6 +661,56 @@ def lp_outline(text: str) -> LpOutline:
 
 
 # ---------------------------------------------------------------------------
+# Array form
+# ---------------------------------------------------------------------------
+
+class MilpArrays(NamedTuple):
+    """The numpy form of a ``MilpModel``.  Column ``j`` is the variable
+    ``columns[j]``, row ``i`` the row ``model.rows[i]``; the matrix holds
+    ``vals[k]`` at ``(rows[k], cols[k])``, in row-then-term order."""
+
+    columns: list[str]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    row_lower: np.ndarray  # -inf on a "<=" row
+    row_upper: np.ndarray  # +inf on a ">=" row
+    col_lower: np.ndarray
+    col_upper: np.ndarray  # at most 1 on a binary column
+    integrality: np.ndarray  # uint8: 1 on a binary column, else 0
+    cost: np.ndarray  # the rejection constant is on Const
+
+
+def to_arrays(model: MilpModel) -> MilpArrays:
+    """``model`` as arrays, built or parsed alike: columns in
+    ``model.variables`` order, and a binary bounded by 1 also where a parsed
+    model, whose Binaries section implies that bound, reads no bound line."""
+    columns = list(model.variables)
+    index = {name: j for j, name in enumerate(columns)}
+    n, m = len(columns), len(model.rows)
+    term_lists = [row.terms for row in model.rows]
+    terms = list(chain.from_iterable(term_lists))
+    rows = np.repeat(np.arange(m), np.fromiter(map(len, term_lists), np.intp, m))
+    cols = np.fromiter(map(index.__getitem__, map(itemgetter(1), terms)), np.intp, len(terms))
+    vals = np.fromiter(map(itemgetter(0), terms), float, len(terms))
+    rhs = np.fromiter(map(itemgetter(3), model.rows), float, m)
+    sense = np.array([row.sense for row in model.rows], dtype="U2")
+    variables = model.variables.values()
+    binary = np.fromiter((v.kind == BINARY for v in variables), bool, n)
+    ub = np.fromiter(map(itemgetter(3), variables), float, n)
+    cost = np.zeros(n)
+    for coef, var in model.objective:
+        cost[index[var]] += coef
+    return MilpArrays(
+        columns, rows, cols, vals,
+        row_lower=np.where(sense == "<=", -np.inf, rhs),
+        row_upper=np.where(sense == ">=", np.inf, rhs),
+        col_lower=np.fromiter(map(itemgetter(2), variables), float, n),
+        col_upper=np.where(binary, np.minimum(ub, 1.0), ub),
+        integrality=binary.astype(np.uint8), cost=cost)
+
+
+# ---------------------------------------------------------------------------
 # Binary derivation and satisfaction checking
 # ---------------------------------------------------------------------------
 
@@ -738,23 +789,29 @@ def derive_binaries(instance: Instance, solution: Solution,
     return point
 
 
+def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """How far each value lies outside its ``[lower, upper]``, or 0."""
+    return np.maximum(np.maximum(lower - value, value - upper), 0.0)
+
+
 def check_satisfaction(model: MilpModel, point: dict[str, float]) -> list[tuple[str, float]]:
-    """Rows and bounds violated at the point by more than ``TOL``, as (name,
-    residual) pairs."""
-    for name in model.variables:
-        if name not in point:
-            raise MissingVariable(name)
-    violated: list[tuple[str, float]] = []
-    for row in model.rows:
-        res = row.residual(point)
-        if res > TOL:
-            violated.append((row.name, res))
-    for v in model.variables.values():
-        val = point[v.name]
-        res = max(v.lb - val, val - v.ub, 0.0)
-        if res > TOL:
-            name = v.fix_name if v.fix_name else f"dom_nonneg({v.name})"
-            violated.append((name, res))
+    """Rows and bounds violated at the point by more than ``TOL``, as sorted
+    (name, residual) pairs; a bound goes by its ``fix_name``, else as
+    ``dom_nonneg(<var>)``.  Each row's left side adds its terms left to
+    right from 0.0 (``np.bincount``)."""
+    arrays = to_arrays(model)
+    try:
+        x = np.array([point[name] for name in arrays.columns], dtype=float)
+    except KeyError as exc:
+        raise MissingVariable(exc.args[0]) from None
+    lhs = np.bincount(arrays.rows, weights=arrays.vals * x[arrays.cols],
+                      minlength=len(model.rows))
+    rows = _excess(lhs, arrays.row_lower, arrays.row_upper)
+    bounds = _excess(x, arrays.col_lower, arrays.col_upper)
+    variables = list(model.variables.values())
+    violated = [(model.rows[i].name, rows[i].item()) for i in np.flatnonzero(rows > TOL)]
+    violated += [(variables[j].fix_name or f"dom_nonneg({variables[j].name})", bounds[j].item())
+                 for j in np.flatnonzero(bounds > TOL)]
     return sorted(violated)
 
 
@@ -791,12 +848,35 @@ def parse_point(text: str) -> dict[str, float]:
     return point
 
 
+def solution_from_point(instance: Instance, point: dict[str, float]) -> Solution:
+    """The validated plan of a point of ``instance``'s model: an unlisted
+    variable is 0, a value within ``TOL`` of 0 is 0, and an aircraft whose
+    ``Accept`` exceeds 0.5 is placed at its ``X``, ``Y``, ``Rollin`` and
+    ``Rollout``; delays are recomputed.  A time the plan refuses (past
+    ``core.MAX_HORIZON``) is a ``ParseError``, and an infeasible plan raises
+    ``validator.Infeasible``."""
+    def val(name):
+        v = point.get(name, 0.0)
+        return 0.0 if abs(v) < TOL else v
+
+    placed = [Assignment.placed(spec, val(vX(spec.id)), val(vY(spec.id)),
+                                val(vIn(spec.id)), val(vOut(spec.id)))
+              for spec in instance.all_aircraft() if val(vAcc(spec.id)) > 0.5]
+    try:
+        solution = Solution.compose(instance, placed, Provenance.IMPORTED)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    report = _validator.validate(instance, solution)
+    if not report.feasible:
+        raise _validator.Infeasible(report)
+    return solution
+
+
 def import_solution(model: MilpModel | LpOutline, instance: Instance,
                     text: str) -> Solution:
-    """Reconstruct a Solution from a solver point dump; unlisted variables are
-    treated as zero, and a name the model does not declare is a ParseError.
-    Delays are recomputed, and an infeasible plan raises ``validator.Infeasible``.
-    The model must be the instance's: the same aircraft in the same order."""
+    """``solution_from_point`` of a solver point dump (``parse_point``); a
+    name the model does not declare is a ParseError.  The model must be the
+    instance's: the same aircraft in the same order."""
     ids = [a.id for a in instance.all_aircraft()]
     if model.aircraft_ids != ids:
         raise ParseError(f"model aircraft {model.aircraft_ids} are not the "
@@ -805,16 +885,4 @@ def import_solution(model: MilpModel | LpOutline, instance: Instance,
     for name in point:  # in file order
         if name not in model.variables:
             raise ParseError(f"point names {name}, a variable the model does not declare")
-
-    def val(name):
-        v = point.get(name, 0.0)
-        return 0.0 if abs(v) < TOL else v
-
-    placed = [Assignment.placed(spec, val(vX(spec.id)), val(vY(spec.id)),
-                                val(vIn(spec.id)), val(vOut(spec.id)))
-              for spec in instance.all_aircraft() if val(vAcc(spec.id)) > 0.5]
-    solution = Solution.compose(instance, placed, Provenance.IMPORTED)
-    report = _validator.validate(instance, solution)
-    if not report.feasible:
-        raise _validator.Infeasible(report)
-    return solution
+    return solution_from_point(instance, point)

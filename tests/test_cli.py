@@ -609,6 +609,51 @@ class TestRender:
         assert not (tmp_path / "frames").exists()
 
 
+class TestPlanTimePastTheHorizon:
+    """A plan time past the 1e9 h horizon bound is bad input to every command
+    that reads a plan: exit 3 and one error line that names the aircraft and
+    the field, where it was taken as a feasible plan of infinite cost."""
+
+    ERROR = "a01: roll_in 1e+308 h exceeds 1e+09 h"
+
+    def _instance(self, runner, tmp_path):
+        inst_p = tmp_path / "inst.json"
+        assert run(runner, ["gen", "--n", "2", "--seed", "3", "-o", str(inst_p)]).exit_code == 0
+        return inst_p
+
+    def _assert_one_error(self, res):
+        assert res.exit_code == 3
+        assert "Traceback" not in res.output
+        errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and self.ERROR in errors[0], res.output
+
+    def test_import_exit_3(self, runner, tmp_path):
+        inst_p = self._instance(runner, tmp_path)
+        lp, point_p = tmp_path / "m.lp", tmp_path / "p.txt"
+        run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+        point_p.write_text("Accept(a01) 1\nX(a01) 5\nY(a01) 5\n"
+                           "Rollin(a01) 1e308\nRollout(a01) 1.7e308\n")
+        out = tmp_path / "imported.json"
+        self._assert_one_error(run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
+                                            "-p", str(point_p), "-o", str(out)]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["validate", "--json"], ["render", "--html"]])
+    def test_plan_file_exit_3(self, runner, tmp_path, args):
+        inst_p, plan_p = self._instance(runner, tmp_path), tmp_path / "plan.json"
+        plan_p.write_text(json.dumps({"instance_label": "Inst-02-0003", "assignments": [
+            {"aircraft_id": "a01", "accept": True, "x": 5.0, "y": 5.0,
+             "roll_in": 1e308, "roll_out": 1.7e308},
+            {"aircraft_id": "a02", "accept": False, "x": 0.0, "y": 0.0,
+             "roll_in": 0.0, "roll_out": 0.0}]}))
+        frames = tmp_path / "frames"
+        command, flag = args
+        out = ["-o", str(frames)] if command == "render" else []
+        self._assert_one_error(run(runner, [command, "-i", str(inst_p), "-s", str(plan_p),
+                                            flag, *out]))
+        assert not frames.exists()
+
+
 class TestCompare:
     def test_csv_columns_and_gap(self, runner, tmp_path):
         paths = []

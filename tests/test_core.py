@@ -425,6 +425,22 @@ class TestSolutionCompose:
         assert (sol.instance_label, sol.provenance) == ("plan-7", Provenance.ORACLE)
 
 
+class TestSolutionTimes:
+    """A plan holds no time past the horizon bound that instances keep."""
+
+    @pytest.mark.parametrize("field", ["roll_in", "roll_out"])
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_time_past_the_horizon_bound(self, field, accepted):
+        times = {"roll_in": 10.0, "roll_out": 110.0, field: MAX_HORIZON + 1.0}
+        with pytest.raises(ValueError, match=rf"^a: {field} 1000000001.0 h exceeds 1e\+09 h"):
+            Solution("plan", (Assignment("b", False), Assignment("a", accepted, **times)))
+
+    def test_time_at_the_horizon_bound(self):
+        sol = Solution("plan", (Assignment("a", True, roll_in=MAX_HORIZON - 1.0,
+                                           roll_out=MAX_HORIZON),))
+        assert sol.assignments[0].roll_out == MAX_HORIZON
+
+
 def test_version_matches_pyproject():
     import hangarplan
     tomllib = pytest.importorskip("tomllib")

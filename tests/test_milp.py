@@ -1,20 +1,23 @@
 """Model materialization: row/variable domain coverage, LP export round-trip,
-binary derivation, satisfaction checking, and solver-point import."""
+the array form, binary derivation, satisfaction checking, and solver-point
+import."""
 
 import gc
 import hashlib
 import math
+import random
 import re
 import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
-from hangarplan.core import Assignment, HangarConfig, evaluate_cost
+from hangarplan.core import TOL, Assignment, HangarConfig, evaluate_cost
 from hangarplan.io import ParseError
 from hangarplan.validator import ViolationKind
 
@@ -560,6 +563,123 @@ class TestCheckSatisfaction:
         model = milp.build_model(single_aircraft_instance())
         with pytest.raises(milp.MissingVariable):
             milp.check_satisfaction(model, {"X(a01)": 0.0})
+
+    def test_missing_variable_names_the_first_in_model_order(self):
+        model = milp.build_model(three_aircraft_instance())
+        names = list(model.variables)
+        point = dict.fromkeys(names[:3] + names[4:9] + names[10:], 0.0)
+        with pytest.raises(milp.MissingVariable) as error:
+            milp.check_satisfaction(model, point)
+        assert error.value.args == (names[3],)
+
+
+def reference_check(model, point):
+    """``check_satisfaction`` as a loop over rows, then bounds: the reference
+    its array form must equal to the bit.  Each row adds its terms left to
+    right from 0.0, as the builtin ``sum`` does up to Python 3.11 (3.12
+    compensates its rounding)."""
+    for name in model.variables:
+        if name not in point:
+            raise milp.MissingVariable(name)
+    violated = []
+    for row in model.rows:
+        lhs = 0.0
+        for coef, var in row.terms:
+            lhs += coef * point[var]
+        if row.sense == "<=":
+            res = max(0.0, lhs - row.rhs)
+        elif row.sense == ">=":
+            res = max(0.0, row.rhs - lhs)
+        else:
+            res = abs(lhs - row.rhs)
+        if res > TOL:
+            violated.append((row.name, res))
+    for v in model.variables.values():
+        val = point[v.name]
+        res = max(v.lb - val, val - v.ub, 0.0)
+        if res > TOL:
+            violated.append((v.fix_name or f"dom_nonneg({v.name})", res))
+    return sorted(violated)
+
+
+def perturbed(point, rng):
+    """``point`` with 5 of its variables moved by ±1e-7, 1e-5, 0.3, 7 or 1e3."""
+    moved = dict(point)
+    for name in rng.sample(sorted(point), min(5, len(point))):
+        moved[name] += rng.choice((-1.0, 1.0)) * rng.choice((1e-7, 1e-5, 0.3, 7.0, 1e3))
+    return moved
+
+
+def bits(violated):
+    """(name, residual) pairs with each residual as its exact bits."""
+    return [(name, res.hex()) for name, res in violated]
+
+
+def round_all(values):
+    """``rounded`` of each number of an array."""
+    return np.array([rounded(x) for x in values], dtype=float)
+
+
+class TestToArrays:
+    def test_parsed_model_gives_the_same_arrays(self):
+        """Over the sweep, the arrays of the parsed export are those of the
+        built model, once columns are mapped by name and numbers rounded as
+        the LP text rounds them."""
+        for inst in lp_sweep():
+            model = milp.build_model(inst)
+            built = milp.to_arrays(model)
+            parsed = milp.to_arrays(milp.parse_lp(milp.export_lp(model)))
+            assert parsed.columns == sorted(built.columns)
+            index = {name: j for j, name in enumerate(built.columns)}
+            to_built = np.array([index[name] for name in parsed.columns], dtype=np.intp)
+            assert np.array_equal(parsed.rows, built.rows)
+            assert np.array_equal(to_built[parsed.cols], built.cols)
+            for got, want in ((parsed.vals, built.vals),
+                              (parsed.row_lower, built.row_lower),
+                              (parsed.row_upper, built.row_upper)):
+                assert np.array_equal(got, round_all(want))
+            for got, want in ((parsed.col_lower, built.col_lower),
+                              (parsed.col_upper, built.col_upper),
+                              (parsed.cost, built.cost)):
+                assert np.array_equal(got, round_all(want)[to_built])
+            assert parsed.integrality.dtype == built.integrality.dtype == np.uint8
+            assert np.array_equal(parsed.integrality, built.integrality[to_built])
+
+    def test_model_of_no_aircraft(self):
+        model = milp.build_model(instgen.generate(instgen.GeneratorConfig(n_future=0)))
+        arrays = milp.to_arrays(model)
+        assert arrays.columns == [milp.CONST_VAR]
+        assert len(arrays.rows) == len(arrays.cols) == len(arrays.vals) == 0
+        assert len(arrays.row_lower) == len(arrays.row_upper) == 0
+        assert (arrays.col_lower.tolist(), arrays.col_upper.tolist()) == ([1.0], [1.0])
+        assert arrays.cost.tolist() == [0.0] and arrays.integrality.tolist() == [0]
+
+    def test_objective_with_no_terms(self):
+        model = milp.parse_lp("Minimize\n obj:\nSubject To\n r(a01): + 1 X(a01) >= 0\n"
+                              "Bounds\nBinaries\nEnd\n")
+        cost = milp.to_arrays(model).cost
+        assert cost.dtype == np.float64 and cost.tolist() == [0.0]
+
+    def test_senses_open_one_side(self):
+        model = milp.build_model(single_aircraft_instance())
+        arrays = milp.to_arrays(model)
+        for row, lower, upper in zip(model.rows, arrays.row_lower, arrays.row_upper):
+            assert (lower, upper) == {"<=": (-math.inf, row.rhs), ">=": (row.rhs, math.inf),
+                                      "=": (row.rhs, row.rhs)}[row.sense]
+
+    def test_check_satisfaction_equals_the_row_loop(self):
+        """On the ``ach`` point and two perturbed points of each sweep
+        instance, the same violations with the same bits."""
+        rng = random.Random(31)
+        with_violations = 0
+        for inst in lp_sweep():
+            model = milp.build_model(inst)
+            point = milp.derive_binaries(inst, ach.solve(inst), model)
+            for p in (point, perturbed(point, rng), perturbed(point, rng)):
+                want = reference_check(model, p)
+                assert bits(milp.check_satisfaction(model, p)) == bits(want)
+                with_violations += bool(want)
+        assert with_violations > 200
 
 
 def assert_point_satisfies_rows(instance, solution):
