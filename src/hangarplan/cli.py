@@ -234,7 +234,7 @@ def export_milp(instance_path: str, out: str) -> None:
 def import_point(instance_path: str, model_path: str, point_path: str, out: str) -> None:
     """Turn a solver variable dump back into a validated plan."""
     instance = load_instance(instance_path)
-    model = read_file(model_path, "model", milp.lp_outline)
+    model = read_file(model_path, "model", milp.parse_lp)
     try:
         solution = read_file(point_path, "point",
                              lambda text: milp.import_solution(model, instance, text))

@@ -30,6 +30,18 @@ MAX_GRID_CELLS = 10**6
 #: 3.8e-6 h, and sums of times no longer round within TOL.
 MAX_HORIZON = 1e9
 
+#: Largest length an instance or a plan may hold, in meters: hangar sides,
+#: buffer, footprints and positions.  By the argument of MAX_HORIZON, one
+#: float step at 1e9 m is 1.2e-7 m, inside TOL.
+MAX_LENGTH = 1e9
+
+
+def _check_length(owner: str, name: str, value: Optional[float]) -> None:
+    """Refuse a length whose size passes MAX_LENGTH."""
+    if value is not None and abs(value) > MAX_LENGTH:
+        raise ValueError(f"{owner}{name} {value!r} m exceeds {MAX_LENGTH:g} m, past which "
+                         "lengths lose the precision of the tolerance")
+
 
 class MissingAssignment(Exception):
     """A solution lacks an assignment for some aircraft of the instance."""
@@ -76,6 +88,8 @@ class AircraftSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{self.id}: {name} must be finite, got {value}")
+        for name in ("width", "length", "x_init", "y_init"):
+            _check_length(f"{self.id}: ", name, getattr(self, name))
         for name in ("p_dep", "p_rej", "p_arr"):
             if (getattr(self, name) or 0.0) < 0:
                 raise ValueError(f"{self.id}: {name} must be non-negative")
@@ -110,6 +124,8 @@ class HangarConfig:
         for name in ("hw", "hl", "buffer", "eps_t", "eps_p", "grid_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"hangar {name} must be finite, got {getattr(self, name)}")
+        for name in ("hw", "hl", "buffer"):
+            _check_length("hangar ", name, getattr(self, name))
         if self.hw <= 0 or self.hl <= 0:
             raise ValueError("hangar dimensions must be positive")
         if self.buffer < 0:
@@ -156,7 +172,26 @@ class Instance:
         if m_t > MAX_HORIZON:
             raise ValueError(f"time horizon M_T = {m_t:.6g} h exceeds {MAX_HORIZON:g} h, "
                              "past which times lose the precision of the tolerance")
+        self._check_worst_cost()
         self._check_initial_layout()
+
+    def _check_worst_cost(self) -> None:
+        """Refuse an instance on which some plan's cost is not finite.  A
+        plan's delays are at most MAX_HORIZON past eta, or past etd where it
+        is not negative, and its positions at most MAX_LENGTH on each axis,
+        so each cost term is at most the term of the same name here."""
+        worst = 0.0
+        for field, term in (
+                ("p_rej", sum(f.p_rej for f in self.future)),
+                ("p_arr", MAX_HORIZON * sum(f.p_arr for f in self.future)),
+                ("p_dep", sum(a.p_dep * (MAX_HORIZON + max(0.0, -a.etd))
+                              for a in self.all_aircraft())),
+                ("eps_p", 2.0 * MAX_LENGTH * self.hangar.eps_p * len(self.future))):
+            worst += term
+            if not math.isfinite(worst):
+                raise ValueError(f"the worst-case plan cost is not finite once the {field} "
+                                 f"term is added: its delays of {MAX_HORIZON:g} h and "
+                                 f"positions of {MAX_LENGTH:g} m overflow")
 
     def _check_initial_layout(self) -> None:
         h = self.hangar
@@ -213,13 +248,16 @@ class Solution:
         ids = [a.aircraft_id for a in self.assignments]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate assignments")
-        # the rule that bounds an instance's M_T, here for the times of a plan
+        # the rules that bound an instance's M_T and lengths, here for the
+        # times and positions of a plan
         for a in self.assignments:
             if a.roll_in > MAX_HORIZON or a.roll_out > MAX_HORIZON:
                 field = "roll_in" if a.roll_in > MAX_HORIZON else "roll_out"
                 raise ValueError(f"{a.aircraft_id}: {field} {getattr(a, field)!r} h "
                                  f"exceeds {MAX_HORIZON:g} h, past which times lose "
                                  "the precision of the tolerance")
+            _check_length(f"{a.aircraft_id}: ", "x", a.x)
+            _check_length(f"{a.aircraft_id}: ", "y", a.y)
 
     @classmethod
     def compose(cls, instance: Instance, placed: Iterable[Assignment],

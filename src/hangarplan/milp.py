@@ -1,7 +1,7 @@
 """Materialized continuous-time MILP: variable/row construction, LP-format
-export and re-parsing, the numpy array form (``to_arrays``), binary
-derivation from semantic solutions, point satisfaction checking, and
-solver-point import (``solution_from_point``).
+export and its checked reading (``parse_lp``), the numpy array form
+(``to_arrays``), binary derivation from semantic solutions, point
+satisfaction checking, and solver-point import (``solution_from_point``).
 
 Row names follow ``eq<k>_<family>(<ids>)`` and are part of the external
 contract.  Fixed initial conditions are variable bounds, not rows; bound
@@ -12,22 +12,23 @@ immutable ``(coef, var)`` term tuples: ``build_model`` builds a term that
 several rows hold once, so a model of n aircraft holds far fewer term tuples
 than term occurrences.
 
-``to_arrays`` gives one numpy form of any model, built or parsed: COO
-triplets in row-then-term order, row bounds with ±inf on the open side,
-column bounds, a ``uint8`` integrality vector and the cost vector.
+``to_arrays`` gives one numpy form of a model: COO triplets in
+row-then-term order, row bounds with ±inf on the open side, column bounds,
+a ``uint8`` integrality vector and the cost vector.
 ``check_satisfaction`` is one sparse product over it, and HiGHS's own
 reading of the LP export equals it (``tests/test_lp_highs.py``).  A point
 becomes a validated plan through ``solution_from_point`` alone.
 
-The LP text is read one block of ``_BLOCK_ROWS`` rows at a time.
-Beyond the text, ``lp_outline`` holds one slice of it, the tokens of one
+``parse_lp``, which ``import`` runs, checks the LP text one block of
+``_BLOCK_ROWS`` rows at a time and gives only its outline (``LpOutline``); it
+builds no rows.  Beyond the text it holds one slice of it, the tokens of one
 block of rows and the set of variable names: at most twice the text's
 length, where holding every row's tokens took 7.4 times
-(``tests/test_milp.py``).  ``parse_lp`` holds, besides, the rows it builds.
+(``tests/test_milp.py``).
 
-``build_model``, ``export_lp``, ``parse_lp``, ``lp_outline``,
-``derive_binaries`` and ``parse_point`` run with the cyclic garbage collector
-paused (``collector_paused``).  Each allocates tens of thousands of tuples and
+``build_model``, ``export_lp``, ``parse_lp``, ``derive_binaries`` and
+``parse_point`` run with the cyclic garbage collector paused
+(``collector_paused``).  Each allocates tens of thousands of tuples and
 records, which would otherwise trigger collector passes that rescan them.
 The pause is lossless: none of these functions creates a reference cycle, so
 reference counting frees everything they drop, and a collection after any of
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -102,9 +103,9 @@ class MilpRow(NamedTuple):
 
 @dataclass
 class MilpModel:
-    """The row system.  ``variables`` maps names to records (build order from
-    ``build_model``, name order from ``parse_lp``); ``rows`` and
-    ``aircraft_ids`` keep build order; ``objective`` holds ``(coef, var)``."""
+    """The row system.  ``variables`` maps names to records and, with
+    ``rows`` and ``aircraft_ids``, keeps ``build_model``'s order;
+    ``objective`` holds ``(coef, var)``."""
 
     variables: dict[str, MilpVariable]
     rows: list[MilpRow]
@@ -147,10 +148,11 @@ def vInOut(a, b): return f"InOut({a},{b})"
 
 CONST_VAR = "Const"  # fixed to 1; carries the constant objective term
 
-# LP tokens are split at whitespace and a row name ends at its first ':', so
-# an aircraft id with either would not read back; pair names join two ids
-# with ',', so ids with one could give two pairs the same names.
-_NOT_IN_LP_NAME = re.compile(r"[\s:,]")
+# Aircraft ids go into LP names.  The CPLEX LP format splits tokens at
+# whitespace and ends a row name at its first ':', and HiGHS 1.12 refuses a
+# name that holds any of \ / + - * ^ < > = [ ]; pair names join two ids with
+# ',', so ids with one could give two pairs the same names.
+_NOT_IN_LP_NAME = re.compile(r"[\s:\\/+\-*^<>=\[\],]")
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +191,8 @@ def build_model(instance: Instance) -> MilpModel:
     ids = [a.id for a in aircraft]
     for i in ids:
         if _NOT_IN_LP_NAME.search(i):
-            raise ParseError(f"aircraft id {i!r} cannot go into an LP model: "
-                             "it contains whitespace, ':' or ','")
+            raise ParseError(f"aircraft id {i!r} cannot go into an LP model: it "
+                             r"contains whitespace or one of , : \ / + - * ^ < > = [ ]")
     fut = {a.id for a in future}
 
     ordered = [(a, b) for a in ids for b in ids if a != b]
@@ -356,7 +358,7 @@ def build_model(instance: Instance) -> MilpModel:
 
 
 # ---------------------------------------------------------------------------
-# LP text export / re-parse
+# LP text export and reading
 # ---------------------------------------------------------------------------
 
 LINE_WIDTH = 200
@@ -461,11 +463,11 @@ def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
 _SECTIONS = frozenset(("Minimize", "Subject To", "Bounds", "Binaries", "End"))
 _SIGNS = frozenset("+-")
 _PAD = ("",)  # no LP token is empty
-# Rows per block of ``_read_lp``'s checks: a block's tokens stay in the cache
+# Rows per block of ``parse_lp``'s checks: a block's tokens stay in the cache
 # through its passes.  One pass per check over the whole file was slower
 # from n = 40 on, by 24 % at n = 80.
 _BLOCK_ROWS = 256
-# Characters per slice of the text that ``_read_lp`` splits into lines.
+# Characters per slice of the text that ``parse_lp`` splits into lines.
 _SLICE_CHARS = 1 << 16
 
 
@@ -506,13 +508,20 @@ def _slices(text: str) -> Iterator[str]:
         start = end
 
 
-def _read_lp(text: str, take: Callable[[list, dict[str, float]], object]):
-    """Our own LP export, checked one block of ``_BLOCK_ROWS`` rows at a
-    time: each block of rows ``(name, tokens)`` that passes the checks goes
-    to ``take(block, values)`` and is then dropped.  Returns the objective's
-    tokens, the bounds as ``name -> (lb, ub)``, the binary names, the
-    aircraft ids, each number text of objective and rows with its value
-    (``values``), and the names in their terms.
+class LpOutline(NamedTuple):
+    """What ``import`` takes from an LP file: the aircraft in build order and
+    the set of declared variable names."""
+
+    aircraft_ids: list[str]
+    variables: frozenset[str]
+
+
+@collector_paused()
+def parse_lp(text: str) -> LpOutline:
+    """Check our own LP export (not a general LP reader) one block of
+    ``_BLOCK_ROWS`` rows at a time, dropping each block once it passes, and
+    give its aircraft in build order and the names it declares; it builds
+    no rows.
 
     Row tokens are ``± coef name`` triples, then ``sense rhs``.  A line,
     row, sign or bound that breaks the format raises ``ParseError``, and
@@ -563,11 +572,9 @@ def _read_lp(text: str, take: Callable[[list, dict[str, float]], object]):
                 return
             names.update(triples[2::3])
             # Every aircraft has one eq4_servt row, and rows keep their build
-            # order; the Binaries section does not, once a parsed model is
-            # exported again.
+            # order.
             aircraft_ids.extend([name[10:-1] for name, _ in rows
                                  if name.startswith("eq4_servt(") and name.endswith(")")])
-            take(rows, values)
 
     for ln in chain.from_iterable(map(str.splitlines, _slices(text))):
         if not ln or ln.startswith("\\"):
@@ -609,54 +616,8 @@ def _read_lp(text: str, take: Callable[[list, dict[str, float]], object]):
         _raise_first_fault(objective, [*(bad_numbers or ()), *(bad_structure or ())])
     names.update(objective[2::3])
     names.discard(_PAD[0])
-    return objective, bounds, binaries, aircraft_ids, values, names
-
-
-@collector_paused()
-def parse_lp(text: str) -> MilpModel:
-    """Re-parse our own LP export into a row system (internal round-trip
-    reader; not a general LP parser).  Rows and variables come back as
-    ``MilpRow`` / ``MilpVariable`` records, the rows built one block at a
-    time as ``_read_lp`` checks them; variables are sorted by name and
-    carry no ``fix_name``.  A line, row, bound or number that breaks the
-    format raises ``ParseError``."""
-    rows: list[MilpRow] = []
-
-    def terms(tokens: Sequence[str], value: dict[str, float]) -> tuple[tuple[float, str], ...]:
-        it = iter(tokens)  # a row's trailing "sense rhs" forms no triple
-        return tuple([(value[num] if sign == "+" else -value[num], var)
-                      for sign, num, var in zip(it, it, it)])
-
-    def take(block: list[tuple[str, list[str]]], value: dict[str, float]) -> None:
-        rows.extend([_row((name, terms(tokens, value), tokens[-2], value[tokens[-1]]))
-                     for name, tokens in block])
-
-    objective, bounds, binaries, aircraft_ids, value, names = _read_lp(text, take)
-    binary = set(binaries)
     # A variable fixed by its bound alone (a lone parked aircraft's X and Y)
     # is in no term.
-    variables: dict[str, MilpVariable] = {}
-    for name in sorted(names.union(bounds, binary)):
-        lb, ub = bounds.get(name, (0.0, math.inf))
-        variables[name] = MilpVariable(name, BINARY if name in binary else CONTINUOUS, lb, ub)
-    return MilpModel(variables=variables, rows=rows, objective=terms(objective, value),
-                     aircraft_ids=aircraft_ids)
-
-
-class LpOutline(NamedTuple):
-    """What ``import`` takes from an LP file: the aircraft in build order and
-    the set of declared variable names."""
-
-    aircraft_ids: list[str]
-    variables: frozenset[str]
-
-
-@collector_paused()
-def lp_outline(text: str) -> LpOutline:
-    """Check an LP file as ``parse_lp`` does, and build no rows: it raises
-    ``ParseError`` exactly when ``parse_lp`` does, and otherwise gives its
-    ``aircraft_ids`` and the names of its ``variables``."""
-    _, bounds, binaries, aircraft_ids, _, names = _read_lp(text, lambda block, values: None)
     return LpOutline(aircraft_ids, frozenset(names.union(bounds, binaries)))
 
 
@@ -676,15 +637,13 @@ class MilpArrays(NamedTuple):
     row_lower: np.ndarray  # -inf on a "<=" row
     row_upper: np.ndarray  # +inf on a ">=" row
     col_lower: np.ndarray
-    col_upper: np.ndarray  # at most 1 on a binary column
+    col_upper: np.ndarray
     integrality: np.ndarray  # uint8: 1 on a binary column, else 0
     cost: np.ndarray  # the rejection constant is on Const
 
 
 def to_arrays(model: MilpModel) -> MilpArrays:
-    """``model`` as arrays, built or parsed alike: columns in
-    ``model.variables`` order, and a binary bounded by 1 also where a parsed
-    model, whose Binaries section implies that bound, reads no bound line."""
+    """``model`` as arrays, with columns in ``model.variables`` order."""
     columns = list(model.variables)
     index = {name: j for j, name in enumerate(columns)}
     n, m = len(columns), len(model.rows)
@@ -696,8 +655,6 @@ def to_arrays(model: MilpModel) -> MilpArrays:
     rhs = np.fromiter(map(itemgetter(3), model.rows), float, m)
     sense = np.array([row.sense for row in model.rows], dtype="U2")
     variables = model.variables.values()
-    binary = np.fromiter((v.kind == BINARY for v in variables), bool, n)
-    ub = np.fromiter(map(itemgetter(3), variables), float, n)
     cost = np.zeros(n)
     for coef, var in model.objective:
         cost[index[var]] += coef
@@ -706,8 +663,9 @@ def to_arrays(model: MilpModel) -> MilpArrays:
         row_lower=np.where(sense == "<=", -np.inf, rhs),
         row_upper=np.where(sense == ">=", np.inf, rhs),
         col_lower=np.fromiter(map(itemgetter(2), variables), float, n),
-        col_upper=np.where(binary, np.minimum(ub, 1.0), ub),
-        integrality=binary.astype(np.uint8), cost=cost)
+        col_upper=np.fromiter(map(itemgetter(3), variables), float, n),
+        integrality=np.fromiter((v.kind == BINARY for v in variables), np.uint8, n),
+        cost=cost)
 
 
 # ---------------------------------------------------------------------------

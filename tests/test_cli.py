@@ -21,12 +21,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, cli, exact, instgen, io, milp, report, validator
+from hangarplan.core import MAX_LENGTH
 
 from conftest import (
     LP_EDITS,
     NON_FINITE,
     accept,
     instance_doc_with,
+    make_current,
     make_future,
     make_instance,
     manual_solution,
@@ -117,8 +119,9 @@ class TestSolveAndValidate:
     @pytest.mark.parametrize("side", ["width", "length"])
     def test_solvers_reject_a_request_longer_than_any_grid(
             self, runner, tmp_path, command, side):
-        # a 1e308 m side leaves no grid cell, however far the scan would run
-        huge = make_future("huge", **{side: 1e308})
+        # a side of 1e9 m, the longest an instance may hold, leaves no grid
+        # cell, however far the scan would run
+        huge = make_future("huge", **{side: MAX_LENGTH})
         ip, sp = tmp_path / "i.json", tmp_path / "s.json"
         io.save_instance(make_instance(future=[huge, make_future("a")]), ip)
         with time_limit(10.0):
@@ -398,39 +401,40 @@ class TestModelRoundTrip:
         assert "Traceback" not in res.output
 
     def test_import_builds_no_rows(self, runner, tmp_path):
-        # import checks the whole LP file but takes only its outline
+        # import checks the whole LP file with the reader that takes only its
+        # outline, and builds no model
         inst_p, lp = tmp_path / "inst.json", tmp_path / "model.lp"
         run(runner, ["gen", "--n", "2", "--seed", "3", "-o", str(inst_p)])
         run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
         point_p = tmp_path / "point.txt"
         point_p.write_text("Accept(a01) 0\nAccept(a02) 0\n")
         with mock.patch.object(milp, "parse_lp", wraps=milp.parse_lp) as parse, \
-                mock.patch.object(milp, "lp_outline", wraps=milp.lp_outline) as outline:
+                mock.patch.object(milp, "build_model", wraps=milp.build_model) as build:
             res = run(runner, ["import", "-i", str(inst_p), "-m", str(lp),
                                "-p", str(point_p), "-o", str(tmp_path / "x.json")])
         assert res.exit_code == 0
-        assert parse.call_count == 0
-        assert outline.call_count == 1
+        assert parse.call_count == 1
+        assert build.call_count == 0
 
     def test_export_id_that_cannot_be_an_lp_name_exit_3(self, runner, tmp_path):
         # the other commands take such ids; only the LP text cannot hold them
-        inst_p = tmp_path / "inst.json"
+        inst_p, sol, lp = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "model.lp"
         run(runner, ["gen", "--n", "2", "--seed", "1", "-o", str(inst_p)])
         doc = json.loads(inst_p.read_text())
-        for aircraft, aid in zip(doc["future"], ["a 01", "b:2"]):
-            aircraft["id"] = aid
-        inst_p.write_text(json.dumps(doc))
-        sol = tmp_path / "sol.json"
-        assert run(runner, ["solve-ach", "-i", str(inst_p), "-o", str(sol)]).exit_code == 0
-        assert run(runner, ["validate", "-i", str(inst_p), "-s", str(sol)]).exit_code == 0
-        lp = tmp_path / "model.lp"
-        res = run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
-        assert res.exit_code == 3
-        assert "Traceback" not in res.output
-        assert [ln for ln in res.output.splitlines() if ln.startswith("error:")] == \
-            ["error: aircraft id 'a 01' cannot go into an LP model: "
-             "it contains whitespace, ':' or ','"]
-        assert not lp.exists()
+        for refused in [" ", "\t", ":", "\\", "/", "+", "-", "*", "^", "<", ">", "=", "[", "]"]:
+            aid = f"a{refused}01"
+            for aircraft, name in zip(doc["future"], [aid, "b:2"]):
+                aircraft["id"] = name
+            inst_p.write_text(json.dumps(doc))
+            assert run(runner, ["solve-ach", "-i", str(inst_p), "-o", str(sol)]).exit_code == 0
+            assert run(runner, ["validate", "-i", str(inst_p), "-s", str(sol)]).exit_code == 0
+            res = run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)])
+            assert res.exit_code == 3
+            assert "Traceback" not in res.output
+            assert [ln for ln in res.output.splitlines() if ln.startswith("error:")] == \
+                [f"error: aircraft id {aid!r} cannot go into an LP model: it contains "
+                 r"whitespace or one of , : \ / + - * ^ < > = [ ]"]
+            assert not lp.exists()
 
     def test_export_ids_with_commas_exit_3(self, runner, tmp_path):
         # the pairs (a, "b,c") and ("a,b", c) would both be Right(a,b,c)
@@ -507,7 +511,7 @@ def hangarplan(*args):
 
 hangarplan("gen", "--n", "2", "--n-current", "1", "--seed", "3", "-o", "inst.json")
 doc = io.read_file("inst.json", "instance", io.parse_json)
-doc["label"] = doc["future"][0]["id"] = "r\u00e9q-\u03b1"
+doc["label"] = doc["future"][0]["id"] = "r\u00e9q_\u03b1"
 with open("inst.json", "w", encoding="utf-8") as f:
     json.dump(doc, f)
 hangarplan("solve-ach", "-i", "inst.json", "-o", "sol.json")
@@ -538,14 +542,14 @@ class TestUtf8Files:
         assert (tmp_path / "model.lp").read_bytes() == \
             milp.export_lp(milp.build_model(instance)).encode("utf-8")
         for out in ("frames/report.html", "gap.csv"):
-            assert "r\u00e9q-\u03b1" in (tmp_path / out).read_text(encoding="utf-8")
+            assert "r\u00e9q_\u03b1" in (tmp_path / out).read_text(encoding="utf-8")
 
     def test_export_file_is_export_lp(self, runner, tmp_path):
         # more than one block of rows, and rows that wrap at LINE_WIDTH
         doc = io.instance_to_dict(instgen.generate(instgen.GeneratorConfig(
             n_future=8, n_current=1, seed=2)))
         for k, aircraft in enumerate([*doc["current"], *doc["future"]]):
-            aircraft["id"] = f"aircraft-with-a-long-id-{k:02d}"
+            aircraft["id"] = f"aircraft_with_a_long_id_{k:02d}"
         inst_p, lp = tmp_path / "inst.json", tmp_path / "model.lp"
         inst_p.write_text(json.dumps(doc), encoding="utf-8")
         assert run(runner, ["export-milp", "-i", str(inst_p), "-o", str(lp)]).exit_code == 0
@@ -652,6 +656,108 @@ class TestPlanTimePastTheHorizon:
         self._assert_one_error(run(runner, [command, "-i", str(inst_p), "-s", str(plan_p),
                                             flag, *out]))
         assert not frames.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+#: An instance with a parked aircraft and two requests, and its ``ach`` plan.
+BOUND_INSTANCE = make_instance(future=[make_future("a01"), make_future("a02", eta=150.0)],
+                               current=[make_current("c01")])
+BOUND_PLAN = ach.solve(BOUND_INSTANCE)
+
+
+def _all_rejected(doc):
+    """A plan document of the instance document ``doc`` that rejects every
+    request and keeps every parked aircraft in place."""
+    placed = [{"aircraft_id": a["id"], "accept": True, "x": a["x_init"], "y": a["y_init"],
+               "roll_in": 0.0, "roll_out": a["service"]} for a in doc["current"]]
+    rejected = [{"aircraft_id": a["id"], "accept": False, "x": 0.0, "y": 0.0,
+                 "roll_in": 0.0, "roll_out": 0.0} for a in doc["future"]]
+    return {"instance_label": doc["label"], "assignments": placed + rejected}
+
+
+def _huge_p_rej(doc, plan):
+    for aircraft in doc["future"]:
+        aircraft["p_rej"] = 1.7e308
+
+
+def _huge_position(doc, plan):
+    plan["assignments"][0].update(accept=True, x=1.7e308, y=1.7e308, roll_in=0.0,
+                                  roll_out=100.0)
+
+
+def _huge_hangar(doc, plan):
+    doc["hangar"].update(hw=1.7e308, hl=1.7e308, grid_step=1e306)
+
+
+#: Numbers up to 1.7e308 in size: any float, or one of magnitude 10^k for k
+#: up to 308, where sums and products overflow.
+HUGE_NUMBERS = st.one_of(
+    st.floats(-1.7e308, 1.7e308),
+    st.builds(lambda sign, k: sign * 1.7 * 10.0 ** k, st.sampled_from([-1.0, 1.0]),
+              st.integers(0, 308)))
+
+
+class TestNumbersPastTheBounds:
+    """A number that makes a length pass 1e9 m, or the worst-case plan cost
+    overflow, is bad input: exit 3 and one error line that names the field,
+    where ``validate --json`` printed ``Infinity`` and ``export-milp`` wrote
+    ``inf`` into the LP file."""
+
+    @pytest.mark.parametrize("edit, error, commands", [
+        pytest.param(_huge_p_rej, "not finite once the p_rej term",
+                     ["validate", "export-milp"], id="p_rej"),
+        pytest.param(_huge_position, "a01: x 1.7e+308 m exceeds 1e+09 m", ["validate"],
+                     id="position"),
+        pytest.param(_huge_hangar, "hangar hw 1.7e+308 m exceeds 1e+09 m",
+                     ["validate", "export-milp"], id="hangar"),
+    ])
+    def test_exit_3(self, runner, tmp_path, edit, error, commands):
+        doc = io.instance_to_dict(make_instance(future=[make_future("a01"),
+                                                        make_future("a02", eta=150.0)]))
+        plan = _all_rejected(doc)
+        edit(doc, plan)
+        inst_p, plan_p, lp = tmp_path / "inst.json", tmp_path / "plan.json", tmp_path / "m.lp"
+        inst_p.write_text(json.dumps(doc))
+        plan_p.write_text(json.dumps(plan))
+        args = {"validate": ["validate", "--json", "-i", str(inst_p), "-s", str(plan_p)],
+                "export-milp": ["export-milp", "-i", str(inst_p), "-o", str(lp)]}
+        for command in commands:
+            res = run(runner, args[command])
+            assert res.exit_code == 3, res.output
+            assert "Traceback" not in res.output
+            errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+            assert len(errors) == 1 and error in errors[0], res.output
+        assert not lp.exists()
+
+    @settings(max_examples=100, deadline=timedelta(seconds=30))
+    @given(data=st.data())
+    def test_validate_json_is_finite(self, data):
+        """With up to four number fields of the instance and the plan each
+        set, in every record that has it, to a number drawn up to 1.7e308
+        in size, a load exits 3, or ``validate --json`` prints JSON with no
+        non-finite constant."""
+        docs = {"instance": io.instance_to_dict(BOUND_INSTANCE),
+                "solution": io.solution_to_dict(BOUND_PLAN)}
+        records = [docs["instance"]["hangar"], *docs["instance"]["current"],
+                   *docs["instance"]["future"], *docs["solution"]["assignments"]]
+        keys = sorted({k for r in records for k, v in r.items() if type(v) is float})
+        for key in data.draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)):
+            value = data.draw(HUGE_NUMBERS)
+            for record in records:
+                if key in record:
+                    record[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            ip, sp = Path(tmp) / "i.json", Path(tmp) / "s.json"
+            ip.write_text(json.dumps(docs["instance"]))
+            sp.write_text(json.dumps(docs["solution"]))
+            res = CliRunner().invoke(cli.main, ["validate", "--json", "-i", str(ip),
+                                                "-s", str(sp)])
+        assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+        if res.exit_code != 3:
+            json.loads(res.stdout, parse_constant=_reject_constant)
 
 
 class TestCompare:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hangarplan.core import (
     GRID_TOL,
     MAX_HORIZON,
+    MAX_LENGTH,
     TOL,
     AircraftSpec,
     Assignment,
@@ -150,6 +151,40 @@ class TestInstance:
             request_at(eta + 1e-3)
         with pytest.raises(ValueError, match="time horizon"):
             request_at(1e308)
+
+    def test_length_bound(self):
+        # past 1e9 m a float step nears TOL, as past the time horizon bound
+        past = MAX_LENGTH * (1 + 1e-15)
+        make_instance(future=[make_future("a", width=MAX_LENGTH)])
+        for field, make in [
+                ("width", lambda: make_future("a", width=past)),
+                ("length", lambda: make_future("a", length=-past)),
+                ("x_init", lambda: make_current("c", x=-past)),
+                ("y_init", lambda: make_current("c", y=past)),
+                ("hw", lambda: HangarConfig(hw=past)),
+                ("hl", lambda: HangarConfig(hl=past)),
+                ("buffer", lambda: HangarConfig(buffer=past))]:
+            with pytest.raises(ValueError, match=f"{field} .* m exceeds 1e\\+09 m"):
+                make()
+        for field in ("x", "y"):
+            with pytest.raises(ValueError, match=f"a: {field} .* m exceeds 1e\\+09 m"):
+                Solution("", (Assignment("a", True, **{field: -past}),))
+
+    @pytest.mark.parametrize("field, records", [
+        # at k = 1 the term is 1e308, at k = 2 it passes the largest float
+        ("p_rej", lambda k: {"future": [make_future("a", p_rej=k * 0.5e308),
+                                        make_future("b", p_rej=k * 0.5e308, eta=200.0)]}),
+        ("p_arr", lambda k: {"future": [make_future("a", p_arr=k * (1e308 / MAX_HORIZON))]}),
+        ("p_dep", lambda k: {"current": [make_current("c", p_dep=k * (1e308 / MAX_HORIZON))]}),
+        ("p_dep", lambda k: {"current": [make_current("c", p_dep=k, etd=-1e308)]}),
+        ("eps_p", lambda k: {"future": [make_future("a")],
+                             "hangar": HangarConfig(eps_p=k * (0.5e308 / MAX_LENGTH))}),
+    ])
+    def test_worst_case_cost_bound(self, field, records):
+        # no plan's cost passes the worst case, which must be finite
+        make_instance(**records(1.0))
+        with pytest.raises(ValueError, match=f"not finite once the {field} term"):
+            make_instance(**records(2.0))
 
     def test_lookup(self):
         inst = make_instance(future=[make_future("a")], current=[make_current("c")])

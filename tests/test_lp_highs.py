@@ -1,23 +1,37 @@
 """HiGHS reads the LP export as the row system it was written from.
 
 HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
-Math. Prog. Comp. 10, 2018) is the solver that scipy bundles.  Its reading
-of an exported file must equal ``milp.to_arrays`` of the model, and its
-optimum of a small export must import as a plan of the same cost.  The tests
-skip when scipy, its HiGHS class or one of the methods they call is missing.
+Math. Prog. Comp. 10, 2018) is the solver that scipy bundles, and the one
+reader that checks what the export means: ``milp.parse_lp`` checks only its
+format and outline.  HiGHS's reading of an exported file must equal
+``milp.to_arrays`` of the model, and its optimum of a small export must
+import as a plan of the same cost.  The tests skip when scipy, its HiGHS
+class or one of the methods they call is missing.
 """
 
-import itertools
 import math
+import tempfile
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 from hangarplan import cli, io, milp
 from hangarplan.core import evaluate_cost
 
-from test_milp import DATA, lp_sweep, mixed_instance, single_aircraft_instance
+from conftest import make_current, make_future, make_instance
+from test_milp import (
+    DATA,
+    instgen_instances,
+    lone_parked_instance,
+    lp_sweep,
+    mixed_instance,
+    single_aircraft_instance,
+    three_aircraft_instance,
+)
 
 METHODS = ("readModel", "getLp", "run", "getSolution", "getInfo", "getModelStatus",
            "setOptionValue")
@@ -33,9 +47,15 @@ if any(not hasattr(_Highs, name) for name in METHODS):
 #: ``_num`` writes 12 significant digits, which round by at most 5e-12.
 RTOL = 1e-11
 
-#: Every fifth instance of ``lp_sweep()``, by its place in the sweep: each n
-#: and each number of parked aircraft, in each regime.
-SWEEP_SLICE = dict(itertools.islice(enumerate(lp_sweep()), 0, None, 5))
+#: Every instance of ``lp_sweep()``, by its place in the sweep, then two
+#: small models: a parked aircraft and two requests, one with eta 0, and a
+#: lone parked aircraft, whose X and Y are only in the Bounds section.
+SWEEP = {**dict(enumerate(lp_sweep())), "three-aircraft": three_aircraft_instance(),
+         "lone-parked": lone_parked_instance()}
+
+#: The ASCII punctuation that HiGHS reads in a name, bar ``,`` (which pair
+#: names use), and three non-ASCII letters.
+NAME_MARKS = "!\"#$%&().;?@_`'{}|~\u00e9\u00fc\u03a9"
 
 
 def highs_reading(path):
@@ -48,8 +68,9 @@ def highs_reading(path):
 
 
 def assert_reads_as_model(path, model):
-    """HiGHS's reading of ``path`` equals ``to_arrays(model)``: names,
-    pattern, open sides and integrality exactly, numbers within ``RTOL``."""
+    """HiGHS's reading of ``path`` equals ``to_arrays(model)``: names, the
+    pattern of nonzero coefficients, open sides and integrality exactly,
+    numbers within ``RTOL``."""
     lp = highs_reading(path).getLp()
     want = milp.to_arrays(model)
     # HiGHS orders columns by first appearance; map them by name
@@ -64,11 +85,15 @@ def assert_reads_as_model(path, model):
     got_cols = order[np.repeat(np.arange(lp.num_col_), np.diff(start))]
     got_rows = np.asarray(matrix.index_, dtype=np.intp)
     got_vals = np.asarray(matrix.value_, dtype=float)
+    # HiGHS drops a term whose coefficient is 0 as it reads, such as the
+    # "+ 0 Accept(f)" of a request f whose eta is 0
+    nonzero = want.vals != 0
+    want_rows, want_cols, want_vals = want.rows[nonzero], want.cols[nonzero], want.vals[nonzero]
     got, wanted = (np.lexsort((cols, rows)) for rows, cols in
-                   ((got_rows, got_cols), (want.rows, want.cols)))
-    assert np.array_equal(got_rows[got], want.rows[wanted])
-    assert np.array_equal(got_cols[got], want.cols[wanted])
-    np.testing.assert_allclose(got_vals[got], want.vals[wanted], rtol=RTOL, atol=0)
+                   ((got_rows, got_cols), (want_rows, want_cols)))
+    assert np.array_equal(got_rows[got], want_rows[wanted])
+    assert np.array_equal(got_cols[got], want_cols[wanted])
+    np.testing.assert_allclose(got_vals[got], want_vals[wanted], rtol=RTOL, atol=0)
 
     for got_side, want_side in ((lp.row_lower_, want.row_lower),
                                 (lp.row_upper_, want.row_upper),
@@ -84,23 +109,39 @@ def assert_reads_as_model(path, model):
                           want.integrality[order])
 
 
+def assert_export_reads_as_model(directory, model):
+    """The export of ``model``, written under ``directory``, reads as it."""
+    path = Path(directory) / "model.lp"
+    path.write_text(milp.export_lp(model), encoding="utf-8")
+    assert_reads_as_model(path, model)
+
+
 class TestHighsReadsTheExport:
     def test_golden_single(self):
         assert_reads_as_model(DATA / "golden_single.lp",
                               milp.build_model(single_aircraft_instance()))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the ids req-a01 and cur-c01 hold a '-', which the CPLEX LP format "
-        "reads as an operator: HiGHS cannot parse the row eq2_accept(req-a01)"))
     def test_golden_mixed(self):
         assert_reads_as_model(DATA / "golden_mixed.lp", milp.build_model(mixed_instance()))
 
-    @pytest.mark.parametrize("k", SWEEP_SLICE)
+    @pytest.mark.parametrize("k", SWEEP)
     def test_sweep(self, tmp_path, k):
-        model = milp.build_model(SWEEP_SLICE[k])
-        path = tmp_path / "model.lp"
-        path.write_text(milp.export_lp(model), encoding="utf-8")
-        assert_reads_as_model(path, model)
+        assert_export_reads_as_model(tmp_path, milp.build_model(SWEEP[k]))
+
+    @settings(max_examples=10, deadline=timedelta(seconds=10))
+    @given(instance=instgen_instances())
+    def test_generated(self, instance):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_export_reads_as_model(tmp, milp.build_model(instance))
+
+    @pytest.mark.parametrize("mark", NAME_MARKS)
+    def test_id_marks_that_lp_names_can_hold(self, tmp_path, mark):
+        instance = make_instance(future=[make_future(f"a{mark}1"), make_future("a02", eta=40.0)],
+                                 current=[make_current(f"c{mark}1")])
+        model = milp.build_model(instance)
+        assert_export_reads_as_model(tmp_path, model)
+        outline = milp.parse_lp((tmp_path / "model.lp").read_text(encoding="utf-8"))
+        assert outline == (model.aircraft_ids, set(model.variables))
 
 
 def test_highs_optimum_imports_at_its_cost(tmp_path):
