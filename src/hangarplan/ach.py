@@ -12,9 +12,13 @@ of those thresholds (``_steps_to_next_threshold``); every index skipped gives
 the same miss, so the search finds the first fit of stepping ``k`` by one.
 
 An aircraft is rejected when the break-even time is passed, or when no
-threshold is left ahead of any point: from then on every scan would miss.  So
-the search terminates for every valid instance, also when ``p_arr = 0`` makes
-the break-even time infinite.
+threshold is left ahead of any point: from then on every scan would miss.
+Every threshold is at most the instance's horizon M_T <= ``core.MAX_HORIZON``,
+where one float step is at most 1.2e-7 h, and ``HangarConfig`` keeps ``eps_t``
+above 2 * TOL = 2e-6 h, more than 16 such steps.  So each lattice step moves t
+forward, t passes the last threshold after finitely many steps, and the search
+terminates for every valid instance, also when ``p_arr = 0`` makes the
+break-even time infinite.
 
 The search of one aircraft prepares, once against its committed schedule,
 what every scan reads that does not depend on the roll-in time
@@ -82,7 +86,7 @@ def resolve_roll_out(aircraft: AircraftSpec, t_in: float,
 
 class Scan(NamedTuple):
     """What the grid scan of one aircraft next to one committed schedule reads
-    that does not depend on the roll-in time.
+    that does not depend on the roll-in time, and the hangar's ``eps_t``.
 
     ``committed`` holds, for each accepted committed aircraft b, its stay
     ``(roll_in, roll_out)``, its movements and four index ranges.  ``lane``
@@ -97,6 +101,7 @@ class Scan(NamedTuple):
     score: np.ndarray
     events: list[float]
     committed: list[tuple[tuple[float, float], list[float], slice, slice, slice, slice]]
+    eps_t: float
 
 
 def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
@@ -120,29 +125,26 @@ def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
                           movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
                           slice(x_lo, x_hi), slice(y_lo, y_hi),
                           slice(0, y_lo), slice(y_hi, None)))
-    return Scan(xs, ys, xs[:, None] + ys[None, :], _events(fixed_schedule), committed)
+    return Scan(xs, ys, xs[:, None] + ys[None, :], _events(fixed_schedule), committed,
+                h.eps_t)
 
 
 def find_best_placement(aircraft: AircraftSpec, t_in: float,
-                        fixed_schedule: Sequence[Committed],
-                        instance: Instance, *,
-                        scan: Optional[Scan] = None) -> Optional[Assignment]:
+                        scan: Scan) -> Optional[Assignment]:
     """Exhaustive grid scan at roll-in time t_in: the aircraft accepted at the
     valid spot with minimal x + y (ties: smaller y, then smaller x) from t_in
     to its roll-out, or None when no spot is valid.
 
-    ``scan`` is ``prepare_scan(aircraft, fixed_schedule, instance)``, made
-    here when not given; the time search passes the one it made for all the
-    roll-ins of the aircraft.  Per roll-in the scan tests only times: the
-    separation of t_in, the roll-out walk, and for each committed aircraft
-    co-presence and the two blocking windows, each of which clears a slice.
+    ``scan`` is ``prepare_scan`` of the aircraft next to the committed
+    schedule; the time search prepares it once for all the roll-ins of the
+    aircraft.  Per roll-in the scan tests only times: the separation of t_in,
+    the roll-out walk, and for each committed aircraft co-presence and the
+    two blocking windows, each of which clears a slice.
     """
-    if scan is None:
-        scan = prepare_scan(aircraft, fixed_schedule, instance)
     if scan.xs.size == 0 or scan.ys.size == 0:
         return None
 
-    eps_t = instance.hangar.eps_t
+    eps_t = scan.eps_t
     if not separated(t_in, scan.events, eps_t):
         return None
     t_out = next_separated(t_in + aircraft.service, scan.events, eps_t)
@@ -235,7 +237,7 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
         t = aircraft.eta + k * h.eps_t
         if t > t_max + TOL:
             return None
-        asg = find_best_placement(aircraft, t, fixed, instance, scan=scan)
+        asg = find_best_placement(aircraft, t, scan)
         if asg is not None:
             return asg
         step = _steps_to_next_threshold([t, t + aircraft.service], thresholds, h.eps_t)

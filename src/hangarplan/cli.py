@@ -273,14 +273,14 @@ def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool
     checked = validator.validate(instance, solution)
     drawn = report.draw_frames(instance, solution) if checked.feasible else None
     try:
-        paths = report.render_frames(instance, solution, out_dir, checked=checked, drawn=drawn)
+        paths = report.render_frames(checked, drawn, out_dir)
     except validator.Infeasible as exc:
         click.echo(str(exc), err=True)
         _fail(EXIT_INFEASIBLE, "solution is infeasible; nothing rendered")
     click.echo(f"wrote {len(paths)} frame(s) to {out_dir}")
     if with_html:
-        out = report.render_report(instance, solution, Path(out_dir) / "report.html",
-                                   checked=checked, drawn=drawn)
+        out = report.render_report(instance, solution, checked, drawn,
+                                   Path(out_dir) / "report.html")
         click.echo(f"wrote {out}")
 
 

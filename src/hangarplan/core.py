@@ -130,8 +130,9 @@ class HangarConfig:
             raise ValueError("hangar dimensions must be positive")
         if self.buffer < 0:
             raise ValueError("buffer must be non-negative")
-        if self.eps_t <= 0:
-            raise ValueError("eps_t must be positive")
+        if self.eps_t <= 2 * TOL:
+            raise ValueError(f"eps_t {self.eps_t!r} h must exceed 2*TOL = {2 * TOL:g} h, "
+                             "below which a lattice step may not move a roll-in time")
         if self.eps_p < 0:
             raise ValueError("eps_p must be non-negative")
         if self.grid_step <= 0:

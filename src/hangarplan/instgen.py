@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    MAX_GRID_CELLS,
+    MAX_HORIZON,
     TOL,
     AircraftSpec,
     HangarConfig,
@@ -56,6 +58,14 @@ class GeneratorConfig:
         if min(self.n_future, self.n_current, self.seed) < 0:
             raise ValueError("n_future, n_current and seed must be non-negative, got "
                              f"{self.n_future}, {self.n_current}, {self.seed}")
+        # each request adds at least SERVICE_RANGE[0] to the horizon M_T, and
+        # no two parked aircraft share a grid cell
+        if self.n_future * SERVICE_RANGE[0] >= MAX_HORIZON:
+            raise ValueError(f"n_future {self.n_future} gives a time horizon of more than "
+                             f"{self.n_future * SERVICE_RANGE[0]:g} h, past {MAX_HORIZON:g} h")
+        if self.n_current > MAX_GRID_CELLS:
+            raise ValueError(f"n_current {self.n_current} exceeds the {MAX_GRID_CELLS} "
+                             "grid cells a hangar may have")
         if not all(0 < v < math.inf for v in (self.congestion, self.rejection_multiplier)):
             raise ValueError("congestion and rejection_multiplier must be positive and "
                              f"finite, got {self.congestion}, {self.rejection_multiplier}")

@@ -122,19 +122,14 @@ def draw_frames(instance: Instance, solution: Solution) -> list[tuple[FrameSpec,
     return [(frame, frame_svg(instance, frame)) for frame in build_frames(instance, solution)]
 
 
-def render_frames(instance: Instance, solution: Solution, out_dir, *,
-                  checked: Optional[validator.ValidationReport] = None,
-                  drawn: Optional[list[tuple[FrameSpec, str]]] = None) -> list[Path]:
+def render_frames(checked: validator.ValidationReport,
+                  drawn: Optional[list[tuple[FrameSpec, str]]], out_dir) -> list[Path]:
     """One SVG per frame; file names `frame_<k>_<time>.svg`.  ``checked`` is
-    the plan's validation report and ``drawn`` its ``draw_frames``, if the
-    caller already has them.  An infeasible plan raises
-    ``validator.Infeasible`` and writes nothing."""
-    if checked is None:
-        checked = validator.validate(instance, solution)
+    the plan's validation report and ``drawn`` its ``draw_frames``, None for
+    an infeasible plan.  An infeasible plan raises ``validator.Infeasible``
+    and writes nothing."""
     if not checked.feasible:
         raise validator.Infeasible(checked)
-    if drawn is None:
-        drawn = draw_frames(instance, solution)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -174,16 +169,13 @@ def timeline_svg(instance: Instance, solution: Solution) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_report(instance: Instance, solution: Solution, out_file, *,
-                  checked: Optional[validator.ValidationReport] = None,
-                  drawn: Optional[list[tuple[FrameSpec, str]]] = None) -> Path:
+def render_report(instance: Instance, solution: Solution,
+                  checked: validator.ValidationReport,
+                  drawn: Optional[list[tuple[FrameSpec, str]]], out_file) -> Path:
     """Single self-contained HTML report (inline SVG, no external resources).
-    The cost table and the frame gallery come from one validation, ``checked``
-    if the caller already has it; an infeasible plan gets the table but no
-    gallery.  ``drawn`` is the plan's ``draw_frames``, if the caller already
-    has it."""
-    if checked is None:
-        checked = validator.validate(instance, solution)
+    The cost table comes from ``checked``, the plan's validation report, and
+    the frame gallery from ``drawn``, its ``draw_frames``; an infeasible plan
+    gets the table but no gallery, and its ``drawn`` may be None."""
     cost = checked.cost
     by_id = solution.by_id()
     accepted = [(a, by_id[a.id]) for a in instance.all_aircraft() if by_id[a.id].accept]
@@ -201,8 +193,6 @@ def render_report(instance: Instance, solution: Solution, out_file, *,
 
     gallery = []
     if checked.feasible:
-        if drawn is None:
-            drawn = draw_frames(instance, solution)
         gallery = [f"<figure><figcaption>t = {frame.time:.2f} h</figcaption>{svg}</figure>"
                    for frame, svg in drawn]
     gallery_html = "\n".join(gallery) if gallery else "<p>(no layout frames: plan infeasible or empty)</p>"

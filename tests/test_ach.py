@@ -149,10 +149,15 @@ class TestValidSpot:
         assert is_valid_spot(self.f, 5.0, 5.0, 0.1, fixed, self.inst)
 
 
+def place(aircraft, t_in, fixed, instance):
+    """The grid scan at one roll-in, on a scan prepared for it alone."""
+    return ach.find_best_placement(aircraft, t_in, ach.prepare_scan(aircraft, fixed, instance))
+
+
 class TestFindBestPlacement:
     def test_origin_corner_when_empty(self):
         inst = make_instance(future=[make_future("a")])
-        cand = ach.find_best_placement(specs(inst)["a"], 0.0, [], inst)
+        cand = place(specs(inst)["a"], 0.0, [], inst)
         assert (cand.x, cand.y) == (5.0, 5.0)
         assert cand.roll_out == pytest.approx(100.0)
 
@@ -166,7 +171,7 @@ class TestFindBestPlacement:
         ]
         f = specs(inst)["a"]
         t_in = 0.6
-        cand = ach.find_best_placement(f, t_in, fixed, inst)
+        cand = place(f, t_in, fixed, inst)
         best = brute_force_placement(f, t_in, fixed, inst)
         assert best is not None and cand is not None
         assert (cand.x, cand.y) == best
@@ -179,12 +184,12 @@ class TestFindBestPlacement:
         inst = make_instance(future=[make_future("a"), make_future("b")])
         fixed = [(specs(inst)["b"], accept("b", 5.0, b_y, b_in, b_out))]
         f = specs(inst)["a"]
-        cand = ach.find_best_placement(f, t_in, fixed, inst)
+        cand = place(f, t_in, fixed, inst)
         assert (cand.x, cand.y) == brute_force_placement(f, t_in, fixed, inst) == (34.0, 5.0)
 
     def test_tie_breaks_prefer_smaller_y(self):
         inst = make_instance(future=[make_future("a")])
-        cand = ach.find_best_placement(specs(inst)["a"], 0.0, [], inst)
+        cand = place(specs(inst)["a"], 0.0, [], inst)
         # (5, 5) beats any other x+y=10 cell by the y-then-x rule
         assert (cand.x, cand.y) == (5.0, 5.0)
 
@@ -192,7 +197,7 @@ class TestFindBestPlacement:
         inst = make_instance(future=[make_future("a"),
                                      make_future("big", width=45.0, length=48.0)])
         fixed = [(specs(inst)["big"], accept("big", 5.0, 5.0, 0.0, 300.0))]
-        assert ach.find_best_placement(specs(inst)["a"], 0.2, fixed, inst) is None
+        assert place(specs(inst)["a"], 0.2, fixed, inst) is None
 
 
 class TestCommitCurrent:
@@ -284,7 +289,16 @@ class TestSolve:
 
 class TestTermination:
     """``p_arr = 0`` makes the break-even time infinite; an aircraft that can
-    never fit must still be rejected, not searched for ever."""
+    never fit must still be rejected, not searched for ever.  Nor may a step
+    of the smallest valid ``eps_t`` fail to move the roll-in time."""
+
+    @pytest.mark.parametrize("n,n_current", [(2, 0), (5, 1), (8, 2), (12, 0)])
+    def test_smallest_eps_t_terminates(self, n, n_current):
+        inst = instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=1, hangar=HangarConfig(eps_t=2.1e-6)))
+        with time_limit(10.0):
+            sol = ach.solve(inst)
+        assert validator.validate(inst, sol).feasible
 
     @pytest.mark.parametrize("placed_first", [False, True])
     def test_never_fitting_aircraft_rejected(self, placed_first):
@@ -300,17 +314,18 @@ class TestTermination:
 
 def stepping_solve(instance):
     """Reference search: step roll-in by eps_t from eta up to the break-even
-    time and scan the grid at every step.  It terminates only for finite
-    break-even times."""
+    time and scan the grid at every step, on one scan prepared per aircraft.
+    It terminates only for finite break-even times."""
     h = instance.hangar
     fixed = ach._commit_current(instance)
     assignments = {s.id: a for s, a in fixed}
     for f in ach.prioritize(instance):
         t_max = ach.max_admissible_time(f)
         assignments[f.id] = Assignment(aircraft_id=f.id, accept=False)
+        scan = ach.prepare_scan(f, fixed, instance)
         k = 0
         while f.eta + k * h.eps_t <= t_max + TOL:
-            asg = ach.find_best_placement(f, f.eta + k * h.eps_t, fixed, instance)
+            asg = ach.find_best_placement(f, f.eta + k * h.eps_t, scan)
             if asg is not None:
                 fixed.append((f, asg))
                 assignments[f.id] = asg
@@ -422,7 +437,7 @@ class TestScanAgainstValidator:
         inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl)
         for i in picks:
             t_in = times[i % len(times)]
-            got = cell(ach.find_best_placement(held, t_in, fixed, inst))
+            got = cell(place(held, t_in, fixed, inst))
             assert got == brute_force_placement(held, t_in, fixed, inst), t_in
 
     @settings(max_examples=4, deadline=timedelta(seconds=60))
@@ -436,8 +451,8 @@ class TestScanAgainstValidator:
         inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl)
         scan = ach.prepare_scan(held, fixed, inst)
         for t_in in times:
-            reused = ach.find_best_placement(held, t_in, fixed, inst, scan=scan)
-            assert reused == ach.find_best_placement(held, t_in, fixed, inst), t_in
+            reused = ach.find_best_placement(held, t_in, scan)
+            assert reused == place(held, t_in, fixed, inst), t_in
             assert cell(reused) == brute_force_placement(held, t_in, fixed, inst), t_in
 
 
@@ -472,7 +487,7 @@ def check_scan_ranges(aircraft, placed, inst):
             assert range_indices(len(ys), above) == [
                 j for j, cy in enumerate(ys)
                 if is_above(cy, aircraft.length, y, spec.length, h.buffer)]
-        got = ach.find_best_placement(aircraft, t_in, fixed, inst, scan=scan)
+        got = ach.find_best_placement(aircraft, t_in, scan)
         assert cell(got) == brute_force_placement(aircraft, t_in, fixed, inst), (b_in, t_in)
     return scan
 
@@ -530,7 +545,7 @@ class TestScanRanges:
         b = make_future("b")
         scan = check_scan_ranges(a, [(b, 5.0, 5.0)], inst)
         assert scan.xs.size * scan.ys.size == 0
-        assert ach.find_best_placement(a, 0.0, [], inst) is None
+        assert place(a, 0.0, [], inst) is None
 
 
 class TestPreparedOncePerAircraft:

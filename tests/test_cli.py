@@ -78,6 +78,19 @@ class TestGen:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("counts,field", [
+        (["--n", "1000000000000"], "n_future"),
+        (["--n", "1", "--n-current", "1000000000000"], "n_current"),
+    ])
+    def test_count_no_instance_can_hold_exit_3(self, runner, tmp_path, counts, field):
+        # refused before any draw, so numpy never runs out of memory
+        out = tmp_path / "inst.json"
+        res = run(runner, ["gen", *counts, "--seed", "1", "-o", str(out)])
+        assert res.exit_code == 3
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field} 1000000000000 ")
+        assert not out.exists()
+
     def test_reproducible(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(runner, ["gen", "--n", "3", "--seed", "9", "-o", str(a)])
@@ -239,6 +252,19 @@ class TestSolveAndValidate:
         errors = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and "exceeds 1e+09 h" in errors[0]
         assert not out.exists()
+
+    def test_eps_t_below_the_floor_exit_3(self, runner, tmp_path):
+        # at 1e-12 h a lattice step does not move a roll-in time, and
+        # solve-ach on this instance would never return
+        inst, sol = self._gen(runner, tmp_path, n=2), tmp_path / "sol.json"
+        run(runner, ["solve-ach", "-i", str(inst), "-o", str(sol)])
+        doc = json.loads(inst.read_text())
+        doc["hangar"]["eps_t"] = 1e-12
+        inst.write_text(json.dumps(doc))
+        res = run(runner, ["validate", "-i", str(inst), "-s", str(sol)])
+        assert res.exit_code == 3
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "eps_t" in lines[0]
 
     def test_solve_ach_too_many_grid_cells_exit_3(self, runner, tmp_path):
         doc = instance_doc_with(make_instance(future=[make_future("a")]),

@@ -93,6 +93,7 @@ class TestHangarConfig:
         dict(hw=0), dict(hl=-1), dict(buffer=-1), dict(eps_t=0),
         dict(eps_p=-0.1), dict(grid_step=0), dict(grid_step=1e-9),
         dict(grid_step=5e-324),
+        dict(eps_t=1e-12), dict(eps_t=2e-6),  # at most 2*TOL
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):

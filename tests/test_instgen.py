@@ -199,7 +199,14 @@ class TestBottomLeftSpot:
 
 
 class TestConfig:
-    # counts, seed and congestion are checked through `gen` in test_cli.py
+    # counts, seed and congestion are checked through `gen` in test_cli.py;
+    # the count bounds, which no instance can pass, at their edges here
+    @pytest.mark.parametrize("field,bound", [("n_future", 10**7 - 1), ("n_current", 10**6)])
+    def test_count_bounds(self, field, bound):
+        instgen.GeneratorConfig(**{"n_future": 1, field: bound})
+        with pytest.raises(ValueError, match=field):
+            instgen.GeneratorConfig(**{"n_future": 1, field: bound + 1})
+
     @pytest.mark.parametrize("multiplier", [float("inf"), 0.0, -1.0])
     def test_invalid_rejection_multiplier(self, multiplier):
         with pytest.raises(ValueError):
