@@ -185,7 +185,7 @@ def _commit_current(instance: Instance) -> list[Committed]:
     for c in order:
         t0 = c.service
         for spec_b, asg_b in fixed:
-            if (is_above(asg_b.y, spec_b.length, c.y_init, c.length, h.buffer)
+            if (is_above(asg_b.y, c.y_init, c.length, h.buffer)
                     and lanes_overlap(c.x_init, c.width, asg_b.x, spec_b.width, h.buffer)):
                 t0 = max(t0, asg_b.roll_out + h.eps_t)
         t_out = next_separated(t0, _events(fixed), h.eps_t)

@@ -288,15 +288,16 @@ class CostBreakdown:
 # Geometry / interval helpers
 # ---------------------------------------------------------------------------
 
-def x_separated(xa: float, wa: float, xb: float, wb: float, buffer: float) -> bool:
-    """True iff interval b lies fully below interval a with the buffer, i.e.
-    ``xb + wb + buffer <= xa`` within tolerance.  Works for either axis."""
+def x_separated(xa: float, xb: float, wb: float, buffer: float) -> bool:
+    """True iff interval b (at xb, width wb) lies fully below the interval
+    starting at xa with the buffer, i.e. ``xb + wb + buffer <= xa`` within
+    tolerance.  Works for either axis."""
     return xb + wb + buffer <= xa + TOL
 
 
 def axis_separated(xa: float, wa: float, xb: float, wb: float, buffer: float) -> bool:
     """Buffered separation on one axis, in either direction."""
-    return x_separated(xa, wa, xb, wb, buffer) or x_separated(xb, wb, xa, wa, buffer)
+    return x_separated(xa, xb, wb, buffer) or x_separated(xb, xa, wa, buffer)
 
 
 def lanes_overlap(ax: float, aw: float, bx: float, bw: float, buffer: float) -> bool:
@@ -305,9 +306,9 @@ def lanes_overlap(ax: float, aw: float, bx: float, bw: float, buffer: float) -> 
     return not axis_separated(ax, aw, bx, bw, buffer)
 
 
-def is_above(yb: float, lb: float, ya: float, la: float, buffer: float) -> bool:
-    """True iff aircraft b (at yb, length lb) sits fully above aircraft a with
-    the buffer: ``yb >= ya + la + buffer``."""
+def is_above(yb: float, ya: float, la: float, buffer: float) -> bool:
+    """True iff aircraft b (at yb) sits fully above aircraft a (at ya, length
+    la) with the buffer: ``yb >= ya + la + buffer``."""
     return yb >= ya + la + buffer - TOL
 
 

@@ -125,8 +125,21 @@ def _place_current(model_idx: list[int], hangar: HangarConfig,
     models do not all fit, the largest is repeatedly downsized to the next
     smaller catalog model until the whole set packs, so the requested count is
     met whenever geometrically possible.
+
+    At most ``k`` aircraft fit.  Grow each packed footprint by ``(b - TOL) / 2``
+    on every side, ``b`` the buffer: two buffer-separated footprints grow into
+    disjoint rectangles, each at least ``(w0 + b - TOL) x (l0 + b - TOL)`` for
+    the least catalog width ``w0`` and length ``l0``, and all inside a
+    ``(hw - b + 2 TOL) x (hl - b + 2 TOL)`` rectangle.  So a draw of more than
+    ``k`` models fails at every step until it is all smallest models and cut
+    down to ``k`` of them, and it starts there.
     """
-    idx = list(model_idx)  # catalog indices, so a smaller index is a smaller model
+    b = hangar.buffer
+    w0, l0 = (min(dims) for dims in zip(*DEFAULT_MODELS))
+    k = math.floor((hangar.hw - b + 2 * TOL) * (hangar.hl - b + 2 * TOL)
+                   / ((w0 + b - TOL) * (l0 + b - TOL)))
+    # catalog indices, so a smaller index is a smaller model
+    idx = list(model_idx) if len(model_idx) <= k else [0] * k
     while idx:
         placed = _try_pack(idx, hangar)
         if placed is not None:

@@ -20,11 +20,13 @@ reading of the LP export equals it (``tests/test_lp_highs.py``).  A point
 becomes a validated plan through ``solution_from_point`` alone.
 
 ``parse_lp``, which ``import`` runs, checks the LP text one block of
-``_BLOCK_ROWS`` rows at a time and gives only its outline (``LpOutline``); it
-builds no rows.  Beyond the text it holds one slice of it, the tokens of one
-block of rows and the set of variable names: at most twice the text's
-length, where holding every row's tokens took 7.4 times
-(``tests/test_milp.py``).
+``_BLOCK_ROWS`` rows at a time, raises at the first fault in the file, and
+gives only its outline (``LpOutline``); it builds no rows.  Beyond the text
+it holds one slice of it, the tokens of one block of rows and the set of
+variable names: at most twice the text's length, where holding every row's
+tokens took 7.4 times (``tests/test_milp.py``).  It reads only what
+``export_lp`` writes: a bound line is ``name = value``, so ``export_lp``
+refuses a variable that is neither fixed nor bounded as its kind is.
 
 ``build_model``, ``export_lp``, ``parse_lp``, ``derive_binaries`` and
 ``parse_point`` run with the cyclic garbage collector paused
@@ -422,10 +424,9 @@ def export_lp(model: MilpModel) -> str:
     for v in model.variables.values():
         if v.lb == v.ub:
             out.append(f" {v.name} = {_num(v.lb)}")
-        elif v.kind == CONTINUOUS:
-            if v.lb != 0.0 or math.isfinite(v.ub):
-                ub = _num(v.ub) if math.isfinite(v.ub) else "+inf"
-                out.append(f" {_num(v.lb)} <= {v.name} <= {ub}")
+        elif (v.lb, v.ub) != (0.0, 1.0 if v.kind == BINARY else math.inf):
+            raise ValueError(f"variable {v.name}: bounds [{v.lb}, {v.ub}] are neither "
+                             f"fixed nor the {v.kind} default")
     out.append("Binaries")
     binaries = [v.name for v in model.variables.values() if v.kind == BINARY]
     for i in range(0, len(binaries), 8):
@@ -444,20 +445,14 @@ def _number(text: str, what: str) -> float:
     return value
 
 
-def _parse_bound(line: str) -> tuple[str, tuple[float, float]]:
-    """``lo <= name <= hi`` (hi may be ``+inf``) or ``name = value``, and
-    nothing else on the line."""
-    if "<=" in line:
-        m = re.fullmatch(r"([0-9.eE+-]+)\s*<=\s*(\S+)\s*<=\s*(\S+)", line)
-        if m:
-            lo, name, hi = m.groups()
-            return name, (_number(lo, line), math.inf if hi == "+inf" else _number(hi, line))
-    else:
-        m = re.fullmatch(r"(\S+)\s*=\s*([0-9.eE+-]+)", line)
-        if m:
-            name, val = m.groups()
-            return name, (_number(val, line), _number(val, line))
-    raise ParseError(f"cannot parse bound {line!r}")
+def _parse_bound(line: str) -> str:
+    """The name of ``name = value``, the one bound line the export writes,
+    with nothing else on the line."""
+    m = re.fullmatch(r"(\S+)\s*=\s*([0-9.eE+-]+)", line)
+    if not m:
+        raise ParseError(f"cannot parse bound {line!r}")
+    _number(m[2], line)
+    return m[1]
 
 
 _SECTIONS = frozenset(("Minimize", "Subject To", "Bounds", "Binaries", "End"))
@@ -472,28 +467,26 @@ _SLICE_CHARS = 1 << 16
 
 
 def _check_terms(tokens: Sequence[str], what: str) -> None:
-    """``sign coef name`` triples; every token must belong to one."""
+    """``sign coef name`` triples; every token must belong to one, and every
+    coef must be a finite number."""
     if len(tokens) % 3:
         raise ParseError(f"{what}: {len(tokens)} tokens do not form '± coef name' terms")
     if not _SIGNS.issuperset(tokens[::3]):
         sign = next(t for t in tokens[::3] if t not in _SIGNS)
         raise ParseError(f"{what}: expected a sign, got {sign!r}")
+    for num in tokens[1::3]:
+        _number(num, what)
 
 
-def _raise_first_fault(objective: list[str], rows: list[tuple[str, list[str]]]) -> NoReturn:
-    """Raise the ``ParseError`` of the first fault, walking objective and rows
-    in order: the first structure fault (a row without ``sense rhs``, a
-    token count, a sign), else the first number text that is not a finite
-    number."""
-    _check_terms(objective, "objective")
+def _raise_first_fault(rows: list[tuple[str, list[str]]]) -> NoReturn:
+    """Raise the ``ParseError`` of the first faulty row of a block that
+    failed the block checks: its structure, then its numbers."""
     for name, tokens in rows:
         # one or more terms, then exactly one "sense rhs"
         if len(tokens) < 5 or tokens[-2] not in _SENSES:
             raise ParseError(f"cannot parse row {name}")
         _check_terms(tokens[:-2], name)
-    for what, tokens in [("objective", objective), *rows]:
-        for num in tokens[1::3]:
-            _number(num, what)
+        _number(tokens[-1], name)
     raise AssertionError("the block checks found a fault that the walk did not")
 
 
@@ -523,38 +516,23 @@ def parse_lp(text: str) -> LpOutline:
     give its aircraft in build order and the names it declares; it builds
     no rows.
 
-    Row tokens are ``± coef name`` triples, then ``sense rhs``.  A line,
-    row, sign or bound that breaks the format raises ``ParseError``, and
-    then the first number text that is not a finite number: the
-    objective's, then each row's in order.  The checks take a whole block
-    at a time, with no Python step per row.  The reader keeps the first
-    block that fails the structure checks and the first that fails the
-    number check, and ``_raise_first_fault`` walks the objective and these
-    blocks to name the first fault."""
+    Row tokens are ``± coef name`` triples, then ``sense rhs``, every
+    number is finite, and a bound line is ``name = value``; the first fault
+    in the file raises ``ParseError``.  The objective is checked when its
+    section ends, or when the first other section begins if it has none.  A
+    block is checked as a whole, with no Python step per row, when the row
+    after it starts or its section ends, and ``_raise_first_fault`` walks a
+    block that fails."""
     section = None
     obj_text = ""
+    objective: Optional[list[str]] = None
     block: list[tuple[str, list[str]]] = []
-    bad_numbers = bad_structure = None  # the first block to fail each check
-    bounds: dict[str, tuple[float, float]] = {}
-    binaries: list[str] = []
+    bounds: set[str] = set()
     aircraft_ids: list[str] = []
-    values: dict[str, float] = {}
+    values: dict[str, float] = {}  # number text -> value, for this call
     names: set[str] = set()
 
-    def finite(texts) -> bool:
-        """Whether each of the number texts is a finite number; adds their
-        values to ``values``."""
-        try:
-            new = {num: float(num) for num in set(texts).difference(values)}
-        except ValueError:
-            return False
-        values.update(new)
-        return all(map(math.isfinite, new.values()))
-
     def check(rows: list[tuple[str, list[str]]]) -> None:
-        nonlocal bad_numbers, bad_structure
-        if bad_structure is not None:
-            return  # the first structure fault is in a block already kept
         token_lists = list(map(itemgetter(1), rows))
         # A row's 3k + 2 tokens and one pad are triples: its terms, then
         # (sense, rhs, pad).  So one list holds every triple of the block,
@@ -565,22 +543,35 @@ def parse_lp(text: str) -> LpOutline:
         if (min(map(len, token_lists)) < 5
                 or not _SENSES.issuperset(map(itemgetter(-2), token_lists))
                 or signs.count("+") + signs.count("-") + len(rows) != len(signs)):
-            bad_structure = rows
-        elif bad_numbers is None:
-            if not finite(triples[1::3]):
-                bad_numbers = rows
-                return
-            names.update(triples[2::3])
-            # Every aircraft has one eq4_servt row, and rows keep their build
-            # order.
-            aircraft_ids.extend([name[10:-1] for name, _ in rows
-                                 if name.startswith("eq4_servt(") and name.endswith(")")])
+            _raise_first_fault(rows)
+        try:
+            new = {num: float(num) for num in set(triples[1::3]).difference(values)}
+        except ValueError:
+            _raise_first_fault(rows)
+        if not all(map(math.isfinite, new.values())):
+            _raise_first_fault(rows)
+        values.update(new)
+        names.update(triples[2::3])
+        # Every aircraft has one eq4_servt row, and rows keep their build
+        # order.
+        aircraft_ids.extend([name[10:-1] for name, _ in rows
+                             if name.startswith("eq4_servt(") and name.endswith(")")])
 
-    for ln in chain.from_iterable(map(str.splitlines, _slices(text))):
+    # A last "End" ends the section the text ends in.
+    for ln in chain(chain.from_iterable(map(str.splitlines, _slices(text))), ["End"]):
         if not ln or ln.startswith("\\"):
             continue
         stripped = ln.strip()
         if stripped in _SECTIONS:
+            if block:
+                check(block)
+                block = []
+            # the objective's section ends, or the first other section begins
+            if section == "Minimize" or objective is None and stripped != "Minimize":
+                if ":" not in obj_text:
+                    raise ParseError("objective has no name")
+                objective = obj_text.split(":", 1)[1].split()
+                _check_terms(objective, "objective")
             section = stripped
         elif section == "Subject To":
             # A row starts with "name:"; a continuation line has no colon.
@@ -597,28 +588,19 @@ def parse_lp(text: str) -> LpOutline:
         elif section == "Minimize":
             obj_text += " " + stripped
         elif section == "Bounds":
-            name, bound = _parse_bound(stripped)
+            name = _parse_bound(stripped)
             if name in bounds:
                 raise ParseError(f"variable {name} is bounded twice")
-            bounds[name] = bound
+            bounds.add(name)
         elif section == "Binaries":
-            binaries.extend(stripped.split())
+            names.update(stripped.split())
         elif section is None:
             raise ParseError(f"line outside any section: {stripped!r}")
-    if block:
-        check(block)
-
-    if ":" not in obj_text:
-        raise ParseError("objective has no name")
-    objective = obj_text.split(":", 1)[1].split()
-    if (len(objective) % 3 or not _SIGNS.issuperset(objective[::3])
-            or not finite(objective[1::3]) or bad_numbers or bad_structure):
-        _raise_first_fault(objective, [*(bad_numbers or ()), *(bad_structure or ())])
     names.update(objective[2::3])
     names.discard(_PAD[0])
     # A variable fixed by its bound alone (a lone parked aircraft's X and Y)
     # is in no term.
-    return LpOutline(aircraft_ids, frozenset(names.union(bounds, binaries)))
+    return LpOutline(aircraft_ids, frozenset(names.union(bounds)))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +692,7 @@ def derive_binaries(instance: Instance, solution: Solution,
         point.update(values if asg.accept else dict.fromkeys(values, 0.0))
 
     for a in ids:
-        aa, sa = by_id[a], spec[a]
+        aa = by_id[a]
         for b in ids:
             if a == b:
                 continue
@@ -721,8 +703,8 @@ def derive_binaries(instance: Instance, solution: Solution,
             right = above = outin = 0.0
             if both:
                 if intervals_overlap((aa.roll_in, aa.roll_out), (ab.roll_in, ab.roll_out)):
-                    right = 1.0 if x_separated(aa.x, sa.width, ab.x, sb.width, h.buffer) else 0.0
-                    above = 1.0 if x_separated(aa.y, sa.length, ab.y, sb.length, h.buffer) else 0.0
+                    right = 1.0 if x_separated(aa.x, ab.x, sb.width, h.buffer) else 0.0
+                    above = 1.0 if x_separated(aa.y, ab.y, sb.length, h.buffer) else 0.0
                 elif _strict_before(aa.roll_out, ab.roll_in, outin_name):
                     outin = 1.0
             point[vRight(a, b)] = right

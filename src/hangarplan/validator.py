@@ -147,7 +147,7 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
         for sb, ab in accepted:
             if sa.id == sb.id:
                 continue
-            blocked_geom = (is_above(ab.y, sb.length, aa.y, sa.length, h.buffer)
+            blocked_geom = (is_above(ab.y, aa.y, sa.length, h.buffer)
                             and lanes_overlap(aa.x, sa.width, ab.x, sb.width, h.buffer))
             if not blocked_geom:
                 continue

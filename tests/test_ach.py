@@ -483,10 +483,10 @@ def check_scan_ranges(aircraft, placed, inst):
                 if not axis_separated(cy, aircraft.length, y, spec.length, h.buffer)]
             assert range_indices(len(ys), below) == [
                 j for j, cy in enumerate(ys)
-                if is_above(y, spec.length, cy, aircraft.length, h.buffer)]
+                if is_above(y, cy, aircraft.length, h.buffer)]
             assert range_indices(len(ys), above) == [
                 j for j, cy in enumerate(ys)
-                if is_above(cy, aircraft.length, y, spec.length, h.buffer)]
+                if is_above(cy, y, spec.length, h.buffer)]
         got = ach.find_best_placement(aircraft, t_in, scan)
         assert cell(got) == brute_force_placement(aircraft, t_in, fixed, inst), (b_in, t_in)
     return scan

@@ -91,6 +91,16 @@ class TestGen:
         assert len(lines) == 1 and lines[0].startswith(f"error: {field} 1000000000000 ")
         assert not out.exists()
 
+    def test_many_parked_aircraft_pack_quickly(self, runner, tmp_path):
+        # at most four parked aircraft fit the default hangar, so the packing
+        # starts from four of the smallest model
+        out = tmp_path / "inst.json"
+        with time_limit(10.0):
+            res = run(runner, ["gen", "--n", "1", "--n-current", "100000", "--seed", "1",
+                               "-o", str(out)])
+        assert res.exit_code == 0
+        assert len(io.load_instance(out).current) == 4
+
     def test_reproducible(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(runner, ["gen", "--n", "3", "--seed", "9", "-o", str(a)])
@@ -410,6 +420,8 @@ class TestModelRoundTrip:
                      id="stray-token-in-bound"),
         pytest.param(lambda lp: lp.replace(" Const = 1\n", " Const = 1\n Const = 1\n"),
                      id="bound-twice"),
+        pytest.param(lambda lp: lp.replace(" Const = 1\n", " 1 <= Const <= 1\n"),
+                     id="ranged-bound"),
     ])
     def test_import_malformed_lp_exit_3(self, runner, tmp_path, edit):
         inst_p = tmp_path / "inst.json"

@@ -196,8 +196,8 @@ class TestInstance:
 class TestGeometry:
     def test_x_separated_exact_buffer(self):
         # b at [0, 10], buffer 5: a at 15 is the first separated coordinate
-        assert x_separated(15.0, 10.0, 0.0, 10.0, 5.0)
-        assert not x_separated(14.9, 10.0, 0.0, 10.0, 5.0)
+        assert x_separated(15.0, 0.0, 10.0, 5.0)
+        assert not x_separated(14.9, 0.0, 10.0, 5.0)
 
     def test_axis_separated_symmetric(self):
         assert axis_separated(0.0, 10.0, 15.0, 10.0, 5.0)
@@ -214,8 +214,8 @@ class TestGeometry:
         assert not lanes_overlap(0.0, 10.0, 15.0, 10.0, 5.0)
 
     def test_is_above(self):
-        assert is_above(37.0, 10.0, 10.0, 22.0, 5.0)
-        assert not is_above(36.0, 10.0, 10.0, 22.0, 5.0)
+        assert is_above(37.0, 10.0, 22.0, 5.0)
+        assert not is_above(36.0, 10.0, 22.0, 5.0)
 
     def test_intervals_overlap_open(self):
         assert intervals_overlap((0.0, 10.0), (5.0, 15.0))

@@ -127,6 +127,39 @@ class TestCurrentPlacement:
             assert c.y_init in grid(h.buffer, h.hl - h.buffer - c.length, h.grid_step).tolist()
 
 
+def pack_by_dropping(model_idx, h):
+    """``instgen._place_current``'s packing loop before it bounded the count,
+    kept as its reference: downsize the largest model, or drop the last
+    aircraft once every model is the smallest, until the set packs."""
+    idx = list(model_idx)
+    while idx:
+        placed = instgen._try_pack(idx, h)
+        if placed is not None:
+            return placed
+        big = max(range(len(idx)), key=lambda i: idx[i])
+        if idx[big] == 0:
+            idx.pop()
+        else:
+            idx[big] -= 1
+    return []
+
+
+#: The default hangar, a longer one, a wide one and one with no buffer.
+PACKING_HANGARS = [HangarConfig(), HangarConfig(hl=100.0), HangarConfig(hw=120.0, hl=100.0),
+                   HangarConfig(buffer=0.0)]
+
+
+class TestPackingBound:
+    @settings(max_examples=60, deadline=None)
+    @given(model_idx=st.lists(st.integers(0, len(instgen.DEFAULT_MODELS) - 1), max_size=40),
+           h=st.sampled_from(PACKING_HANGARS))
+    def test_equals_the_dropping_loop(self, model_idx, h):
+        ones = [1.0] * len(model_idx)
+        got = instgen._place_current(model_idx, h, ones, ones)
+        assert [(c.x_init, c.y_init, c.width, c.length) for c in got] == \
+            pack_by_dropping(model_idx, h)
+
+
 def per_cell_spot(w, l, placed, h):
     """The cell-by-cell scan that ``instgen._bottom_left_spot`` replaced,
     kept as its reference: the first cell in y-then-x order that is

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
@@ -23,12 +23,14 @@ from hangarplan.validator import ViolationKind
 
 from conftest import (
     FAMILY_BY_KIND,
+    LP_EDITS,
     accept,
     directed_fixtures,
     make_current,
     make_future,
     make_instance,
     manual_solution,
+    perturb_lp,
     time_limit,
 )
 
@@ -212,6 +214,14 @@ class TestExport:
         assert not any(v == "X(c01)" for r in model.rows for _, v in r.terms)
         assert milp.parse_lp(milp.export_lp(model)).variables == set(model.variables)
 
+    @pytest.mark.parametrize("kind, ub", [(milp.CONTINUOUS, 5.0), (milp.BINARY, math.inf)])
+    def test_ranged_bound_refused(self, kind, ub):
+        # the one bound line the export writes is ``name = value``
+        model = milp.build_model(single_aircraft_instance())
+        model.variables["x"] = milp.MilpVariable("x", kind, 0.0, ub)
+        with pytest.raises(ValueError, match=re.escape(f"variable x: bounds [0.0, {ub}]")):
+            milp.export_lp(model)
+
     def test_sweep_pinned(self):
         digest = hashlib.sha256()
         for inst in lp_sweep():
@@ -271,18 +281,42 @@ class TestWrap:
         assert milp._wrap(" " + prefix, body) == wrap_per_token(" " + prefix, body)
 
 
+def lp_statements(text: str) -> list[int]:
+    """The statement each line of an LP text is in, as ``parse_lp`` groups
+    lines: the objective with its section header, a row with its
+    continuation lines, and each other line alone.  A skipped line (blank,
+    or a ``\\`` comment) joins the statement before it."""
+    index, section, statements = -1, None, []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped in milp._SECTIONS:
+            section = stripped
+            index += 1
+        elif line and not line.startswith("\\") and not (
+                section == "Minimize" or section == "Subject To" and ":" not in stripped):
+            index += 1
+        statements.append(index)
+    return statements
+
+
 class TestReadLp:
-    """``parse_lp``, as ``read``, checks the LP text and names its first
-    fault."""
+    """``parse_lp``, as ``read``, checks the LP text and names the first
+    fault in it."""
 
     LP = ("Minimize\n obj: + 1 X(a01)\nSubject To\n r(a01): + 1 X(a01) >= 0\n"
           "Bounds\n{bounds}Binaries\nEnd\n")
 
     @pytest.mark.parametrize("read", [milp.parse_lp])
-    @pytest.mark.parametrize("bounds", [" X(a01) = 5\n", " 0 <= X(a01) <= 5\n",
-                                        " 0 <= X(a01) <= +inf\n"])
+    @pytest.mark.parametrize("bounds", [" X(a01) = 5\n"])
     def test_bound_lines(self, read, bounds):
         read(self.LP.format(bounds=bounds))
+
+    @pytest.mark.parametrize("read", [milp.parse_lp])
+    @pytest.mark.parametrize("bounds", [" 0 <= X(a01) <= 5\n", " 0 <= X(a01) <= +inf\n"])
+    def test_ranged_bound_line(self, read, bounds):
+        # ``export_lp`` writes no ranged bound, so the reader takes none
+        with pytest.raises(ParseError, match="cannot parse bound"):
+            read(self.LP.format(bounds=bounds))
 
     @pytest.mark.parametrize("read", [milp.parse_lp])
     @pytest.mark.parametrize("bounds", [" X(a01) = 5 5\n", " 0 <= X(a01) <= 5 junk\n"])
@@ -297,10 +331,10 @@ class TestReadLp:
 
     @pytest.mark.parametrize("read", [milp.parse_lp])
     @pytest.mark.parametrize("coef, rows, message", [
-        # a bad number, then a row with no sense: the structure error wins
+        # a bad number, then a row with no sense: the earlier row's error wins
         ("1", [" r1: + 1 X(a01) >= 0", " r2: + x1 X(a01) >= 0", " r3: + 1 X(a01) 0"],
-         "cannot parse row r3"),
-        # a wrong sign, then a short row: the earlier row's error wins
+         "bad number 'x1' in r2"),
+        # a wrong sign, then a short row
         ("1", [" r1: + 1 X(a01) >= 0", " r2: * 1 X(a01) >= 0", " r3: + 1 >= 0"],
          "r2: expected a sign, got '*'"),
         ("1", [" r1: + 1 X(a01) >= 0", " r2: * 1 X(a01) >= 0", " r3: + 1 X(a01) + 2 >= 0"],
@@ -319,13 +353,13 @@ class TestReadLp:
     @pytest.mark.parametrize("faults, bounds, message", [
         # a bad number, then a row with no sense in a later block
         ({10: " r10: + x1 X(a01) >= 0", 290: " r290: + 1 X(a01) 0"}, "",
-         "cannot parse row r290"),
+         "bad number 'x1' in r10"),
         # a wrong sign, then a short row in a later block
         ({10: " r10: * 1 X(a01) >= 0", 290: " r290: + 1 >= 0"}, "",
          "r10: expected a sign, got '*'"),
         # a faulty row, then a bad bound line
         ({290: " r290: + 1 X(a01) 0"}, " X(a01) = 5 5\n",
-         "cannot parse bound 'X(a01) = 5 5'"),
+         "cannot parse row r290"),
     ])
     def test_first_of_two_faults_in_different_blocks(self, read, faults, bounds, message):
         assert milp._BLOCK_ROWS < 290  # r10 and r290 fall in different blocks
@@ -334,6 +368,51 @@ class TestReadLp:
                 f"Bounds\n{bounds}Binaries\nEnd\n")
         with pytest.raises(ParseError) as error:
             read(text)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        # no objective: named when the rows begin, before a faulty row
+        ("Subject To\n r1: + 1 X 0\nEnd\n", "objective has no name"),
+        # a file with no rows: the objective is checked when its section ends
+        ("Minimize\n obj: + nan X\nBounds\n X = 5 5\nEnd\n",
+         "non-finite number 'nan' in objective"),
+        ("Minimize\n obj: + 1 X\nBounds\n X = 5 5\nEnd\n", "cannot parse bound 'X = 5 5'"),
+        ("Minimize\n obj: + 1 X +\n", "objective: 4 tokens do not form '± coef name' terms"),
+    ])
+    def test_objective_fault_before_what_follows(self, text, message):
+        with pytest.raises(ParseError) as error:
+            milp.parse_lp(text)
+        assert str(error.value) == message
+
+    @settings(max_examples=100, deadline=timedelta(seconds=30))
+    @given(n=st.integers(5, 8), n_current=st.integers(0, 2), seed=st.integers(0, 2**16),
+           first=st.tuples(st.sampled_from(LP_EDITS), st.integers(0, 10**6), st.integers(0, 10**6)),
+           second=st.tuples(st.sampled_from(LP_EDITS), st.integers(0, 10**6), st.integers(0, 10**6)))
+    def test_a_later_edit_keeps_the_first_fault(self, n, n_current, seed, first, second):
+        """Of two edits of an export of one to four blocks of rows, the
+        later one, at least two statements after the earlier, leaves the
+        fault that the earlier one alone gives."""
+        text = milp.export_lp(milp.build_model(instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed))))
+        action, line_no, token_no = first
+        one = perturb_lp(text, action, line_no, token_no)
+        try:
+            milp.parse_lp(one)
+        except ParseError as error:
+            message = str(error)
+        else:
+            assume(False)  # the earlier edit leaves a file that parses
+        # An edit can join its line to the statement before it (a row that
+        # loses its name, a deleted line before a continuation line), so the
+        # later edit is at least two statements past the earlier one's.
+        statement = lp_statements(one)
+        i = min(line_no % len(text.splitlines()), len(statement) - 1)
+        later = [j for j, k in enumerate(statement) if k >= statement[i] + 2]
+        assume(later)
+        action, line_no, token_no = second
+        two = perturb_lp(one, action, later[line_no % len(later)], token_no)
+        with pytest.raises(ParseError) as error:
+            milp.parse_lp(two)
         assert str(error.value) == message
 
     def test_outline_holds_little_beyond_the_text(self):
