@@ -46,12 +46,12 @@ from .core import (
     Solution,
     grid,
     intervals_overlap,
-    is_above,
     lanes_overlap,
     movement_times,
     next_separated,
     separated,
     window_blocks,
+    x_separated,
 )
 
 #: One committed placement: the aircraft and its (final) assignment.
@@ -80,7 +80,10 @@ def resolve_roll_out(aircraft: AircraftSpec, t_in: float,
                      fixed_schedule: Sequence[Committed],
                      eps_t: float = 0.1) -> float:
     """Smallest time >= t_in + service keeping eps_t separation from every
-    committed movement, stepping in eps_t increments."""
+    committed movement, stepping in eps_t increments.
+
+    Nothing under ``src/`` calls it.  It stays only because the benchmark's
+    traced run wraps it by name; it goes once the benchmark stops naming it."""
     return next_separated(t_in + aircraft.service, _events(fixed_schedule), eps_t)
 
 
@@ -185,7 +188,7 @@ def _commit_current(instance: Instance) -> list[Committed]:
     for c in order:
         t0 = c.service
         for spec_b, asg_b in fixed:
-            if (is_above(asg_b.y, c.y_init, c.length, h.buffer)
+            if (x_separated(asg_b.y, c.y_init, c.length, h.buffer)
                     and lanes_overlap(c.x_init, c.width, asg_b.x, spec_b.width, h.buffer)):
                 t0 = max(t0, asg_b.roll_out + h.eps_t)
         t_out = next_separated(t0, _events(fixed), h.eps_t)

@@ -271,15 +271,14 @@ def render(instance_path: str, solution_path: str, out_dir: str, with_html: bool
     instance, solution = _load_plan(instance_path, solution_path)
     # one validation and one drawing of each frame, shared by frames and report
     checked = validator.validate(instance, solution)
-    drawn = report.draw_frames(instance, solution) if checked.feasible else None
-    try:
-        paths = report.render_frames(checked, drawn, out_dir)
-    except validator.Infeasible as exc:
-        click.echo(str(exc), err=True)
+    if not checked.feasible:
+        click.echo(validator.explain(checked), err=True)
         _fail(EXIT_INFEASIBLE, "solution is infeasible; nothing rendered")
+    drawn = report.draw_frames(instance, solution)
+    paths = report.render_frames(drawn, out_dir)
     click.echo(f"wrote {len(paths)} frame(s) to {out_dir}")
     if with_html:
-        out = report.render_report(instance, solution, checked, drawn,
+        out = report.render_report(instance, solution, checked.cost, drawn,
                                    Path(out_dir) / "report.html")
         click.echo(f"wrote {out}")
 

@@ -291,7 +291,8 @@ class CostBreakdown:
 def x_separated(xa: float, xb: float, wb: float, buffer: float) -> bool:
     """True iff interval b (at xb, width wb) lies fully below the interval
     starting at xa with the buffer, i.e. ``xb + wb + buffer <= xa`` within
-    tolerance.  Works for either axis."""
+    tolerance.  Works for either axis: on the y axis it reads "a sits fully
+    above b", the geometric half of the blocking rule."""
     return xb + wb + buffer <= xa + TOL
 
 
@@ -304,12 +305,6 @@ def lanes_overlap(ax: float, aw: float, bx: float, bw: float, buffer: float) -> 
     """True iff the buffered x-extents of two aircraft are not separated in
     either direction, i.e. they share a movement lane to the open front."""
     return not axis_separated(ax, aw, bx, bw, buffer)
-
-
-def is_above(yb: float, ya: float, la: float, buffer: float) -> bool:
-    """True iff aircraft b (at yb) sits fully above aircraft a (at ya, length
-    la) with the buffer: ``yb >= ya + la + buffer``."""
-    return yb >= ya + la + buffer - TOL
 
 
 def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:

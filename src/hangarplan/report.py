@@ -2,6 +2,9 @@
 self-contained HTML report with cost breakdown, schedule tables, the frame
 gallery, and a presence-interval timeline.
 
+The renderers draw a feasible plan; judging the plan is the caller's
+(``cli render`` validates it first and draws nothing when it is infeasible).
+
 Coordinate convention: origin bottom-left; the open-front exit edge is the
 max-Y side and is drawn at the top of each frame.
 """
@@ -11,10 +14,8 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from .core import Instance, Kind, Solution, delays
-from . import validator
+from .core import CostBreakdown, Instance, Kind, Solution, delays
 
 COLOR_STATIC = "#3b6fb5"      # parked
 COLOR_ARRIVING = "#3ba15f"    # rolls in at this frame
@@ -122,14 +123,9 @@ def draw_frames(instance: Instance, solution: Solution) -> list[tuple[FrameSpec,
     return [(frame, frame_svg(instance, frame)) for frame in build_frames(instance, solution)]
 
 
-def render_frames(checked: validator.ValidationReport,
-                  drawn: Optional[list[tuple[FrameSpec, str]]], out_dir) -> list[Path]:
-    """One SVG per frame; file names `frame_<k>_<time>.svg`.  ``checked`` is
-    the plan's validation report and ``drawn`` its ``draw_frames``, None for
-    an infeasible plan.  An infeasible plan raises ``validator.Infeasible``
-    and writes nothing."""
-    if not checked.feasible:
-        raise validator.Infeasible(checked)
+def render_frames(drawn: list[tuple[FrameSpec, str]], out_dir) -> list[Path]:
+    """One SVG per frame of ``drawn``, a feasible plan's ``draw_frames``;
+    file names `frame_<k>_<time>.svg`."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -169,14 +165,11 @@ def timeline_svg(instance: Instance, solution: Solution) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_report(instance: Instance, solution: Solution,
-                  checked: validator.ValidationReport,
-                  drawn: Optional[list[tuple[FrameSpec, str]]], out_file) -> Path:
-    """Single self-contained HTML report (inline SVG, no external resources).
-    The cost table comes from ``checked``, the plan's validation report, and
-    the frame gallery from ``drawn``, its ``draw_frames``; an infeasible plan
-    gets the table but no gallery, and its ``drawn`` may be None."""
-    cost = checked.cost
+def render_report(instance: Instance, solution: Solution, cost: CostBreakdown,
+                  drawn: list[tuple[FrameSpec, str]], out_file) -> Path:
+    """Single self-contained HTML report (inline SVG, no external resources)
+    of a feasible plan: the cost table from ``cost``, its ``CostBreakdown``,
+    and the frame gallery from ``drawn``, its ``draw_frames``."""
     by_id = solution.by_id()
     accepted = [(a, by_id[a.id]) for a in instance.all_aircraft() if by_id[a.id].accept]
     rejected = [a for a in instance.future if not by_id[a.id].accept]
@@ -191,11 +184,9 @@ def render_report(instance: Instance, solution: Solution,
         f"<tr><td>{html.escape(s.id)}</td><td>{s.p_rej:.0f}</td></tr>"
         for s in rejected)
 
-    gallery = []
-    if checked.feasible:
-        gallery = [f"<figure><figcaption>t = {frame.time:.2f} h</figcaption>{svg}</figure>"
-                   for frame, svg in drawn]
-    gallery_html = "\n".join(gallery) if gallery else "<p>(no layout frames: plan infeasible or empty)</p>"
+    gallery_html = "\n".join(
+        f"<figure><figcaption>t = {frame.time:.2f} h</figcaption>{svg}</figure>"
+        for frame, svg in drawn)
 
     doc = f"""<!DOCTYPE html>
 <html lang="en">

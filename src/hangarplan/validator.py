@@ -20,8 +20,8 @@ from .core import (
     Solution,
     evaluate_cost,
     intervals_overlap,
-    is_above,
     lanes_overlap,
+    x_separated,
 )
 
 
@@ -147,7 +147,7 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
         for sb, ab in accepted:
             if sa.id == sb.id:
                 continue
-            blocked_geom = (is_above(ab.y, aa.y, sa.length, h.buffer)
+            blocked_geom = (x_separated(ab.y, aa.y, sa.length, h.buffer)
                             and lanes_overlap(aa.x, sa.width, ab.x, sb.width, h.buffer))
             if not blocked_geom:
                 continue

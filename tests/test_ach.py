@@ -20,9 +20,9 @@ from hangarplan.core import (
     Provenance,
     Solution,
     axis_separated,
-    is_above,
     lanes_overlap,
     next_separated,
+    x_separated,
 )
 
 from conftest import accept, make_current, make_future, make_instance, specs, time_limit
@@ -483,10 +483,10 @@ def check_scan_ranges(aircraft, placed, inst):
                 if not axis_separated(cy, aircraft.length, y, spec.length, h.buffer)]
             assert range_indices(len(ys), below) == [
                 j for j, cy in enumerate(ys)
-                if is_above(y, cy, aircraft.length, h.buffer)]
+                if x_separated(y, cy, aircraft.length, h.buffer)]
             assert range_indices(len(ys), above) == [
                 j for j, cy in enumerate(ys)
-                if is_above(cy, y, spec.length, h.buffer)]
+                if x_separated(cy, y, spec.length, h.buffer)]
         got = ach.find_best_placement(aircraft, t_in, scan)
         assert cell(got) == brute_force_placement(aircraft, t_in, fixed, inst), (b_in, t_in)
     return scan

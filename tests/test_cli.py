@@ -637,7 +637,10 @@ class TestRender:
         html = (out / "report.html").read_text()
         assert all(f.read_text() in html for f in frames)
 
-    def test_infeasible_exit_2(self, runner, tmp_path):
+    @pytest.mark.parametrize("html", [False, True], ids=["frames", "html"])
+    def test_infeasible_exit_2(self, runner, tmp_path, html):
+        # the CLI judges the plan: the validator's explanation, then the
+        # error line, and no frame or report is written
         f = make_future("a")
         instance = make_instance(future=[f])
         bad = manual_solution(instance, {"a": accept("a", 1.0, 5.0, 0.0, 100.0)})
@@ -645,10 +648,12 @@ class TestRender:
         io.save_instance(instance, ip)
         io.save_solution(bad, sp)
         res = run(runner, ["render", "-i", str(ip), "-s", str(sp),
-                           "-o", str(tmp_path / "frames")])
+                           "-o", str(tmp_path / "frames")] + ["--html"] * html)
         assert res.exit_code == 2
-        assert "solution is infeasible; nothing rendered" in res.output
-        assert not (tmp_path / "frames").exists()
+        explanation = validator.explain(validator.validate(instance, bad))
+        assert res.output == (explanation + "\n"
+                              "error: solution is infeasible; nothing rendered\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json", "s.json"]
 
 
 class TestPlanTimePastTheHorizon:

@@ -26,7 +26,6 @@ from hangarplan.core import (
     evaluate_cost,
     grid,
     intervals_overlap,
-    is_above,
     lanes_overlap,
     movement_times,
     next_separated,
@@ -214,8 +213,10 @@ class TestGeometry:
         assert not lanes_overlap(0.0, 10.0, 15.0, 10.0, 5.0)
 
     def test_is_above(self):
-        assert is_above(37.0, 10.0, 22.0, 5.0)
-        assert not is_above(36.0, 10.0, 22.0, 5.0)
+        # on the y axis x_separated reads "sits fully above": over an
+        # aircraft at [10, 32] with buffer 5, y = 37 is the first such cell
+        assert x_separated(37.0, 10.0, 22.0, 5.0)
+        assert not x_separated(36.0, 10.0, 22.0, 5.0)
 
     def test_intervals_overlap_open(self):
         assert intervals_overlap((0.0, 10.0), (5.0, 15.0))

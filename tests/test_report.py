@@ -2,19 +2,22 @@
 
 import re
 
-import pytest
-
 from hangarplan import ach, instgen, report, validator
 from hangarplan.core import evaluate_cost
 
 from conftest import accept, make_current, make_future, make_instance, manual_solution
 
 
-def checked_and_drawn(inst, sol):
-    """The plan's validation report and its drawn frames, None when the plan
-    is infeasible, as ``cli render`` computes them."""
-    checked = validator.validate(inst, sol)
-    return checked, report.draw_frames(inst, sol) if checked.feasible else None
+def feasible_frames(inst, sol):
+    """The drawn frames of a feasible plan, as ``cli render`` hands them to
+    the renderers once the plan has passed validation."""
+    assert validator.validate(inst, sol).feasible
+    return report.draw_frames(inst, sol)
+
+
+def cost_and_frames(inst, sol):
+    """The cost and the drawn frames of a feasible plan."""
+    return evaluate_cost(inst, sol), feasible_frames(inst, sol)
 
 
 def simple_plan():
@@ -66,13 +69,13 @@ class TestFrameEnumeration:
 class TestRenderFrames:
     def test_files_named_by_index_and_time(self, tmp_path):
         inst, sol = simple_plan()
-        paths = report.render_frames(*checked_and_drawn(inst, sol), tmp_path)
+        paths = report.render_frames(feasible_frames(inst, sol), tmp_path)
         assert [p.name for p in paths] == [
             "frame_000_0.00.svg", "frame_001_10.00.svg", "frame_002_110.00.svg"]
 
     def test_rectangle_matches_assignment(self, tmp_path):
         inst, sol = simple_plan()
-        paths = report.render_frames(*checked_and_drawn(inst, sol), tmp_path)
+        paths = report.render_frames(feasible_frames(inst, sol), tmp_path)
         svg = paths[1].read_text()
         # x=5 -> 24 + 5*8 = 64 px; y+length=27 -> 24 + (60-27)*8 = 288 px
         assert '<rect x="64.0" y="288.0" width="192.0" height="176.0"' in svg
@@ -80,27 +83,17 @@ class TestRenderFrames:
 
     def test_colors_follow_status(self, tmp_path):
         inst, sol = simple_plan()
-        paths = report.render_frames(*checked_and_drawn(inst, sol), tmp_path)
+        paths = report.render_frames(feasible_frames(inst, sol), tmp_path)
         assert report.COLOR_ARRIVING in paths[1].read_text()
         assert report.COLOR_DEPARTING in paths[2].read_text()
         assert report.COLOR_ARRIVING not in paths[2].read_text()
-
-    def test_infeasible_solution_rejected(self, tmp_path):
-        f = make_future("a")
-        inst = make_instance(future=[f])
-        sol = manual_solution(inst, {"a": accept("a", 1.0, 5.0, 0.0, 100.0)})
-        with pytest.raises(validator.Infeasible) as exc:
-            report.render_frames(*checked_and_drawn(inst, sol), tmp_path / "frames")
-        assert not exc.value.report.feasible
-        assert str(exc.value) == validator.explain(exc.value.report)
-        assert not (tmp_path / "frames").exists()
 
     def test_byte_deterministic(self, tmp_path):
         inst = instgen.generate(instgen.GeneratorConfig(n_future=4, seed=6))
         sol = ach.solve(inst)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        p1 = report.render_frames(*checked_and_drawn(inst, sol), d1)
-        p2 = report.render_frames(*checked_and_drawn(inst, sol), d2)
+        p1 = report.render_frames(feasible_frames(inst, sol), d1)
+        p2 = report.render_frames(feasible_frames(inst, sol), d2)
         assert [p.name for p in p1] == [p.name for p in p2]
         for a, b in zip(p1, p2):
             assert a.read_bytes() == b.read_bytes()
@@ -108,7 +101,7 @@ class TestRenderFrames:
     def test_svg_is_valid_xml(self, tmp_path):
         import xml.etree.ElementTree as ET
         inst, sol = simple_plan()
-        for p in report.render_frames(*checked_and_drawn(inst, sol), tmp_path):
+        for p in report.render_frames(feasible_frames(inst, sol), tmp_path):
             ET.fromstring(p.read_text())
 
 
@@ -119,7 +112,7 @@ class TestRenderReport:
                              current=[c])
         sol = manual_solution(inst, {"c": accept("c", 5.0, 5.0, 0.0, 100.0,
                                                  etd=c.etd)})
-        out = report.render_report(inst, sol, *checked_and_drawn(inst, sol),
+        out = report.render_report(inst, sol, *cost_and_frames(inst, sol),
                                    tmp_path / "report.html")
         html = out.read_text()
         # rejected table lists both future aircraft with their penalties
@@ -131,13 +124,13 @@ class TestRenderReport:
     def test_cost_breakdown_totals(self, tmp_path):
         inst, sol = simple_plan()
         cost = evaluate_cost(inst, sol)
-        html = report.render_report(inst, sol, *checked_and_drawn(inst, sol),
+        html = report.render_report(inst, sol, *cost_and_frames(inst, sol),
                                     tmp_path / "r.html").read_text()
         assert f"<td>{cost.total:.3f}</td>" in html
 
     def test_self_contained(self, tmp_path):
         inst, sol = simple_plan()
-        html = report.render_report(inst, sol, *checked_and_drawn(inst, sol),
+        html = report.render_report(inst, sol, *cost_and_frames(inst, sol),
                                     tmp_path / "r.html").read_text()
         assert "<svg" in html           # frames and timeline are inline
         assert "http-equiv" not in html
@@ -146,14 +139,7 @@ class TestRenderReport:
     def test_byte_deterministic(self, tmp_path):
         inst = instgen.generate(instgen.GeneratorConfig(n_future=3, seed=8))
         sol = ach.solve(inst)
-        a = report.render_report(inst, sol, *checked_and_drawn(inst, sol), tmp_path / "a.html")
-        b = report.render_report(inst, sol, *checked_and_drawn(inst, sol), tmp_path / "b.html")
+        a = report.render_report(inst, sol, *cost_and_frames(inst, sol), tmp_path / "a.html")
+        b = report.render_report(inst, sol, *cost_and_frames(inst, sol), tmp_path / "b.html")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_infeasible_solution_still_reports(self, tmp_path):
-        f = make_future("a")
-        inst = make_instance(future=[f])
-        sol = manual_solution(inst, {"a": accept("a", 1.0, 5.0, 0.0, 100.0)})
-        html = report.render_report(inst, sol, *checked_and_drawn(inst, sol),
-                                    tmp_path / "r.html").read_text()
-        assert "infeasible or empty" in html
