@@ -49,6 +49,7 @@ from .core import (
     lanes_overlap,
     movement_times,
     next_separated,
+    presence,
     separated,
     window_blocks,
     x_separated,
@@ -92,7 +93,7 @@ class Scan(NamedTuple):
     that does not depend on the roll-in time, and the hangar's ``eps_t``.
 
     ``committed`` holds, for each accepted committed aircraft b, its stay
-    ``(roll_in, roll_out)``, its movements and four index ranges.  ``lane``
+    (``core.presence``), its movements and four index ranges.  ``lane``
     indexes ``xs``: the x cells whose buffered width overlaps b's.  ``band``,
     ``below`` and ``above`` index ``ys``: the y cells whose buffered footprint
     overlaps b's, lies below b, or lies above b.  The grids ascend, so each
@@ -124,7 +125,7 @@ def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
         x_hi = int(np.searchsorted(xs, asg_b.x + spec_b.width + h.buffer - GRID_TOL, "left"))
         y_lo = int(np.searchsorted(ys, asg_b.y - aircraft.length - h.buffer + GRID_TOL, "right"))
         y_hi = int(np.searchsorted(ys, asg_b.y + spec_b.length + h.buffer - GRID_TOL, "left"))
-        committed.append(((asg_b.roll_in, asg_b.roll_out),
+        committed.append((presence(spec_b, asg_b.roll_in, asg_b.roll_out),
                           movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
                           slice(x_lo, x_hi), slice(y_lo, y_hi),
                           slice(0, y_lo), slice(y_hi, None)))

@@ -234,10 +234,10 @@ def export_milp(instance_path: str, out: str) -> None:
 def import_point(instance_path: str, model_path: str, point_path: str, out: str) -> None:
     """Turn a solver variable dump back into a validated plan."""
     instance = load_instance(instance_path)
-    model = read_file(model_path, "model", milp.parse_lp)
+    outline = read_file(model_path, "model", milp.parse_lp)
     try:
         solution = read_file(point_path, "point",
-                             lambda text: milp.import_solution(model, instance, text))
+                             lambda text: milp.import_solution(outline, instance, text))
     except validator.Infeasible as exc:
         click.echo(str(exc), err=True)
         _fail(EXIT_INFEASIBLE, "imported point is infeasible")

@@ -358,6 +358,11 @@ def delays(spec: AircraftSpec, roll_in: float, roll_out: float) -> tuple[float, 
     return max(0.0, roll_in - spec.eta), max(0.0, roll_out - spec.etd)
 
 
+def presence(spec: AircraftSpec, roll_in: float, roll_out: float) -> tuple[float, float]:
+    """The window an aircraft is in the hangar: a parked one from before 0."""
+    return (-math.inf if spec.kind is Kind.CURRENT else roll_in, roll_out)
+
+
 def window_blocks(window: tuple[float, float], moves: Iterable[float]) -> bool:
     """True iff the presence window of an aircraft strictly contains one of the
     movements of another.  Parked above it in a shared lane, the first blocks

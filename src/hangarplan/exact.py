@@ -52,6 +52,7 @@ from .core import (
     intervals_overlap,
     movement_times,
     next_separated,
+    presence,
     separated,
     snap_up,
     window_blocks,
@@ -170,7 +171,8 @@ def _pair_options(h: HangarConfig, free: Sequence[tuple[AircraftSpec, float, flo
                 opts.append((2 * j + 1, 2 * i + 1, a.length + h.buffer, math.inf))
             keyed.append(((i, 0, j), opts))
         for k, (c, asg) in enumerate(fixed):
-            if not intervals_overlap(b_stay, (asg.roll_in, asg.roll_out)):
+            c_stay = presence(c, asg.roll_in, asg.roll_out)
+            if not intervals_overlap(b_stay, c_stay):
                 continue
             # right of or above the parked aircraft is a lower bound; left of
             # or below it, a cap
@@ -181,7 +183,7 @@ def _pair_options(h: HangarConfig, free: Sequence[tuple[AircraftSpec, float, flo
                 opts.append((2 * j + 1, None,
                              snap_up(asg.y + c.length + h.buffer, h.buffer, h.grid_step),
                              math.inf))
-            if not window_blocks((asg.roll_in, asg.roll_out), b_moves):
+            if not window_blocks(c_stay, b_moves):
                 opts.append((2 * j + 1, None, h.buffer, asg.y - b.length - h.buffer))
             keyed.append(((j, 1, k), opts))
     keyed.sort()  # the keys are unique, so no two option lists are compared
@@ -259,6 +261,10 @@ class _Search:
 
 
 def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> OracleResult:
+    """The search's best plan.  ``ProvenOptimalOnGrid`` certifies it over the
+    grid and the oracle's own roll-in candidates (``_time_candidates``), not
+    over every lattice roll-in eta + k * eps_t, so ``ach`` can beat it
+    (``tests/test_exact.py::missed_roll_in_instance``)."""
     config = config or OracleConfig()
     if len(instance.future) > MAX_FUTURE and not config.allow_large:
         raise InstanceTooLarge(

@@ -12,12 +12,14 @@ immutable ``(coef, var)`` term tuples: ``build_model`` builds a term that
 several rows hold once, so a model of n aircraft holds far fewer term tuples
 than term occurrences.
 
-``to_arrays`` gives one numpy form of a model: COO triplets in
-row-then-term order, row bounds with ±inf on the open side, column bounds,
-a ``uint8`` integrality vector and the cost vector.
+``to_arrays`` gives one numpy form of a model: COO triplets of the nonzero
+coefficients in row-then-term order, row bounds with ±inf on the open side,
+column bounds, a ``uint8`` integrality vector and the cost vector.
 ``check_satisfaction`` is one sparse product over it, and HiGHS's own
-reading of the LP export equals it (``tests/test_lp_highs.py``).  A point
-becomes a validated plan through ``solution_from_point`` alone.
+reading of the LP export equals it (``tests/test_lp_highs.py``).
+``derive_binaries`` gives a plan's point in the order of ``model.variables``,
+the columns' order.  A point becomes a validated plan through
+``solution_from_point`` alone.
 
 ``parse_lp``, which ``import`` runs, checks the LP text one block of
 ``_BLOCK_ROWS`` rows at a time, raises at the first fault in the file, and
@@ -106,13 +108,12 @@ class MilpRow(NamedTuple):
 @dataclass
 class MilpModel:
     """The row system.  ``variables`` maps names to records and, with
-    ``rows`` and ``aircraft_ids``, keeps ``build_model``'s order;
-    ``objective`` holds ``(coef, var)``."""
+    ``rows``, keeps ``build_model``'s order; ``objective`` holds
+    ``(coef, var)``."""
 
     variables: dict[str, MilpVariable]
     rows: list[MilpRow]
     objective: tuple[tuple[float, str], ...]
-    aircraft_ids: list[str]
 
 
 @contextlib.contextmanager
@@ -187,9 +188,8 @@ def build_model(instance: Instance) -> MilpModel:
     m_t, m_x, m_y = derive_big_m(instance)
     eps = h.eps_t
 
-    current = list(instance.current)
-    future = list(instance.future)
-    aircraft = current + future
+    aircraft = instance.all_aircraft()
+    future = instance.future
     ids = [a.id for a in aircraft]
     for i in ids:
         if _NOT_IN_LP_NAME.search(i):
@@ -355,8 +355,7 @@ def build_model(instance: Instance) -> MilpModel:
                     (m_t, ININ[a][b])), ">=", rhs_entry))
              for a, b in mixed]
 
-    return MilpModel(variables=variables, rows=rows, objective=tuple(obj),
-                     aircraft_ids=ids)
+    return MilpModel(variables=variables, rows=rows, objective=tuple(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +609,8 @@ def parse_lp(text: str) -> LpOutline:
 class MilpArrays(NamedTuple):
     """The numpy form of a ``MilpModel``.  Column ``j`` is the variable
     ``columns[j]``, row ``i`` the row ``model.rows[i]``; the matrix holds
-    ``vals[k]`` at ``(rows[k], cols[k])``, in row-then-term order."""
+    each nonzero ``vals[k]`` at ``(rows[k], cols[k])``, in row-then-term
+    order.  Like HiGHS, it drops a zero term (``+ 0 Accept(f)`` at eta 0)."""
 
     columns: list[str]
     rows: np.ndarray
@@ -634,6 +634,8 @@ def to_arrays(model: MilpModel) -> MilpArrays:
     rows = np.repeat(np.arange(m), np.fromiter(map(len, term_lists), np.intp, m))
     cols = np.fromiter(map(index.__getitem__, map(itemgetter(1), terms)), np.intp, len(terms))
     vals = np.fromiter(map(itemgetter(0), terms), float, len(terms))
+    nonzero = vals != 0
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
     rhs = np.fromiter(map(itemgetter(3), model.rows), float, m)
     sense = np.array([row.sense for row in model.rows], dtype="U2")
     variables = model.variables.values()
@@ -662,17 +664,17 @@ def _strict_before(t1: float, t2: float, what: str) -> bool:
 
 @collector_paused()
 def derive_binaries(instance: Instance, solution: Solution,
-                    model: Optional[MilpModel] = None) -> dict[str, float]:
-    """Full variable point for a semantic solution.
+                    model: MilpModel) -> dict[str, float]:
+    """Full variable point for a semantic solution, in the order of
+    ``model.variables``, ``model`` being the instance's.
 
     Relational binaries are set consistently with the row system: spatial
     binaries from geometry for co-present pairs only, temporal binaries from
     strict event order, fixings from the initial conditions.  A rejected
     aircraft has every variable at 0, and so has each pair binary it is in,
-    but for the fixed ``InIn`` of a pair with a parked aircraft.  Aircraft
-    come in ``model``'s order, without one in the instance's (its build order).
+    but for the fixed ``InIn`` of a pair with a parked aircraft.
     """
-    ids = model.aircraft_ids if model is not None else [a.id for a in instance.all_aircraft()]
+    ids = [a.id for a in instance.all_aircraft()]
     h = instance.hangar
     by_id = solution.by_id()
     for aid in ids:
@@ -726,7 +728,7 @@ def derive_binaries(instance: Instance, solution: Solution,
             point[name] = 1.0 if aa.accept and ab.accept and _strict_before(
                 aa.roll_out, ab.roll_out, name) else 0.0
 
-    return point
+    return {name: point[name] for name in model.variables}
 
 
 def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -812,17 +814,16 @@ def solution_from_point(instance: Instance, point: dict[str, float]) -> Solution
     return solution
 
 
-def import_solution(model: MilpModel | LpOutline, instance: Instance,
-                    text: str) -> Solution:
+def import_solution(outline: LpOutline, instance: Instance, text: str) -> Solution:
     """``solution_from_point`` of a solver point dump (``parse_point``); a
-    name the model does not declare is a ParseError.  The model must be the
-    instance's: the same aircraft in the same order."""
+    name the model does not declare is a ParseError.  The outline must be the
+    instance's model's: the same aircraft in the same order."""
     ids = [a.id for a in instance.all_aircraft()]
-    if model.aircraft_ids != ids:
-        raise ParseError(f"model aircraft {model.aircraft_ids} are not the "
+    if outline.aircraft_ids != ids:
+        raise ParseError(f"model aircraft {outline.aircraft_ids} are not the "
                          f"instance's {ids}")
     point = parse_point(text)
     for name in point:  # in file order
-        if name not in model.variables:
+        if name not in outline.variables:
             raise ParseError(f"point names {name}, a variable the model does not declare")
     return solution_from_point(instance, point)

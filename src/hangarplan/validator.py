@@ -157,7 +157,9 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
                     f"{sa.id}: exit at {aa.roll_out:.3f} blocked by {sb.id} "
                     f"(departs {ab.roll_out:.3f})",
                     ab.roll_out + h.eps_t - aa.roll_out)
-            if ab.roll_in < aa.roll_in - TOL and aa.roll_in < ab.roll_out - TOL:
+            # a parked b is there from before 0; a parked a does not roll in
+            if (sa.kind is Kind.FUTURE and aa.roll_in < ab.roll_out - TOL
+                    and (sb.kind is Kind.CURRENT or ab.roll_in < aa.roll_in - TOL)):
                 add(ViolationKind.ENTRY_BLOCKED, [sa.id, sb.id],
                     f"{sa.id}: entry at {aa.roll_in:.3f} blocked by {sb.id} "
                     f"(departs {ab.roll_out:.3f})",

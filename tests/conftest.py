@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from hangarplan.core import (
     AircraftSpec,
@@ -151,6 +152,54 @@ def perturb_lp(text: str, action: str, line_no: int, token_no: int) -> str:
             tokens[numbers[token_no % len(numbers)]] = "nan" if action == "nan" else "x1"
     lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def edge_instances(draw):
+    """Instances with 1-3 requests on the edges that ``instgen`` does not
+    draw: identical requests, eta 0, zero buffer, a parked aircraft against
+    a wall, footprints exactly as wide or as long as the buffered hangar,
+    and eps_t near its 2e-6 h floor.  Each edge is drawn on its own, so an
+    example may combine several."""
+    h = HangarConfig(hw=draw(st.sampled_from([40.0, 65.0])),
+                     hl=draw(st.sampled_from([40.0, 60.0])),
+                     buffer=draw(st.sampled_from([0.0, 0.0, 2.5, 5.0])),
+                     eps_t=draw(st.sampled_from([2.5e-6, 1e-5, 0.1, 0.7])),
+                     grid_step=draw(st.sampled_from([1.0, 2.5])))
+    inner_w, inner_l = h.hw - 2 * h.buffer, h.hl - 2 * h.buffer
+
+    def footprint(fits=False):
+        widths, lengths = [inner_w, 10.0, 24.0, 36.0], [inner_l, 10.0, 22.0, 31.0]
+        return (draw(st.sampled_from([w for w in widths if w <= inner_w or not fits])),
+                draw(st.sampled_from([l for l in lengths if l <= inner_l or not fits])))
+
+    current = []
+    if draw(st.booleans()):
+        width, length = footprint(fits=True)
+        service = draw(st.integers(1, 150))
+        current.append(make_current(
+            "c", width=width, length=length, service=service,
+            x=draw(st.sampled_from([h.buffer, h.hw - h.buffer - width])),
+            y=draw(st.sampled_from([h.buffer, h.hl - h.buffer - length])),
+            etd=service + draw(st.integers(0, 50))))
+
+    def request():
+        width, length = footprint()
+        eta = draw(st.sampled_from([0.0, 0.0, 12.5, 40.0]))
+        service = draw(st.sampled_from([h.eps_t, 30.0, 100.0]))
+        return dict(width=width, length=length, eta=eta, service=service,
+                    etd=eta + service + draw(st.integers(0, 50)),
+                    p_rej=draw(st.sampled_from([100.0, 900.0, 5000.0])),
+                    p_arr=draw(st.sampled_from([0.0, 10.0])),
+                    p_dep=draw(st.sampled_from([0.0, 20.0])))
+
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        fields = [request()] * n
+    else:
+        fields = [request() for _ in range(n)]
+    future = [make_future(f"f{k}", **spec) for k, spec in enumerate(fields)]
+    return make_instance(current=current, future=future, hangar=h)
 
 
 #: Small hangar keeping brute-force cross-products tractable.

@@ -299,7 +299,9 @@ class TestAcceptance:
                         if value is not None:
                             point_lines.append(f"{tok} {value}")
                         break
-            solution = milp.import_solution(model, inst, "\n".join(point_lines))
+            outline = milp.LpOutline([a.id for a in inst.all_aircraft()],
+                                     frozenset(model.variables))
+            solution = milp.import_solution(outline, inst, "\n".join(point_lines))
             cost = evaluate_cost(inst, solution).total
             heuristic = evaluate_cost(inst, ach.solve(inst)).total
             assert cost <= heuristic + 1e-6

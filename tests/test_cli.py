@@ -329,7 +329,7 @@ class TestModelRoundTrip:
         from hangarplan import ach
         instance = io.load_instance(inst_p)
         solution = ach.solve(instance)
-        point = milp.derive_binaries(instance, solution)
+        point = milp.derive_binaries(instance, solution, milp.build_model(instance))
         point_p = tmp_path / "point.txt"
         point_p.write_text("\n".join(f"{k} {v}" for k, v in point.items()))
         out = tmp_path / "imported.json"
@@ -555,7 +555,7 @@ with open("inst.json", "w", encoding="utf-8") as f:
 hangarplan("solve-ach", "-i", "inst.json", "-o", "sol.json")
 hangarplan("export-milp", "-i", "inst.json", "-o", "model.lp")
 instance = io.load_instance("inst.json")
-point = milp.derive_binaries(instance, io.load_solution("sol.json"))
+point = milp.derive_binaries(instance, io.load_solution("sol.json"), milp.build_model(instance))
 with open("point.txt", "w", encoding="utf-8") as f:
     f.writelines(f"{k} {v!r}\\n" for k, v in point.items())
 hangarplan("import", "-i", "inst.json", "-m", "model.lp", "-p", "point.txt", "-o", "imported.json")

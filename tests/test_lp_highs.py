@@ -69,8 +69,8 @@ def highs_reading(path):
 
 def assert_reads_as_model(path, model):
     """HiGHS's reading of ``path`` equals ``to_arrays(model)``: names, the
-    pattern of nonzero coefficients, open sides and integrality exactly,
-    numbers within ``RTOL``."""
+    place of every matrix entry, open sides and integrality exactly, numbers
+    within ``RTOL``."""
     lp = highs_reading(path).getLp()
     want = milp.to_arrays(model)
     # HiGHS orders columns by first appearance; map them by name
@@ -85,15 +85,11 @@ def assert_reads_as_model(path, model):
     got_cols = order[np.repeat(np.arange(lp.num_col_), np.diff(start))]
     got_rows = np.asarray(matrix.index_, dtype=np.intp)
     got_vals = np.asarray(matrix.value_, dtype=float)
-    # HiGHS drops a term whose coefficient is 0 as it reads, such as the
-    # "+ 0 Accept(f)" of a request f whose eta is 0
-    nonzero = want.vals != 0
-    want_rows, want_cols, want_vals = want.rows[nonzero], want.cols[nonzero], want.vals[nonzero]
     got, wanted = (np.lexsort((cols, rows)) for rows, cols in
-                   ((got_rows, got_cols), (want_rows, want_cols)))
-    assert np.array_equal(got_rows[got], want_rows[wanted])
-    assert np.array_equal(got_cols[got], want_cols[wanted])
-    np.testing.assert_allclose(got_vals[got], want_vals[wanted], rtol=RTOL, atol=0)
+                   ((got_rows, got_cols), (want.rows, want.cols)))
+    assert np.array_equal(got_rows[got], want.rows[wanted])
+    assert np.array_equal(got_cols[got], want.cols[wanted])
+    np.testing.assert_allclose(got_vals[got], want.vals[wanted], rtol=RTOL, atol=0)
 
     for got_side, want_side in ((lp.row_lower_, want.row_lower),
                                 (lp.row_upper_, want.row_upper),
@@ -141,7 +137,7 @@ class TestHighsReadsTheExport:
         model = milp.build_model(instance)
         assert_export_reads_as_model(tmp_path, model)
         outline = milp.parse_lp((tmp_path / "model.lp").read_text(encoding="utf-8"))
-        assert outline == (model.aircraft_ids, set(model.variables))
+        assert outline == ([a.id for a in instance.all_aircraft()], set(model.variables))
 
 
 def test_highs_optimum_imports_at_its_cost(tmp_path):

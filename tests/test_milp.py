@@ -194,7 +194,7 @@ class TestExport:
         name = "r" * (width - len(" : + 1 x <= 0"))
         model = milp.MilpModel({"x": milp.MilpVariable("x", milp.CONTINUOUS)},
                                [milp.MilpRow(name, ((1.0, "x"),), "<=", 0.0)],
-                               ((1.0, "x"),), [])
+                               ((1.0, "x"),))
         lines = milp.export_lp(model).splitlines()
         start = lines.index("Subject To") + 1
         got = lines[start:lines.index("Bounds")]
@@ -436,7 +436,7 @@ class TestDeriveBinaries:
         sol = manual_solution(inst, {
             "a": accept("a", 5.0, 5.0, 0.0, 120.1, eta=fa.eta, etd=fa.etd),
             "b": accept("b", 5.0, 32.0, 0.2, 120.0, eta=fb.eta, etd=fb.etd)})
-        point = milp.derive_binaries(inst, sol)
+        point = milp.derive_binaries(inst, sol, milp.build_model(inst))
         assert point["Above(b,a)"] == 1.0
         assert point["Above(a,b)"] == 0.0
         assert point["Right(a,b)"] == point["Right(b,a)"] == 0.0
@@ -448,7 +448,7 @@ class TestDeriveBinaries:
         sol = manual_solution(inst, {
             "a": accept("a", 5.0, 5.0, 0.0, 100.0, eta=fa.eta, etd=fa.etd),
             "b": accept("b", 5.0, 5.0, 150.0, 250.0, eta=fb.eta, etd=fb.etd)})
-        point = milp.derive_binaries(inst, sol)
+        point = milp.derive_binaries(inst, sol, milp.build_model(inst))
         assert point["OutIn(a,b)"] == 1.0
         assert point["OutIn(b,a)"] == 0.0
         # spatial binaries stay zero for temporally disjoint pairs
@@ -461,7 +461,7 @@ class TestDeriveBinaries:
         inst = make_instance(future=[f], current=[c])
         sol = ach.solve(inst)
         assert not sol.by_id()["a01"].accept
-        point = milp.derive_binaries(inst, sol)
+        point = milp.derive_binaries(inst, sol, milp.build_model(inst))
         assert point["Accept(a01)"] == 0.0
         assert point["X(a01)"] == 0.0
         for a, b in [("a01", "c01"), ("c01", "a01")]:
@@ -480,7 +480,7 @@ class TestDeriveBinaries:
             "a": accept("a", 36.0, 5.0, 0.0, 100.0, eta=fa.eta, etd=fa.etd),
             "b": Assignment("b", False, x=7.0, y=3.0, roll_in=50.0, roll_out=150.0,
                             d_arr=40.0, d_dep=20.0)})
-        point = milp.derive_binaries(inst, sol)
+        point = milp.derive_binaries(inst, sol, milp.build_model(inst))
         for var in ("Accept", "X", "Y", "Rollin", "Rollout", "DArr", "DDep"):
             assert point[f"{var}(b)"] == 0.0
         pairs = [("c", "b"), ("a", "b"), ("b", "c"), ("b", "a")]
@@ -512,15 +512,12 @@ class TestDeriveBinaries:
         for name, value in expected.items():
             assert model.variables[name].lb == model.variables[name].ub == value
 
-    def test_without_model_builds_no_rows(self, monkeypatch):
-        # the aircraft order comes from the instance, not from a row system
-        inst = instgen.generate(instgen.GeneratorConfig(n_future=6, n_current=2, seed=3))
-        sol = ach.solve(inst)
-        want = list(milp.derive_binaries(inst, sol, milp.build_model(inst)).items())
-        calls, build = [], milp.build_model
-        monkeypatch.setattr(milp, "build_model", lambda *args: calls.append(args) or build(*args))
-        assert list(milp.derive_binaries(inst, sol).items()) == want
-        assert calls == []
+    def test_point_follows_the_model_columns(self):
+        # the point's values, in order, are the x vector of to_arrays' columns
+        for inst in lp_sweep():
+            model = milp.build_model(inst)
+            point = milp.derive_binaries(inst, ach.solve(inst), model)
+            assert list(point) == milp.to_arrays(model).columns
 
     def test_coincident_events_ambiguous(self):
         fa = make_future("a", eta=0.0, service=100.0)
@@ -530,7 +527,7 @@ class TestDeriveBinaries:
             "a": accept("a", 5.0, 5.0, 0.0, 100.0, eta=fa.eta, etd=fa.etd),
             "b": accept("b", 5.0, 5.0, 100.0, 200.0, eta=fb.eta, etd=fb.etd)})
         with pytest.raises(milp.AmbiguousOrder):
-            milp.derive_binaries(inst, sol)
+            milp.derive_binaries(inst, sol, milp.build_model(inst))
 
     @pytest.mark.parametrize("b_x, b_stay, message", [
         (5.0, (100.0, 200.0), "OutIn(a,b): events coincide at t=100.0"),
@@ -546,7 +543,7 @@ class TestDeriveBinaries:
             "a": accept("a", 5.0, 5.0, 0.0, 100.0, eta=fa.eta, etd=fa.etd),
             "b": accept("b", b_x, 5.0, *b_stay, eta=fb.eta, etd=fb.etd)})
         with pytest.raises(milp.AmbiguousOrder) as error:
-            milp.derive_binaries(inst, sol)
+            milp.derive_binaries(inst, sol, milp.build_model(inst))
         assert str(error.value) == message
 
 
@@ -663,9 +660,19 @@ class TestToArrays:
 
     def test_objective_with_no_terms(self):
         model = milp.MilpModel({"X(a01)": milp.MilpVariable("X(a01)", milp.CONTINUOUS)},
-                               [milp.MilpRow("r(a01)", ((1.0, "X(a01)"),), ">=", 0.0)], (), [])
+                               [milp.MilpRow("r(a01)", ((1.0, "X(a01)"),), ">=", 0.0)], ())
         cost = milp.to_arrays(model).cost
         assert cost.dtype == np.float64 and cost.tolist() == [0.0]
+
+    def test_zero_coefficients_are_left_out(self):
+        # a01's eta is 0, so eq3_rollin_eta(a01) holds "+ 0 Accept(a01)"
+        model = milp.build_model(three_aircraft_instance())
+        arrays = milp.to_arrays(model)
+        row = [r.name for r in model.rows].index("eq3_rollin_eta(a01)")
+        assert (0.0, "Accept(a01)") in model.rows[row].terms
+        assert [arrays.columns[j] for j in arrays.cols[arrays.rows == row]] == ["Rollin(a01)"]
+        assert 0.0 not in arrays.vals
+        assert len(arrays.vals) == sum(c != 0 for r in model.rows for c, _ in r.terms)
 
     def test_senses_open_one_side(self):
         model = milp.build_model(single_aircraft_instance())
@@ -739,6 +746,22 @@ class TestBigMKeepsSolverPlans:
         for solution in (ach.solve(inst), exact.solve_exact(inst).solution):
             assert sum(a.accept for a in solution.assignments) == 1
             assert evaluate_cost(inst, solution).total == pytest.approx(20.01)
+            assert_point_satisfies_rows(inst, solution)
+
+
+class TestParkedAtTimeZero:
+    """A parked aircraft is in the hangar from before the plan starts, as
+    ``eq18_entry_block`` and the fixed ``InIn`` have it."""
+
+    def test_request_due_at_zero_waits_for_the_parked_aircraft_above(self):
+        # c fills the hangar's width at its back wall and leaves at 1, so f,
+        # due at 0, rolls in beneath it once c has left
+        h = HangarConfig(hw=40.0, hl=40.0, buffer=0.0, eps_t=2.5e-6)
+        c = make_current("c", width=40.0, length=10.0, x=0.0, y=30.0, service=1.0, etd=1.0)
+        f = make_future("f", width=40.0, length=10.0, eta=0.0, service=30.0, p_arr=0.0)
+        inst = make_instance(current=[c], future=[f], hangar=h)
+        for solution in (ach.solve(inst), exact.solve_exact(inst).solution):
+            assert solution.by_id()["f"].roll_in == pytest.approx(1.0 + h.eps_t, abs=1e-9)
             assert_point_satisfies_rows(inst, solution)
 
 
@@ -818,6 +841,11 @@ class TestObjective:
             sum(f.p_rej for f in inst.future))
 
 
+def outline_of(instance, model):
+    """The ``LpOutline`` that ``parse_lp`` gives of ``model``'s export."""
+    return milp.LpOutline([a.id for a in instance.all_aircraft()], frozenset(model.variables))
+
+
 class TestImport:
     def _point_text(self, point):
         return "\n".join(f"{k} {v}" for k, v in point.items())
@@ -827,7 +855,7 @@ class TestImport:
         sol = ach.solve(inst)
         model = milp.build_model(inst)
         point = milp.derive_binaries(inst, sol, model)
-        imported = milp.import_solution(model, inst, self._point_text(point))
+        imported = milp.import_solution(outline_of(inst, model), inst, self._point_text(point))
         for a in inst.all_aircraft():
             orig, back = sol.by_id()[a.id], imported.by_id()[a.id]
             assert back.accept == orig.accept
@@ -839,24 +867,22 @@ class TestImport:
     def test_unlisted_variables_default_to_zero(self):
         inst = single_aircraft_instance()
         model = milp.build_model(inst)
-        imported = milp.import_solution(model, inst, "Const 1\n")
+        imported = milp.import_solution(outline_of(inst, model), inst, "Const 1\n")
         assert not imported.by_id()["a01"].accept
 
     def test_undeclared_name_rejected(self):
         # the first name the model does not declare, in file order
         inst = make_instance(future=[make_future("a01"), make_future("a02")])
-        built = milp.build_model(inst)
-        for model in (built, milp.parse_lp(milp.export_lp(built))):
-            with pytest.raises(ParseError, match=r"Accpet\(a01\)"):
-                milp.import_solution(model, inst, "X(a01) 5\nAccpet(a01) 1\nBogus 7\n")
+        outline = milp.parse_lp(milp.export_lp(milp.build_model(inst)))
+        with pytest.raises(ParseError, match=r"Accpet\(a01\)"):
+            milp.import_solution(outline, inst, "X(a01) 5\nAccpet(a01) 1\nBogus 7\n")
 
     def test_model_of_other_instance_rejected(self):
-        inst = three_aircraft_instance()
-        model = milp.build_model(inst)
+        inst, other = three_aircraft_instance(), single_aircraft_instance()
+        own = outline_of(inst, milp.build_model(inst))
         with pytest.raises(ParseError):
-            milp.import_solution(milp.build_model(single_aircraft_instance()), inst, "")
-        reordered = milp.MilpModel(model.variables, model.rows, model.objective,
-                                   model.aircraft_ids[::-1])
+            milp.import_solution(outline_of(other, milp.build_model(other)), inst, "")
+        reordered = milp.LpOutline(own.aircraft_ids[::-1], own.variables)
         with pytest.raises(ParseError):
             milp.import_solution(reordered, inst, "")
 
@@ -891,7 +917,7 @@ class TestImport:
         text = ("Accept(a01) 1\nX(a01) 1\nY(a01) 5\n"
                 "Rollin(a01) 12\nRollout(a01) 112\n")
         with pytest.raises(validator.Infeasible) as exc:
-            milp.import_solution(model, inst, text)
+            milp.import_solution(outline_of(inst, model), inst, text)
         kinds = {v.kind for v in exc.value.report.violations}
         assert ViolationKind.OUT_OF_BOUNDS in kinds
         assert str(exc.value) == validator.explain(exc.value.report)
@@ -910,12 +936,12 @@ def paused_calls():
     sol = ach.solve(inst)
     model = milp.build_model(inst)
     text = milp.export_lp(model)
-    point_text = "".join(f"{k} {v!r}\n" for k, v in milp.derive_binaries(inst, sol).items())
+    point_text = "".join(f"{k} {v!r}\n" for k, v in milp.derive_binaries(inst, sol, model).items())
     return {
         "build_model": lambda: milp.build_model(inst),
         "export_lp": lambda: milp.export_lp(model),
         "parse_lp": lambda: milp.parse_lp(text),
-        "derive_binaries": lambda: milp.derive_binaries(inst, sol),
+        "derive_binaries": lambda: milp.derive_binaries(inst, sol, model),
         "parse_point": lambda: milp.parse_point(point_text),
     }
 
@@ -978,7 +1004,7 @@ class TestRowLayerProperties:
         HiGHS checks its rows (``tests/test_lp_highs.py``)."""
         model = milp.build_model(instance)
         outline = milp.parse_lp(milp.export_lp(model))
-        assert outline.aircraft_ids == model.aircraft_ids
+        assert outline.aircraft_ids == [a.id for a in instance.all_aircraft()]
         assert outline.variables == set(model.variables)
 
 

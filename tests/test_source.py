@@ -48,3 +48,43 @@ def test_bench_traced_names_resolve(monkeypatch):
         assert callable(fn), name
         source = Path(inspect.getsourcefile(inspect.unwrap(fn))).resolve()
         assert source.is_relative_to(SRC.resolve()), name
+
+
+#: The module-level functions that nothing under ``src/`` calls: the
+#: benchmark's and the tests' own entry points.  A new function joins this
+#: list only on purpose; otherwise it needs a caller.
+UNCALLED = ["ach.resolve_roll_out", "milp.check_satisfaction", "milp.derive_binaries",
+            "milp.objective_value"]
+
+
+def uncalled_functions(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each module-level function, click commands
+    aside, whose name no ``Name`` or ``Attribute`` in ``sources`` loads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+
+    def is_command(fn):
+        return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                   and d.func.attr in ("command", "group") for d in fn.decorator_list)
+
+    return sorted(f"{module}.{fn.name}" for module, tree in trees.items() for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and not is_command(fn)
+                  and fn.name not in loaded)
+
+
+def test_uncalled_functions_are_the_entry_points():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert uncalled_functions(sources) == UNCALLED
+
+
+def test_finds_an_uncalled_function():
+    sources = {"a": "import click\n@click.command()\ndef cmd():\n    pass\n"
+                    "def f():\n    return g\ndef g():\n    pass\ndef h():\n    pass\n",
+               "b": "import a\na.f()\n"}
+    assert uncalled_functions(sources) == ["a.h"]

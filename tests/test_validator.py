@@ -71,6 +71,29 @@ class TestFeasibleCases:
         assert report.feasible, validator.explain(report)
 
 
+class TestParkedAtTimeZero:
+    """A parked aircraft is in the hangar from before the plan starts, as the
+    rows' fixed ``InIn`` has it."""
+
+    def test_entry_at_zero_beneath_it_is_blocked(self):
+        c = make_current("c", y=32.0, service=50.0)
+        f = make_future("f", eta=0.0)
+        inst = make_instance(current=[c], future=[f])
+        report = validator.validate(inst, manual_solution(inst, {
+            "c": accept("c", 5.0, 32.0, 0.0, 50.0, etd=c.etd),
+            "f": accept("f", 5.0, 5.0, 0.0, 100.0, eta=f.eta, etd=f.etd)}))
+        assert {v.kind for v in report.violations} == {ViolationKind.ENTRY_BLOCKED}
+
+    def test_parked_beneath_parked_is_not_an_entry(self):
+        c1 = make_current("c1", y=5.0, service=50.1)
+        c2 = make_current("c2", y=32.0, service=50.0)
+        inst = make_instance(current=[c1, c2])
+        report = validator.validate(inst, manual_solution(inst, {
+            "c1": accept("c1", 5.0, 5.0, 0.0, 50.1, etd=c1.etd),
+            "c2": accept("c2", 5.0, 32.0, 0.0, 50.0, etd=c2.etd)}))
+        assert report.feasible, validator.explain(report)
+
+
 class TestDepartureDeadlock:
     """Lower aircraft with ETD 100 trapped behind an upper lane-mate that
     stays until 120: leaving on time is flagged, waiting out the blocker
