@@ -22,19 +22,20 @@ break-even time infinite.
 
 The search of one aircraft prepares, once against its committed schedule,
 what every scan reads that does not depend on the roll-in time
-(``prepare_scan``): the two grids and their scores, the sorted movement
-events, and for each accepted committed aircraft its stay, its movements and
-four index ranges on the grids.  A scan at one roll-in then makes only the
-time tests, and clears one slice of the grid for each test that holds.
+(``prepare_scan``): the two grid axes, the sorted movement events, and for
+each accepted committed aircraft its stay, its movements and four index
+bounds on the axes.  A scan at one roll-in then makes only the time tests,
+bars one rectangle of cells for each co-present aircraft, and looks only at
+the first free cell of the columns where a rectangle ends
+(``find_best_placement``), so its cost does not depend on the number of
+cells.  An aircraft whose grid is empty is rejected before the search.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .core import (
     GRID_TOL,
@@ -92,62 +93,74 @@ class Scan(NamedTuple):
     """What the grid scan of one aircraft next to one committed schedule reads
     that does not depend on the roll-in time, and the hangar's ``eps_t``.
 
+    ``xs`` and ``ys`` are the two axes of the grid, ascending, as lists.
     ``committed`` holds, for each accepted committed aircraft b, its stay
-    (``core.presence``), its movements and four index ranges.  ``lane``
-    indexes ``xs``: the x cells whose buffered width overlaps b's.  ``band``,
-    ``below`` and ``above`` index ``ys``: the y cells whose buffered footprint
-    overlaps b's, lies below b, or lies above b.  The grids ascend, so each
-    range is one slice.
+    (``core.presence``), its movements and four index bounds: the x cells
+    ``[x_lo, x_hi)`` are those whose buffered width overlaps b's, its lane;
+    the y cells ``[y_lo, y_hi)`` those whose buffered length overlaps b's,
+    its band; the y cells ``[0, y_lo)`` lie below b and ``[y_hi, ny)`` above
+    it.  A scan holds O(nx + ny + k) values, not one per cell.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    score: np.ndarray
+    xs: list[float]
+    ys: list[float]
     events: list[float]
-    committed: list[tuple[tuple[float, float], list[float], slice, slice, slice, slice]]
+    committed: list[tuple[tuple[float, float], list[float], int, int, int, int]]
     eps_t: float
 
 
 def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
                  instance: Instance) -> Scan:
     """The time-invariant part of ``find_best_placement`` for ``aircraft``
-    next to ``fixed_schedule``."""
+    next to ``fixed_schedule``: O(nx + ny) for the grids, and one bisection
+    per committed bound."""
     h = instance.hangar
-    xs = grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step)
-    ys = grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step)
+    xs = grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step).tolist()
+    ys = grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step).tolist()
     committed = []
     for spec_b, asg_b in fixed_schedule:
         if not asg_b.accept:
             continue
-        # on an ascending grid, v > lower holds from searchsorted(lower,
-        # "right") on, and v < upper below searchsorted(upper, "left")
-        x_lo = int(np.searchsorted(xs, asg_b.x - aircraft.width - h.buffer + GRID_TOL, "right"))
-        x_hi = int(np.searchsorted(xs, asg_b.x + spec_b.width + h.buffer - GRID_TOL, "left"))
-        y_lo = int(np.searchsorted(ys, asg_b.y - aircraft.length - h.buffer + GRID_TOL, "right"))
-        y_hi = int(np.searchsorted(ys, asg_b.y + spec_b.length + h.buffer - GRID_TOL, "left"))
-        committed.append((presence(spec_b, asg_b.roll_in, asg_b.roll_out),
-                          movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
-                          slice(x_lo, x_hi), slice(y_lo, y_hi),
-                          slice(0, y_lo), slice(y_hi, None)))
-    return Scan(xs, ys, xs[:, None] + ys[None, :], _events(fixed_schedule), committed,
-                h.eps_t)
+        # on an ascending grid, v > lower holds from bisect_right(lower) on,
+        # and v < upper below bisect_left(upper)
+        committed.append((
+            presence(spec_b, asg_b.roll_in, asg_b.roll_out),
+            movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
+            bisect_right(xs, asg_b.x - aircraft.width - h.buffer + GRID_TOL),
+            bisect_left(xs, asg_b.x + spec_b.width + h.buffer - GRID_TOL),
+            bisect_right(ys, asg_b.y - aircraft.length - h.buffer + GRID_TOL),
+            bisect_left(ys, asg_b.y + spec_b.length + h.buffer - GRID_TOL)))
+    return Scan(xs, ys, _events(fixed_schedule), committed, h.eps_t)
 
 
 def find_best_placement(aircraft: AircraftSpec, t_in: float,
                         scan: Scan) -> Optional[Assignment]:
-    """Exhaustive grid scan at roll-in time t_in: the aircraft accepted at the
-    valid spot with minimal x + y (ties: smaller y, then smaller x) from t_in
-    to its roll-out, or None when no spot is valid.
+    """Grid scan at roll-in time t_in: the aircraft accepted at the valid
+    cell with minimal x + y (scores within 1e-9 tie; ties: smaller y, then
+    smaller x) from t_in to its roll-out, or None when no cell is valid.
 
     ``scan`` is ``prepare_scan`` of the aircraft next to the committed
     schedule; the time search prepares it once for all the roll-ins of the
-    aircraft.  Per roll-in the scan tests only times: the separation of t_in,
-    the roll-out walk, and for each committed aircraft co-presence and the
-    two blocking windows, each of which clears a slice.
-    """
-    if scan.xs.size == 0 or scan.ys.size == 0:
-        return None
+    aircraft.  Per roll-in the scan makes only time tests: the separation of
+    t_in, the roll-out walk, and for each committed aircraft b co-presence and
+    the two blocking windows.  Each co-present b then bars one rectangle of
+    cells: its lane, times its band, widened to row 0 when b's stay blocks
+    the candidate's movements and to the top row when the candidate's window
+    blocks b's movements.
 
+    Only a few cells can win.  Take a valid cell (i, j), and let c be the
+    largest of 0 and the rectangles' right ends ``x_hi`` that is at most i.
+    Every rectangle that covers column c also covers i, so the first free
+    row r of column c is at most j.  The axes ascend and float addition is
+    monotone, so the score of (c, r) is at most that of (i, j).  Hence the
+    minimal score of the grid is a candidate's, and the cell that wins over
+    the whole grid, the first by y then x of the cells within 1e-9 of that
+    score, stands for a candidate that is also within 1e-9 and comes no
+    later: the winner itself.  So the candidates, one per column 0 or
+    ``x_hi`` at its first free row, found by walking the rectangles by their
+    lower row, give the cell of a scan of every cell, for any grid step, in
+    O(k^2) for k co-present aircraft whatever the number of cells.
+    """
     eps_t = scan.eps_t
     if not separated(t_in, scan.events, eps_t):
         return None
@@ -155,28 +168,45 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
     window = (t_in, t_out)
     moves = movement_times(aircraft, t_in, t_out)
 
-    valid = np.ones(scan.score.shape, dtype=bool)
-    for stay, moves_b, lane, band, below, above in scan.committed:
+    xs, ys = scan.xs, scan.ys
+    nx, ny = len(xs), len(ys)
+    rects = []
+    columns = {0}
+    for stay, moves_b, x_lo, x_hi, y_lo, y_hi in scan.committed:
         # a window that contains a movement overlaps the other stay, so only
         # co-present aircraft can collide with or block the candidate
         if not intervals_overlap(window, stay):
             continue
-        valid[lane, band] = False
         # b parked above the candidate must not cover the candidate's
-        # movements, and the candidate parked above b must not cover b's
-        if window_blocks(stay, moves):
-            valid[lane, below] = False
-        if window_blocks(window, moves_b):
-            valid[lane, above] = False
-        if not valid.any():
-            return None
+        # movements, and the candidate parked above b must not cover b's;
+        # below, band and above are adjacent unless footprints and buffer
+        # sum to less than 2 * GRID_TOL, where below and above overlap
+        below = window_blocks(stay, moves)
+        above = window_blocks(window, moves_b)
+        lo = 0 if below else min(y_lo, y_hi) if above else y_lo
+        hi = ny if above else max(y_lo, y_hi) if below else y_hi
+        if x_lo < x_hi and lo < hi:
+            rects.append((lo, hi, x_lo, x_hi))
+            columns.add(x_hi)
+    rects.sort()
+    columns.discard(nx)
 
-    score = scan.score
-    best = np.min(score[valid])
-    tie = valid & (np.abs(score - best) < 1e-9)
-    yi = np.min(np.where(tie.any(axis=0))[0])
-    xi = np.min(np.where(tie[:, yi])[0])
-    return Assignment.placed(aircraft, float(scan.xs[xi]), float(scan.ys[yi]), t_in, t_out)
+    found = []
+    for c in columns:
+        row = 0
+        for lo, hi, x_lo, x_hi in rects:
+            # sorted by lower row: no later rectangle covers this row either
+            if lo > row:
+                break
+            if x_lo <= c < x_hi and hi > row:
+                row = hi
+        if row < ny:
+            found.append((xs[c] + ys[row], row, c))
+    if not found:
+        return None
+    best = min(found)[0]
+    yi, xi = min((row, c) for score, row, c in found if abs(score - best) < 1e-9)
+    return Assignment.placed(aircraft, xs[xi], ys[yi], t_in, t_out)
 
 
 def _commit_current(instance: Instance) -> list[Committed]:
@@ -235,6 +265,8 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
     scan = prepare_scan(aircraft, fixed, instance)
+    if not scan.xs or not scan.ys:
+        return None
     thresholds = _thresholds(fixed, scan.events, h.eps_t)
     k = 0
     while True:

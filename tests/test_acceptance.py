@@ -21,7 +21,7 @@ import pytest
 from click.testing import CliRunner
 
 from hangarplan import ach, cli, exact, instgen, io, milp, validator
-from hangarplan.core import evaluate_cost
+from hangarplan.core import HangarConfig, evaluate_cost
 
 from conftest import (
     FAMILY_BY_KIND,
@@ -88,6 +88,22 @@ def heuristic_sweep():
 #: key-sorted solution JSON per instance, in sweep order.  A change that alters
 #: a plan on purpose updates it and says why.
 HEURISTIC_SWEEP_SHA256 = "7e3afe8135d473401782f9b77836ab7e219a04c745851a528ed57409fd329841"
+
+#: Hangars other than the default one, each with its own columns where the
+#: grid scan's blocked rectangles end: wide, wide on a finer grid, mid-sized
+#: on a finer grid, a step that divides no side, and no buffer.
+WIDE_HANGARS = (
+    HangarConfig(hw=120.0, hl=100.0),
+    HangarConfig(hw=120.0, hl=100.0, buffer=2.5, grid_step=0.5),
+    HangarConfig(hw=80.0, hl=70.0, buffer=2.5, grid_step=0.5),
+    HangarConfig(grid_step=2.3),
+    HangarConfig(hw=100.0, hl=100.0, buffer=0.0),
+)
+
+#: sha256 of the heuristic's plans in each of ``WIDE_HANGARS`` for n in
+#: (3, 6, 10, 15, 20) with n % 3 parked aircraft, seeds 0-3 and congestion
+#: 1.0 and 0.2: 200 instances, hashed as ``HEURISTIC_SWEEP_SHA256``.
+WIDE_SWEEP_SHA256 = "a0816367982f4250d9f9d877478a62ea1cf28d012725e7d92d48bec048dd7ae2"
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +331,18 @@ def test_heuristic_sweep_plans_pinned(heuristic_sweep):
     for _, sol, _, _, _ in records:
         digest.update(json.dumps(io.solution_to_dict(sol), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == HEURISTIC_SWEEP_SHA256
+
+
+def test_heuristic_plans_pinned_outside_the_default_hangar():
+    digest = hashlib.sha256()
+    for hangar in WIDE_HANGARS:
+        for n in (3, 6, 10, 15, 20):
+            for seed in range(4):
+                for congestion in (1.0, 0.2):
+                    inst = instgen.generate(instgen.GeneratorConfig(
+                        n_future=n, n_current=n % 3, seed=seed, congestion=congestion,
+                        hangar=hangar))
+                    sol = ach.solve(inst)
+                    digest.update(json.dumps(io.solution_to_dict(sol),
+                                             sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == WIDE_SWEEP_SHA256

@@ -3,6 +3,7 @@ and feasibility of its output."""
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 from datetime import timedelta
 
@@ -78,26 +79,34 @@ class TestResolveRollOut:
         assert ach.resolve_roll_out(f, 10.0, fixed) == pytest.approx(110.2)
 
 
-def is_valid_spot(aircraft, x, y, t_in, fixed, instance):
-    """Reference spot check through the validator: place the candidate at
-    (x, y) from t_in to the heuristic's roll-out next to the committed
-    aircraft, and look only at violations that name it.  The committed plan
-    itself need not be feasible."""
+def spot_checker(aircraft, t_in, fixed, instance):
+    """Reference spot check through the validator: a function of (x, y) that
+    places the candidate there from t_in to the heuristic's roll-out next to
+    the committed aircraft, and looks only at violations that name it.  The
+    committed plan itself need not be feasible."""
     t_out = ach.resolve_roll_out(aircraft, t_in, fixed, instance.hangar.eps_t)
     specs = [spec for spec, _ in fixed] + [aircraft]
     sub = Instance(hangar=instance.hangar,
                    current=[s for s in specs if s.kind is Kind.CURRENT],
                    future=[s for s in specs if s.kind is Kind.FUTURE])
-    candidate = Assignment(aircraft.id, True, x=x, y=y, roll_in=t_in, roll_out=t_out)
-    plan = Solution("spot", tuple(asg for _, asg in fixed) + (candidate,))
-    report = validator.validate(sub, plan)
-    return not any(aircraft.id in v.aircraft for v in report.violations)
+    committed = tuple(asg for _, asg in fixed)
+
+    def is_valid(x, y):
+        candidate = Assignment(aircraft.id, True, x=x, y=y, roll_in=t_in, roll_out=t_out)
+        report = validator.validate(sub, Solution("spot", committed + (candidate,)))
+        return not any(aircraft.id in v.aircraft for v in report.violations)
+    return is_valid
+
+
+def is_valid_spot(aircraft, x, y, t_in, fixed, instance):
+    return spot_checker(aircraft, t_in, fixed, instance)(x, y)
 
 
 def brute_force_placement(aircraft, t_in, fixed, instance):
     """(x, y) of the grid cell with minimal x + y (then y, then x) that passes
-    ``is_valid_spot``, or None."""
+    the validator's spot check, or None."""
     h = instance.hangar
+    is_valid = spot_checker(aircraft, t_in, fixed, instance)
     best = None
     i = 0
     while h.buffer + i * h.grid_step + aircraft.width <= h.hw - h.buffer + 1e-9:
@@ -106,8 +115,7 @@ def brute_force_placement(aircraft, t_in, fixed, instance):
         while h.buffer + j * h.grid_step + aircraft.length <= h.hl - h.buffer + 1e-9:
             y = h.buffer + j * h.grid_step
             key = (x + y, y, x)
-            if (best is None or key < best) and is_valid_spot(aircraft, x, y, t_in,
-                                                              fixed, instance):
+            if (best is None or key < best) and is_valid(x, y):
                 best = key
             j += 1
         i += 1
@@ -162,7 +170,7 @@ class TestFindBestPlacement:
         assert cand.roll_out == pytest.approx(100.0)
 
     def test_matches_scalar_reference(self):
-        # vectorized scan must agree with the scalar spot check on every cell
+        # the rectangle scan must agree with the scalar spot check on every cell
         inst = make_instance(
             future=[make_future("a"), make_future("b"), make_future("x", width=26.0, length=24.0)])
         fixed = [
@@ -311,6 +319,23 @@ class TestTermination:
         if placed_first:
             assert sol.by_id()["a"].accept
 
+    def test_empty_grid_rejected_without_a_scan(self, monkeypatch):
+        # before the early return, the search of "wide" walked the
+        # thresholds of the two parked aircraft and scanned 46 times
+        gen = instgen.generate(instgen.GeneratorConfig(n_future=12, n_current=2, seed=3))
+        wide = make_future("wide", width=500.0, p_arr=0.0)
+        inst = Instance(hangar=gen.hangar, current=gen.current, future=gen.future + (wide,))
+        scanned = Counter()
+        scan = ach.find_best_placement
+
+        def counting(aircraft, t_in, prepared):
+            scanned[aircraft.id] += 1
+            return scan(aircraft, t_in, prepared)
+        monkeypatch.setattr(ach, "find_best_placement", counting)
+        sol = ach.solve(inst)
+        assert not sol.by_id()["wide"].accept and scanned["wide"] == 0
+        assert sum(scanned.values()) > 0
+
 
 def stepping_solve(instance):
     """Reference search: step roll-in by eps_t from eta up to the break-even
@@ -376,7 +401,7 @@ class TestEventDrivenSearch:
         _assert_matches_stepping(n, n_current, congestion, multiplier, seed)
 
 
-def held_out_scan(n, n_current, congestion, seed, pick, hl):
+def held_out_scan(n, n_current, congestion, seed, pick, hl, hw=65.0, grid_step=1.0):
     """An instgen plan with one future aircraft held out: the instance, the
     held aircraft, the rest of the plan as the committed schedule, and the
     roll-ins to scan at, on the lattice from eta and next to every committed
@@ -384,7 +409,7 @@ def held_out_scan(n, n_current, congestion, seed, pick, hl):
     # the 100 m hangar stacks aircraft in a lane, so blocking decides
     inst = instgen.generate(instgen.GeneratorConfig(
         n_future=n, n_current=n_current, seed=seed, congestion=congestion,
-        hangar=HangarConfig(hl=hl)))
+        hangar=HangarConfig(hw=hw, hl=hl, grid_step=grid_step)))
     plan = ach.solve(inst)
     held = inst.future[pick % n]
     fixed = [(a, plan.by_id()[a.id]) for a in inst.all_aircraft() if a.id != held.id]
@@ -423,7 +448,7 @@ def cell(assignment):
 
 
 class TestScanAgainstValidator:
-    """The vectorized grid scan must pick the cell that a brute force over the
+    """The grid scan must pick the cell that a brute force over the whole
     grid, judged by the validator alone, picks next to a committed plan."""
 
     @settings(max_examples=5, deadline=timedelta(seconds=30))
@@ -440,15 +465,18 @@ class TestScanAgainstValidator:
             got = cell(place(held, t_in, fixed, inst))
             assert got == brute_force_placement(held, t_in, fixed, inst), t_in
 
-    @settings(max_examples=4, deadline=timedelta(seconds=60))
+    @settings(max_examples=20, deadline=timedelta(seconds=60))
     @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
            congestion=st.sampled_from([0.2, 1.0]),
            seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 7),
-           hl=st.sampled_from([60.0, 100.0]))
+           hl=st.sampled_from([60.0, 100.0]), hw=st.sampled_from([65.0, 120.0]),
+           grid_step=st.sampled_from([1.0, 0.5, 2.3]))
     def test_reused_scan_matches_brute_force(self, n, n_current, congestion, seed,
-                                             pick, hl):
-        # one prepared scan serves every roll-in, as in the time search
-        inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl)
+                                             pick, hl, hw, grid_step):
+        # one prepared scan serves every roll-in, as in the time search; the
+        # wide hangar and the uneven steps move the columns where rectangles end
+        inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl,
+                                                 hw, grid_step)
         scan = ach.prepare_scan(held, fixed, inst)
         for t_in in times:
             reused = ach.find_best_placement(held, t_in, scan)
@@ -456,15 +484,11 @@ class TestScanAgainstValidator:
             assert cell(reused) == brute_force_placement(held, t_in, fixed, inst), t_in
 
 
-def range_indices(size, index_range):
-    return list(range(size))[index_range]
-
-
 def check_scan_ranges(aircraft, placed, inst):
     """Prepare the scan of ``aircraft`` next to the committed aircraft
-    ``placed`` ((spec, x, y) each), and compare it with brute forces: each
-    index range with the cells that the geometry predicates of ``core`` pick
-    one by one, and the scan's cell with ``brute_force_placement``.  The
+    ``placed`` ((spec, x, y) each), and compare it with brute forces: the
+    cells of each pair of index bounds with the cells that the geometry
+    predicates of ``core`` pick one by one, and the scan's cell with ``brute_force_placement``.  The
     committed aircraft stay in two ways: leaving last, which bars their
     footprint and the cells below them, and leaving first, which bars their
     footprint and the cells above them.  Returns the scan."""
@@ -473,18 +497,18 @@ def check_scan_ranges(aircraft, placed, inst):
     for b_in, b_out, t_in in stays:
         fixed = [(spec, accept(spec.id, x, y, b_in, b_out)) for spec, x, y in placed]
         scan = ach.prepare_scan(aircraft, fixed, inst)
-        xs, ys = list(scan.xs), list(scan.ys)
-        for (spec, x, y), (_, _, lane, band, below, above) in zip(placed, scan.committed):
-            assert range_indices(len(xs), lane) == [
+        xs, ys = scan.xs, scan.ys
+        for (spec, x, y), (_, _, x_lo, x_hi, y_lo, y_hi) in zip(placed, scan.committed):
+            assert list(range(x_lo, x_hi)) == [
                 i for i, cx in enumerate(xs)
                 if lanes_overlap(cx, aircraft.width, x, spec.width, h.buffer)]
-            assert range_indices(len(ys), band) == [
+            assert list(range(y_lo, y_hi)) == [
                 j for j, cy in enumerate(ys)
                 if not axis_separated(cy, aircraft.length, y, spec.length, h.buffer)]
-            assert range_indices(len(ys), below) == [
+            assert list(range(y_lo)) == [
                 j for j, cy in enumerate(ys)
                 if x_separated(y, cy, aircraft.length, h.buffer)]
-            assert range_indices(len(ys), above) == [
+            assert list(range(y_hi, len(ys))) == [
                 j for j, cy in enumerate(ys)
                 if x_separated(cy, y, spec.length, h.buffer)]
         got = ach.find_best_placement(aircraft, t_in, scan)
@@ -493,7 +517,7 @@ def check_scan_ranges(aircraft, placed, inst):
 
 
 class TestScanRanges:
-    """Edge cases of the index ranges that a prepared scan holds for each
+    """Edge cases of the index bounds that a prepared scan holds for each
     committed aircraft, each against the brute forces of
     ``check_scan_ranges``."""
 
@@ -504,9 +528,8 @@ class TestScanRanges:
         b = make_future("b", width=12.0, length=12.0)
         scan = check_scan_ranges(a, [(b, 9.6, 5.0)], inst)
         assert round(scan.xs[-1], 6) == 48.7 and round(scan.ys[-1], 6) == 44.1
-        _, _, lane, band, below, above = scan.committed[0]
-        assert (lane, band, below, above) == (
-            slice(0, 10), slice(0, 8), slice(0, 0), slice(8, None))
+        # lane [0, 10), band [0, 8), nothing below, above from 8 on
+        assert scan.committed[0][2:] == (0, 10, 0, 8)
 
     def test_committed_aircraft_flush_with_walls(self):
         inst = make_instance()
@@ -515,27 +538,27 @@ class TestScanRanges:
         b = make_future("b", width=20.0, length=20.0)
         c = make_future("c", width=20.0, length=20.0)
         scan = check_scan_ranges(a, [(b, 5.0, 35.0), (c, 40.0, 5.0)], inst)
-        nx, ny = scan.xs.size, scan.ys.size
-        (_, _, b_lane, _, _, b_above), (_, _, c_lane, _, c_below, _) = scan.committed
-        assert b_lane.start == 0 and range_indices(ny, b_above) == []
-        assert c_lane.stop == nx and range_indices(ny, c_below) == []
+        nx, ny = len(scan.xs), len(scan.ys)
+        (_, _, b_x_lo, _, _, b_y_hi), (_, _, _, c_x_hi, c_y_lo, _) = scan.committed
+        # b's lane starts at the left wall and nothing lies above it; c's lane
+        # ends at the right wall and nothing lies below it
+        assert b_x_lo == 0 and b_y_hi == ny
+        assert c_x_hi == nx and c_y_lo == 0
 
     def test_lane_covering_the_whole_x_grid(self):
         inst = make_instance()
         a = make_future("a")
         wide = make_future("wide", width=55.0, length=20.0)
         scan = check_scan_ranges(a, [(wide, 5.0, 5.0)], inst)
-        lane = scan.committed[0][2]
-        assert range_indices(scan.xs.size, lane) == list(range(scan.xs.size))
+        assert scan.committed[0][2:4] == (0, len(scan.xs))
 
     def test_empty_below_and_above(self):
         inst = make_instance()
         a = make_future("a")
         long = make_future("long", width=20.0, length=30.0)
         scan = check_scan_ranges(a, [(long, 5.0, 5.0)], inst)
-        _, _, _, band, below, above = scan.committed[0]
-        assert range_indices(scan.ys.size, band) == list(range(scan.ys.size))
-        assert range_indices(scan.ys.size, below) == range_indices(scan.ys.size, above) == []
+        # the band is every row, so nothing lies below or above
+        assert scan.committed[0][4:] == (0, len(scan.ys))
 
     @pytest.mark.parametrize("width,length", [(60.0, 22.0), (24.0, 52.0)],
                              ids=["too-wide", "too-long"])
@@ -544,8 +567,42 @@ class TestScanRanges:
         a = make_future("a", width=width, length=length)
         b = make_future("b")
         scan = check_scan_ranges(a, [(b, 5.0, 5.0)], inst)
-        assert scan.xs.size * scan.ys.size == 0
+        assert len(scan.xs) * len(scan.ys) == 0
         assert place(a, 0.0, [], inst) is None
+
+    def test_footprints_within_grid_tol_overlap_below_and_above(self):
+        # footprints and buffer that sum to less than 2 * GRID_TOL leave an
+        # empty band, and the rows from y_hi to y_lo lie both below and above
+        # b; b's stay blocks the candidate below it, so those rows are barred
+        inst = make_instance(hangar=HangarConfig(hw=1e-5, hl=1e-5, buffer=0.0,
+                                                 grid_step=1e-6))
+        a = make_future("a", width=5e-6, length=1e-7, service=5.0)
+        b = make_future("b", width=1e-5, length=1e-7)
+        fixed = [(b, accept("b", 0.0, 5e-6, 0.0, 200.0))]
+        scan = ach.prepare_scan(a, fixed, inst)
+        assert scan.committed[0][2:] == (0, len(scan.xs), 6, 5)
+        got = ach.find_best_placement(a, 0.2, scan)
+        assert cell(got) == (0.0, scan.ys[6])
+        plan = Solution("spot", (fixed[0][1], got))
+        assert validator.validate(make_instance(future=[a, b], hangar=inst.hangar), plan).feasible
+
+
+class TestScanMemory:
+    def test_scan_holds_the_axes_not_the_cells(self):
+        # 443 x 401 cells: a mask or a score per cell would take megabytes
+        inst = make_instance(hangar=HangarConfig(grid_step=0.07))
+        a = make_future("a")
+        b = make_future("b")
+        fixed = [(b, accept("b", 5.0, 5.0, 0.0, 200.0))]
+        tracemalloc.start()
+        try:
+            scan = ach.prepare_scan(a, fixed, inst)
+            got = ach.find_best_placement(a, 0.2, scan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(scan.xs), len(scan.ys)) == (443, 401)
+        assert got is not None and peak < 100_000
 
 
 class TestPreparedOncePerAircraft:
