@@ -11,6 +11,15 @@ jumps to the first lattice index at which t or t + service may reach the next
 of those thresholds (``_steps_to_next_threshold``); every index skipped gives
 the same miss, so the search finds the first fit of stepping ``k`` by one.
 
+Before each scan the search also jumps past every committed aircraft b that
+fills the grid: its lane times its band covers every cell.  While t is below
+b's roll-out less TOL and t + service above its roll-in plus TOL, b is
+co-present (the roll-out is at least t + service), and every rectangle it
+bars contains its lane times its band, so the scan misses.  The search then
+goes to the first lattice index at or past that roll-out less TOL
+(``_first_index_at``); in the default hangar one aircraft nearly always fills
+the grid of the next, and its whole stay costs no scan.
+
 An aircraft is rejected when the break-even time is passed, or when no
 threshold is left ahead of any point: from then on every scan would miss.
 Every threshold is at most the instance's horizon M_T <= ``core.MAX_HORIZON``,
@@ -258,21 +267,54 @@ def _steps_to_next_threshold(points: Sequence[float], thresholds: Sequence[float
     return max(1, math.ceil((gap - 2 * TOL) / eps_t))
 
 
+def _first_index_at(time: float, eta: float, eps_t: float, k: int) -> int:
+    """The first lattice index after k whose roll-in eta + j * eps_t is at
+    least ``time``.  The quotient only guesses it; the roll-ins, which do not
+    decrease with j, are compared to ``time`` on both sides of the guess."""
+    j = max(k + 1, math.ceil((time - eta) / eps_t))
+    while j > k + 1 and eta + (j - 1) * eps_t >= time:
+        j -= 1
+    while eta + j * eps_t < time:
+        j += 1
+    return j
+
+
 def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
                   instance: Instance) -> Optional[Assignment]:
     """The grid scan's assignment at the first lattice roll-in eta + k * eps_t
-    where it finds a spot, or None when the aircraft must be rejected."""
+    where it finds a spot, or None when the aircraft must be rejected.
+
+    A committed aircraft b fills the grid when its bounds are the whole axes,
+    ``x_lo == 0``, ``x_hi == nx``, ``y_lo == 0`` and ``y_hi == ny``.  Let
+    (s0, s1) be its stay.  At a roll-in t with t < s1 - TOL and
+    s0 < t + service - TOL the scan misses: its roll-out is at least
+    t + service, so b is co-present, and the rectangle b bars, whichever
+    blocking windows hold, is every row of every column.  Both tests keep
+    holding as t grows up to s1 - TOL, so the search skips, without a scan,
+    to the first index with t >= s1 - TOL of the filling aircraft that stays
+    longest.  Every index skipped is a miss, so the first fit is the one of
+    stepping ``k`` by one; the break-even and termination tests then run as
+    before.  Each jump passes a roll-out, after which that aircraft never
+    fills again, so the jumps are finitely many."""
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
     scan = prepare_scan(aircraft, fixed, instance)
-    if not scan.xs or not scan.ys:
+    nx, ny = len(scan.xs), len(scan.ys)
+    if not nx or not ny:
         return None
+    fills = [stay for stay, _, x_lo, x_hi, y_lo, y_hi in scan.committed
+             if (x_lo, x_hi, y_lo, y_hi) == (0, nx, 0, ny)]
     thresholds = _thresholds(fixed, scan.events, h.eps_t)
     k = 0
     while True:
         t = aircraft.eta + k * h.eps_t
         if t > t_max + TOL:
             return None
+        end = max((s1 for s0, s1 in fills
+                   if t < s1 - TOL and s0 < t + aircraft.service - TOL), default=None)
+        if end is not None:
+            k = _first_index_at(end - TOL, aircraft.eta, h.eps_t, k)
+            continue
         asg = find_best_placement(aircraft, t, scan)
         if asg is not None:
             return asg

@@ -25,6 +25,7 @@ from hangarplan.core import (
     next_separated,
     x_separated,
 )
+from hangarplan.validator import ViolationKind
 
 from conftest import accept, make_current, make_future, make_instance, specs, time_limit
 
@@ -79,22 +80,47 @@ class TestResolveRollOut:
         assert ach.resolve_roll_out(f, 10.0, fixed) == pytest.approx(110.2)
 
 
+#: Violations of the candidate's movement times alone, the same at every cell.
+TIME_ONLY = {ViolationKind.EARLY_ROLL_IN, ViolationKind.SERVICE_TOO_SHORT,
+             ViolationKind.NEGATIVE_TIME, ViolationKind.MOVEMENT_TOO_CLOSE}
+
+
 def spot_checker(aircraft, t_in, fixed, instance):
     """Reference spot check through the validator: a function of (x, y) that
     places the candidate there from t_in to the heuristic's roll-out next to
     the committed aircraft, and looks only at violations that name it.  The
-    committed plan itself need not be feasible."""
+    committed plan itself need not be feasible.
+
+    Each rule of the validator that can name the candidate looks at the
+    candidate alone (bounds, schedule) or at the candidate and one other
+    aircraft (overlap, blocking, movement separation: when a candidate's
+    movement is too close to another, so is its neighbour in time, which is
+    no farther).  So the candidate is validated next to one committed aircraft
+    at a time, first next to the one that last rejected a cell.  A violation
+    of its movement times rejects every cell at once."""
     t_out = ach.resolve_roll_out(aircraft, t_in, fixed, instance.hangar.eps_t)
-    specs = [spec for spec, _ in fixed] + [aircraft]
-    sub = Instance(hangar=instance.hangar,
-                   current=[s for s in specs if s.kind is Kind.CURRENT],
-                   future=[s for s in specs if s.kind is Kind.FUTURE])
-    committed = tuple(asg for _, asg in fixed)
+
+    def pair(others):
+        specs = [spec for spec, _ in others] + [aircraft]
+        sub = Instance(hangar=instance.hangar,
+                       current=[s for s in specs if s.kind is Kind.CURRENT],
+                       future=[s for s in specs if s.kind is Kind.FUTURE])
+        return sub, tuple(asg for _, asg in others)
+    pairs = [pair([b]) for b in fixed] or [pair([])]
+    mistimed = []
 
     def is_valid(x, y):
+        if mistimed:
+            return False
         candidate = Assignment(aircraft.id, True, x=x, y=y, roll_in=t_in, roll_out=t_out)
-        report = validator.validate(sub, Solution("spot", committed + (candidate,)))
-        return not any(aircraft.id in v.aircraft for v in report.violations)
+        for i, (sub, committed) in enumerate(pairs):
+            report = validator.validate(sub, Solution("spot", committed + (candidate,)))
+            kinds = {v.kind for v in report.violations if aircraft.id in v.aircraft}
+            if kinds:
+                mistimed.extend(kinds & TIME_ONLY)
+                pairs.insert(0, pairs.pop(i))
+                return False
+        return True
     return is_valid
 
 
@@ -107,19 +133,17 @@ def brute_force_placement(aircraft, t_in, fixed, instance):
     the validator's spot check, or None."""
     h = instance.hangar
     is_valid = spot_checker(aircraft, t_in, fixed, instance)
-    best = None
+    cells = []
     i = 0
     while h.buffer + i * h.grid_step + aircraft.width <= h.hw - h.buffer + 1e-9:
         x = h.buffer + i * h.grid_step
         j = 0
         while h.buffer + j * h.grid_step + aircraft.length <= h.hl - h.buffer + 1e-9:
             y = h.buffer + j * h.grid_step
-            key = (x + y, y, x)
-            if (best is None or key < best) and is_valid(x, y):
-                best = key
+            cells.append((x + y, y, x))
             j += 1
         i += 1
-    return None if best is None else (best[2], best[1])
+    return next(((x, y) for _, y, x in sorted(cells) if is_valid(x, y)), None)
 
 
 class TestValidSpot:
@@ -361,10 +385,11 @@ def stepping_solve(instance):
                     provenance=Provenance.HEURISTIC)
 
 
-def _assert_matches_stepping(n, n_current, congestion, multiplier, seed):
+def _assert_matches_stepping(n, n_current, congestion, multiplier, seed,
+                             hangar=HangarConfig()):
     inst = instgen.generate(instgen.GeneratorConfig(
         n_future=n, n_current=n_current, seed=seed, congestion=congestion,
-        rejection_multiplier=multiplier))
+        rejection_multiplier=multiplier, hangar=hangar))
     got = json.dumps(io.solution_to_dict(ach.solve(inst)))
     want = json.dumps(io.solution_to_dict(stepping_solve(inst)))
     assert got == want
@@ -382,6 +407,15 @@ EQUIVALENCE_CASES = [
     (8, 0, 0.2, 10.0, 13), (8, 2, 1.0, 1.0, 14),
 ]
 
+#: The same kind of cases in a 120 x 100 m hangar, where one committed
+#: aircraft seldom fills the grid of the next, so the search mostly steps
+#: from threshold to threshold without jumping past a stay.
+WIDE_EQUIVALENCE_CASES = [
+    (3, 0, 0.2, 10.0, 21), (4, 2, 1.0, 1.0, 22),
+    (5, 1, 0.2, 10.0, 23), (6, 2, 0.2, 1.0, 24),
+    (7, 0, 1.0, 10.0, 25), (8, 1, 0.2, 10.0, 26),
+]
+
 
 class TestEventDrivenSearch:
     """The event-driven search must reproduce the plain stepping search byte
@@ -390,6 +424,12 @@ class TestEventDrivenSearch:
     @pytest.mark.parametrize("n,n_current,congestion,multiplier,seed", EQUIVALENCE_CASES)
     def test_matches_stepping_reference(self, n, n_current, congestion, multiplier, seed):
         _assert_matches_stepping(n, n_current, congestion, multiplier, seed)
+
+    @pytest.mark.parametrize("n,n_current,congestion,multiplier,seed", WIDE_EQUIVALENCE_CASES)
+    def test_matches_stepping_reference_in_a_wide_hangar(self, n, n_current, congestion,
+                                                         multiplier, seed):
+        _assert_matches_stepping(n, n_current, congestion, multiplier, seed,
+                                 HangarConfig(hw=120.0, hl=100.0))
 
     @settings(max_examples=5, deadline=timedelta(seconds=20))
     @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
@@ -441,6 +481,66 @@ class TestJumpFromRollInAndService:
             points = [t] + [base + i * eps_t for i in range(walk + 1)]
             assert ach._steps_to_next_threshold([t, base], thresholds, eps_t) == \
                 ach._steps_to_next_threshold(points, thresholds, eps_t), t
+
+
+class TestJumpPastFillingAircraft:
+    """A committed aircraft whose lane times band covers the whole grid of
+    the candidate bars every cell while both are in the hangar, so the time
+    search skips those roll-ins without a scan."""
+
+    @settings(max_examples=20, deadline=timedelta(seconds=30))
+    @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 7),
+           hl=st.sampled_from([60.0, 100.0]), hw=st.sampled_from([65.0, 120.0]))
+    def test_scan_misses_at_every_skipped_roll_in(self, n, n_current, congestion, seed,
+                                                  pick, hl, hw):
+        inst, held, fixed, _ = held_out_scan(n, n_current, congestion, seed, pick, hl, hw)
+        scan = ach.prepare_scan(held, fixed, inst)
+        whole = (0, len(scan.xs), 0, len(scan.ys))
+        eps_t = inst.hangar.eps_t
+        for (s0, s1), _, *bounds in scan.committed:
+            if tuple(bounds) != whole:
+                continue
+            k = 0
+            while held.eta + k * eps_t < s1 - TOL:
+                t = held.eta + k * eps_t
+                if s0 < t + held.service - TOL:
+                    assert ach.find_best_placement(held, t, scan) is None, t
+                k += 1
+
+    def test_waiting_behind_a_filling_aircraft_scans_at_most_twice(self, monkeypatch):
+        # the congested family of the benchmark: one scan right after the
+        # filling aircraft leaves, which misses while its roll-out is within
+        # eps_t, and one that fits; elsewhere in the family an aircraft may
+        # still wait on two others side by side, which no single one fills
+        scans, jumped, searching = Counter(), set(), []
+        search, scan, jump = ach._earliest_fit, ach.find_best_placement, ach._first_index_at
+
+        def counting_search(aircraft, *args):
+            searching.append(aircraft.id)
+            return search(aircraft, *args)
+
+        def counting_scan(aircraft, *args):
+            scans[aircraft.id] += 1
+            return scan(aircraft, *args)
+
+        def counting_jump(*args):
+            jumped.add(searching[-1])
+            return jump(*args)
+        monkeypatch.setattr(ach, "_earliest_fit", counting_search)
+        monkeypatch.setattr(ach, "find_best_placement", counting_scan)
+        monkeypatch.setattr(ach, "_first_index_at", counting_jump)
+        waited = 0
+        for seed in range(20):
+            inst = instgen.generate(instgen.GeneratorConfig(
+                n_future=4, seed=seed, congestion=0.2, rejection_multiplier=10.0))
+            scans.clear()
+            jumped.clear()
+            ach.solve(inst)
+            assert all(scans[a] <= 2 for a in jumped), (seed, scans)
+            waited += len(jumped)
+        assert waited >= 40
 
 
 def cell(assignment):
@@ -612,11 +712,13 @@ class TestPreparedOncePerAircraft:
     @staticmethod
     def solve_counting(monkeypatch, n_current, names):
         """Calls of each ``ach`` function in ``names`` while ``ach.solve``
-        runs on an instance of the congested family, where requests wait
-        many eps_t steps before they fit; and the instance."""
+        runs on an instance of the congested family in a 120 x 100 m hangar,
+        where requests wait many eps_t steps before they fit; and the
+        instance.  In the default hangar the search jumps past the aircraft
+        that fill the grid, and scans once or twice per request."""
         inst = instgen.generate(instgen.GeneratorConfig(
-            n_future=4, n_current=n_current, seed=1, congestion=0.2,
-            rejection_multiplier=10.0))
+            n_future=8, n_current=n_current, seed=4, congestion=0.2,
+            rejection_multiplier=10.0, hangar=HangarConfig(hw=120.0, hl=100.0)))
         calls = Counter()
 
         def counting(name):
