@@ -38,6 +38,13 @@ bars one rectangle of cells for each co-present aircraft, and looks only at
 the first free cell of the columns where a rectangle ends
 (``find_best_placement``), so its cost does not depend on the number of
 cells.  An aircraft whose grid is empty is rejected before the search.
+
+``solve`` is the constructive heuristic: one run of the loop
+(``_solve_order``) over ``prioritize``'s order.  ``improve`` runs that loop
+again on up to ``IMPROVE_MOVES`` orders, each one rejected request moved
+ahead of the aircraft it waits for, and keeps an order only if its plan
+costs less.  Each re-run starts from the committed prefix of the index the
+request moves to, since the aircraft ahead of it are searched as before.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .core import (
     Instance,
     Provenance,
     Solution,
+    evaluate_cost,
     grid,
     intervals_overlap,
     lanes_overlap,
@@ -324,6 +332,32 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
         k += step
 
 
+def _solve_order(instance: Instance, order: Sequence[AircraftSpec], start: int = 0,
+                 prefixes: Optional[Sequence[tuple[Committed, ...]]] = None
+                 ) -> list[tuple[Committed, ...]]:
+    """The heuristic's loop over ``order``: the committed list before each
+    aircraft of it, and the final list last (``len(order) + 1`` lists).
+
+    Each aircraft's search reads only the list committed before it, so a run
+    whose order agrees with an earlier run's on ``order[:start]`` may start
+    from that run's ``prefixes``: it keeps ``prefixes[:start + 1]`` and
+    searches only ``order[start:]``.  Without ``prefixes`` it starts at the
+    current aircraft, committed by ``_commit_current``."""
+    kept = list(prefixes[:start + 1]) if prefixes else [tuple(_commit_current(instance))]
+    fixed = list(kept[start])
+    for f in order[start:]:
+        asg = _earliest_fit(f, fixed, instance)
+        if asg is not None:
+            fixed.append((f, asg))
+        kept.append(tuple(fixed))
+    return kept
+
+
+def _plan(instance: Instance, committed: Sequence[Committed]) -> Solution:
+    """The heuristic's plan that accepts the ``committed`` aircraft."""
+    return Solution.compose(instance, (asg for _, asg in committed), Provenance.HEURISTIC)
+
+
 def solve(instance: Instance) -> Solution:
     """Run the full heuristic.
 
@@ -334,9 +368,46 @@ def solve(instance: Instance) -> Solution:
     passes or no later roll-in can fit.  Rejection is a normal outcome, and
     the search terminates for every valid instance.
     """
-    fixed = _commit_current(instance)
-    for f in prioritize(instance):
-        asg = _earliest_fit(f, fixed, instance)
-        if asg is not None:
-            fixed.append((f, asg))
-    return Solution.compose(instance, (asg for _, asg in fixed), Provenance.HEURISTIC)
+    return _plan(instance, _solve_order(instance, prioritize(instance))[-1])
+
+
+#: Re-insertion moves that ``improve`` tries on the priority order.
+IMPROVE_MOVES = 4
+
+
+def improve(instance: Instance) -> Solution:
+    """The heuristic's plan after up to ``IMPROVE_MOVES`` re-insertion moves
+    on its priority order; never costlier than ``solve``.
+
+    The moves walk the order once, front to back, and try each request that
+    the best plan so far rejects.  A move takes request r out of the order
+    and puts it back just before the first aircraft ahead of r that the plan
+    accepts with a stay overlapping r's window
+    ``(eta, max_admissible_time + service)``, or at the front when there is
+    none.  The loop then runs again from that index, on the stored prefix,
+    and the new order is kept only if its plan costs less by more than 1e-9.
+    The walk goes on after r's old index, whose later aircraft keep their
+    indices; a rejected request already at the front has no move.  Every plan
+    comes out of the heuristic's own loop, and the moves depend only on the
+    instance."""
+    order = prioritize(instance)
+    prefixes = _solve_order(instance, order)
+    cost = evaluate_cost(instance, _plan(instance, prefixes[-1])).total
+    moves = 0
+    for i in range(1, len(order)):
+        if moves == IMPROVE_MOVES:
+            break
+        accepted = {spec.id: asg for spec, asg in prefixes[-1]}
+        r = order[i]
+        if r.id in accepted:
+            continue
+        moves += 1
+        window = (r.eta, max_admissible_time(r) + r.service)
+        j = next((j for j, f in enumerate(order[:i]) if f.id in accepted and intervals_overlap(
+            window, presence(f, accepted[f.id].roll_in, accepted[f.id].roll_out))), 0)
+        moved = order[:j] + [r] + order[j:i] + order[i + 1:]
+        moved_prefixes = _solve_order(instance, moved, j, prefixes)
+        moved_cost = evaluate_cost(instance, _plan(instance, moved_prefixes[-1])).total
+        if moved_cost < cost - 1e-9:
+            order, prefixes, cost = moved, moved_prefixes, moved_cost
+    return _plan(instance, prefixes[-1])

@@ -263,8 +263,14 @@ class _Search:
 def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> OracleResult:
     """The search's best plan.  ``ProvenOptimalOnGrid`` certifies it over the
     grid and the oracle's own roll-in candidates (``_time_candidates``), not
-    over every lattice roll-in eta + k * eps_t, so ``ach`` can beat it
-    (``tests/test_exact.py::missed_roll_in_instance``)."""
+    over every feasible plan.  The search decides the requests in
+    ``prioritize``'s order, and offers each one its eta and eps_t after each
+    movement of the aircraft decided before it.  So it never yields a plan in
+    which a request waits for a request later in that order to leave, nor one
+    with any other lattice roll-in eta + k * eps_t, and ``ach`` can beat it:
+    ``tests/test_exact.py::missed_roll_in_instance`` is such a lattice
+    roll-in, and ``test_oracle_never_worse_than_heuristic_in_another_order``
+    such a wait."""
     config = config or OracleConfig()
     if len(instance.future) > MAX_FUTURE and not config.allow_large:
         raise InstanceTooLarge(

@@ -1,6 +1,7 @@
 """Constructive heuristic: prioritization, placement scan, time search,
 and feasibility of its output."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hangarplan import ach, instgen, io, validator
+from hangarplan import ach, instgen, io, milp, validator
 from hangarplan.core import (
     TOL,
     Assignment,
@@ -21,13 +22,15 @@ from hangarplan.core import (
     Provenance,
     Solution,
     axis_separated,
+    evaluate_cost,
     lanes_overlap,
     next_separated,
     x_separated,
 )
 from hangarplan.validator import ViolationKind
 
-from conftest import accept, make_current, make_future, make_instance, specs, time_limit
+from conftest import (accept, edge_instances, make_current, make_future, make_instance, specs,
+                      time_limit)
 
 
 class TestPrioritize:
@@ -317,6 +320,89 @@ class TestSolve:
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
         assert validator.validate(inst, sol).feasible
+
+
+def instgen_draws():
+    for n, n_current, congestion, seed in itertools.product(
+            (3, 6, 12), (0, 1, 2), (1.0, 0.2), range(3)):
+        yield instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed, congestion=congestion))
+
+
+def assert_improves(inst):
+    """``ach.improve``'s plan validates, costs no more than ``ach.solve``'s
+    and is the same on a second run."""
+    plan = ach.improve(inst)
+    report = validator.validate(inst, plan)
+    assert report.feasible, validator.explain(report)
+    assert plan.provenance is Provenance.HEURISTIC
+    assert report.cost.total <= evaluate_cost(inst, ach.solve(inst)).total
+    assert ach.improve(inst) == plan
+    return report.cost.total
+
+
+def milp_optimum(inst):
+    """The optimum of the instance's row system, solved to a zero gap."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    a = milp.to_arrays(milp.build_model(inst))
+    matrix = sparse.coo_array((a.vals, (a.rows, a.cols)),
+                              shape=(len(a.row_lower), len(a.columns)))
+    res = optimize.milp(a.cost, integrality=a.integrality,
+                        bounds=optimize.Bounds(a.col_lower, a.col_upper),
+                        constraints=optimize.LinearConstraint(matrix, a.row_lower, a.row_upper),
+                        options={"mip_rel_gap": 0})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+class TestImprove:
+    def test_instgen_plans_validate_and_never_cost_more(self):
+        assert sum(assert_improves(inst) < evaluate_cost(inst, ach.solve(inst)).total
+                   for inst in instgen_draws()) > 0
+
+    @settings(max_examples=60, deadline=timedelta(seconds=30))
+    @given(instance=edge_instances())
+    def test_edge_plans_validate_and_never_cost_more(self, instance):
+        with time_limit(25.0):
+            assert_improves(instance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 7), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([1.0, 0.2]), seed=st.integers(0, 10_000))
+    def test_run_from_stored_prefix_equals_full_run(self, data, n, n_current,
+                                                     congestion, seed):
+        inst = instgen.generate(instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=seed, congestion=congestion))
+        first = data.draw(st.permutations(inst.future))
+        start = data.draw(st.integers(0, n))
+        order = first[:start] + data.draw(st.permutations(first[start:]))
+        stored = ach._solve_order(inst, first)
+        assert ach._solve_order(inst, order, start, stored) == ach._solve_order(inst, order)
+
+    def test_never_below_the_milp_optimum(self):
+        # every plan of ach is a point of the row system, so none costs less
+        # than its optimum
+        for n, n_current, seed, congestion in itertools.product(
+                (1, 2, 3), (0, 1), range(8), (1.0, 0.2)):
+            inst = instgen.generate(instgen.GeneratorConfig(
+                n_future=n, n_current=n_current, seed=seed, congestion=congestion))
+            optimum = milp_optimum(inst)
+            cost = evaluate_cost(inst, ach.improve(inst)).total
+            assert cost >= optimum - 1e-6 * max(1.0, abs(optimum)), (n, n_current, seed)
+
+    def test_move_puts_request_ahead_of_the_aircraft_it_waits_for(self):
+        # "a" comes first by its penalty and fills the hangar past "b"'s
+        # break-even time; put ahead of "a", "b" leaves after 20 h, and "a"
+        # waits 20.1 h for 201 in place of b's rejection at 1,500
+        a = make_future("a", width=45.0, length=48.0, service=100.0, p_rej=2000.0)
+        b = make_future("b", width=45.0, length=48.0, service=20.0, p_rej=1500.0,
+                        p_arr=100.0)
+        inst = make_instance(future=[a, b])
+        assert not ach.solve(inst).by_id()["b"].accept
+        plan = ach.improve(inst).by_id()
+        assert plan["b"].roll_in == 0.0
+        assert plan["a"].roll_in == pytest.approx(20.1)
 
 
 class TestTermination:

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
 from hangarplan.core import (GRID_TOL, MAX_HORIZON, TOL, AircraftSpec, HangarConfig, Kind,
-                             derive_big_m, evaluate_cost, intervals_overlap, separated,
-                             snap_up)
+                             Provenance, Solution, derive_big_m, evaluate_cost,
+                             intervals_overlap, separated, snap_up)
 
 from conftest import (
     TINY_HANGAR,
@@ -144,6 +144,20 @@ class TestDominanceAndConsistency:
         res = exact.solve_exact(inst)
         assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
         assert res.cost.total <= evaluate_cost(inst, ach.solve(inst)).total + 1e-6
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the oracle offers a request only its eta and eps_t after the movements "
+        "of requests earlier in prioritize's order: a01 never waits for a03, "
+        "which comes later, to leave, and the oracle rejects a03"))
+    def test_oracle_never_worse_than_heuristic_in_another_order(self):
+        inst = instgen.generate(instgen.GeneratorConfig(n_future=3, seed=2))
+        res = exact.solve_exact(inst)
+        assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
+        by_id = {f.id: f for f in inst.future}
+        committed = ach._solve_order(inst, [by_id[i] for i in ("a03", "a01", "a02")])[-1]
+        plan = Solution.compose(inst, (asg for _, asg in committed), Provenance.HEURISTIC)
+        assert validator.validate(inst, plan).feasible
+        assert res.cost.total <= evaluate_cost(inst, plan).total + 1e-6
 
     @settings(max_examples=100, deadline=timedelta(seconds=30))
     @given(instance=edge_instances())
