@@ -3,27 +3,27 @@ at a time on ``core.grid`` at the earliest roll-in time where it fits.
 
 Roll-in candidates are the lattice times ``eta + k * eps_t`` up to the
 break-even time, where the delay cost reaches the rejection penalty.  The
-search over them is event-driven.  The grid scan's answer depends on time only
-through comparisons of the roll-in time t, and of the points of the roll-out
-walk from t + service, with the committed roll-ins and roll-outs and the
-``eps_t`` window around each committed movement.  After a miss the search
-jumps to the first lattice index at which t or t + service may reach the next
-of those thresholds (``_steps_to_next_threshold``); every index skipped gives
-the same miss, so the search finds the first fit of stepping ``k`` by one.
-
-Before each scan the search also jumps past every committed aircraft b that
-fills the grid: its lane times its band covers every cell.  While t is below
-b's roll-out less TOL and t + service above its roll-in plus TOL, b is
-co-present (the roll-out is at least t + service), and every rectangle it
-bars contains its lane times its band, so the scan misses.  The search then
-goes to the first lattice index at or past that roll-out less TOL
-(``_first_index_at``); in the default hangar one aircraft nearly always fills
-the grid of the next, and its whole stay costs no scan.
+search over them has one skip rule.  After a scan at t misses, or is skipped
+because a committed aircraft that fills the grid covers t (``_earliest_fit``),
+each proof of the miss gives a time before which every roll-in misses too,
+and the search goes to the first lattice index at or past the later of them
+(``_first_index_at``).  One proof is the thresholds: the grid scan's answer
+depends on time only through comparisons of t, and of the points of the
+roll-out walk from t + service, with the committed movements and the edges
+of the ``eps_t`` window around each, so it holds until t or t + service
+comes within 2 * TOL of its next threshold (``_shift_to_next_threshold``).
+A parked aircraft's roll-in at 0 is none: its stay starts before 0
+(``core.presence``) and it is no movement, so no scan compares it.  The
+other is the roll-out less TOL of the filling aircraft that stays longest;
+in the default hangar one aircraft nearly always fills the grid of the next,
+and its whole stay costs no scan.  Every index skipped is a miss, so the
+search finds the first fit of stepping ``k`` by one.
 
 An aircraft is rejected when the break-even time is passed, or when no
-threshold is left ahead of any point: from then on every scan would miss.
-Every threshold is at most the instance's horizon M_T <= ``core.MAX_HORIZON``,
-where one float step is at most 1.2e-7 h, and ``HangarConfig`` keeps ``eps_t``
+threshold is left ahead of t or t + service: from then on every scan gives
+the same miss.  Each skip moves ``k`` forward by at least one.  Every
+threshold is at most the instance's horizon M_T <= ``core.MAX_HORIZON``, where
+one float step is at most 1.2e-7 h, and ``HangarConfig`` keeps ``eps_t``
 above 2 * TOL = 2e-6 h, more than 16 such steps.  So each lattice step moves t
 forward, t passes the last threshold after finitely many steps, and the search
 terminates for every valid instance, also when ``p_arr = 0`` makes the
@@ -244,35 +244,30 @@ def _commit_current(instance: Instance) -> list[Committed]:
     return fixed
 
 
-def _thresholds(fixed: Sequence[Committed], events: Sequence[float],
-                eps_t: float) -> list[float]:
+def _thresholds(events: Sequence[float], eps_t: float) -> list[float]:
     """Sorted times near which a time comparison of the grid scan can switch:
-    every committed roll-in and roll-out, and both edges of the eps_t window
-    around every movement event.  Each comparison switches within TOL of one
-    of them."""
-    ts = {t for _, asg in fixed if asg.accept for t in (asg.roll_in, asg.roll_out)}
-    ts.update(e + d for e in events for d in (-eps_t, eps_t))
-    return sorted(ts)
+    every committed movement and both edges of the eps_t window around it.
+    Each comparison switches within TOL of one of them."""
+    return sorted({e + d for e in events for d in (-eps_t, 0.0, eps_t)})
 
 
-def _steps_to_next_threshold(points: Sequence[float], thresholds: Sequence[float],
-                             eps_t: float) -> Optional[int]:
-    """Lattice steps to the first roll-in at which one of the points may come
-    within 2*TOL of the nearest threshold above it; at least one.  All points
-    move with the roll-in, so every roll-in skipped keeps each point more than
-    2*TOL below its next threshold, beyond reach of every switch.  None when
-    no threshold lies above any point.  Of a roll-out walk from p = t + service,
-    p alone sets the step.  A walk that moves starts with an event e within
-    eps_t - TOL of p.  Events are thresholds, as is e + eps_t, so one of the
-    two lies above p - 2*TOL and less than eps_t - TOL above p: step 1."""
-    gap = math.inf
+def _shift_to_next_threshold(points: Sequence[float],
+                             thresholds: Sequence[float]) -> Optional[float]:
+    """The shift at which the first of the points, all moved by it together,
+    comes within 2*TOL of the nearest threshold above it; None when no
+    threshold lies above any point.  Every smaller shift keeps each point
+    more than 2*TOL below its next threshold, beyond reach of every switch.
+    Of a roll-out walk from p = t + service, p alone sets the lattice step.
+    A walk that moves starts with an event e within eps_t - TOL of p.  Events
+    are thresholds, as is e + eps_t, so one of the two lies above p - 2*TOL
+    and less than eps_t - TOL above p: the shift of p is below eps_t, and the
+    search goes to the next index."""
+    shift = math.inf
     for p in points:
         i = bisect_right(thresholds, p - 2 * TOL)
         if i < len(thresholds):
-            gap = min(gap, thresholds[i] - p)
-    if gap == math.inf:
-        return None
-    return max(1, math.ceil((gap - 2 * TOL) / eps_t))
+            shift = min(shift, thresholds[i] - 2 * TOL - p)
+    return None if shift == math.inf else shift
 
 
 def _first_index_at(time: float, eta: float, eps_t: float, k: int) -> int:
@@ -298,12 +293,10 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
     s0 < t + service - TOL the scan misses: its roll-out is at least
     t + service, so b is co-present, and the rectangle b bars, whichever
     blocking windows hold, is every row of every column.  Both tests keep
-    holding as t grows up to s1 - TOL, so the search skips, without a scan,
-    to the first index with t >= s1 - TOL of the filling aircraft that stays
-    longest.  Every index skipped is a miss, so the first fit is the one of
-    stepping ``k`` by one; the break-even and termination tests then run as
-    before.  Each jump passes a roll-out, after which that aircraft never
-    fills again, so the jumps are finitely many."""
+    holding as t grows up to s1 - TOL, so such a t is not scanned, and the
+    search skips to at least the latest s1 - TOL of the filling aircraft
+    that cover it.  Its roll-out is a threshold ahead of t, so an aircraft
+    is rejected for want of one only where no filling aircraft covers t."""
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
     scan = prepare_scan(aircraft, fixed, instance)
@@ -312,40 +305,38 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
         return None
     fills = [stay for stay, _, x_lo, x_hi, y_lo, y_hi in scan.committed
              if (x_lo, x_hi, y_lo, y_hi) == (0, nx, 0, ny)]
-    thresholds = _thresholds(fixed, scan.events, h.eps_t)
+    thresholds = _thresholds(scan.events, h.eps_t)
     k = 0
     while True:
         t = aircraft.eta + k * h.eps_t
         if t > t_max + TOL:
             return None
-        end = max((s1 for s0, s1 in fills
-                   if t < s1 - TOL and s0 < t + aircraft.service - TOL), default=None)
-        if end is not None:
-            k = _first_index_at(end - TOL, aircraft.eta, h.eps_t, k)
-            continue
-        asg = find_best_placement(aircraft, t, scan)
-        if asg is not None:
-            return asg
-        step = _steps_to_next_threshold([t, t + aircraft.service], thresholds, h.eps_t)
-        if step is None:
+        ends = [s1 - TOL for s0, s1 in fills
+                if t < s1 - TOL and s0 < t + aircraft.service - TOL]
+        if not ends:
+            asg = find_best_placement(aircraft, t, scan)
+            if asg is not None:
+                return asg
+        shift = _shift_to_next_threshold([t, t + aircraft.service], thresholds)
+        if shift is None:
             return None
-        k += step
+        k = _first_index_at(max([t + shift, *ends]), aircraft.eta, h.eps_t, k)
 
 
-def _solve_order(instance: Instance, order: Sequence[AircraftSpec], start: int = 0,
-                 prefixes: Optional[Sequence[tuple[Committed, ...]]] = None
+def _solve_order(instance: Instance, order: Sequence[AircraftSpec],
+                 prefixes: Sequence[tuple[Committed, ...]] = ()
                  ) -> list[tuple[Committed, ...]]:
     """The heuristic's loop over ``order``: the committed list before each
     aircraft of it, and the final list last (``len(order) + 1`` lists).
 
     Each aircraft's search reads only the list committed before it, so a run
-    whose order agrees with an earlier run's on ``order[:start]`` may start
-    from that run's ``prefixes``: it keeps ``prefixes[:start + 1]`` and
-    searches only ``order[start:]``.  Without ``prefixes`` it starts at the
-    current aircraft, committed by ``_commit_current``."""
-    kept = list(prefixes[:start + 1]) if prefixes else [tuple(_commit_current(instance))]
-    fixed = list(kept[start])
-    for f in order[start:]:
+    whose order agrees with an earlier run's on its first ``len(prefixes) - 1``
+    aircraft may resume from that run's first lists, ``prefixes``: it keeps
+    them and searches the rest of ``order`` from ``prefixes[-1]``.  Without
+    them it starts at the current aircraft, committed by ``_commit_current``."""
+    kept = list(prefixes) or [tuple(_commit_current(instance))]
+    fixed = list(kept[-1])
+    for f in order[len(kept) - 1:]:
         asg = _earliest_fit(f, fixed, instance)
         if asg is not None:
             fixed.append((f, asg))
@@ -406,7 +397,7 @@ def improve(instance: Instance) -> Solution:
         j = next((j for j, f in enumerate(order[:i]) if f.id in accepted and intervals_overlap(
             window, presence(f, accepted[f.id].roll_in, accepted[f.id].roll_out))), 0)
         moved = order[:j] + [r] + order[j:i] + order[i + 1:]
-        moved_prefixes = _solve_order(instance, moved, j, prefixes)
+        moved_prefixes = _solve_order(instance, moved, prefixes[:j + 1])
         moved_cost = evaluate_cost(instance, _plan(instance, moved_prefixes[-1])).total
         if moved_cost < cost - 1e-9:
             order, prefixes, cost = moved, moved_prefixes, moved_cost

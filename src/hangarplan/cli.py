@@ -24,7 +24,6 @@ from .core import evaluate_cost
 from .io import (ParseError, load_instance, load_solution, parse_json, read_file,
                  save_instance, save_solution)
 
-EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4

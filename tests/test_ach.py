@@ -378,7 +378,7 @@ class TestImprove:
         start = data.draw(st.integers(0, n))
         order = first[:start] + data.draw(st.permutations(first[start:]))
         stored = ach._solve_order(inst, first)
-        assert ach._solve_order(inst, order, start, stored) == ach._solve_order(inst, order)
+        assert ach._solve_order(inst, order, stored[:start + 1]) == ach._solve_order(inst, order)
 
     def test_never_below_the_milp_optimum(self):
         # every plan of ach is a point of the row system, so none costs less
@@ -560,13 +560,17 @@ class TestJumpFromRollInAndService:
         inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl)
         eps_t = inst.hangar.eps_t
         events = ach._events(fixed)
-        thresholds = ach._thresholds(fixed, events, eps_t)
+        thresholds = ach._thresholds(events, eps_t)
+
+        def step(t, points):
+            # shifts may differ where both reach the same lattice index
+            shift = ach._shift_to_next_threshold(points, thresholds)
+            return None if shift is None else ach._first_index_at(t + shift, t, eps_t, 0)
         for t in times:
             base = t + held.service
             walk = round((next_separated(base, events, eps_t) - base) / eps_t)
             points = [t] + [base + i * eps_t for i in range(walk + 1)]
-            assert ach._steps_to_next_threshold([t, base], thresholds, eps_t) == \
-                ach._steps_to_next_threshold(points, thresholds, eps_t), t
+            assert step(t, [t, base]) == step(t, points), t
 
 
 class TestJumpPastFillingAircraft:
@@ -601,20 +605,28 @@ class TestJumpPastFillingAircraft:
         # eps_t, and one that fits; elsewhere in the family an aircraft may
         # still wait on two others side by side, which no single one fills
         scans, jumped, searching = Counter(), set(), []
-        search, scan, jump = ach._earliest_fit, ach.find_best_placement, ach._first_index_at
+        prepare, scan, jump = ach.prepare_scan, ach.find_best_placement, ach._first_index_at
 
-        def counting_search(aircraft, *args):
-            searching.append(aircraft.id)
-            return search(aircraft, *args)
+        def preparing(aircraft, *args):
+            prepared = prepare(aircraft, *args)
+            searching.append((aircraft, prepared))
+            return prepared
 
         def counting_scan(aircraft, *args):
             scans[aircraft.id] += 1
             return scan(aircraft, *args)
 
-        def counting_jump(*args):
-            jumped.add(searching[-1])
-            return jump(*args)
-        monkeypatch.setattr(ach, "_earliest_fit", counting_search)
+        def counting_jump(time, eta, eps_t, k):
+            # every skip goes through here; mark the aircraft only when a
+            # filling stay covers the roll-in it skips without a scan
+            aircraft, prepared = searching[-1]
+            whole = (0, len(prepared.xs), 0, len(prepared.ys))
+            t = eta + k * eps_t
+            if any(tuple(bounds) == whole and t < s1 - TOL and s0 < t + aircraft.service - TOL
+                   for (s0, s1), _, *bounds in prepared.committed):
+                jumped.add(aircraft.id)
+            return jump(time, eta, eps_t, k)
+        monkeypatch.setattr(ach, "prepare_scan", preparing)
         monkeypatch.setattr(ach, "find_best_placement", counting_scan)
         monkeypatch.setattr(ach, "_first_index_at", counting_jump)
         waited = 0
@@ -627,6 +639,47 @@ class TestJumpPastFillingAircraft:
             assert all(scans[a] <= 2 for a in jumped), (seed, scans)
             waited += len(jumped)
         assert waited >= 40
+
+
+def congested_family(hangar=HangarConfig()):
+    """The benchmark's congested draws: 32 instances of four requests with
+    compressed arrivals and tenfold rejection penalties."""
+    return [instgen.GeneratorConfig(n_future=4, seed=100_000 + i, congestion=0.2,
+                                    rejection_multiplier=10.0, hangar=hangar)
+            for i in range(32)]
+
+
+#: Three instance families, and the most grid scans (``find_best_placement``
+#: calls) that ``ach.solve`` and ``ach.improve`` may make over each: the
+#: counts of the search when the bounds were set.
+SCAN_FAMILIES = {
+    "congested": congested_family(),
+    "pipeline": [instgen.GeneratorConfig(n_future=12, n_current=i % 3, seed=100_000 + i)
+                 for i in range(38)],
+    "congested_wide": congested_family(HangarConfig(hw=120.0, hl=100.0)),
+}
+SCAN_BOUNDS = [("congested", "solve", 213), ("congested", "improve", 247),
+               ("pipeline", "solve", 162), ("pipeline", "improve", 772),
+               ("congested_wide", "solve", 317), ("congested_wide", "improve", 317)]
+
+
+class TestScanCount:
+    """The time search's efficiency: the benchmark times it but does not
+    gate its scan count, so a skip that proves fewer misses shows here."""
+
+    @pytest.mark.parametrize("family,solver,bound", SCAN_BOUNDS)
+    def test_scans_at_most_the_bound(self, monkeypatch, family, solver, bound):
+        instances = [instgen.generate(c) for c in SCAN_FAMILIES[family]]
+        scans = Counter()
+        scan = ach.find_best_placement
+
+        def counting(*args):
+            scans["all"] += 1
+            return scan(*args)
+        monkeypatch.setattr(ach, "find_best_placement", counting)
+        for inst in instances:
+            getattr(ach, solver)(inst)
+        assert scans["all"] <= bound
 
 
 def cell(assignment):
