@@ -132,8 +132,8 @@ def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
     next to ``fixed_schedule``: O(nx + ny) for the grids, and one bisection
     per committed bound."""
     h = instance.hangar
-    xs = grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step).tolist()
-    ys = grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step).tolist()
+    xs = grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step)
+    ys = grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step)
     committed = []
     for spec_b, asg_b in fixed_schedule:
         if not asg_b.accept:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 #: Absolute comparison tolerance for times (hours) and coordinates (meters).
 TOL = 1e-6
 
@@ -316,11 +314,14 @@ def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 # Solver-side placement grid and movement rules (shared by ach and exact)
 # ---------------------------------------------------------------------------
 
-def grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """The placement grid of one axis: the cells lo + k * step (k >= 0) that
-    do not pass hi by more than GRID_TOL, ascending."""
-    cells = lo + step * np.arange(max(0, math.floor((hi - lo + GRID_TOL) / step) + 2))
-    return cells[cells <= hi + GRID_TOL]
+def grid(lo: float, hi: float, step: float) -> list[float]:
+    """The placement grid of one axis, as a list: the cells lo + k * step
+    (k >= 0) that do not pass hi by more than GRID_TOL, ascending."""
+    cells = [lo + step * k for k in range(max(0, math.floor((hi - lo + GRID_TOL) / step) + 2))]
+    # ascending, so the cells past hi are the last one or two
+    while cells and cells[-1] > hi + GRID_TOL:
+        cells.pop()
+    return cells
 
 
 def snap_up(value: float, lo: float, step: float) -> float:

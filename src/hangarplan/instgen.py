@@ -3,14 +3,21 @@
 Every parameter family draws from its own seeded substream, so changing how
 many values one family consumes never perturbs another, and the same seed
 always yields byte-identical instances.
+
+The substreams are frozen in this package (``Stream``): stream ``k`` of a
+seed draws what numpy 2.4's ``default_rng(SeedSequence([seed, k]))`` draws,
+a PCG64 generator (O'Neill, HMC-CS-2014-0905, 2014) seeded by numpy's
+``SeedSequence``, with bounded integers by Lemire's method (ACM TOMACS
+29(1), 2019).  numpy may change its ``Generator`` methods between releases
+(NEP 19); a copy of them here keeps an instance the same across numpy
+versions, and keeps numpy off the import path of every command.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import (
     MAX_GRID_CELLS,
@@ -71,9 +78,126 @@ class GeneratorConfig:
                              f"finite, got {self.congestion}, {self.rejection_multiplier}")
 
 
-def _rngs(seed: int) -> dict[str, np.random.Generator]:
-    return {name: np.random.default_rng(np.random.SeedSequence([seed, k]))
-            for k, name in enumerate(_STREAMS)}
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The ``count`` (xor, multiplier) pairs of SeedSequence's hash, whose
+    constant is multiplied by ``mult`` at each use."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((init, init * mult & _MASK32))
+        init = pairs[-1][1]
+    return pairs
+
+
+# SeedSequence's constants for a pool of four words: four hashes to fill the
+# pool and twelve to mix it, then eight to draw the 4 x 64-bit PCG64 state
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value: int, constants: tuple[int, int]) -> int:
+    value = (value ^ constants[0]) * constants[1] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(seed: int, k: int) -> list[int]:
+    """The 32-bit words of SeedSequence's entropy ``[seed, k]``: each
+    integer least significant word first, at least one word each."""
+    words = []
+    for v in (seed, k):
+        words.append(v & _MASK32)
+        while v > _MASK32:
+            v >>= 32
+            words.append(v & _MASK32)
+    return words
+
+
+class Stream:
+    """numpy's ``default_rng(SeedSequence([seed, k]))`` in pure Python, for
+    the draws ``generate`` makes: ``random``, ``uniform`` and ``integers``
+    with a range of at most 2**32 values, each returning a list of ``n``.
+
+    The seed sequence hashes the entropy words into a pool of four, mixes
+    every pool word into every other, and hashes the pool into four 64-bit
+    words: PCG64's initial state and its increment, set as PCG's
+    ``srandom`` does.  Each 64-bit draw steps the 128-bit LCG and outputs
+    XSL-RR.  ``random`` keeps the top 53 bits; ``integers`` draws 32-bit
+    halves, the lower half of a 64-bit draw first and the upper half on the
+    next call, and maps each by Lemire's multiply-and-reject.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int, k: int) -> None:
+        words = _seed_words(seed, k)
+        hashes = iter(_POOL_HASH if len(words) <= 4
+                      else _hash_constants(0x43B0D7E5, 0x931E8875, 4 * len(words)))
+        pool = [_hashmix(words[i] if i < len(words) else 0, next(hashes)) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hashes)))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(word, next(hashes)))
+        state = [_hashmix(pool[i % 4], c) for i, c in enumerate(_STATE_HASH)]
+        # four little-endian 64-bit words: state high, state low, increment
+        # high, increment low
+        s0, s1, i0, i1 = (state[2 * j] | state[2 * j + 1] << 32 for j in range(4))
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        # srandom: a step from state 0, the seed added, a second step
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _MASK128
+        self._half: int | None = None
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        value, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (value >> rot | value << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        value = self._next64()
+        self._half = value >> 32
+        return value & _MASK32
+
+    def random(self, n: int) -> list[float]:
+        """``n`` doubles uniform on [0, 1)."""
+        return [(self._next64() >> 11) * (1.0 / 9007199254740992.0) for _ in range(n)]
+
+    def uniform(self, low: float, high: float, n: int) -> list[float]:
+        """``n`` doubles ``low + (high - low) * random()``."""
+        span = high - low
+        return [low + span * u for u in self.random(n)]
+
+    def integers(self, low: int, high: int, n: int) -> list[int]:
+        """``n`` integers uniform on [low, high); a range of one value draws
+        nothing."""
+        excl = high - low
+        if not 0 < excl <= 1 << 32:
+            raise ValueError(f"integers draws from 1 to 2**32 values, not {excl}")
+        if excl == 1:
+            return [low] * n
+        threshold = (1 << 32) % excl
+        out = []
+        for _ in range(n):
+            m = self._next32() * excl
+            while m & _MASK32 < threshold:
+                m = self._next32() * excl
+            out.append(low + (m >> 32))
+        return out
 
 
 def _discrete(u: float, lo: int, hi: int) -> float:
@@ -85,23 +209,49 @@ def _discrete(u: float, lo: int, hi: int) -> float:
 Rect = tuple[float, float, float, float]
 
 
+def _barred(axis: list[float], size: float, p: float, p_size: float,
+            buffer: float) -> tuple[int, int]:
+    """The run ``[lo, hi)`` of the ascending ``axis`` where a ``size`` long
+    footprint is not buffer-separated from a ``p_size`` long one at ``p``:
+    past the cells below it and short of the cells above it, by the
+    comparisons of ``core.x_separated``, each monotone along the axis."""
+    lo = bisect_left(axis, True, key=lambda v: not (v + size + buffer <= p + TOL))
+    hi = bisect_left(axis, True, key=lambda v: p + p_size + buffer <= v + TOL)
+    return lo, hi
+
+
 def _bottom_left_spot(w: float, l: float, placed: list[Rect], h: HangarConfig):
     """The first cell of ``core.grid``, in y-then-x order, where a ``w`` x ``l``
-    footprint is buffer-separated from every placed one, or ``None``.  One
-    boolean mask over ``ys x xs`` per placed footprint, with the comparisons
-    of ``core.x_separated`` in the same order."""
+    footprint is buffer-separated from every placed one, or ``None``.
+
+    A placed footprint bars the cells separated from it on neither axis: one
+    run of rows times one run of columns (``_barred``).  A row where no bar
+    ends has every bar of the row below, so the first row with a free cell
+    is row 0 or one where a bar ends; in it, the first free column is 0 or
+    one where a bar of that row ends.  The first-fit twin of
+    ``ach.find_best_placement``, in O(k^2) for k placed footprints."""
     xs = grid(h.buffer, h.hw - h.buffer - w, h.grid_step)
     ys = grid(h.buffer, h.hl - h.buffer - l, h.grid_step)
-    free = np.ones((len(ys), len(xs)), dtype=bool)
-    b = h.buffer
+    bars = []
     for px, py, pw, pl in placed:
-        sep_x = (px + pw + b <= xs + TOL) | (xs + w + b <= px + TOL)
-        sep_y = (py + pl + b <= ys + TOL) | (ys + l + b <= py + TOL)
-        free &= sep_y[:, None] | sep_x[None, :]
-    if not free.any():
-        return None
-    i, j = divmod(int(np.argmax(free)), len(xs))
-    return float(xs[j]), float(ys[i])
+        x_lo, x_hi = _barred(xs, w, px, pw, h.buffer)
+        y_lo, y_hi = _barred(ys, l, py, pl, h.buffer)
+        if x_lo < x_hi and y_lo < y_hi:
+            bars.append((x_lo, x_hi, y_lo, y_hi))
+    bars.sort()
+    for row in sorted({0}.union(y_hi for _, _, _, y_hi in bars)):
+        if row >= len(ys):
+            break
+        col = 0
+        for x_lo, x_hi, y_lo, y_hi in bars:
+            if y_lo <= row < y_hi:
+                # sorted by first column: no later bar covers this column
+                if x_lo > col:
+                    break
+                col = max(col, x_hi)
+        if col < len(xs):
+            return float(xs[col]), float(ys[row])
+    return None
 
 
 def _try_pack(idx: list[int], h: HangarConfig) -> list[Rect] | None:
@@ -158,33 +308,35 @@ def _place_current(model_idx: list[int], hangar: HangarConfig,
 
 def generate(config: GeneratorConfig) -> Instance:
     """Build one reproducible instance from the seeded substreams."""
-    rng = _rngs(config.seed)
+    def stream(name: str) -> Stream:
+        return Stream(config.seed, _STREAMS.index(name))
+
     n = config.n_future
     h = config.hangar
 
-    model_idx = rng["model"].integers(0, len(DEFAULT_MODELS), size=n)
-    etas = rng["eta"].uniform(0.0, n * ETA_SPAN_PER_AIRCRAFT, size=n)
-    services = rng["service"].uniform(*SERVICE_RANGE, size=n)
-    t_buffers = rng["buffer_time"].uniform(*BUFFER_TIME_RANGE, size=n)
-    vips = rng["vip"].random(size=n) < VIP_SHARE
-    p_rej_u = rng["p_rej"].random(size=n)
+    model_idx = stream("model").integers(0, len(DEFAULT_MODELS), n)
+    etas = stream("eta").uniform(0.0, n * ETA_SPAN_PER_AIRCRAFT, n)
+    services = stream("service").uniform(*SERVICE_RANGE, n)
+    t_buffers = stream("buffer_time").uniform(*BUFFER_TIME_RANGE, n)
+    vips = [u < VIP_SHARE for u in stream("vip").random(n)]
+    p_rej_u = stream("p_rej").random(n)
 
     if config.congestion != 1.0 and n > 0:
-        eta_min = float(np.min(etas))
-        with np.errstate(over="ignore"):  # an eta that overflows to inf is refused below
-            etas = eta_min + config.congestion * (etas - eta_min)
+        # an eta that overflows to inf is refused below
+        eta_min = min(etas)
+        etas = [eta_min + config.congestion * (eta - eta_min) for eta in etas]
 
     future = []
     for i in range(n):
         w, l = DEFAULT_MODELS[model_idx[i]]
-        vip = bool(vips[i])
+        vip = vips[i]
         lo, hi = P_REJ_RANGE_VIP if vip else P_REJ_RANGE
         p_rej = _discrete(p_rej_u[i], lo, hi) * config.rejection_multiplier
-        eta = float(etas[i])
-        service = float(services[i])
+        eta = etas[i]
+        service = services[i]
         future.append(AircraftSpec(
             id=f"a{i + 1:02d}", kind=Kind.FUTURE, width=w, length=l,
-            eta=eta, etd=eta + service + float(t_buffers[i]), service=service,
+            eta=eta, etd=eta + service + t_buffers[i], service=service,
             p_rej=p_rej,
             p_arr=P_ARR_VIP if vip else P_ARR,
             p_dep=P_DEP_VIP if vip else P_DEP,
@@ -192,13 +344,11 @@ def generate(config: GeneratorConfig) -> Instance:
 
     current: list[AircraftSpec] = []
     if config.n_current > 0:
-        cr = rng["current"]
-        idx = cr.integers(0, len(DEFAULT_MODELS), size=config.n_current)
-        c_serv = cr.uniform(*SERVICE_RANGE, size=config.n_current)
-        c_buf = cr.uniform(*BUFFER_TIME_RANGE, size=config.n_current)
-        current = _place_current([int(j) for j in idx], h,
-                                 [float(s) for s in c_serv],
-                                 [float(b) for b in c_buf])
+        cr = stream("current")
+        idx = cr.integers(0, len(DEFAULT_MODELS), config.n_current)
+        c_serv = cr.uniform(*SERVICE_RANGE, config.n_current)
+        c_buf = cr.uniform(*BUFFER_TIME_RANGE, config.n_current)
+        current = _place_current(idx, h, c_serv, c_buf)
 
     label = f"Inst-{n:02d}-{config.seed:04d}"
     return Instance(hangar=h, current=tuple(current), future=tuple(future),

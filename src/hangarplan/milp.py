@@ -16,7 +16,8 @@ than term occurrences.
 coefficients in row-then-term order, row bounds with ±inf on the open side,
 column bounds, a ``uint8`` integrality vector and the cost vector.
 ``check_satisfaction`` is one sparse product over it, and HiGHS's own
-reading of the LP export equals it (``tests/test_lp_highs.py``).
+reading of the LP export equals it (``tests/test_lp_highs.py``).  These two
+import numpy when called, so no command that does not call them loads it.
 ``derive_binaries`` gives a plan's point in the order of ``model.variables``,
 the columns' order.  A point becomes a validated plan through
 ``solution_from_point`` alone.
@@ -52,9 +53,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, NamedTuple, NoReturn, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .core import (
     TOL,
@@ -71,6 +70,9 @@ from .core import (
 )
 from .io import ParseError
 from . import validator as _validator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -626,6 +628,8 @@ class MilpArrays(NamedTuple):
 
 def to_arrays(model: MilpModel) -> MilpArrays:
     """``model`` as arrays, with columns in ``model.variables`` order."""
+    import numpy as np
+
     columns = list(model.variables)
     index = {name: j for j, name in enumerate(columns)}
     n, m = len(columns), len(model.rows)
@@ -731,16 +735,17 @@ def derive_binaries(instance: Instance, solution: Solution,
     return {name: point[name] for name in model.variables}
 
 
-def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """How far each value lies outside its ``[lower, upper]``, or 0."""
-    return np.maximum(np.maximum(lower - value, value - upper), 0.0)
-
-
 def check_satisfaction(model: MilpModel, point: dict[str, float]) -> list[tuple[str, float]]:
     """Rows and bounds violated at the point by more than ``TOL``, as sorted
     (name, residual) pairs; a bound goes by its ``fix_name``, else as
     ``dom_nonneg(<var>)``.  Each row's left side adds its terms left to
     right from 0.0 (``np.bincount``)."""
+    import numpy as np
+
+    def excess(value, lower, upper):
+        """How far each value lies outside its ``[lower, upper]``, or 0."""
+        return np.maximum(np.maximum(lower - value, value - upper), 0.0)
+
     arrays = to_arrays(model)
     try:
         x = np.array([point[name] for name in arrays.columns], dtype=float)
@@ -748,8 +753,8 @@ def check_satisfaction(model: MilpModel, point: dict[str, float]) -> list[tuple[
         raise MissingVariable(exc.args[0]) from None
     lhs = np.bincount(arrays.rows, weights=arrays.vals * x[arrays.cols],
                       minlength=len(model.rows))
-    rows = _excess(lhs, arrays.row_lower, arrays.row_upper)
-    bounds = _excess(x, arrays.col_lower, arrays.col_upper)
+    rows = excess(lhs, arrays.row_lower, arrays.row_upper)
+    bounds = excess(x, arrays.col_lower, arrays.col_upper)
     variables = list(model.variables.values())
     violated = [(model.rows[i].name, rows[i].item()) for i in np.flatnonzero(rows > TOL)]
     violated += [(variables[j].fix_name or f"dom_nonneg({variables[j].name})", bounds[j].item())

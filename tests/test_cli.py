@@ -70,7 +70,8 @@ class TestGen:
         # overflows them; either way one error line and no file
         out = tmp_path / "inst.json"
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # nor a numpy overflow warning
+            # nor a warning: the etas are floats, and overflow to inf silently
+            warnings.simplefilter("error", RuntimeWarning)
             res = run(runner, ["gen", "--n", "3", "--seed", "1", "--congestion", congestion,
                                "-o", str(out)])
         assert res.exit_code == 3
@@ -83,7 +84,7 @@ class TestGen:
         (["--n", "1", "--n-current", "1000000000000"], "n_current"),
     ])
     def test_count_no_instance_can_hold_exit_3(self, runner, tmp_path, counts, field):
-        # refused before any draw, so numpy never runs out of memory
+        # refused before any draw, so no draw runs out of memory
         out = tmp_path / "inst.json"
         res = run(runner, ["gen", *counts, "--seed", "1", "-o", str(out)])
         assert res.exit_code == 3

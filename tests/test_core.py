@@ -230,10 +230,10 @@ class TestPlacementGrid:
     """The one placement grid of the heuristic and the oracle."""
 
     def test_grid_cells(self):
-        assert grid(5.0, 36.0, 2.0).tolist() == [5.0 + 2.0 * k for k in range(16)]
-        assert grid(5.0, 5.0, 2.0).tolist() == [5.0]
-        assert grid(5.0, 5.0 - 2 * TOL, 2.0).size == 0
-        assert grid(5.0, 60.0 - 1e308, 1.0).size == 0  # a 1e308 m wide aircraft
+        assert grid(5.0, 36.0, 2.0) == [5.0 + 2.0 * k for k in range(16)]
+        assert grid(5.0, 5.0, 2.0) == [5.0]
+        assert grid(5.0, 5.0 - 2 * TOL, 2.0) == []
+        assert grid(5.0, 60.0 - 1e308, 1.0) == []  # a 1e308 m wide aircraft
 
     def test_grid_last_cell_within_tol_of_the_wall(self):
         # at step 2, a wall 1.5e-6 m below the cell 35 leaves it out; one
@@ -250,10 +250,10 @@ class TestPlacementGrid:
     @pytest.mark.parametrize("step", [0.5, 0.7, 1.0, 2.0, 2.3])
     def test_snap_up_is_the_first_grid_cell_not_below(self, step):
         cells = grid(5.0, 60.0, step)
-        for cell in cells[:-1].tolist():
+        for cell in cells[:-1]:
             for nudge in (-2e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 2e-6, 0.3 * step):
                 value = cell + nudge
-                assert snap_up(value, 5.0, step) == cells[cells >= value - GRID_TOL][0]
+                assert snap_up(value, 5.0, step) == [c for c in cells if c >= value - GRID_TOL][0]
 
 
 class TestMovementRules:

@@ -1,10 +1,15 @@
 """Seeded instance generation: determinism, distributions, congestion."""
 
+import hashlib
+import itertools
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hangarplan import instgen
+from hangarplan import instgen, io
 from hangarplan.core import HangarConfig, Kind, grid
 
 from conftest import rects_separated
@@ -123,8 +128,8 @@ class TestCurrentPlacement:
         inst = gen(n_future=2, n_current=3, seed=seed, hangar=h)
         assert inst.current
         for c in inst.current:
-            assert c.x_init in grid(h.buffer, h.hw - h.buffer - c.width, h.grid_step).tolist()
-            assert c.y_init in grid(h.buffer, h.hl - h.buffer - c.length, h.grid_step).tolist()
+            assert c.x_init in grid(h.buffer, h.hw - h.buffer - c.width, h.grid_step)
+            assert c.y_init in grid(h.buffer, h.hl - h.buffer - c.length, h.grid_step)
 
 
 def pack_by_dropping(model_idx, h):
@@ -251,3 +256,123 @@ class TestSubstreamIndependence:
         a = gen(seed=7, n_current=0)
         b = gen(seed=7, n_current=2)
         assert a.future == b.future
+
+
+#: The hangars of the generator's sweep: the default one, one with no buffer,
+#: one narrower than the widest models, a wide one, and a wide one on a finer
+#: grid.
+SWEEP_HANGARS = (
+    HangarConfig(),
+    HangarConfig(buffer=0.0),
+    HangarConfig(hw=40.0, hl=35.0),
+    HangarConfig(hw=120.0, hl=100.0),
+    HangarConfig(hw=120.0, hl=100.0, buffer=2.5, grid_step=0.5),
+)
+
+#: Seeds of one, two, three and four 32-bit words, and zero.
+SWEEP_SEEDS = (0, 1, 7, 42, 2**31 - 1, 2**32 + 7, 2**64 + 3, 2**100 + 5, 123456789)
+
+
+def instgen_sweep():
+    """4,680 configurations: each hangar, n 0-25, n_current 0-5, congestion
+    0.2, 1 and 3.7 and rejection multiplier 1 and 10, the seeds in turn."""
+    combos = itertools.product(SWEEP_HANGARS, range(26), range(6), (0.2, 1.0, 3.7), (1.0, 10.0))
+    for i, (hangar, n, n_current, congestion, multiplier) in enumerate(combos):
+        yield instgen.GeneratorConfig(
+            n_future=n, n_current=n_current, seed=SWEEP_SEEDS[i % len(SWEEP_SEEDS)],
+            hangar=hangar, congestion=congestion, rejection_multiplier=multiplier)
+
+
+#: sha256 of the instances of ``instgen_sweep``: one line of key-sorted
+#: instance JSON per configuration.  It was taken with numpy's
+#: ``default_rng(SeedSequence([seed, k]))`` streams, before ``instgen`` drew
+#: from its own copy of them.
+INSTGEN_SWEEP_SHA256 = "533c807b42244a68e2e9232a318efabf13d5b1d44aa8cfbd24c9d53dd2900801"
+
+#: The first draws of each of the seven streams of a seed of one, two, three
+#: and four 32-bit words, taken from numpy: ``integers(0, 8, 3)``, then
+#: ``random(1)``, then ``integers(0, 8, 1)``, which reads the upper half of
+#: the 64-bit draw whose lower half the third integer took.
+GOLDEN_DRAWS = {
+    5: [
+        ([5, 6, 0], 0.515325561042142, 6),
+        ([1, 6, 6], 0.6958803443421149, 3),
+        ([6, 1, 5], 0.5914133521906731, 3),
+        ([7, 5, 2], 0.639093666561746, 0),
+        ([5, 2, 0], 0.5688384627964234, 0),
+        ([4, 5, 7], 0.6242029100814583, 6),
+        ([0, 6, 7], 0.9018236345684187, 2),
+    ],
+    2**32 + 7: [
+        ([6, 6, 7], 0.18909773329712753, 0),
+        ([0, 5, 1], 0.11289056198850744, 4),
+        ([5, 7, 7], 0.2663851419363449, 5),
+        ([4, 4, 1], 0.20014055364870986, 1),
+        ([6, 6, 0], 0.11954342753215752, 7),
+        ([1, 4, 0], 0.5861121310577786, 0),
+        ([1, 3, 7], 0.7008035355638462, 3),
+    ],
+    2**64 + 3: [
+        ([2, 5, 4], 0.5065468852335154, 3),
+        ([5, 5, 4], 0.8672692187273296, 7),
+        ([6, 6, 5], 0.8821755282589219, 3),
+        ([2, 2, 6], 0.22266275520182055, 3),
+        ([3, 5, 1], 0.5645615152955545, 0),
+        ([0, 7, 3], 0.10888019632602164, 7),
+        ([4, 7, 1], 0.6588368060969894, 4),
+    ],
+    2**100 + 5: [
+        ([5, 4, 3], 0.17257069552534576, 2),
+        ([2, 7, 1], 0.32506094596831825, 1),
+        ([4, 4, 0], 0.1712917585257403, 5),
+        ([7, 1, 1], 0.211473868938316, 2),
+        ([5, 4, 0], 0.263061014024886, 0),
+        ([6, 6, 1], 0.7245301767207072, 2),
+        ([5, 7, 3], 0.05167150482927929, 6),
+    ],
+}
+
+
+class TestStream:
+    """``instgen.Stream`` is numpy's ``default_rng(SeedSequence([seed, k]))``
+    frozen in this package: the same seed gives the same instance whatever
+    numpy is installed, or none."""
+
+    def test_instgen_sweep_pinned(self):
+        digest = hashlib.sha256()
+        for config in instgen_sweep():
+            inst = instgen.generate(config)
+            digest.update(json.dumps(io.instance_to_dict(inst), sort_keys=True).encode()
+                          + b"\n")
+        assert digest.hexdigest() == INSTGEN_SWEEP_SHA256
+
+    @pytest.mark.parametrize("seed", GOLDEN_DRAWS)
+    def test_golden_draws(self, seed):
+        for k, (first, u, last) in enumerate(GOLDEN_DRAWS[seed]):
+            stream = instgen.Stream(seed, k)
+            assert stream.integers(0, 8, 3) == first
+            assert stream.random(1) == [u]
+            assert stream.integers(0, 8, 1) == [last]
+
+    def test_equals_numpy_on_random_call_sequences(self):
+        import numpy as np
+        draw = random.Random(43)
+        # ranges of one value (no draw), small ones, ones that reject about
+        # half the 32-bit draws, and the whole 32-bit range
+        spans = (1, 2, 3, 8, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+        for _ in range(3000):
+            seed = draw.choice((draw.randrange(2**32), draw.randrange(2**32, 2**64),
+                                draw.randrange(2**64, 2**140)))
+            k, n = draw.randrange(10), draw.randrange(8)
+            calls = []
+            for _ in range(draw.randrange(1, 5)):
+                lo = draw.uniform(-1e3, 1e3)
+                calls.append(draw.choice((
+                    ("integers", int(lo), int(lo) + draw.choice(spans), n),
+                    ("uniform", lo, lo + draw.uniform(0.0, 1e4), n),
+                    ("random", n))))
+            ours = instgen.Stream(seed, k)
+            theirs = np.random.default_rng(np.random.SeedSequence([seed, k]))
+            for name, *args in calls:
+                assert getattr(ours, name)(*args) == getattr(theirs, name)(*args).tolist(), \
+                    (seed, k, calls)

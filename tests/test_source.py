@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,48 @@ def test_finds_an_uncalled_function():
                     "def f():\n    return g\ndef g():\n    pass\ndef h():\n    pass\n",
                "b": "import a\na.f()\n"}
     assert uncalled_functions(sources) == ["a.h"]
+
+
+#: The README's chain of commands, run in one fresh process: none of them
+#: loads numpy.  The point is the heuristic plan's.
+NUMPY_FREE_CHAIN = """
+import sys
+from hangarplan import cli, io, milp
+
+def hangarplan(*args):
+    cli.main(list(args), standalone_mode=False)
+
+hangarplan("gen", "--n", "4", "--n-current", "2", "--seed", "1", "-o", "inst.json")
+hangarplan("solve-ach", "-i", "inst.json", "-o", "sol.json")
+hangarplan("validate", "-i", "inst.json", "-s", "sol.json", "--json")
+hangarplan("export-milp", "-i", "inst.json", "-o", "model.lp")
+instance = io.load_instance("inst.json")
+point = milp.derive_binaries(instance, io.load_solution("sol.json"), milp.build_model(instance))
+with open("point.txt", "w", encoding="utf-8") as f:
+    f.writelines(f"{k} {v!r}\\n" for k, v in point.items())
+hangarplan("import", "-i", "inst.json", "-m", "model.lp", "-p", "point.txt", "-o", "imported.json")
+hangarplan("render", "-i", "inst.json", "-s", "imported.json", "-o", "frames", "--html")
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+
+#: The array form's one caller in the package loads numpy when it runs.
+NUMPY_ON_DEMAND = """
+import sys
+from hangarplan import ach, instgen, milp
+
+instance = instgen.generate(instgen.GeneratorConfig(n_future=3, n_current=1, seed=2))
+model = milp.build_model(instance)
+point = milp.derive_binaries(instance, ach.solve(instance), model)
+assert "numpy" not in sys.modules
+assert milp.check_satisfaction(model, point) == []
+assert "numpy" in sys.modules
+"""
+
+
+@pytest.mark.parametrize("script", [NUMPY_FREE_CHAIN, NUMPY_ON_DEMAND],
+                         ids=["chain", "check_satisfaction"])
+def test_numpy_loads_only_for_the_array_form(tmp_path, script):
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, encoding="utf-8", timeout=120)
+    assert res.returncode == 0, res.stderr
