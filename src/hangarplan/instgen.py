@@ -250,6 +250,7 @@ def _bottom_left_spot(w: float, l: float, placed: list[Rect], h: HangarConfig):
                     break
                 col = max(col, x_hi)
         if col < len(xs):
+            # a hangar given in ints has int cells
             return float(xs[col]), float(ys[row])
     return None
 
