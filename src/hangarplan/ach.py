@@ -32,12 +32,14 @@ break-even time infinite.
 The search of one aircraft prepares, once against its committed schedule,
 what every scan reads that does not depend on the roll-in time
 (``prepare_scan``): the two grid axes, the sorted movement events, and for
-each accepted committed aircraft its stay, its movements and four index
-bounds on the axes.  A scan at one roll-in then makes only the time tests,
-bars one rectangle of cells for each co-present aircraft, and looks only at
-the first free cell of the columns where a rectangle ends
-(``find_best_placement``), so its cost does not depend on the number of
-cells.  An aircraft whose grid is empty is rejected before the search.
+each accepted committed aircraft its stay, its movements and the runs of
+cells its footprint bars on each axis (``core.barred``).  A scan at one
+roll-in then makes only the time tests, bars one rectangle of cells for each
+co-present aircraft, and looks only at the first free cell of column 0 and
+of the columns where a rectangle ends (``core.first_free_cells``, shared
+with ``instgen``'s packing), so its cost does not depend on the number of
+cells (``find_best_placement``).  An aircraft whose grid is empty is
+rejected before the search.
 
 ``solve`` is the constructive heuristic: one run of the loop
 (``_solve_order``) over ``prioritize``'s order.  ``improve`` runs that loop
@@ -50,18 +52,19 @@ request moves to, since the aircraft ahead of it are searched as before.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
-    GRID_TOL,
     TOL,
     AircraftSpec,
     Assignment,
     Instance,
     Provenance,
     Solution,
+    barred,
     evaluate_cost,
+    first_free_cells,
     grid,
     intervals_overlap,
     lanes_overlap,
@@ -112,11 +115,12 @@ class Scan(NamedTuple):
 
     ``xs`` and ``ys`` are the two axes of the grid, ascending, as lists.
     ``committed`` holds, for each accepted committed aircraft b, its stay
-    (``core.presence``), its movements and four index bounds: the x cells
-    ``[x_lo, x_hi)`` are those whose buffered width overlaps b's, its lane;
-    the y cells ``[y_lo, y_hi)`` those whose buffered length overlaps b's,
-    its band; the y cells ``[0, y_lo)`` lie below b and ``[y_hi, ny)`` above
-    it.  A scan holds O(nx + ny + k) values, not one per cell.
+    (``core.presence``), its movements and four index bounds
+    (``core.barred``): the x cells ``[x_lo, x_hi)`` are those whose buffered
+    width overlaps b's, its lane; the y cells ``[y_lo, y_hi)`` those whose
+    buffered length overlaps b's, its band; the y cells ``[0, y_lo)`` lie
+    below b and ``[y_hi, ny)`` above it.  A scan holds O(nx + ny + k)
+    values, not one per cell.
     """
 
     xs: list[float]
@@ -138,15 +142,11 @@ def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
     for spec_b, asg_b in fixed_schedule:
         if not asg_b.accept:
             continue
-        # on an ascending grid, v > lower holds from bisect_right(lower) on,
-        # and v < upper below bisect_left(upper)
         committed.append((
             presence(spec_b, asg_b.roll_in, asg_b.roll_out),
             movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
-            bisect_right(xs, asg_b.x - aircraft.width - h.buffer + GRID_TOL),
-            bisect_left(xs, asg_b.x + spec_b.width + h.buffer - GRID_TOL),
-            bisect_right(ys, asg_b.y - aircraft.length - h.buffer + GRID_TOL),
-            bisect_left(ys, asg_b.y + spec_b.length + h.buffer - GRID_TOL)))
+            *barred(xs, aircraft.width, asg_b.x, spec_b.width, h.buffer),
+            *barred(ys, aircraft.length, asg_b.y, spec_b.length, h.buffer)))
     return Scan(xs, ys, _events(fixed_schedule), committed, h.eps_t)
 
 
@@ -165,18 +165,11 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
     the candidate's movements and to the top row when the candidate's window
     blocks b's movements.
 
-    Only a few cells can win.  Take a valid cell (i, j), and let c be the
-    largest of 0 and the rectangles' right ends ``x_hi`` that is at most i.
-    Every rectangle that covers column c also covers i, so the first free
-    row r of column c is at most j.  The axes ascend and float addition is
-    monotone, so the score of (c, r) is at most that of (i, j).  Hence the
-    minimal score of the grid is a candidate's, and the cell that wins over
-    the whole grid, the first by y then x of the cells within 1e-9 of that
-    score, stands for a candidate that is also within 1e-9 and comes no
-    later: the winner itself.  So the candidates, one per column 0 or
-    ``x_hi`` at its first free row, found by walking the rectangles by their
-    lower row, give the cell of a scan of every cell, for any grid step, in
-    O(k^2) for k co-present aircraft whatever the number of cells.
+    Only the candidates of ``core.first_free_cells``, one per column 0 or
+    ``x_hi`` at its first free row, can win: of them, the cell with the
+    least score, first by y then x within 1e-9 of it, is the cell a scan of
+    every cell would choose, for any grid step, in O(k^2) for k co-present
+    aircraft whatever the number of cells.
     """
     eps_t = scan.eps_t
     if not separated(t_in, scan.events, eps_t):
@@ -186,9 +179,7 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
     moves = movement_times(aircraft, t_in, t_out)
 
     xs, ys = scan.xs, scan.ys
-    nx, ny = len(xs), len(ys)
     rects = []
-    columns = {0}
     for stay, moves_b, x_lo, x_hi, y_lo, y_hi in scan.committed:
         # a window that contains a movement overlaps the other stay, so only
         # co-present aircraft can collide with or block the candidate
@@ -200,25 +191,10 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
         # sum to less than 2 * GRID_TOL, where below and above overlap
         below = window_blocks(stay, moves)
         above = window_blocks(window, moves_b)
-        lo = 0 if below else min(y_lo, y_hi) if above else y_lo
-        hi = ny if above else max(y_lo, y_hi) if below else y_hi
-        if x_lo < x_hi and lo < hi:
-            rects.append((lo, hi, x_lo, x_hi))
-            columns.add(x_hi)
-    rects.sort()
-    columns.discard(nx)
-
-    found = []
-    for c in columns:
-        row = 0
-        for lo, hi, x_lo, x_hi in rects:
-            # sorted by lower row: no later rectangle covers this row either
-            if lo > row:
-                break
-            if x_lo <= c < x_hi and hi > row:
-                row = hi
-        if row < ny:
-            found.append((xs[c] + ys[row], row, c))
+        rects.append((0 if below else min(y_lo, y_hi) if above else y_lo,
+                      len(ys) if above else max(y_lo, y_hi) if below else y_hi,
+                      x_lo, x_hi))
+    found = [(xs[c] + ys[r], r, c) for r, c in first_free_cells(rects, len(xs), len(ys))]
     if not found:
         return None
     best = min(found)[0]

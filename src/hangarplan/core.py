@@ -8,7 +8,7 @@ their agreement is a check only while the two stay independent.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -16,8 +16,9 @@ from typing import Iterable, Optional, Sequence
 #: Absolute comparison tolerance for times (hours) and coordinates (meters).
 TOL = 1e-6
 
-#: Slack of the solvers' grid tests (m): TOL less a margin above the rounding of
-#: hangar-scale sums, so every cell they accept passes the validator's TOL test.
+#: Slack of the grid tests of the solvers and of ``instgen``'s packing (m): TOL
+#: less a margin above the rounding of hangar-scale sums, so every cell they
+#: accept passes the validator's TOL test.
 GRID_TOL = TOL - 1e-9
 
 #: Largest placement grid a hangar may ask for, in cells.
@@ -328,6 +329,53 @@ def snap_up(value: float, lo: float, step: float) -> float:
     """The smallest cell of the placement grid from lo that is not below value
     by more than GRID_TOL."""
     return lo + max(0, math.ceil((value - GRID_TOL - lo) / step)) * step
+
+
+def barred(axis: Sequence[float], size: float, at: float, at_size: float,
+           buffer: float) -> tuple[int, int]:
+    """The run ``[lo, hi)`` of the ascending grid ``axis`` where a ``size``
+    long footprint is not buffer-separated, by more than GRID_TOL, from an
+    ``at_size`` long one at ``at``; empty (``lo >= hi``) when none is."""
+    # on an ascending axis, v > lower holds from bisect_right(lower) on, and
+    # v < upper below bisect_left(upper)
+    return (bisect_right(axis, at - size - buffer + GRID_TOL),
+            bisect_left(axis, at + at_size + buffer - GRID_TOL))
+
+
+def first_free_cells(rects: list[tuple[int, int, int, int]], nx: int,
+                     ny: int) -> list[tuple[int, int]]:
+    """For column 0 and each column where a rectangle ends, ``(row, col)`` of
+    the lowest row of that column that no rectangle covers, when both are on
+    the ``nx`` x ``ny`` grid.  A rectangle ``(row_lo, row_hi, col_lo,
+    col_hi)`` of non-negative indices bars rows ``[row_lo, row_hi)`` of
+    columns ``[col_lo, col_hi)``; an empty or inverted run bars nothing, and
+    a run may pass the grid.  ``rects`` is sorted in place.
+
+    Take a free cell (i, j), column i and row j, and let c be the largest of
+    0 and the rectangles' right ends at most i.  Every rectangle that covers
+    column c also covers i, so the first free row r of column c is at most
+    j.  So the least ``(row, col)`` of the free cells is a candidate, the
+    bottom-left rule's first fit (Chazelle, IEEE Trans. Computers C-32(8),
+    1983).  On ascending axes ``xs``, ``ys`` the score ``xs[c] + ys[r]`` is at
+    most that of (i, j), as float addition is monotone, so the least score is
+    a candidate's too, and so is the first cell by row, then column, of
+    those within a margin of it.  The cost is O(k^2) for k rectangles,
+    whatever the number of cells."""
+    rects.sort()
+    cells = []
+    for col in {0, *[rect[3] for rect in rects]}:
+        if col >= nx:
+            continue
+        row = 0
+        for row_lo, row_hi, col_lo, col_hi in rects:
+            # sorted by lower row: no later rectangle covers this row either
+            if row_lo > row:
+                break
+            if col_lo <= col < col_hi and row_hi > row:
+                row = row_hi
+        if row < ny:
+            cells.append((row, col))
+    return cells
 
 
 def movement_times(spec: AircraftSpec, roll_in: float, roll_out: float) -> list[float]:

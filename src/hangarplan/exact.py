@@ -61,8 +61,8 @@ from .io import ParseError
 
 
 class InstanceTooLarge(ParseError):
-    """The instance exceeds the documented desk-scale bound (override with
-    ``allow_large=True``); an input error, so the CLI exits 3."""
+    """The instance exceeds the documented desk-scale bound, which
+    ``solve-exact --allow-large`` lifts; an input error, so the CLI exits 3."""
 
 
 class OracleStatus(str, Enum):
@@ -275,7 +275,7 @@ def solve_exact(instance: Instance, config: Optional[OracleConfig] = None) -> Or
     if len(instance.future) > MAX_FUTURE and not config.allow_large:
         raise InstanceTooLarge(
             f"{len(instance.future)} future aircraft (documented bound {MAX_FUTURE}); "
-            "pass allow_large=True to override")
+            "solve-exact --allow-large lifts the bound")
 
     fixed_current = ach._commit_current(instance)
     current_cost = sum(a.p_dep * asg.d_dep for (a, asg) in fixed_current)

@@ -16,7 +16,6 @@ versions, and keeps numpy off the import path of every command.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .core import (
@@ -27,6 +26,8 @@ from .core import (
     HangarConfig,
     Instance,
     Kind,
+    barred,
+    first_free_cells,
     grid,
 )
 
@@ -209,50 +210,24 @@ def _discrete(u: float, lo: int, hi: int) -> float:
 Rect = tuple[float, float, float, float]
 
 
-def _barred(axis: list[float], size: float, p: float, p_size: float,
-            buffer: float) -> tuple[int, int]:
-    """The run ``[lo, hi)`` of the ascending ``axis`` where a ``size`` long
-    footprint is not buffer-separated from a ``p_size`` long one at ``p``:
-    past the cells below it and short of the cells above it, by the
-    comparisons of ``core.x_separated``, each monotone along the axis."""
-    lo = bisect_left(axis, True, key=lambda v: not (v + size + buffer <= p + TOL))
-    hi = bisect_left(axis, True, key=lambda v: p + p_size + buffer <= v + TOL)
-    return lo, hi
-
-
 def _bottom_left_spot(w: float, l: float, placed: list[Rect], h: HangarConfig):
     """The first cell of ``core.grid``, in y-then-x order, where a ``w`` x ``l``
     footprint is buffer-separated from every placed one, or ``None``.
 
     A placed footprint bars the cells separated from it on neither axis: one
-    run of rows times one run of columns (``_barred``).  A row where no bar
-    ends has every bar of the row below, so the first row with a free cell
-    is row 0 or one where a bar ends; in it, the first free column is 0 or
-    one where a bar of that row ends.  The first-fit twin of
-    ``ach.find_best_placement``, in O(k^2) for k placed footprints."""
+    run of rows times one run of columns (``core.barred``).  The first such
+    cell is the least of ``core.first_free_cells``, the candidates that
+    ``ach.find_best_placement`` scores, in O(k^2) for k placed footprints."""
     xs = grid(h.buffer, h.hw - h.buffer - w, h.grid_step)
     ys = grid(h.buffer, h.hl - h.buffer - l, h.grid_step)
-    bars = []
-    for px, py, pw, pl in placed:
-        x_lo, x_hi = _barred(xs, w, px, pw, h.buffer)
-        y_lo, y_hi = _barred(ys, l, py, pl, h.buffer)
-        if x_lo < x_hi and y_lo < y_hi:
-            bars.append((x_lo, x_hi, y_lo, y_hi))
-    bars.sort()
-    for row in sorted({0}.union(y_hi for _, _, _, y_hi in bars)):
-        if row >= len(ys):
-            break
-        col = 0
-        for x_lo, x_hi, y_lo, y_hi in bars:
-            if y_lo <= row < y_hi:
-                # sorted by first column: no later bar covers this column
-                if x_lo > col:
-                    break
-                col = max(col, x_hi)
-        if col < len(xs):
-            # a hangar given in ints has int cells
-            return float(xs[col]), float(ys[row])
-    return None
+    rects = [(*barred(ys, l, py, pl, h.buffer), *barred(xs, w, px, pw, h.buffer))
+             for px, py, pw, pl in placed]
+    cells = first_free_cells(rects, len(xs), len(ys))
+    if not cells:
+        return None
+    row, col = min(cells)
+    # a hangar given in ints has int cells
+    return float(xs[col]), float(ys[row])
 
 
 def _try_pack(idx: list[int], h: HangarConfig) -> list[Rect] | None:

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -811,6 +812,33 @@ class TestNumbersPastTheBounds:
         assert res.exit_code in (0, 2, 3), (res.output, res.exception)
         if res.exit_code != 3:
             json.loads(res.stdout, parse_constant=_reject_constant)
+
+
+#: The README, whose CLI block the chain below runs as written.
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(*names: str) -> list[list[str]]:
+    """The arguments of each ``hangarplan`` line of the README's CLI block
+    whose command is one of ``names``, split as a shell splits them."""
+    block = README.read_text(encoding="utf-8").split("## CLI usage", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("hangarplan ")]
+    return [args for args in lines if args[0] in names]
+
+
+def test_readme_chain_runs_as_written(runner, tmp_path, monkeypatch):
+    """The README's example commands that need no file of the user's own
+    exit 0, one after the other in one directory."""
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands("gen", "solve-ach", "solve-exact", "validate",
+                               "export-milp", "render")
+    assert [args[0] for args in commands] == [
+        "gen", "gen", "solve-ach", "solve-exact", "validate", "export-milp", "render"]
+    for args in commands:
+        res = run(runner, args)
+        assert res.exit_code == 0, (args, res.output)
 
 
 class TestCompare:

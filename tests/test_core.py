@@ -5,7 +5,7 @@ from bisect import bisect_left
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hangarplan.core import (
@@ -24,6 +24,7 @@ from hangarplan.core import (
     axis_separated,
     derive_big_m,
     evaluate_cost,
+    first_free_cells,
     grid,
     intervals_overlap,
     lanes_overlap,
@@ -254,6 +255,48 @@ class TestPlacementGrid:
             for nudge in (-2e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 2e-6, 0.3 * step):
                 value = cell + nudge
                 assert snap_up(value, 5.0, step) == [c for c in cells if c >= value - GRID_TOL][0]
+
+
+def free_cells(rects, nx, ny):
+    """Every cell of the nx x ny grid, as (row, col), that no rectangle bars."""
+    return [(row, col) for row in range(ny) for col in range(nx)
+            if not any(row_lo <= row < row_hi and col_lo <= col < col_hi
+                       for row_lo, row_hi, col_lo, col_hi in rects)]
+
+
+@st.composite
+def barred_grids(draw):
+    """Up to 6 rectangles on a grid of up to 8 x 8 cells, in no order: runs
+    of indices up to 10, so some are empty or inverted and some pass the
+    grid; and ascending axes whose steps round."""
+    nx, ny = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    index = st.integers(0, 10)
+    rects = draw(st.lists(st.tuples(index, index, index, index), max_size=6))
+    steps = st.sampled_from([0.1, 0.7, 1.0, 3.7])
+    step_x, step_y = draw(steps), draw(steps)
+    xs = [5.0 + step_x * k for k in range(nx)]
+    ys = [5.0 + step_y * k for k in range(ny)]
+    return rects, xs, ys
+
+
+class TestFirstFreeCells:
+    """``core.first_free_cells`` against a scan of every cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(query=barred_grids())
+    @example(query=([], [], [5.0, 6.0]))  # no column
+    @example(query=([], [5.0, 6.0], []))  # no row
+    @example(query=([(2, 1, 0, 2), (0, 2, 2, 1)], [5.0, 6.0], [5.0, 6.0]))  # inverted runs
+    @example(query=([(0, 9, 0, 1), (1, 9, 1, 9)], [5.0, 6.0], [5.0, 6.0]))  # past the grid
+    def test_matches_per_cell_scan(self, query):
+        rects, xs, ys = query
+        free = free_cells(rects, len(xs), len(ys))
+        found = first_free_cells(list(rects), len(xs), len(ys))
+        assert set(found) <= set(free)
+        # the first fit of instgen's packing and the least score of ach's scan
+        assert min(found, default=None) == min(free, default=None)
+        assert min((xs[c] + ys[r] for r, c in found), default=None) == \
+            min((xs[c] + ys[r] for r, c in free), default=None)
 
 
 class TestMovementRules:

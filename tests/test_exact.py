@@ -244,7 +244,7 @@ class TestGuardsAndBudgets:
     def test_instance_too_large(self):
         inst = make_instance(future=[tiny_future(f"a{k}") for k in range(5)],
                              hangar=TINY_HANGAR)
-        with pytest.raises(exact.InstanceTooLarge):
+        with pytest.raises(exact.InstanceTooLarge, match="solve-exact --allow-large"):
             exact.solve_exact(inst)
 
     def test_allow_large_override(self):

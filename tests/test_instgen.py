@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hangarplan import instgen, io
-from hangarplan.core import HangarConfig, Kind, grid
+from hangarplan.core import HangarConfig, Kind, barred, grid
 
 from conftest import rects_separated
 
@@ -226,6 +226,10 @@ class TestBottomLeftSpot:
         spot = instgen._bottom_left_spot(10.0, 10.0, placed, h)
         assert spot == per_cell_spot(10.0, 10.0, placed, h)
         assert spot[axis] < 0.3 + 8.3 + h.buffer == pytest.approx(spot[axis])
+        # the run that core.barred bars, in ach's scan as in the packing,
+        # ends at that cell
+        cells = grid(h.buffer, (h.hw, h.hl)[axis] - h.buffer - 10.0, h.grid_step)
+        assert barred(cells, 10.0, 0.3, 8.3, h.buffer) == (0, cells.index(spot[axis]))
 
     def test_empty_grid(self):
         h = HangarConfig()
