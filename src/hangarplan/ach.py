@@ -19,15 +19,17 @@ in the default hangar one aircraft nearly always fills the grid of the next,
 and its whole stay costs no scan.  Every index skipped is a miss, so the
 search finds the first fit of stepping ``k`` by one.
 
-An aircraft is rejected when the break-even time is passed, or when no
-threshold is left ahead of t or t + service: from then on every scan gives
-the same miss.  Each skip moves ``k`` forward by at least one.  Every
-threshold is at most the instance's horizon M_T <= ``core.MAX_HORIZON``, where
-one float step is at most 1.2e-7 h, and ``HangarConfig`` keeps ``eps_t``
-above 2 * TOL = 2e-6 h, more than 16 such steps.  So each lattice step moves t
-forward, t passes the last threshold after finitely many steps, and the search
-terminates for every valid instance, also when ``p_arr = 0`` makes the
-break-even time infinite.
+An aircraft with a grid cell is rejected only past the break-even time.  A
+scan at t misses only when t lies within eps_t - TOL of a committed movement
+e, and then e or e + eps_t is a threshold above t - 2 * TOL, or when a
+committed stay is still open at t, and its roll-out is an event above t.
+Each skip moves ``k`` forward by at least one.  Every threshold is at most
+the horizon M_T <= ``core.MAX_HORIZON``, where one float step is at most
+1.2e-7 h, and ``HangarConfig`` keeps ``eps_t`` above 2 * TOL = 2e-6 h, more
+than 16 such steps.  So t passes the last threshold after finitely many
+steps, and there every scan fits: the search terminates for every valid
+instance, and places the aircraft when ``p_arr = 0`` makes the break-even
+time infinite.
 
 The search of one aircraft prepares, once against its committed schedule,
 what every scan reads that does not depend on the roll-in time
@@ -271,8 +273,8 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
     blocking windows hold, is every row of every column.  Both tests keep
     holding as t grows up to s1 - TOL, so such a t is not scanned, and the
     search skips to at least the latest s1 - TOL of the filling aircraft
-    that cover it.  Its roll-out is a threshold ahead of t, so an aircraft
-    is rejected for want of one only where no filling aircraft covers t."""
+    that cover it.  Its roll-out is a threshold ahead of t, as one is after
+    every miss, so the aircraft is rejected only past its break-even time."""
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
     scan = prepare_scan(aircraft, fixed, instance)
@@ -294,8 +296,6 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
             if asg is not None:
                 return asg
         shift = _shift_to_next_threshold([t, t + aircraft.service], thresholds)
-        if shift is None:
-            return None
         k = _first_index_at(max([t + shift, *ends]), aircraft.eta, h.eps_t, k)
 
 
@@ -332,8 +332,8 @@ def solve(instance: Instance) -> Solution:
     future aircraft, in priority order, takes the best grid spot at the
     earliest lattice roll-in where one exists, found by the event-driven
     search of the module docstring, or is rejected once the break-even time
-    passes or no later roll-in can fit.  Rejection is a normal outcome, and
-    the search terminates for every valid instance.
+    passes, or at once when its grid is empty.  Rejection is a normal
+    outcome, and the search terminates for every valid instance.
     """
     return _plan(instance, _solve_order(instance, prioritize(instance))[-1])
 

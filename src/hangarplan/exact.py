@@ -152,7 +152,9 @@ def _pair_options(h: HangarConfig, free: Sequence[tuple[AircraftSpec, float, flo
     pos[v] >= value and pos[v] <= cap; otherwise the difference edge
     pos[v] >= snap(pos[u] + value).  A pair's options are: each of the two
     right of the other (buffered), then each above the other, which the upper
-    one may only be if the lower one never moves while it is present.
+    one may only be if the lower one never moves while it is present: never
+    a request below a parked aircraft, whose stay starts before 0
+    (``core.presence``) and so holds the roll-in of every co-present request.
     """
     keyed = []
     for j in range(first, len(free)):
@@ -174,8 +176,7 @@ def _pair_options(h: HangarConfig, free: Sequence[tuple[AircraftSpec, float, flo
             c_stay = presence(c, asg.roll_in, asg.roll_out)
             if not intervals_overlap(b_stay, c_stay):
                 continue
-            # right of or above the parked aircraft is a lower bound; left of
-            # or below it, a cap
+            # right of or above the parked aircraft is a lower bound, left of it a cap
             opts = [(2 * j, None, snap_up(asg.x + c.width + h.buffer, h.buffer, h.grid_step),
                      math.inf),
                     (2 * j, None, h.buffer, asg.x - b.width - h.buffer)]
@@ -183,8 +184,6 @@ def _pair_options(h: HangarConfig, free: Sequence[tuple[AircraftSpec, float, flo
                 opts.append((2 * j + 1, None,
                              snap_up(asg.y + c.length + h.buffer, h.buffer, h.grid_step),
                              math.inf))
-            if not window_blocks(c_stay, b_moves):
-                opts.append((2 * j + 1, None, h.buffer, asg.y - b.length - h.buffer))
             keyed.append(((j, 1, k), opts))
     keyed.sort()  # the keys are unique, so no two option lists are compared
     return keyed

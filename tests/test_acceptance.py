@@ -89,6 +89,10 @@ def heuristic_sweep():
 #: a plan on purpose updates it and says why.
 HEURISTIC_SWEEP_SHA256 = "7e3afe8135d473401782f9b77836ab7e219a04c745851a528ed57409fd329841"
 
+#: sha256 of ``ach.improve``'s plans, the plans ``solve-ach`` writes, over
+#: ``SWEEP_SPECS``, hashed as ``HEURISTIC_SWEEP_SHA256``.
+IMPROVE_SWEEP_SHA256 = "9ea2c944f37dae676f9f68fe4232dbb6ec5691b3702745301bc6ee20b9fe3a6a"
+
 #: Hangars other than the default one, each with its own columns where the
 #: grid scan's blocked rectangles end: wide, wide on a finer grid, mid-sized
 #: on a finer grid, a step that divides no side, and no buffer.
@@ -323,26 +327,30 @@ class TestAcceptance:
             assert cost <= heuristic + 1e-6
 
 
+def plans_digest(plans):
+    """sha256 of one line of key-sorted solution JSON per plan, in order."""
+    digest = hashlib.sha256()
+    for sol in plans:
+        digest.update(json.dumps(io.solution_to_dict(sol), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_heuristic_sweep_plans_pinned(heuristic_sweep):
     # only the heuristic's plans: the oracle's costs and Big-M sum with the
     # builtin sum(), whose rounding changed in Python 3.12
     records, _ = heuristic_sweep
-    digest = hashlib.sha256()
-    for _, sol, _, _, _ in records:
-        digest.update(json.dumps(io.solution_to_dict(sol), sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == HEURISTIC_SWEEP_SHA256
+    assert plans_digest(sol for _, sol, _, _, _ in records) == HEURISTIC_SWEEP_SHA256
+
+
+def test_improved_sweep_plans_pinned(heuristic_sweep):
+    records, _ = heuristic_sweep
+    assert plans_digest(ach.improve(inst) for inst, _, _, _, _ in records) == \
+        IMPROVE_SWEEP_SHA256
 
 
 def test_heuristic_plans_pinned_outside_the_default_hangar():
-    digest = hashlib.sha256()
-    for hangar in WIDE_HANGARS:
-        for n in (3, 6, 10, 15, 20):
-            for seed in range(4):
-                for congestion in (1.0, 0.2):
-                    inst = instgen.generate(instgen.GeneratorConfig(
-                        n_future=n, n_current=n % 3, seed=seed, congestion=congestion,
-                        hangar=hangar))
-                    sol = ach.solve(inst)
-                    digest.update(json.dumps(io.solution_to_dict(sol),
-                                             sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == WIDE_SWEEP_SHA256
+    configs = [instgen.GeneratorConfig(n_future=n, n_current=n % 3, seed=seed,
+                                       congestion=congestion, hangar=hangar)
+               for hangar in WIDE_HANGARS for n in (3, 6, 10, 15, 20)
+               for seed in range(4) for congestion in (1.0, 0.2)]
+    assert plans_digest(ach.solve(instgen.generate(c)) for c in configs) == WIDE_SWEEP_SHA256

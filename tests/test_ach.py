@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -23,6 +24,7 @@ from hangarplan.core import (
     Solution,
     axis_separated,
     evaluate_cost,
+    grid,
     lanes_overlap,
     next_separated,
     x_separated,
@@ -429,6 +431,31 @@ class TestTermination:
         if placed_first:
             assert sol.by_id()["a"].accept
 
+    @pytest.mark.parametrize("hangar,some_without_cell", [
+        (HangarConfig(), False), (HangarConfig(hw=50.0, hl=50.0), True)],
+        ids=["default", "50x50"])
+    def test_zero_arrival_penalty_places_every_request_with_a_cell(self, hangar,
+                                                                   some_without_cell):
+        # a request with a grid cell is rejected only past its break-even
+        # time, which p_arr = 0 makes infinite; in the 50 x 50 m hangar the
+        # catalog's two longest models have no cell
+        def cells(side, size):
+            return grid(hangar.buffer, side - hangar.buffer - size, hangar.grid_step)
+        without_cell = 0
+        for n, n_current, congestion, seed in itertools.product(
+                (3, 6, 12), (0, 2), (1.0, 0.2), range(2)):
+            drawn = instgen.generate(instgen.GeneratorConfig(
+                n_future=n, n_current=n_current, seed=seed, congestion=congestion,
+                hangar=hangar))
+            inst = replace(drawn, future=tuple(replace(f, p_arr=0.0) for f in drawn.future))
+            has_cell = {f.id: bool(cells(hangar.hw, f.width) and cells(hangar.hl, f.length))
+                        for f in inst.future}
+            for plan in (ach.solve(inst), ach.improve(inst)):
+                accepted = {a.aircraft_id: a.accept for a in plan.assignments}
+                assert all(accepted[f] == has_cell[f] for f in has_cell), (n, n_current, seed)
+            without_cell += list(has_cell.values()).count(False)
+        assert (without_cell > 0) == some_without_cell
+
     def test_empty_grid_rejected_without_a_scan(self, monkeypatch):
         # before the early return, the search of "wide" walked the
         # thresholds of the two parked aircraft and scanned 46 times
@@ -571,6 +598,48 @@ class TestJumpFromRollInAndService:
             walk = round((next_separated(base, events, eps_t) - base) / eps_t)
             points = [t] + [base + i * eps_t for i in range(walk + 1)]
             assert step(t, [t, base]) == step(t, points), t
+
+
+class TestFirstIndexAt:
+    """The quotient only guesses the first lattice index at or past a time;
+    the roll-ins on both sides of the guess decide it."""
+
+    @pytest.mark.parametrize("time,eta,eps_t,guess,index", [
+        (65.87, 41.87, 0.2, 121, 120),   # the quotient rounds up past the index
+        (235.02, 16.62, 0.7, 312, 313),  # the quotient rounds down below it
+    ], ids=["guess-above", "guess-below"])
+    def test_corrects_the_quotient(self, time, eta, eps_t, guess, index):
+        assert math.ceil((time - eta) / eps_t) == guess
+        assert ach._first_index_at(time, eta, eps_t, 0) == index
+        assert eta + (index - 1) * eps_t < time <= eta + index * eps_t
+
+
+class TestThresholdAheadAfterEveryMiss:
+    """A scan at t misses only within eps_t - TOL of a committed movement, or
+    while a committed stay is open at t, and a filling aircraft skips t only
+    while its stay is open: each leaves a threshold ahead of t, so the time
+    search never runs out of them before the aircraft fits."""
+
+    @settings(max_examples=20, deadline=timedelta(seconds=30))
+    @given(n=st.integers(2, 8), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 7),
+           hl=st.sampled_from([60.0, 100.0]), hw=st.sampled_from([65.0, 120.0]))
+    def test_threshold_ahead_after_every_miss_and_skip(self, n, n_current, congestion, seed,
+                                                       pick, hl, hw):
+        inst, held, fixed, times = held_out_scan(n, n_current, congestion, seed, pick, hl, hw)
+        scan = ach.prepare_scan(held, fixed, inst)
+        eps_t = inst.hangar.eps_t
+        thresholds = ach._thresholds(scan.events, eps_t)
+        whole = (0, len(scan.xs), 0, len(scan.ys))
+        # halfway between the times too, where a roll-in just after the last
+        # movement misses on its separation alone
+        for t in times + [t + eps_t / 2 for t in times]:
+            skipped = any(tuple(bounds) == whole and t < s1 - TOL and s0 < t + held.service - TOL
+                          for (s0, s1), _, *bounds in scan.committed)
+            if skipped or ach.find_best_placement(held, t, scan) is None:
+                assert ach._shift_to_next_threshold([t, t + held.service],
+                                                    thresholds) is not None, t
 
 
 class TestJumpPastFillingAircraft:

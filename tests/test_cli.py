@@ -648,6 +648,17 @@ class TestRender:
         html = (out / "report.html").read_text()
         assert all(f.read_text() in html for f in frames)
 
+    def test_html_of_a_plan_that_accepts_nothing(self, runner, tmp_path):
+        # every request is wider than the hangar, so the timeline is empty
+        wide = [make_future(aid, width=500.0) for aid in ("a", "b")]
+        ip, sp, out = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "frames"
+        io.save_instance(make_instance(future=wide), ip)
+        run(runner, ["solve-ach", "-i", str(ip), "-o", str(sp)])
+        assert not any(a.accept for a in io.load_solution(sp).assignments)
+        res = run(runner, ["render", "-i", str(ip), "-s", str(sp), "-o", str(out), "--html"])
+        assert res.exit_code == 0
+        assert "no accepted aircraft" in (out / "report.html").read_text()
+
     @pytest.mark.parametrize("html", [False, True], ids=["frames", "html"])
     def test_infeasible_exit_2(self, runner, tmp_path, html):
         # the CLI judges the plan: the validator's explanation, then the
@@ -875,6 +886,14 @@ class TestCompare:
         assert float(row["ach_cost"]) == pytest.approx(1996.01, abs=1e-6)
         assert float(row["gap_pct"]) == 0.0
         assert planned == pytest.approx(1688.630957, abs=1e-6)
+
+    def test_gap_of_two_zero_costs_is_zero(self, runner, tmp_path):
+        inst, out = tmp_path / "inst.json", tmp_path / "cmp.csv"
+        run(runner, ["gen", "--n", "0", "--seed", "1", "-o", str(inst)])
+        run(runner, ["compare", str(inst), "-o", str(out)])
+        [row] = csv.DictReader(out.open())
+        assert (row["ach_cost"], row["oracle_cost"], row["gap_pct"], row["error"]) == \
+            ("0.000000", "0.000000", "0.00", "")
 
     def test_bad_instance_recorded_not_fatal(self, runner, tmp_path):
         good = tmp_path / "good.json"

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from hangarplan import ach, exact, instgen, io, milp, validator
 from hangarplan.core import (GRID_TOL, MAX_HORIZON, TOL, AircraftSpec, HangarConfig, Kind,
                              Provenance, Solution, derive_big_m, evaluate_cost,
-                             intervals_overlap, separated, snap_up)
+                             intervals_overlap, movement_times, presence, separated, snap_up,
+                             window_blocks)
 
 from conftest import (
     TINY_HANGAR,
@@ -260,6 +261,20 @@ class TestGuardsAndBudgets:
         res = exact.solve_exact(inst, exact.OracleConfig(node_budget=3))
         assert res.status is exact.OracleStatus.BUDGET_EXHAUSTED
         assert validator.validate(inst, res.solution).feasible
+
+    def test_budget_stop_at_a_complete_layout_keeps_the_best_so_far(self):
+        # one aircraft and no pairs: the search's first node is a complete
+        # layout, which a spent budget leaves out
+        h = HangarConfig()
+        walls = [h.hw - h.buffer - 24.0, h.hl - h.buffer - 22.0]
+
+        def search(spent):
+            budget = exact._Budget(exact.OracleConfig(node_budget=1))
+            budget.nodes = spent
+            best = exact._layout_search(h, [], [[], []], budget, 0, [h.buffer] * 2, walls, None)
+            return best, budget.exhausted
+        assert search(0) == ((10.0, ((5.0, 5.0),)), False)
+        assert search(1) == (None, True)
 
     def test_invalid_budgets(self):
         with pytest.raises(ValueError):
@@ -599,6 +614,32 @@ class TestCarriedOptions:
         res = exact.solve_exact(inst)
         assert res.status is exact.OracleStatus.PROVEN_OPTIMAL_ON_GRID
         assert res.nodes_explored == nodes
+
+
+class TestNeverBelowParked:
+    """``core.presence`` starts a parked stay before 0, so a request present
+    with a parked aircraft rolls in during its stay, and may not be laid out
+    below it: ``_pair_options`` offers no such option."""
+
+    @settings(max_examples=30, deadline=timedelta(seconds=20))
+    @given(n=st.integers(1, 4), n_current=st.integers(1, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           multiplier=st.sampled_from([1.0, 10.0]),
+           seed=st.integers(0, 2**31 - 1), at_zero=st.booleans(), data=st.data())
+    def test_copresent_request_moves_inside_the_parked_stay(self, n, n_current, congestion,
+                                                            multiplier, seed, at_zero, data):
+        inst = _generate(n, n_current, congestion, multiplier, seed)
+        fixed = ach._commit_current(inst)
+        free = _drawn_stays(inst, data)
+        if at_zero:
+            # the same stays from a roll-in at 0, where the parked stays must
+            # already be open; the rule reads no eta
+            free = [(spec, 0.0, roll_out - roll_in) for spec, roll_in, roll_out in free]
+        for spec, roll_in, roll_out in free:
+            for c, asg in fixed:
+                stay = presence(c, asg.roll_in, asg.roll_out)
+                if intervals_overlap((roll_in, roll_out), stay):
+                    assert window_blocks(stay, movement_times(spec, roll_in, roll_out))
 
 
 class TestCarriedWalls:

@@ -168,7 +168,10 @@ class TestPackingBound:
 def per_cell_spot(w, l, placed, h):
     """The cell-by-cell scan that ``instgen._bottom_left_spot`` replaced,
     kept as its reference: the first cell in y-then-x order that is
-    buffer-separated from every placed footprint."""
+    buffer-separated from every placed footprint.  It tests separation with
+    the validator's TOL, the packing with the solvers' GRID_TOL (TOL less
+    1e-9 m), so the two differ only where a buffer gap falls short by more
+    than GRID_TOL and less than TOL (``test_differs_in_the_tolerance_band``)."""
     xs = grid(h.buffer, h.hw - h.buffer - w, h.grid_step)
     ys = grid(h.buffer, h.hl - h.buffer - l, h.grid_step)
     for y in ys:
@@ -230,6 +233,16 @@ class TestBottomLeftSpot:
         # ends at that cell
         cells = grid(h.buffer, (h.hw, h.hl)[axis] - h.buffer - 10.0, h.grid_step)
         assert barred(cells, 10.0, 0.3, 8.3, h.buffer) == (0, cells.index(spot[axis]))
+
+    def test_differs_in_the_tolerance_band(self):
+        # right of the placed footprint, the cell x = 36 is 0.9995e-6 m short
+        # of its buffer: more than GRID_TOL, which bars it in the packing as
+        # in the solvers' scans, and less than TOL, which keeps it in the
+        # reference and the validator
+        h = HangarConfig()
+        placed = [(7.0 + 0.9995e-6, 5.0, 24.0, 50.0)]
+        assert instgen._bottom_left_spot(24.0, 22.0, placed, h) is None
+        assert per_cell_spot(24.0, 22.0, placed, h) == (36.0, 5.0)
 
     def test_empty_grid(self):
         h = HangarConfig()
