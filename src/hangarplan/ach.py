@@ -1,5 +1,5 @@
 """Deterministic constructive heuristic: prioritize, then place one aircraft
-at a time on ``core.grid`` at the earliest roll-in time where it fits.
+at a time on the placement grid at the earliest roll-in time where it fits.
 
 Roll-in candidates are the lattice times ``eta + k * eps_t`` up to the
 break-even time, where the delay cost reaches the rejection penalty.  The
@@ -33,15 +33,17 @@ time infinite.
 
 The search of one aircraft prepares, once against its committed schedule,
 what every scan reads that does not depend on the roll-in time
-(``prepare_scan``): the two grid axes, the sorted movement events, and for
-each accepted committed aircraft its stay, its movements and the runs of
-cells its footprint bars on each axis (``core.barred``).  A scan at one
-roll-in then makes only the time tests, bars one rectangle of cells for each
-co-present aircraft, and looks only at the first free cell of column 0 and
-of the columns where a rectangle ends (``core.first_free_cells``, shared
-with ``instgen``'s packing), so its cost does not depend on the number of
-cells (``find_best_placement``).  An aircraft whose grid is empty is
-rejected before the search.
+(``prepare_scan``): the cell count of each grid axis, the sorted movement
+events, and for each accepted committed aircraft its stay, its movements and
+the runs of cells its footprint bars on each axis.  Grid cells, like
+roll-ins, are lattice points ``lo + step * k``, and one rule finds the first
+at or past a value (``core.lattice_index``).  A scan at one roll-in then
+makes only the time tests, bars one rectangle of cells for each co-present
+aircraft, and looks only at the first free cell of column 0 and of the
+columns where a rectangle ends (``core.first_free_cells``, shared with
+``instgen``'s packing), so its cost does not depend on the number of cells
+(``find_best_placement``).  An aircraft whose grid is empty is rejected
+before the search.
 
 ``solve`` is the constructive heuristic: one run of the loop
 (``_solve_order``) over ``prioritize``'s order.  ``improve`` runs that loop
@@ -67,9 +69,10 @@ from .core import (
     barred,
     evaluate_cost,
     first_free_cells,
-    grid,
+    grid_count,
     intervals_overlap,
     lanes_overlap,
+    lattice_index,
     movement_times,
     next_separated,
     presence,
@@ -115,18 +118,19 @@ class Scan(NamedTuple):
     """What the grid scan of one aircraft next to one committed schedule reads
     that does not depend on the roll-in time, and the hangar's ``eps_t``.
 
-    ``xs`` and ``ys`` are the two axes of the grid, ascending, as lists.
-    ``committed`` holds, for each accepted committed aircraft b, its stay
-    (``core.presence``), its movements and four index bounds
-    (``core.barred``): the x cells ``[x_lo, x_hi)`` are those whose buffered
-    width overlaps b's, its lane; the y cells ``[y_lo, y_hi)`` those whose
-    buffered length overlaps b's, its band; the y cells ``[0, y_lo)`` lie
-    below b and ``[y_hi, ny)`` above it.  A scan holds O(nx + ny + k)
-    values, not one per cell.
+    The cells are ``lo + step * k``, k below ``nx`` on the x axis and ``ny``
+    on the y axis.  ``committed`` holds, for each accepted committed aircraft
+    b, its stay (``core.presence``), its movements and four index bounds
+    (``core.barred``): the x cells ``[x_lo, x_hi)`` overlap b's buffered
+    width, its lane; the y cells ``[y_lo, y_hi)`` its buffered length, its
+    band; the y cells ``[0, y_lo)`` lie below b and ``[y_hi, ny)`` above it.
+    A scan holds O(k) values, not one per cell.
     """
 
-    xs: list[float]
-    ys: list[float]
+    lo: float
+    step: float
+    nx: int
+    ny: int
     events: list[float]
     committed: list[tuple[tuple[float, float], list[float], int, int, int, int]]
     eps_t: float
@@ -135,11 +139,11 @@ class Scan(NamedTuple):
 def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
                  instance: Instance) -> Scan:
     """The time-invariant part of ``find_best_placement`` for ``aircraft``
-    next to ``fixed_schedule``: O(nx + ny) for the grids, and one bisection
-    per committed bound."""
+    next to ``fixed_schedule``: one lattice index per count and bound."""
     h = instance.hangar
-    xs = grid(h.buffer, h.hw - h.buffer - aircraft.width, h.grid_step)
-    ys = grid(h.buffer, h.hl - h.buffer - aircraft.length, h.grid_step)
+    lo, step = h.buffer, h.grid_step
+    nx = grid_count(lo, h.hw - h.buffer - aircraft.width, step)
+    ny = grid_count(lo, h.hl - h.buffer - aircraft.length, step)
     committed = []
     for spec_b, asg_b in fixed_schedule:
         if not asg_b.accept:
@@ -147,9 +151,9 @@ def prepare_scan(aircraft: AircraftSpec, fixed_schedule: Sequence[Committed],
         committed.append((
             presence(spec_b, asg_b.roll_in, asg_b.roll_out),
             movement_times(spec_b, asg_b.roll_in, asg_b.roll_out),
-            *barred(xs, aircraft.width, asg_b.x, spec_b.width, h.buffer),
-            *barred(ys, aircraft.length, asg_b.y, spec_b.length, h.buffer)))
-    return Scan(xs, ys, _events(fixed_schedule), committed, h.eps_t)
+            *barred(lo, step, nx, aircraft.width, asg_b.x, spec_b.width, h.buffer),
+            *barred(lo, step, ny, aircraft.length, asg_b.y, spec_b.length, h.buffer)))
+    return Scan(lo, step, nx, ny, _events(fixed_schedule), committed, h.eps_t)
 
 
 def find_best_placement(aircraft: AircraftSpec, t_in: float,
@@ -159,19 +163,14 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
     smaller x) from t_in to its roll-out, or None when no cell is valid.
 
     ``scan`` is ``prepare_scan`` of the aircraft next to the committed
-    schedule; the time search prepares it once for all the roll-ins of the
-    aircraft.  Per roll-in the scan makes only time tests: the separation of
-    t_in, the roll-out walk, and for each committed aircraft b co-presence and
-    the two blocking windows.  Each co-present b then bars one rectangle of
-    cells: its lane, times its band, widened to row 0 when b's stay blocks
-    the candidate's movements and to the top row when the candidate's window
-    blocks b's movements.
-
-    Only the candidates of ``core.first_free_cells``, one per column 0 or
-    ``x_hi`` at its first free row, can win: of them, the cell with the
-    least score, first by y then x within 1e-9 of it, is the cell a scan of
-    every cell would choose, for any grid step, in O(k^2) for k co-present
-    aircraft whatever the number of cells.
+    schedule, prepared once for all its roll-ins.  Per roll-in the scan makes
+    only time tests: the separation of t_in, the roll-out walk, and for each
+    committed aircraft b co-presence and the two blocking windows.  Each
+    co-present b then bars one rectangle of cells: its lane, times its band,
+    widened to row 0 when b's stay blocks the candidate's movements and to
+    the top row when the candidate's window blocks b's movements.  Only the
+    candidates of ``core.first_free_cells`` can win, so the scan picks the cell
+    a scan of every cell would, in O(k^2) for k co-present aircraft.
     """
     eps_t = scan.eps_t
     if not separated(t_in, scan.events, eps_t):
@@ -180,7 +179,7 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
     window = (t_in, t_out)
     moves = movement_times(aircraft, t_in, t_out)
 
-    xs, ys = scan.xs, scan.ys
+    lo, step, nx, ny = scan.lo, scan.step, scan.nx, scan.ny
     rects = []
     for stay, moves_b, x_lo, x_hi, y_lo, y_hi in scan.committed:
         # a window that contains a movement overlaps the other stay, so only
@@ -194,14 +193,14 @@ def find_best_placement(aircraft: AircraftSpec, t_in: float,
         below = window_blocks(stay, moves)
         above = window_blocks(window, moves_b)
         rects.append((0 if below else min(y_lo, y_hi) if above else y_lo,
-                      len(ys) if above else max(y_lo, y_hi) if below else y_hi,
+                      ny if above else max(y_lo, y_hi) if below else y_hi,
                       x_lo, x_hi))
-    found = [(xs[c] + ys[r], r, c) for r, c in first_free_cells(rects, len(xs), len(ys))]
+    found = [(lo + step * c + (lo + step * r), r, c) for r, c in first_free_cells(rects, nx, ny)]
     if not found:
         return None
     best = min(found)[0]
     yi, xi = min((row, c) for score, row, c in found if abs(score - best) < 1e-9)
-    return Assignment.placed(aircraft, xs[xi], ys[yi], t_in, t_out)
+    return Assignment.placed(aircraft, lo + step * xi, lo + step * yi, t_in, t_out)
 
 
 def _commit_current(instance: Instance) -> list[Committed]:
@@ -249,15 +248,8 @@ def _shift_to_next_threshold(points: Sequence[float],
 
 
 def _first_index_at(time: float, eta: float, eps_t: float, k: int) -> int:
-    """The first lattice index after k whose roll-in eta + j * eps_t is at
-    least ``time``.  The quotient only guesses it; the roll-ins, which do not
-    decrease with j, are compared to ``time`` on both sides of the guess."""
-    j = max(k + 1, math.ceil((time - eta) / eps_t))
-    while j > k + 1 and eta + (j - 1) * eps_t >= time:
-        j -= 1
-    while eta + j * eps_t < time:
-        j += 1
-    return j
+    """The first j > k with eta + j * eps_t >= time; time is at most the horizon."""
+    return max(k + 1, lattice_index(time, eta, eps_t, math.inf, strict=False))
 
 
 def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
@@ -278,11 +270,10 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
     scan = prepare_scan(aircraft, fixed, instance)
-    nx, ny = len(scan.xs), len(scan.ys)
-    if not nx or not ny:
+    if not scan.nx or not scan.ny:
         return None
     fills = [stay for stay, _, x_lo, x_hi, y_lo, y_hi in scan.committed
-             if (x_lo, x_hi, y_lo, y_hi) == (0, nx, 0, ny)]
+             if (x_lo, x_hi, y_lo, y_hi) == (0, scan.nx, 0, scan.ny)]
     thresholds = _thresholds(scan.events, h.eps_t)
     k = 0
     while True:

@@ -8,7 +8,7 @@ their agreement is a check only while the two stay independent.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -315,31 +315,38 @@ def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 # Solver-side placement grid and movement rules (shared by ach and exact)
 # ---------------------------------------------------------------------------
 
-def grid(lo: float, hi: float, step: float) -> list[float]:
-    """The placement grid of one axis, as a list: the cells lo + k * step
-    (k >= 0) that do not pass hi by more than GRID_TOL, ascending."""
-    cells = [lo + step * k for k in range(max(0, math.floor((hi - lo + GRID_TOL) / step) + 2))]
-    # ascending, so the cells past hi are the last one or two
-    while cells and cells[-1] > hi + GRID_TOL:
-        cells.pop()
-    return cells
+def lattice_index(value: float, lo: float, step: float, n: float, strict: bool) -> int:
+    """The first k in [0, n] whose cell lo + step * k is above value (strict:
+    not below the next float up) or not below it.  The quotient guesses k,
+    clamped to [0, n] before its int conversion (n = math.inf: no last cell);
+    the cells, which do not decrease with k, are compared on both sides."""
+    value = math.nextafter(value, math.inf) if strict else value
+    q = (value - lo) / step
+    k = 0 if q <= 0.0 else math.ceil(q if q < n else n)
+    while k > 0 and lo + step * (k - 1) >= value:
+        k -= 1
+    while k < n and lo + step * k < value:
+        k += 1
+    return k
+
+
+def grid_count(lo: float, hi: float, step: float) -> int:
+    """Cells lo + step * k not past hi by more than GRID_TOL, up to MAX_GRID_CELLS."""
+    return lattice_index(hi + GRID_TOL, lo, step, MAX_GRID_CELLS, strict=True)
 
 
 def snap_up(value: float, lo: float, step: float) -> float:
-    """The smallest cell of the placement grid from lo that is not below value
-    by more than GRID_TOL."""
-    return lo + max(0, math.ceil((value - GRID_TOL - lo) / step)) * step
+    """The first cell lo + step * k not below value by more than GRID_TOL."""
+    return lo + step * lattice_index(value - GRID_TOL, lo, step, math.inf, strict=False)
 
 
-def barred(axis: Sequence[float], size: float, at: float, at_size: float,
+def barred(lo: float, step: float, n: int, size: float, at: float, at_size: float,
            buffer: float) -> tuple[int, int]:
-    """The run ``[lo, hi)`` of the ascending grid ``axis`` where a ``size``
-    long footprint is not buffer-separated, by more than GRID_TOL, from an
-    ``at_size`` long one at ``at``; empty (``lo >= hi``) when none is."""
-    # on an ascending axis, v > lower holds from bisect_right(lower) on, and
-    # v < upper below bisect_left(upper)
-    return (bisect_right(axis, at - size - buffer + GRID_TOL),
-            bisect_left(axis, at + at_size + buffer - GRID_TOL))
+    """The run ``[first, last)`` of the n cells ``lo + step * k`` where a
+    ``size`` long footprint is not buffer-separated, by more than GRID_TOL,
+    from an ``at_size`` long one at ``at``; empty when none is."""
+    return (lattice_index(at - size - buffer + GRID_TOL, lo, step, n, strict=True),
+            lattice_index(at + at_size + buffer - GRID_TOL, lo, step, n, strict=False))
 
 
 def first_free_cells(rects: list[tuple[int, int, int, int]], nx: int,

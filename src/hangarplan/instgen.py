@@ -28,7 +28,7 @@ from .core import (
     Kind,
     barred,
     first_free_cells,
-    grid,
+    grid_count,
 )
 
 #: (width, length) catalog of aircraft footprints, in increasing area.
@@ -211,23 +211,24 @@ Rect = tuple[float, float, float, float]
 
 
 def _bottom_left_spot(w: float, l: float, placed: list[Rect], h: HangarConfig):
-    """The first cell of ``core.grid``, in y-then-x order, where a ``w`` x ``l``
-    footprint is buffer-separated from every placed one, or ``None``.
+    """The first cell ``buffer + grid_step * k``, in y-then-x order, where a
+    ``w`` x ``l`` footprint is buffer-separated from every placed one, or None.
 
-    A placed footprint bars the cells separated from it on neither axis: one
-    run of rows times one run of columns (``core.barred``).  The first such
-    cell is the least of ``core.first_free_cells``, the candidates that
-    ``ach.find_best_placement`` scores, in O(k^2) for k placed footprints."""
-    xs = grid(h.buffer, h.hw - h.buffer - w, h.grid_step)
-    ys = grid(h.buffer, h.hl - h.buffer - l, h.grid_step)
-    rects = [(*barred(ys, l, py, pl, h.buffer), *barred(xs, w, px, pw, h.buffer))
-             for px, py, pw, pl in placed]
-    cells = first_free_cells(rects, len(xs), len(ys))
+    A placed footprint bars the cells separated from it on neither axis, a run
+    of rows times a run of columns of lattice indices (``core.barred``).  The
+    first free cell is the least of ``core.first_free_cells``, the candidates
+    that ``ach.find_best_placement`` scores, in O(k^2) for k placed footprints."""
+    lo, step = h.buffer, h.grid_step
+    nx = grid_count(lo, h.hw - h.buffer - w, step)
+    ny = grid_count(lo, h.hl - h.buffer - l, step)
+    rects = [(*barred(lo, step, ny, l, py, pl, h.buffer),
+              *barred(lo, step, nx, w, px, pw, h.buffer)) for px, py, pw, pl in placed]
+    cells = first_free_cells(rects, nx, ny)
     if not cells:
         return None
     row, col = min(cells)
     # a hangar given in ints has int cells
-    return float(xs[col]), float(ys[row])
+    return float(lo + step * col), float(lo + step * row)
 
 
 def _try_pack(idx: list[int], h: HangarConfig) -> list[Rect] | None:

@@ -19,6 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hangarplan.core import (
+    GRID_TOL,
     AircraftSpec,
     Assignment,
     HangarConfig,
@@ -83,6 +84,16 @@ def rects_separated(ax: float, ay: float, aw: float, al: float,
     """Buffered separation of two footprints on at least one axis."""
     return (axis_separated(ax, aw, bx, bw, buffer)
             or axis_separated(ay, al, by, bl, buffer))
+
+
+def axis_cells(lo: float, hi: float, step: float) -> list[float]:
+    """One axis of the placement grid as a list, the cells lo + step * k
+    (k >= 0) that do not pass hi by more than GRID_TOL: the reference that
+    the tests hold ``core``'s lattice rule to."""
+    cells: list[float] = []
+    while lo + step * len(cells) <= hi + GRID_TOL:
+        cells.append(lo + step * len(cells))
+    return cells
 
 
 def accept(aid: str, x: float, y: float, roll_in: float, roll_out: float,

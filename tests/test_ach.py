@@ -24,15 +24,14 @@ from hangarplan.core import (
     Solution,
     axis_separated,
     evaluate_cost,
-    grid,
     lanes_overlap,
     next_separated,
     x_separated,
 )
 from hangarplan.validator import ViolationKind
 
-from conftest import (accept, edge_instances, make_current, make_future, make_instance, specs,
-                      time_limit)
+from conftest import (accept, axis_cells, edge_instances, make_current, make_future,
+                      make_instance, specs, time_limit)
 
 
 class TestPrioritize:
@@ -440,7 +439,7 @@ class TestTermination:
         # time, which p_arr = 0 makes infinite; in the 50 x 50 m hangar the
         # catalog's two longest models have no cell
         def cells(side, size):
-            return grid(hangar.buffer, side - hangar.buffer - size, hangar.grid_step)
+            return axis_cells(hangar.buffer, side - hangar.buffer - size, hangar.grid_step)
         without_cell = 0
         for n, n_current, congestion, seed in itertools.product(
                 (3, 6, 12), (0, 2), (1.0, 0.2), range(2)):
@@ -631,7 +630,7 @@ class TestThresholdAheadAfterEveryMiss:
         scan = ach.prepare_scan(held, fixed, inst)
         eps_t = inst.hangar.eps_t
         thresholds = ach._thresholds(scan.events, eps_t)
-        whole = (0, len(scan.xs), 0, len(scan.ys))
+        whole = (0, scan.nx, 0, scan.ny)
         # halfway between the times too, where a roll-in just after the last
         # movement misses on its separation alone
         for t in times + [t + eps_t / 2 for t in times]:
@@ -656,7 +655,7 @@ class TestJumpPastFillingAircraft:
                                                   pick, hl, hw):
         inst, held, fixed, _ = held_out_scan(n, n_current, congestion, seed, pick, hl, hw)
         scan = ach.prepare_scan(held, fixed, inst)
-        whole = (0, len(scan.xs), 0, len(scan.ys))
+        whole = (0, scan.nx, 0, scan.ny)
         eps_t = inst.hangar.eps_t
         for (s0, s1), _, *bounds in scan.committed:
             if tuple(bounds) != whole:
@@ -689,7 +688,7 @@ class TestJumpPastFillingAircraft:
             # every skip goes through here; mark the aircraft only when a
             # filling stay covers the roll-in it skips without a scan
             aircraft, prepared = searching[-1]
-            whole = (0, len(prepared.xs), 0, len(prepared.ys))
+            whole = (0, prepared.nx, 0, prepared.ny)
             t = eta + k * eps_t
             if any(tuple(bounds) == whole and t < s1 - TOL and s0 < t + aircraft.service - TOL
                    for (s0, s1), _, *bounds in prepared.committed):
@@ -792,6 +791,11 @@ class TestScanAgainstValidator:
             assert cell(reused) == brute_force_placement(held, t_in, fixed, inst), t_in
 
 
+def scan_cells(scan, k):
+    """Cell k of either axis of a prepared scan."""
+    return scan.lo + scan.step * k
+
+
 def check_scan_ranges(aircraft, placed, inst):
     """Prepare the scan of ``aircraft`` next to the committed aircraft
     ``placed`` ((spec, x, y) each), and compare it with brute forces: the
@@ -805,7 +809,8 @@ def check_scan_ranges(aircraft, placed, inst):
     for b_in, b_out, t_in in stays:
         fixed = [(spec, accept(spec.id, x, y, b_in, b_out)) for spec, x, y in placed]
         scan = ach.prepare_scan(aircraft, fixed, inst)
-        xs, ys = scan.xs, scan.ys
+        xs = [scan_cells(scan, i) for i in range(scan.nx)]
+        ys = [scan_cells(scan, j) for j in range(scan.ny)]
         for (spec, x, y), (_, _, x_lo, x_hi, y_lo, y_hi) in zip(placed, scan.committed):
             assert list(range(x_lo, x_hi)) == [
                 i for i, cx in enumerate(xs)
@@ -835,7 +840,8 @@ class TestScanRanges:
         a = make_future("a", width=10.0, length=10.0)
         b = make_future("b", width=12.0, length=12.0)
         scan = check_scan_ranges(a, [(b, 9.6, 5.0)], inst)
-        assert round(scan.xs[-1], 6) == 48.7 and round(scan.ys[-1], 6) == 44.1
+        assert round(scan_cells(scan, scan.nx - 1), 6) == 48.7
+        assert round(scan_cells(scan, scan.ny - 1), 6) == 44.1
         # lane [0, 10), band [0, 8), nothing below, above from 8 on
         assert scan.committed[0][2:] == (0, 10, 0, 8)
 
@@ -846,7 +852,7 @@ class TestScanRanges:
         b = make_future("b", width=20.0, length=20.0)
         c = make_future("c", width=20.0, length=20.0)
         scan = check_scan_ranges(a, [(b, 5.0, 35.0), (c, 40.0, 5.0)], inst)
-        nx, ny = len(scan.xs), len(scan.ys)
+        nx, ny = scan.nx, scan.ny
         (_, _, b_x_lo, _, _, b_y_hi), (_, _, _, c_x_hi, c_y_lo, _) = scan.committed
         # b's lane starts at the left wall and nothing lies above it; c's lane
         # ends at the right wall and nothing lies below it
@@ -858,7 +864,7 @@ class TestScanRanges:
         a = make_future("a")
         wide = make_future("wide", width=55.0, length=20.0)
         scan = check_scan_ranges(a, [(wide, 5.0, 5.0)], inst)
-        assert scan.committed[0][2:4] == (0, len(scan.xs))
+        assert scan.committed[0][2:4] == (0, scan.nx)
 
     def test_empty_below_and_above(self):
         inst = make_instance()
@@ -866,7 +872,7 @@ class TestScanRanges:
         long = make_future("long", width=20.0, length=30.0)
         scan = check_scan_ranges(a, [(long, 5.0, 5.0)], inst)
         # the band is every row, so nothing lies below or above
-        assert scan.committed[0][4:] == (0, len(scan.ys))
+        assert scan.committed[0][4:] == (0, scan.ny)
 
     @pytest.mark.parametrize("width,length", [(60.0, 22.0), (24.0, 52.0)],
                              ids=["too-wide", "too-long"])
@@ -875,7 +881,7 @@ class TestScanRanges:
         a = make_future("a", width=width, length=length)
         b = make_future("b")
         scan = check_scan_ranges(a, [(b, 5.0, 5.0)], inst)
-        assert len(scan.xs) * len(scan.ys) == 0
+        assert scan.nx * scan.ny == 0
         assert place(a, 0.0, [], inst) is None
 
     def test_footprints_within_grid_tol_overlap_below_and_above(self):
@@ -888,9 +894,9 @@ class TestScanRanges:
         b = make_future("b", width=1e-5, length=1e-7)
         fixed = [(b, accept("b", 0.0, 5e-6, 0.0, 200.0))]
         scan = ach.prepare_scan(a, fixed, inst)
-        assert scan.committed[0][2:] == (0, len(scan.xs), 6, 5)
+        assert scan.committed[0][2:] == (0, scan.nx, 6, 5)
         got = ach.find_best_placement(a, 0.2, scan)
-        assert cell(got) == (0.0, scan.ys[6])
+        assert cell(got) == (0.0, scan_cells(scan, 6))
         plan = Solution("spot", (fixed[0][1], got))
         assert validator.validate(make_instance(future=[a, b], hangar=inst.hangar), plan).feasible
 
@@ -909,7 +915,7 @@ class TestScanMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (len(scan.xs), len(scan.ys)) == (443, 401)
+        assert (scan.nx, scan.ny) == (443, 401)
         assert got is not None and peak < 100_000
 
 

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, cli, exact, instgen, io, milp, report, validator
-from hangarplan.core import MAX_LENGTH, evaluate_cost
+from hangarplan.core import MAX_LENGTH, HangarConfig, evaluate_cost
 
 from conftest import (
     LP_EDITS,
@@ -164,6 +164,18 @@ class TestSolveAndValidate:
         sol = io.load_solution(sp)
         assert not sol.by_id()["huge"].accept
         assert sol.by_id()["a"].accept
+        assert run(runner, ["validate", "-i", str(ip), "-s", str(sp)]).exit_code == 0
+
+    def test_solve_ach_rejects_a_request_whose_cell_count_overflows(self, runner, tmp_path):
+        # 5e8 m against 1e-300 m cells: the quotient of the grid count
+        # overflows to -inf, which once reached an int conversion
+        hangar = HangarConfig(hw=1e-300, hl=1e-300, buffer=0.0, grid_step=1e-300)
+        big = make_future("a01", width=5e8, length=5e8)
+        ip, sp = tmp_path / "i.json", tmp_path / "s.json"
+        io.save_instance(make_instance(future=[big], hangar=hangar), ip)
+        res = run(runner, ["solve-ach", "-i", str(ip), "-o", str(sp)])
+        assert res.exit_code == 0, res.output
+        assert not io.load_solution(sp).by_id()["a01"].accept
         assert run(runner, ["validate", "-i", str(ip), "-s", str(sp)]).exit_code == 0
 
     def test_validate_json_output(self, runner, tmp_path):

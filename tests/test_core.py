@@ -1,7 +1,7 @@
 """Domain types, geometry predicates, Big-M derivation, and cost evaluation."""
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import pytest
@@ -25,9 +25,10 @@ from hangarplan.core import (
     derive_big_m,
     evaluate_cost,
     first_free_cells,
-    grid,
+    grid_count,
     intervals_overlap,
     lanes_overlap,
+    lattice_index,
     movement_times,
     next_separated,
     separated,
@@ -38,6 +39,7 @@ from hangarplan.core import (
 
 from conftest import (
     accept,
+    axis_cells,
     make_current,
     make_future,
     make_instance,
@@ -231,16 +233,18 @@ class TestPlacementGrid:
     """The one placement grid of the heuristic and the oracle."""
 
     def test_grid_cells(self):
-        assert grid(5.0, 36.0, 2.0) == [5.0 + 2.0 * k for k in range(16)]
-        assert grid(5.0, 5.0, 2.0) == [5.0]
-        assert grid(5.0, 5.0 - 2 * TOL, 2.0) == []
-        assert grid(5.0, 60.0 - 1e308, 1.0) == []  # a 1e308 m wide aircraft
+        assert grid_count(5.0, 36.0, 2.0) == 16 == len(axis_cells(5.0, 36.0, 2.0))
+        assert grid_count(5.0, 5.0, 2.0) == 1
+        assert grid_count(5.0, 5.0 - 2 * TOL, 2.0) == 0
+        assert grid_count(5.0, 60.0 - 1e308, 1.0) == 0  # a 1e308 m wide aircraft
+        # a quotient that overflows: the guess is clamped before it is an int
+        assert grid_count(0.0, 1e-300 - 5e8, 1e-300) == 0
 
     def test_grid_last_cell_within_tol_of_the_wall(self):
         # at step 2, a wall 1.5e-6 m below the cell 35 leaves it out; one
         # 0.5e-6 m below keeps it, as the validator's bound test does
-        assert grid(5.0, 35.0 - 1.5e-6, 2.0)[-1] == 33.0
-        assert grid(5.0, 35.0 - 0.5e-6, 2.0)[-1] == 35.0
+        assert grid_count(5.0, 35.0 - 1.5e-6, 2.0) == 15  # the last cell is 33
+        assert grid_count(5.0, 35.0 - 0.5e-6, 2.0) == 16  # and here 35
 
     def test_snap_up(self):
         assert snap_up(30.0 + 9.9e-7, 5.0, 1.0) == 30.0  # just under 1e-6 above the cell
@@ -248,13 +252,78 @@ class TestPlacementGrid:
         assert snap_up(30.0, 5.0, 1.0) == 30.0
         assert snap_up(-3.0, 5.0, 1.0) == 5.0
 
+    def test_snap_up_at_an_ulp_edge_of_the_grid(self):
+        # 5.200000999 - GRID_TOL rounds to the cell 5.2 = 5 + 0.1 * 2, but its
+        # quotient (5.2 - 5) / 0.1 rounds to a few ulps above 2: a ceiling of
+        # the quotient alone gives the cell 5.3
+        assert snap_up(5.200000999, 5.0, 0.1) == 5.2
+
     @pytest.mark.parametrize("step", [0.5, 0.7, 1.0, 2.0, 2.3])
     def test_snap_up_is_the_first_grid_cell_not_below(self, step):
-        cells = grid(5.0, 60.0, step)
+        cells = axis_cells(5.0, 60.0, step)
         for cell in cells[:-1]:
             for nudge in (-2e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 2e-6, 0.3 * step):
                 value = cell + nudge
                 assert snap_up(value, 5.0, step) == [c for c in cells if c >= value - GRID_TOL][0]
+
+    def test_snap_up_is_the_first_grid_cell_not_below_at_the_ulp_edges(self):
+        # 100 m axes; for each cell, the 7 floats nearest cell + GRID_TOL,
+        # where the quotient of value - GRID_TOL lies within rounding of k
+        checked = 0
+        for step in (0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.3, 2.5, 3.7, 5.0):
+            for lo in (0.0, 0.5, 1.0, 2.5, 3.0, 5.0, 7.3):
+                cells = axis_cells(lo, lo + 100.0 + 2 * step, step)
+                for cell in cells[:-2]:
+                    value = cell + GRID_TOL
+                    for _ in range(3):
+                        value = math.nextafter(value, -math.inf)
+                    for _ in range(7):
+                        expected = cells[bisect_left(cells, value - GRID_TOL)]
+                        assert snap_up(value, lo, step) == expected, (value, lo, step)
+                        value = math.nextafter(value, math.inf)
+                        checked += 1
+        assert checked > 140_000
+
+
+def lattice_values(lo, step, n):
+    """Values at the float neighbours of every cell k <= n of the lattice
+    and of cell +- GRID_TOL, where a quotient alone may land a cell off."""
+    for k in range(n + 1):
+        for offset in (0.0, GRID_TOL, -GRID_TOL):
+            value = lo + step * k + offset
+            for _ in range(3):
+                value = math.nextafter(value, -math.inf)
+            for _ in range(7):
+                yield value
+                value = math.nextafter(value, math.inf)
+
+
+class TestLatticeIndex:
+    """``core.lattice_index`` against ``bisect`` over the lattice as a list."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.sampled_from([0.0, 5.0, 7.3, 41.87]) | st.floats(-100.0, 100.0),
+           step=st.sampled_from([0.1, 0.2, 0.7, 1.0, 2.3, 3.7]) | st.floats(1e-3, 10.0),
+           n=st.integers(0, 60))
+    def test_matches_bisect_over_the_list(self, lo, step, n):
+        cells = [lo + step * k for k in range(n)]
+        for value in lattice_values(lo, step, n):
+            assert lattice_index(value, lo, step, n, strict=True) == bisect_right(cells, value)
+            assert lattice_index(value, lo, step, n, strict=False) == bisect_left(cells, value)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_quotient_past_the_floats(self, strict):
+        assert lattice_index(1e308, -1e308, 1e-300, 10, strict) == 10
+        assert lattice_index(-1e308, 1e308, 1e-300, 10, strict) == 0
+        assert lattice_index(math.inf, 0.0, 1.0, 10, strict) == 10
+        assert lattice_index(-math.inf, 0.0, 1.0, 10, strict) == 0
+
+    def test_lattice_without_end(self):
+        assert lattice_index(1e9, 0.0, 0.1, math.inf, strict=False) == 10**10
+        assert lattice_index(-5.0, 0.0, 0.1, math.inf, strict=True) == 0
+        # with no n to clamp to, a quotient that overflows raises, never walks
+        with pytest.raises(OverflowError):
+            lattice_index(1.0, 0.0, 5e-324, math.inf, strict=False)
 
 
 def free_cells(rects, nx, ny):

@@ -776,7 +776,7 @@ def _length(step, lo, hi):
 
 
 class TestSharedGrid:
-    """``ach`` and the oracle search the one grid of ``core.grid`` and
+    """``ach`` and the oracle search the one grid of ``core.grid_count`` and
     ``core.snap_up``, whose slack GRID_TOL lies just inside the validator's
     TOL: every ``ach`` plan validates, and a proven oracle optimum is never
     worse than it."""

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hangarplan import instgen, io
-from hangarplan.core import HangarConfig, Kind, barred, grid
+from hangarplan.core import HangarConfig, Kind, barred
 
-from conftest import rects_separated
+from conftest import axis_cells, rects_separated
 
 
 def gen(**kwargs):
@@ -128,8 +128,8 @@ class TestCurrentPlacement:
         inst = gen(n_future=2, n_current=3, seed=seed, hangar=h)
         assert inst.current
         for c in inst.current:
-            assert c.x_init in grid(h.buffer, h.hw - h.buffer - c.width, h.grid_step)
-            assert c.y_init in grid(h.buffer, h.hl - h.buffer - c.length, h.grid_step)
+            assert c.x_init in axis_cells(h.buffer, h.hw - h.buffer - c.width, h.grid_step)
+            assert c.y_init in axis_cells(h.buffer, h.hl - h.buffer - c.length, h.grid_step)
 
 
 def pack_by_dropping(model_idx, h):
@@ -172,8 +172,8 @@ def per_cell_spot(w, l, placed, h):
     the validator's TOL, the packing with the solvers' GRID_TOL (TOL less
     1e-9 m), so the two differ only where a buffer gap falls short by more
     than GRID_TOL and less than TOL (``test_differs_in_the_tolerance_band``)."""
-    xs = grid(h.buffer, h.hw - h.buffer - w, h.grid_step)
-    ys = grid(h.buffer, h.hl - h.buffer - l, h.grid_step)
+    xs = axis_cells(h.buffer, h.hw - h.buffer - w, h.grid_step)
+    ys = axis_cells(h.buffer, h.hl - h.buffer - l, h.grid_step)
     for y in ys:
         for x in xs:
             if all(rects_separated(x, y, w, l, *p, h.buffer) for p in placed):
@@ -231,8 +231,9 @@ class TestBottomLeftSpot:
         assert spot[axis] < 0.3 + 8.3 + h.buffer == pytest.approx(spot[axis])
         # the run that core.barred bars, in ach's scan as in the packing,
         # ends at that cell
-        cells = grid(h.buffer, (h.hw, h.hl)[axis] - h.buffer - 10.0, h.grid_step)
-        assert barred(cells, 10.0, 0.3, 8.3, h.buffer) == (0, cells.index(spot[axis]))
+        cells = axis_cells(h.buffer, (h.hw, h.hl)[axis] - h.buffer - 10.0, h.grid_step)
+        assert barred(h.buffer, h.grid_step, len(cells), 10.0, 0.3, 8.3, h.buffer) == \
+            (0, cells.index(spot[axis]))
 
     def test_differs_in_the_tolerance_band(self):
         # right of the placed footprint, the cell x = 36 is 0.9995e-6 m short
