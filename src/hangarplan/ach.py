@@ -2,10 +2,12 @@
 at a time on the placement grid at the earliest roll-in time where it fits.
 
 Roll-in candidates are the lattice times ``eta + k * eps_t`` up to the
-break-even time, where the delay cost reaches the rejection penalty.  The
-search over them has one skip rule.  After a scan at t misses, or is skipped
-because a committed aircraft that fills the grid covers t (``_earliest_fit``),
-each proof of the miss gives a time before which every roll-in misses too,
+break-even time (``max_admissible_time``): the latest roll-in whose delay
+cost, with the roll-out at its earliest, is at most the rejection penalty.
+The delay cost counts both penalties, arrival and departure.  The search
+over them has one skip rule.  After a scan at t misses, or is skipped because
+a committed aircraft that fills the grid covers t (``_earliest_fit``), each
+proof of the miss gives a time before which every roll-in misses too,
 and the search goes to the first lattice index at or past the later of them
 (``_first_index_at``).  One proof is the thresholds: the grid scan's answer
 depends on time only through comparisons of t, and of the points of the
@@ -28,8 +30,8 @@ the horizon M_T <= ``core.MAX_HORIZON``, where one float step is at most
 1.2e-7 h, and ``HangarConfig`` keeps ``eps_t`` above 2 * TOL = 2e-6 h, more
 than 16 such steps.  So t passes the last threshold after finitely many
 steps, and there every scan fits: the search terminates for every valid
-instance, and places the aircraft when ``p_arr = 0`` makes the break-even
-time infinite.
+instance, and places the aircraft when ``p_arr = p_dep = 0`` makes the
+break-even time infinite.
 
 The search of one aircraft prepares, once against its committed schedule,
 what every scan reads that does not depend on the roll-in time
@@ -91,10 +93,37 @@ def prioritize(instance: Instance) -> list[AircraftSpec]:
 
 
 def max_admissible_time(aircraft: AircraftSpec) -> float:
-    """Latest roll-in time before rejecting becomes cheaper than delaying."""
-    if aircraft.p_arr == 0:
+    """The break-even time: the latest roll-in t whose least delay cost,
+    ``p_arr * (t - eta) + p_dep * max(0, t + service - etd)``, is at most
+    ``p_rej``; inf when both penalties are 0.  A bound more than TOL below
+    eta rejects the request without a scan (``_earliest_fit``).
+
+    The least delay cost is the delay cost of a roll-out at its earliest,
+    t + service, and it does not decrease in t: it rises at p_arr up to the
+    latest roll-in that departs on time, etd - service, and at
+    p_arr + p_dep past it.  So the bound is eta + p_rej / p_arr when that is
+    at most etd - service, or when p_dep = 0, and otherwise the root of
+    ``p_arr * (t - eta) + p_dep * (t - etd + service) = p_rej``.
+
+    No optimal plan rolls a request in past the bound.  Every rule of a plan
+    constrains one accepted aircraft or a pair of them, so rejecting one
+    accepted request leaves a feasible plan feasible, and moves no other
+    assignment: the cost changes by p_rej less that request's own cost, its
+    delay costs and eps_p * (x + y).  A request rolled in past the bound
+    costs more than p_rej, whatever its roll-out and cell, so rejecting it
+    costs less.  ``_earliest_fit`` searches roll-ins up to the bound,
+    ``improve`` reads its move windows from it, and the oracle's roll-in
+    candidates (``exact._branch``) stop at it.
+    """
+    p_arr, p_dep = aircraft.p_arr, aircraft.p_dep
+    on_time = aircraft.etd - aircraft.service
+    if p_arr > 0:
+        t = aircraft.eta + aircraft.p_rej / p_arr
+        if t <= on_time or p_dep == 0:
+            return t
+    elif p_dep == 0:
         return math.inf
-    return aircraft.eta + aircraft.p_rej / aircraft.p_arr
+    return (aircraft.p_rej + p_arr * aircraft.eta + p_dep * on_time) / (p_arr + p_dep)
 
 
 def _events(fixed: Sequence[Committed]) -> list[float]:
@@ -266,7 +295,10 @@ def _earliest_fit(aircraft: AircraftSpec, fixed: Sequence[Committed],
     holding as t grows up to s1 - TOL, so such a t is not scanned, and the
     search skips to at least the latest s1 - TOL of the filling aircraft
     that cover it.  Its roll-out is a threshold ahead of t, as one is after
-    every miss, so the aircraft is rejected only past its break-even time."""
+    every miss, so the aircraft is rejected only past its break-even time
+    (``max_admissible_time``), where even a roll-out at t + service costs
+    more in arrival and departure delay than the rejection.  A break-even
+    time more than TOL before eta rejects it at k = 0, before any scan."""
     h = instance.hangar
     t_max = max_admissible_time(aircraft)
     scan = prepare_scan(aircraft, fixed, instance)

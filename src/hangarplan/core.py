@@ -136,10 +136,13 @@ class HangarConfig:
             raise ValueError("eps_p must be non-negative")
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
-        cells = (self.hw // self.grid_step + 1) * (self.hl // self.grid_step + 1)
+        # each axis counted as ``grid_count`` counts a request's cells, for a
+        # footprint of size 0: no request has more cells
+        cells = (grid_count(self.buffer, self.hw - self.buffer, self.grid_step)
+                 * grid_count(self.buffer, self.hl - self.buffer, self.grid_step))
         if cells > MAX_GRID_CELLS:
-            raise ValueError(f"grid_step {self.grid_step} gives {cells:.3g} grid cells "
-                             f"(at most {MAX_GRID_CELLS})")
+            raise ValueError(f"grid_step {self.grid_step} gives more than "
+                             f"{MAX_GRID_CELLS} grid cells")
 
 
 @dataclass(frozen=True)
@@ -331,8 +334,9 @@ def lattice_index(value: float, lo: float, step: float, n: float, strict: bool) 
 
 
 def grid_count(lo: float, hi: float, step: float) -> int:
-    """Cells lo + step * k not past hi by more than GRID_TOL, up to MAX_GRID_CELLS."""
-    return lattice_index(hi + GRID_TOL, lo, step, MAX_GRID_CELLS, strict=True)
+    """Cells lo + step * k not past hi by more than GRID_TOL, counted up to one
+    past MAX_GRID_CELLS, so that ``HangarConfig`` sees a count past the limit."""
+    return lattice_index(hi + GRID_TOL, lo, step, MAX_GRID_CELLS + 1, strict=True)
 
 
 def snap_up(value: float, lo: float, step: float) -> float:

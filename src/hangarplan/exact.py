@@ -1,27 +1,30 @@
 """Desk-scale exact oracle.
 
 Depth-first branch and bound over acceptance subsets, event-driven roll-in
-candidates, and grid placements, certifying the optimum relative to that
-discretization.  The placement grid is ``core``'s, the one ``ach`` scans.
-Placements are optimized for every accepted prefix (each accept branch) by a
-second depth-first search over the pairwise separation disjunctions.  Each
-choice is a monotone constraint on one axis (a lower bound, a cap, or a
-difference edge); adding it raises the parent's least fixpoint (snapped up to
-the grid by ``core.snap_up``) by worklist propagation.  A branch is cut once a
-position passes its wall or cap, or once its coordinate sum exceeds the best
-layout found so far.  The prefix's minimal layout is carried down its subtree:
-a completion only adds separation pairs, so a prefix with no layout is cut and
-its coordinate sum bounds every completion's, and a complete schedule reuses
-the layout of its last accepted prefix.  So are the prefix's separation
-options: an accept branch builds only the pairs of its new aircraft
-(``_pair_options``) and merges them with its parent's by key, which keeps the
-search order, and so the node count, of options built all at once.  An option
-indexes a flat position list per aircraft (x of free aircraft i at 2i, y at
-2i + 1), so it does not depend on the prefix length.  The prefix's walls
-(each aircraft's largest grid x and y) are carried down the same way, each
-aircraft's computed once when it is branched on.  An aircraft with no grid
-cell is never branched on as accepted, only as rejected.  Both searches
-share one node budget.
+candidates up to each request's break-even time, and grid placements,
+certifying the optimum relative to that discretization.  The break-even time
+is ``ach.max_admissible_time``, the heuristic's bound: past it even a roll-out
+at roll-in + service costs more in delay than the rejection, so no plan that
+is optimal over every feasible plan rolls in there.  The placement grid is
+``core``'s, the one ``ach`` scans.  Placements are optimized for every
+accepted prefix (each accept branch) by a second depth-first search over the
+pairwise separation disjunctions.  Each choice is a monotone constraint on one
+axis (a lower bound, a cap, or a difference edge); adding it raises the
+parent's least fixpoint (snapped up to the grid by ``core.snap_up``) by
+worklist propagation.  A branch is cut once a position passes its wall or cap,
+or once its coordinate sum exceeds the best layout found so far.  The prefix's
+minimal layout is carried down its subtree: a completion only adds separation
+pairs, so a prefix with no layout is cut and its coordinate sum bounds every
+completion's, and a complete schedule reuses the layout of its last accepted
+prefix.  So are the prefix's separation options: an accept branch builds only
+the pairs of its new aircraft (``_pair_options``) and merges them with its
+parent's by key, which keeps the search order, and so the node count, of
+options built all at once.  An option indexes a flat position list per
+aircraft (x of free aircraft i at 2i, y at 2i + 1), so it does not depend on
+the prefix length.  The prefix's walls (each aircraft's largest grid x and y)
+are carried down the same way, each aircraft's computed once when it is
+branched on.  An aircraft with no grid cell is never branched on as accepted,
+only as rejected.  Both searches share one node budget.
 They are module-level recursive functions over explicit arguments and one
 ``_Search`` record, so a call leaves no cyclic garbage.  The record keeps the
 incumbent as the search builds it, its cost, accepted schedule and layout;
@@ -240,7 +243,10 @@ def _layout_search(h: HangarConfig, options: list, succ: list[list[tuple[int, fl
 
 def _time_candidates(spec: AircraftSpec, events: list[float], eps_t: float,
                      t_max: float) -> list[float]:
-    """Separated roll-ins in [eta, t_max]: eta, and eps_t after each event."""
+    """Separated roll-ins in [eta, t_max]: eta, and eps_t after each event.
+    ``t_max`` is the break-even time, which counts the departure delay of a
+    roll-out at roll-in + service as well as the arrival delay; none when it
+    lies more than TOL before eta."""
     cands = [spec.eta] + [e + eps_t for e in events if e + eps_t > spec.eta - TOL]
     return [t for t in sorted(set(cands))
             if t <= t_max + TOL and separated(t, events, eps_t)]

@@ -55,14 +55,54 @@ class TestPrioritize:
         assert [f.id for f in ach.prioritize(inst)] == ["c", "a", "b"]
 
 
+def least_delay_cost(f, roll_in):
+    """The delay cost of a roll-in at ``roll_in`` with the roll-out at its
+    earliest, roll_in + service."""
+    return f.p_arr * max(0.0, roll_in - f.eta) + f.p_dep * max(0.0, roll_in + f.service - f.etd)
+
+
 class TestMaxAdmissibleTime:
     def test_break_even_formula(self):
+        # eta + p_rej / p_arr = 100 is past etd - service = 50: the wait also
+        # delays the roll-out, so the bound is (800 + 10 * 20 + 20 * 50) / 30
         f = make_future("a", eta=20.0, p_rej=800.0, p_arr=10.0)
-        assert ach.max_admissible_time(f) == pytest.approx(100.0)
+        assert ach.max_admissible_time(f) == pytest.approx(2000.0 / 30.0)
+        for fields, bound in [
+                (dict(slack=100.0), 100.0),  # 100 departs on time
+                (dict(slack=80.0), 100.0),  # 100 is etd - service itself
+                (dict(p_dep=0.0), 100.0),
+                (dict(p_arr=0.0), 90.0),  # the departure delay alone: 50 + 800 / 20
+                (dict(etd=60.0), 200.0 / 30.0)]:  # late at eta already: before eta
+            f = make_future("a", **{**dict(eta=20.0, p_rej=800.0, p_arr=10.0), **fields})
+            t_max = ach.max_admissible_time(f)
+            assert t_max == pytest.approx(bound), fields
+            if t_max >= f.eta:
+                assert least_delay_cost(f, t_max) == pytest.approx(f.p_rej), fields
+                assert least_delay_cost(f, t_max + 1e-3) > f.p_rej, fields
+            else:
+                assert least_delay_cost(f, f.eta) > f.p_rej, fields
 
     def test_zero_arrival_penalty_means_unbounded(self):
-        f = make_future("a", p_arr=0.0)
+        # only with no departure penalty either: a departure penalty bounds
+        # the wait at etd - service + p_rej / p_dep = 30 + 800 / 20
+        f = make_future("a", eta=0.0, service=100.0, p_rej=800.0, p_arr=0.0, p_dep=0.0)
         assert math.isinf(ach.max_admissible_time(f))
+        assert ach.max_admissible_time(replace(f, p_dep=20.0)) == pytest.approx(70.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(eta=st.sampled_from([0.0, 12.5, 40.0]), service=st.sampled_from([0.1, 30.0, 100.0]),
+           slack=st.integers(-150, 150), p_rej=st.sampled_from([100.0, 900.0, 5000.0]),
+           p_arr=st.sampled_from([0.0, 3.0, 10.0]), p_dep=st.sampled_from([0.0, 6.0, 20.0]))
+    def test_latest_roll_in_whose_least_delay_cost_is_at_most_p_rej(
+            self, eta, service, slack, p_rej, p_arr, p_dep):
+        f = make_future("a", eta=eta, service=service, slack=slack, p_rej=p_rej,
+                        p_arr=p_arr, p_dep=p_dep)
+        t_max = ach.max_admissible_time(f)
+        if p_arr == p_dep == 0.0:
+            assert math.isinf(t_max)
+            return
+        for t in (eta + k * 0.5 for k in range(2000)):
+            assert (least_delay_cost(f, t) <= p_rej + 1e-9) == (t <= t_max + 1e-9), t
 
 
 class TestResolveRollOut:
@@ -282,24 +322,44 @@ class TestSolve:
         assert not sol.by_id()["a"].accept
 
     def test_accepts_with_delay_when_worthwhile(self):
+        # the wait of 50.1 h costs 501 and the roll-out at 150.1 h is on time
         c = make_current("c", width=45.0, length=48.0, x=5.0, y=5.0,
                          service=50.0)
-        f = make_future("a", eta=0.0, service=100.0, p_rej=800.0, p_arr=10.0)
+        f = make_future("a", eta=0.0, service=100.0, slack=60.0, p_rej=800.0, p_arr=10.0)
         inst = make_instance(future=[f], current=[c])
         sol = ach.solve(inst)
         asg = sol.by_id()["a"]
         assert asg.accept
         assert asg.roll_in == pytest.approx(50.1)  # right after c departs
 
+    def test_rejects_when_the_departure_delay_tips_the_balance(self):
+        # the same wait delays the roll-out 20.1 h past etd = 130: 501 + 402
+        # is more than the rejection's 800, though the wait alone is less
+        c = make_current("c", width=45.0, length=48.0, x=5.0, y=5.0,
+                         service=50.0)
+        f = make_future("a", eta=0.0, service=100.0, slack=30.0, p_rej=800.0, p_arr=10.0)
+        inst = make_instance(future=[f], current=[c])
+        assert not ach.solve(inst).by_id()["a"].accept
+        assert f.p_arr * 50.1 < f.p_rej < least_delay_cost(f, 50.1)
+
     def test_break_even_bound_holds(self):
-        for seed in range(10):
-            inst = instgen.generate(instgen.GeneratorConfig(n_future=6, seed=seed))
-            sol = ach.solve(inst)
-            for f in inst.future:
-                asg = sol.by_id()[f.id]
-                if asg.accept:
-                    d_arr = max(0.0, asg.roll_in - f.eta)
-                    assert f.p_arr * d_arr <= f.p_rej + 1e-6
+        # every accepted request's delay cost, even with its roll-out at
+        # roll-in + service, is at most its rejection penalty
+        draws = itertools.chain(
+            instgen_draws(),
+            (instgen.generate(c) for c in congested_family()),
+            (instgen.generate(instgen.GeneratorConfig(n_future=6, seed=seed))
+             for seed in range(10)))
+        accepted = 0
+        for inst in draws:
+            for plan in (ach.solve(inst), ach.improve(inst)):
+                for f in inst.future:
+                    asg = plan.by_id()[f.id]
+                    if asg.accept:
+                        accepted += 1
+                        assert least_delay_cost(f, asg.roll_in) <= f.p_rej + 1e-6, \
+                            (inst.label, f.id)
+        assert accepted > 0
 
     def test_output_always_validates(self):
         for seed in range(8):
@@ -407,9 +467,9 @@ class TestImprove:
 
 
 class TestTermination:
-    """``p_arr = 0`` makes the break-even time infinite; an aircraft that can
-    never fit must still be rejected, not searched for ever.  Nor may a step
-    of the smallest valid ``eps_t`` fail to move the roll-in time."""
+    """``p_arr = p_dep = 0`` makes the break-even time infinite; an aircraft
+    that can never fit must still be rejected, not searched for ever.  Nor may
+    a step of the smallest valid ``eps_t`` fail to move the roll-in time."""
 
     @pytest.mark.parametrize("n,n_current", [(2, 0), (5, 1), (8, 2), (12, 0)])
     def test_smallest_eps_t_terminates(self, n, n_current):
@@ -421,7 +481,7 @@ class TestTermination:
 
     @pytest.mark.parametrize("placed_first", [False, True])
     def test_never_fitting_aircraft_rejected(self, placed_first):
-        wide = make_future("wide", width=500.0, p_arr=0.0)
+        wide = make_future("wide", width=500.0, p_arr=0.0, p_dep=0.0)
         placed = make_future("a", p_rej=900.0)
         inst = make_instance(future=[wide, placed] if placed_first else [wide])
         with time_limit(10.0):
@@ -436,8 +496,8 @@ class TestTermination:
     def test_zero_arrival_penalty_places_every_request_with_a_cell(self, hangar,
                                                                    some_without_cell):
         # a request with a grid cell is rejected only past its break-even
-        # time, which p_arr = 0 makes infinite; in the 50 x 50 m hangar the
-        # catalog's two longest models have no cell
+        # time, which p_arr = p_dep = 0 makes infinite; in the 50 x 50 m
+        # hangar the catalog's two longest models have no cell
         def cells(side, size):
             return axis_cells(hangar.buffer, side - hangar.buffer - size, hangar.grid_step)
         without_cell = 0
@@ -446,7 +506,8 @@ class TestTermination:
             drawn = instgen.generate(instgen.GeneratorConfig(
                 n_future=n, n_current=n_current, seed=seed, congestion=congestion,
                 hangar=hangar))
-            inst = replace(drawn, future=tuple(replace(f, p_arr=0.0) for f in drawn.future))
+            inst = replace(drawn, future=tuple(replace(f, p_arr=0.0, p_dep=0.0)
+                                               for f in drawn.future))
             has_cell = {f.id: bool(cells(hangar.hw, f.width) and cells(hangar.hl, f.length))
                         for f in inst.future}
             for plan in (ach.solve(inst), ach.improve(inst)):
@@ -459,7 +520,7 @@ class TestTermination:
         # before the early return, the search of "wide" walked the
         # thresholds of the two parked aircraft and scanned 46 times
         gen = instgen.generate(instgen.GeneratorConfig(n_future=12, n_current=2, seed=3))
-        wide = make_future("wide", width=500.0, p_arr=0.0)
+        wide = make_future("wide", width=500.0, p_arr=0.0, p_dep=0.0)
         inst = Instance(hangar=gen.hangar, current=gen.current, future=gen.future + (wide,))
         scanned = Counter()
         scan = ach.find_best_placement
@@ -726,9 +787,9 @@ SCAN_FAMILIES = {
                  for i in range(38)],
     "congested_wide": congested_family(HangarConfig(hw=120.0, hl=100.0)),
 }
-SCAN_BOUNDS = [("congested", "solve", 213), ("congested", "improve", 247),
-               ("pipeline", "solve", 162), ("pipeline", "improve", 772),
-               ("congested_wide", "solve", 317), ("congested_wide", "improve", 317)]
+SCAN_BOUNDS = [("congested", "solve", 101), ("congested", "improve", 312),
+               ("pipeline", "solve", 154), ("pipeline", "improve", 703),
+               ("congested_wide", "solve", 314), ("congested_wide", "improve", 325)]
 
 
 class TestScanCount:
@@ -931,7 +992,7 @@ class TestPreparedOncePerAircraft:
         instance.  In the default hangar the search jumps past the aircraft
         that fill the grid, and scans once or twice per request."""
         inst = instgen.generate(instgen.GeneratorConfig(
-            n_future=8, n_current=n_current, seed=4, congestion=0.2,
+            n_future=8, n_current=n_current, seed=6, congestion=0.2,
             rejection_multiplier=10.0, hangar=HangarConfig(hw=120.0, hl=100.0)))
         calls = Counter()
 

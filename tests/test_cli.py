@@ -137,7 +137,7 @@ class TestSolveAndValidate:
     @pytest.mark.parametrize("placed_first", [False, True])
     def test_solve_ach_rejects_never_fitting_zero_delay_penalty(
             self, runner, tmp_path, placed_first):
-        wide = make_future("wide", width=500.0, p_arr=0.0)
+        wide = make_future("wide", width=500.0, p_arr=0.0, p_dep=0.0)
         placed = make_future("a", p_rej=900.0)
         ip, sp = tmp_path / "i.json", tmp_path / "s.json"
         io.save_instance(make_instance(future=[wide, placed] if placed_first else [wide]), ip)
@@ -168,8 +168,10 @@ class TestSolveAndValidate:
 
     def test_solve_ach_rejects_a_request_whose_cell_count_overflows(self, runner, tmp_path):
         # 5e8 m against 1e-300 m cells: the quotient of the grid count
-        # overflows to -inf, which once reached an int conversion
-        hangar = HangarConfig(hw=1e-300, hl=1e-300, buffer=0.0, grid_step=1e-300)
+        # overflows to -inf, which once reached an int conversion.  Cells up
+        # to GRID_TOL past a wall count, so only a hangar narrower than its
+        # two buffers, which has no cell, may have cells this small
+        hangar = HangarConfig(hw=1e-300, hl=1e-300, buffer=1e-6, grid_step=1e-300)
         big = make_future("a01", width=5e8, length=5e8)
         ip, sp = tmp_path / "i.json", tmp_path / "s.json"
         io.save_instance(make_instance(future=[big], hangar=hangar), ip)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hangarplan.core import (
     GRID_TOL,
+    MAX_GRID_CELLS,
     MAX_HORIZON,
     MAX_LENGTH,
     TOL,
@@ -102,9 +103,25 @@ class TestHangarConfig:
             HangarConfig(**bad)
 
     def test_grid_cell_bound(self):
-        HangarConfig(hw=999.0, hl=999.0, grid_step=1.0)  # 1000 x 1000 cells
+        HangarConfig(hw=999.0, hl=999.0, buffer=0.0, grid_step=1.0)  # 1000 x 1000 cells
         with pytest.raises(ValueError, match="grid cells"):
-            HangarConfig(hw=1000.0, hl=999.0, grid_step=1.0)
+            HangarConfig(hw=1000.0, hl=999.0, buffer=0.0, grid_step=1.0)
+        # the cells lie between the buffered walls
+        HangarConfig(hw=1009.0, hl=1009.0, grid_step=1.0)
+        with pytest.raises(ValueError, match="grid cells"):
+            HangarConfig(hw=1010.0, hl=1009.0, grid_step=1.0)
+
+    def test_grid_cell_bound_counts_cells_as_the_solvers_do(self):
+        # a cell up to GRID_TOL past the wall counts: a 1e-7 m request would
+        # have 1,000,001 cells
+        with pytest.raises(ValueError, match="grid cells"):
+            HangarConfig(hw=999999.9999999, hl=0.5, buffer=0.0, grid_step=1.0)
+        h = HangarConfig(hw=999999.999998, hl=0.5, buffer=0.0, grid_step=1.0)
+        assert grid_count(h.buffer, h.hw - h.buffer - 1e-7, h.grid_step) == MAX_GRID_CELLS
+        assert grid_count(h.buffer, h.hl - h.buffer - 1e-7, h.grid_step) == 1
+        # 1e-300 m cells give about 1e294 within GRID_TOL of a 1e-300 m side
+        with pytest.raises(ValueError, match="grid cells"):
+            HangarConfig(hw=1e-300, hl=1e-300, buffer=0.0, grid_step=1e-300)
 
 
 class TestInstance:

@@ -15,10 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hangarplan import ach, exact, instgen, io, milp, validator
-from hangarplan.core import (GRID_TOL, MAX_HORIZON, TOL, AircraftSpec, HangarConfig, Kind,
-                             Provenance, Solution, derive_big_m, evaluate_cost,
-                             intervals_overlap, movement_times, presence, separated, snap_up,
-                             window_blocks)
+from hangarplan.core import (GRID_TOL, MAX_HORIZON, TOL, AircraftSpec, Assignment,
+                             HangarConfig, Kind, Provenance, Solution, derive_big_m,
+                             evaluate_cost, intervals_overlap, movement_times, presence,
+                             separated, snap_up, window_blocks)
 
 from conftest import (
     TINY_HANGAR,
@@ -578,9 +578,9 @@ class TestPrefixPruning:
 #: Oracle node counts on instgen instances with tenfold rejection penalties:
 #: (hangar, n_future, n_current, seed, congestion, nodes).
 NODE_PINS = [
-    (HangarConfig(), 4, 2, 23, 1.0, 137),
-    (HangarConfig(), 4, 0, 3, 1.0, 131),
-    (HangarConfig(hw=120, hl=100), 4, 1, 7, 1.0, 306),
+    (HangarConfig(), 4, 2, 23, 1.0, 80),
+    (HangarConfig(), 4, 0, 3, 1.0, 90),
+    (HangarConfig(hw=120, hl=100), 4, 1, 7, 1.0, 297),
     (HangarConfig(hw=120, hl=100), 3, 2, 2, 0.2, 75),
 ]
 
@@ -675,6 +675,39 @@ class TestCarriedWalls:
         if with_fitting:
             want["g"] = (30.0, 5.0, 10.0, 60.0)
         assert placed == want
+
+
+class TestRejectionLemma:
+    """The lemma behind the break-even bound (``ach.max_admissible_time``)
+    that cuts both solvers' roll-ins: rejecting one accepted request of a
+    feasible plan leaves it feasible and changes its cost by exactly p_rej
+    less that request's own cost."""
+
+    @settings(max_examples=30, deadline=timedelta(seconds=20))
+    @given(n=st.integers(1, 4), n_current=st.integers(0, 2),
+           congestion=st.sampled_from([0.2, 1.0]),
+           multiplier=st.sampled_from([1.0, 10.0]),
+           seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 3))
+    def test_rejecting_an_accepted_request(self, n, n_current, congestion, multiplier,
+                                           seed, pick):
+        inst = _generate(n, n_current, congestion, multiplier, seed)
+        eps_p = inst.hangar.eps_p
+        for plan in (ach.solve(inst), ach.improve(inst), exact.solve_exact(inst).solution):
+            by_id = plan.by_id()
+            accepted = [f for f in inst.future if by_id[f.id].accept]
+            if not accepted:
+                continue
+            f = accepted[pick % len(accepted)]
+            asg = by_id[f.id]
+            own = f.p_arr * asg.d_arr + f.p_dep * asg.d_dep + eps_p * (asg.x + asg.y)
+            dropped = replace(plan, assignments=tuple(
+                Assignment(aircraft_id=f.id, accept=False) if a.aircraft_id == f.id else a
+                for a in plan.assignments))
+            before = validator.validate(inst, plan)
+            after = validator.validate(inst, dropped)
+            assert before.feasible and after.feasible, validator.explain(after)
+            assert after.cost.total - before.cost.total == pytest.approx(
+                f.p_rej - own, abs=1e-9 * max(1.0, before.cost.total))
 
 
 class TestHorizon:
